@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 DEFAULT_TEST_REGIONS = "USA,CHN,GBR,MWI"
 DEFAULT_PAD = 20
@@ -251,10 +252,17 @@ def _cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     world, norm, split, _ = _load_split_normalize(args.grid, args.test_regions,
                                                   args.pad)
+    t0 = time.perf_counter()
     pred = predict_world(
         params, norm, WindowSpec(args.window), pad=args.pad,
         input_names=INPUT_CHANNELS, split=split, split_filter=args.split,
     )
+    elapsed = time.perf_counter() - t0
+    cover = pred.count[np.asarray(world.mask) == 1]
+    _log(f"predicted {pred.tiles} tiles in {elapsed:.1f} s "
+         f"({pred.tiles / elapsed:.0f} tiles/s); coverage on land: "
+         f"min {cover.min()}, median {np.median(cover):g}; "
+         f"{np.count_nonzero(cover == 0)} land pixels never covered")
 
     pad = args.pad
     scope_mask = {

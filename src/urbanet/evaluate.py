@@ -3,9 +3,14 @@
 A trained network predicts one value per pixel per tile; dense sampling
 means every pixel is covered by up to S*S overlapping windows.  The
 world-level prediction takes the median over those duplicates (even
-count: mean of the two central values).  Metrics are computed over two
-strata of land cells and exported as CSV rows alongside the published
-baseline numbers, which are bundled as data and never recomputed.
+count: mean of the two central values).  Medians are selected from the
+values in the prediction dtype and the central pair is averaged in
+float64.  Tiles arrive in row-major centre order, so a pixel row is
+final once the tiles have moved below it: its medians are taken then and
+its buffer reused, which bounds the aggregation memory by width * S^2
+whatever the height of the world.  Metrics are computed over two strata
+of land cells and exported as CSV rows alongside the published baseline
+numbers, which are bundled as data and never recomputed.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 from .grid import SplitAssignment, WorldGrid
 from .tiler import TileDataset, WindowSpec
 from .unet import UNetParams, _forward
@@ -56,6 +61,7 @@ class PredictionGrid:
     planes: dict[str, np.ndarray]  # (H, W) float64 per model head
     count: np.ndarray              # (H, W) int64 contributing-tile count
     mask: np.ndarray               # (H, W) uint8 land mask
+    tiles: int                     # tiles predicted
 
 
 @dataclass(frozen=True)
@@ -75,19 +81,20 @@ class MetricsRow:
         return (self.model, self.window, self.scope, self.stratum)
 
 
-def _segment_medians(pix: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel medians of (pixel index, value) pairs.
+def _slot_medians(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel medians over the filled slots of one pixel row.
 
-    Returns (unique pixel indices, medians, counts).  Even-sized groups
-    take the mean of the two central values.
+    ``slots`` is (heads, W, K) with NaN in every empty slot; all heads
+    fill the same slots.  Returns float64 medians (heads, W), 0 where a
+    pixel has no value, and the (W,) counts.  Even counts take the mean
+    of the two central values.
     """
-    order = np.lexsort((val, pix))
-    sp, sv = pix[order], val[order]
-    starts = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
-    counts = np.diff(np.r_[starts, len(sp)])
-    lo = sv[starts + (counts - 1) // 2]
-    hi = sv[starts + counts // 2]
-    return sp[starts], 0.5 * (lo + hi), counts
+    count = slots.shape[-1] - np.count_nonzero(np.isnan(slots[0]), axis=-1)
+    ordered = np.sort(slots, axis=-1)  # NaN sorts last
+    cols = np.arange(slots.shape[1])
+    lo = ordered[:, cols, (count - 1) // 2].astype(np.float64)
+    hi = ordered[:, cols, count // 2].astype(np.float64)
+    return np.where(count > 0, 0.5 * (lo + hi), 0.0), count
 
 
 def predict_world(
@@ -106,6 +113,7 @@ def predict_world(
     ``grid`` is the padded world; the returned planes are cropped back to
     unpadded coordinates.  Only unaugmented tiles are evaluated — every
     land pixel matching ``split_filter`` contributes exactly one tile.
+    A non-finite prediction raises ``NumericError``.
     """
     input_names = tuple(input_names)
     spec = params.spec
@@ -131,39 +139,55 @@ def predict_world(
 
     s = window.size
     hp, wp = grid.height, grid.width
-    off = np.asarray(window.center_offset)
-    tls = ds.centers_padded - off  # (n, 2) window top-left corners
+    tls = ds.centers_padded - np.asarray(window.center_offset)  # row-major
     ar = np.arange(s)
     dtype = next(iter(params.arrays.values())).dtype
+    land = np.asarray(grid.mask)[:, pad : wp - pad] == 1
 
-    pix_chunks: list[np.ndarray] = []
-    val_chunks: dict[str, list[np.ndarray]] = {name: [] for name, _ in spec.heads}
+    # Tile (tr, tc) stores its value for pixel (q, c) in slot
+    # (q - tr) * S + (c - tc) of row q.  Top rows never decrease, so before
+    # the tiles with top row t are stored every row above t is final, and
+    # the open rows fit a ring of S rows indexed by q % S.
+    ring = np.full((s, len(spec.heads), wp, s * s), np.nan, dtype)
+    slot = ar[:, None] * s + ar[None, :]
+    planes = np.zeros((len(spec.heads), hp - 2 * pad, wp - 2 * pad))
+    count = np.zeros((hp - 2 * pad, wp - 2 * pad), np.int64)
+    first_open = 0   # rows above it are final
+    end_written = 0  # rows from it on hold no value yet
+
+    def close_rows(stop: int) -> None:
+        nonlocal first_open
+        for q in range(first_open, min(stop, end_written)):
+            row = ring[q % s]
+            if pad <= q < hp - pad:
+                med, cnt = _slot_medians(row[:, pad : wp - pad])
+                planes[:, q - pad] = med * land[q]
+                count[q - pad] = cnt * land[q]
+            row.fill(np.nan)
+        first_open = stop
+
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         x, _, _ = ds.batch(idx)
         y, _ = _forward(params, np.ascontiguousarray(x, dtype=dtype))  # (B,S,S,C)
-        rows = tls[idx, 0, None, None] + ar[None, :, None]
-        cols = tls[idx, 1, None, None] + ar[None, None, :]
-        pix_chunks.append((rows * wp + cols).reshape(-1))
-        for c, (name, _) in enumerate(spec.heads):
-            val_chunks[name].append(y[..., c].astype(np.float64).reshape(-1))
+        if not np.isfinite(y).all():
+            raise NumericError(f"non-finite prediction in batch {start // batch_size} "
+                               f"(tiles {start}..{idx[-1]})")
+        tr, tc = tls[idx, 0], tls[idx, 1]
+        for g in np.split(np.arange(len(idx)), np.flatnonzero(np.diff(tr)) + 1):
+            top = int(tr[g[0]])
+            close_rows(top)
+            rows = ((top + ar) % s)[None, :, None]
+            cols = tc[g, None, None] + ar[None, None, :]
+            ring[rows, :, cols, slot] = y[g]
+            end_written = top + s
+    close_rows(hp)
 
-    pix = np.concatenate(pix_chunks)
-    land_flat = (np.asarray(grid.mask) == 1).ravel()  # water stays empty
-    count = np.zeros(hp * wp, np.int64)
-    planes: dict[str, np.ndarray] = {}
-    for name, _ in spec.heads:
-        upix, med, cnt = _segment_medians(pix, np.concatenate(val_chunks[name]))
-        plane = np.zeros(hp * wp)
-        plane[upix] = med
-        plane *= land_flat
-        planes[name] = plane.reshape(hp, wp)[pad : hp - pad, pad : wp - pad]
-        count[upix] = cnt
-    count *= land_flat
     return PredictionGrid(
-        planes=planes,
-        count=count.reshape(hp, wp)[pad : hp - pad, pad : wp - pad],
+        planes={name: planes[h] for h, (name, _) in enumerate(spec.heads)},
+        count=count,
         mask=np.asarray(grid.mask)[pad : hp - pad, pad : wp - pad],
+        tiles=n,
     )
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DataError,
@@ -239,13 +239,22 @@ class Batch:
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(N,H,W,C) -> (N*H*W, k*k*C) patch matrix, rows in (du, dv, c) layout."""
+    """(N,H,W,C) -> (N*H*W, k*k*C) patch matrix, rows in (du, dv, c) layout.
+
+    Channel-last, the patch row du of pixel (i, j) is the k*C contiguous
+    values xp[i + du, j : j + k], so the copy moves runs of k*C values
+    rather than C.  Needs an odd k with pad = k // 2 (validate_spec).
+    """
     if k == 1:
         return x.reshape(-1, x.shape[-1])
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N,H,W,C,k,k)
-    n, h, w = x.shape[:3]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * x.shape[-1])
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x
+    sn, sh, sw, sc = xp.strides
+    win = as_strided(xp, (n, h, w, k, k * c), (sn, sh, sw, sh, sc), writeable=False)
+    cols = np.empty((n, h, w, k, k * c), x.dtype)
+    np.copyto(cols, win)
+    return cols.reshape(n * h * w, k * k * c)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,19 +267,21 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conv_backward(
-    x: np.ndarray, w: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a same-padded convolution: (d_input, d_weight, d_bias).
 
     d_input is itself a same-padded convolution of the output gradient with
     the spatially flipped, in/out-swapped kernel — one more im2col GEMM
-    instead of a scatter-add.
+    instead of a scatter-add.  Without ``need_dx`` it is skipped (None).
     """
     f, c, k, _ = w.shape
     n, h, wd, _ = x.shape
     g2 = g.reshape(-1, f)
     dw = (_im2col(x, k, k // 2).T @ g2).reshape(k, k, c, f).transpose(3, 2, 0, 1)
     db = g2.sum(axis=0)
+    if not need_dx:
+        return None, dw, db
     wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * f, c)
     dx = (_im2col(g, k, k // 2) @ wflip).reshape(n, h, wd, c)
     return dx, dw, db
@@ -351,7 +362,7 @@ def _forward(params: UNetParams, x: np.ndarray, want_margins: bool = False):
         pre = _conv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"])
         if want_margins:
             margins.append(float(np.abs(pre).min()))
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=pre)
 
     enc: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     pools: list[tuple[np.ndarray, tuple]] = []
@@ -474,12 +485,16 @@ def _backward(
             store(f"dec.{head}.{lvl}.conv1", dw, db)
             g_skip[lvl] += gd[..., width:]
             gp = gd[..., :width] * (stage["yu"] > 0)
-            gd, dw, db = _conv_backward(stage["xu"], arrays[f"dec.{head}.{lvl}.up.w"], gp)
+            # the deepest up-conv's input gradient only feeds the encoder
+            gd, dw, db = _conv_backward(stage["xu"], arrays[f"dec.{head}.{lvl}.up.w"], gp,
+                                        need_dx=encoder_wanted or lvl < spec.depth - 1)
             store(f"dec.{head}.{lvl}.up", dw, db)
-            gd = _up_backward(gd)
-        g_bott += gd
+            if gd is not None:
+                gd = _up_backward(gd)
+        if encoder_wanted:
+            g_bott += gd
 
-    if not any(name in wanted for name in encoder_names(spec)):
+    if not encoder_wanted:
         return grads
 
     gd = g_bott
@@ -492,7 +507,9 @@ def _backward(
         gd, dw, db = _conv_backward(y1, arrays[f"enc{lvl}.conv2.w"], gp)
         store(f"enc{lvl}.conv2", dw, db)
         gp = gd * (y1 > 0)
-        gd, dw, db = _conv_backward(x1, arrays[f"enc{lvl}.conv1.w"], gp)
+        # the gradient with respect to the input data is never used
+        gd, dw, db = _conv_backward(x1, arrays[f"enc{lvl}.conv1.w"], gp,
+                                    need_dx=lvl > 0)
         store(f"enc{lvl}.conv1", dw, db)
     return grads
 
@@ -768,7 +785,8 @@ def save_params(params: UNetParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> UNetParams:
-    """Read a UNPK checkpoint, validating shapes against its spec block."""
+    """Read a UNPK checkpoint, validating shapes against its spec block and
+    refusing non-finite values."""
     data = Path(path).read_bytes()
     if len(data) < 6 or data[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a UNPK checkpoint")
@@ -818,5 +836,9 @@ def load_params(path: str | Path) -> UNetParams:
     missing = sorted(set(shapes) - set(arrays))
     if missing:
         raise IntegrityError(f"{path}: checkpoint is missing arrays {missing}")
-    ordered = {name: arrays[name] for name in shapes}
-    return UNetParams(spec=spec, arrays=ordered)
+    params = UNetParams(spec=spec, arrays={name: arrays[name] for name in shapes})
+    try:
+        validate_params(params)
+    except IntegrityError as err:
+        raise IntegrityError(f"{path}: {err}") from None
+    return params

@@ -1,12 +1,15 @@
 """End-to-end command-line workflow: exit codes, files, reports."""
 
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import urbanet
 from urbanet.cli import main
 from urbanet.grid import load_grid
 from urbanet.unet import load_params
@@ -157,6 +160,23 @@ class TestEvalReport:
                      "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
                      "--report", str(report)]) == 2
 
+    def test_eval_logs_coverage_summary(self, world_file, run_dir, tmp_path, capsys):
+        rc = main(["eval", "--grid", str(world_file), "--window", "16",
+                   "--pad", "8", "--test-regions", "R03", "--split", "all",
+                   "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
+                   "--report", str(tmp_path / "r.csv"),
+                   "--pred-out", str(tmp_path / "pred.wgrd")])
+        assert rc == 0
+        world = load_grid(world_file)
+        land = world.mask == 1
+        cover = load_grid(tmp_path / "pred.wgrd").channels["coverage"][land]
+        line = next(ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("predicted "))
+        assert line.startswith(f"predicted {int(land.sum())} tiles in ")
+        assert " tiles/s); coverage on land: " in line
+        assert f"min {int(cover.min())}, median {np.median(cover):g}; " in line
+        assert line.endswith("; 0 land pixels never covered")
+
     def test_eval_never_mutates_inputs(self, world_file, run_dir, tmp_path):
         before = hashlib.sha256(world_file.read_bytes()).hexdigest()
         main(["eval", "--grid", str(world_file), "--window", "16",
@@ -232,10 +252,14 @@ class TestGradcheck:
 
 class TestConsoleScript:
     def test_module_invocation(self, world_file):
+        # the child imports the same urbanet as this process, installed or not
+        src = str(Path(urbanet.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "urbanet", "--threads", "1", "split",
              "--grid", str(world_file), "--test-regions", "R03"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("land=")

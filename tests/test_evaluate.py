@@ -1,18 +1,21 @@
 """Evaluator: median aggregation oracle, metric formulas, report round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanet.errors import DataError, ShapeError
+from urbanet import evaluate
+from urbanet.errors import DataError, NumericError, ShapeError
 from urbanet.evaluate import (
     STRATUM_ALL,
     STRATUM_BUILTUP,
     STRATUM_LABELS,
     EvalReport,
     MetricsRow,
-    _segment_medians,
+    _slot_medians,
     export_report,
     export_scatter,
     load_baseline,
@@ -24,7 +27,7 @@ from urbanet.evaluate import (
     stratify,
     unet_label,
 )
-from urbanet.grid import assign_split, pad_grid
+from urbanet.grid import WorldGrid, assign_split, pad_grid
 from urbanet.synth import INPUT_CHANNELS, TARGET_URBAN, SynthConfig, gen_world
 from urbanet.tiler import TileDataset, WindowSpec, coverage_count
 from urbanet.unet import UNetSpec, _forward, init_params
@@ -73,30 +76,95 @@ def metrics_loop(pred, truth, sel):
     return mean_abs, max_abs, std, r2
 
 
+def stand_in_forward(params, x):
+    """A forward pass whose output does not depend on the batch it is in."""
+    return x[..., : len(params.spec.heads)] * 1.5 + 0.25, None
+
+
+def global_sort_reference(params, grid, window, *, pad, split=None,
+                          split_filter="all", batch_size=256):
+    """The pair-buffer aggregation predict_world used before it streamed:
+    every (pixel, value) pair of every tile buffered, one lexsort per head."""
+    ds = TileDataset(grid, window, pad=pad, input_names=INPUT_CHANNELS,
+                     target_names=(), split=split, split_filter=split_filter)
+    s = window.size
+    hp, wp = grid.height, grid.width
+    tls = ds.centers_padded - np.asarray(window.center_offset)
+    ar = np.arange(s)
+    heads = [name for name, _ in params.spec.heads]
+    pix_chunks, val_chunks = [], {name: [] for name in heads}
+    for start in range(0, len(ds), batch_size):
+        idx = np.arange(start, min(start + batch_size, len(ds)))
+        x, _, _ = ds.batch(idx)
+        y, _ = evaluate._forward(params, np.ascontiguousarray(x, dtype=np.float32))
+        rows = tls[idx, 0, None, None] + ar[None, :, None]
+        cols = tls[idx, 1, None, None] + ar[None, None, :]
+        pix_chunks.append((rows * wp + cols).reshape(-1))
+        for c, name in enumerate(heads):
+            val_chunks[name].append(y[..., c].astype(np.float64).reshape(-1))
+    pix = np.concatenate(pix_chunks)
+    land_flat = (np.asarray(grid.mask) == 1).ravel()
+    count = np.zeros(hp * wp, np.int64)
+    planes = {}
+    for name in heads:
+        val = np.concatenate(val_chunks[name])
+        order = np.lexsort((val, pix))
+        sp, sv = pix[order], val[order]
+        starts = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
+        cnt = np.diff(np.r_[starts, len(sp)])
+        med = 0.5 * (sv[starts + (cnt - 1) // 2] + sv[starts + cnt // 2])
+        plane = np.zeros(hp * wp)
+        plane[sp[starts]] = med
+        plane *= land_flat
+        planes[name] = plane.reshape(hp, wp)[pad : hp - pad, pad : wp - pad]
+        count[sp[starts]] = cnt
+    count *= land_flat
+    return planes, count.reshape(hp, wp)[pad : hp - pad, pad : wp - pad]
+
+
+def banded_world(height, width, bands, seed=0):
+    """A synthetic world with the given row ranges turned into water."""
+    world = gen_world(SynthConfig(seed=seed, height=height, width=width,
+                                  land_fraction=0.8, n_regions=4))
+    land = world.mask.copy()
+    for lo, hi in bands:
+        land[lo:hi] = 0
+    keep = land == 1
+    return WorldGrid(mask=land, regions=np.where(keep, world.regions, 0),
+                     channels={k: np.where(keep, v, 0.0)
+                               for k, v in world.channels.items()},
+                     region_table=world.region_table)
+
+
 class TestSegmentMedians:
+    """The per-row median kernel: NaN marks an empty slot."""
+
     def test_odd_count(self):
-        pix = np.array([4, 4, 4])
-        val = np.array([0.1, 0.3, 0.2])
-        upix, med, cnt = _segment_medians(pix, val)
-        assert upix.tolist() == [4] and cnt.tolist() == [3]
-        assert med[0] == 0.2
+        med, cnt = _slot_medians(np.array([[[0.1, 0.3, np.nan, 0.2]]]))
+        assert cnt.tolist() == [3]
+        assert med[0, 0] == 0.2
 
     def test_even_count_mean_of_central(self):
-        upix, med, cnt = _segment_medians(np.array([7, 7]), np.array([0.1, 0.3]))
-        assert med[0] == pytest.approx(0.2)
-        assert cnt.tolist() == [2]
+        med, cnt = _slot_medians(np.array([[[np.nan, 0.1, 0.3],
+                                            [np.nan, np.nan, np.nan]]]))
+        assert med[0, 0] == pytest.approx(0.2)
+        assert cnt.tolist() == [2, 0]
+        assert med[0, 1] == 0.0  # a pixel no tile covers
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_matches_numpy_median(self, seed):
         rng = np.random.default_rng(seed)
-        pix = rng.integers(0, 10, size=60)
-        val = rng.normal(size=60)
-        upix, med, cnt = _segment_medians(pix, val)
-        for p, m, c in zip(upix, med, cnt):
-            grp = val[pix == p]
-            assert c == len(grp)
-            assert m == pytest.approx(float(np.median(grp)), abs=1e-15)
+        slots = rng.normal(size=(2, 10, 9)).astype(np.float32)
+        empty = rng.random((10, 9)) < rng.random()
+        slots[:, empty] = np.nan
+        med, cnt = _slot_medians(slots)
+        for h in range(2):
+            for c in range(10):
+                grp = slots[h, c, ~empty[c]].astype(np.float64)
+                assert cnt[c] == len(grp)
+                want = float(np.median(grp)) if len(grp) else 0.0
+                assert med[h, c] == pytest.approx(want, abs=1e-15)
 
 
 class TestPredictWorld:
@@ -171,6 +239,59 @@ class TestPredictWorld:
                             input_names=INPUT_CHANNELS)
         assert set(got.planes) == {"urban", "pop"}
         assert not np.array_equal(got.planes["urban"], got.planes["pop"])
+
+    @pytest.mark.parametrize("split_filter", ["all", "test"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 7, None])
+    def test_streaming_matches_global_sort(self, monkeypatch, batch_size, split_filter):
+        # water bands of 8, 1 and 2 rows at S = 5: rows no tile reaches, and
+        # rows closed across jumps in the tiles' top rows
+        world = banded_world(30, 20, bands=[(4, 12), (16, 17), (21, 23)])
+        win = WindowSpec(5)
+        padded = pad_grid(world, 2)
+        split = assign_split(padded, ["R01"])
+        spec = UNetSpec(input_channels=9, base_features=4, depth=1,
+                        heads=(("urban", 1), ("pop", 1)))
+        params = init_params(spec, seed=0)
+        monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
+        n = len(TileDataset(padded, win, pad=2, input_names=INPUT_CHANNELS,
+                            target_names=(), split=split, split_filter=split_filter))
+        got = predict_world(params, padded, win, pad=2, input_names=INPUT_CHANNELS,
+                            split=split, split_filter=split_filter,
+                            batch_size=batch_size or n)
+        want_planes, want_count = global_sort_reference(
+            params, padded, win, pad=2, split=split, split_filter=split_filter)
+        assert got.tiles == n
+        assert np.array_equal(got.count, want_count)
+        for name in ("urban", "pop"):
+            assert got.planes[name].tobytes() == want_planes[name].tobytes()
+
+    def test_non_finite_prediction_raises(self):
+        world = gen_world(SynthConfig(seed=2, height=12, width=12, land_fraction=0.8,
+                                      n_regions=4))
+        padded = pad_grid(world, 2)
+        params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
+        params.arrays["head.urban.b"][:] = np.nan
+        with pytest.raises(NumericError, match="batch 0"):
+            predict_world(params, padded, WindowSpec(4), pad=2,
+                          input_names=INPUT_CHANNELS)
+
+    def test_memory_does_not_grow_with_height(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
+        win = WindowSpec(16)
+        params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
+        peaks = []
+        for height in (64, 256):
+            world = gen_world(SynthConfig(seed=3, height=height, width=48,
+                                          land_fraction=0.8, n_regions=4))
+            padded = pad_grid(world, win.max_reach)
+            tracemalloc.start()
+            try:
+                predict_world(params, padded, win, pad=win.max_reach,
+                              input_names=INPUT_CHANNELS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 class TestResidualMetrics:

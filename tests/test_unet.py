@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from urbanet import unet
 from urbanet.errors import (
     DataError,
     FormatError,
@@ -15,6 +19,10 @@ from urbanet.errors import (
 )
 from urbanet.unet import (
     Batch,
+    _backward,
+    _conv_backward,
+    _forward,
+    _im2col,
     UNetParams,
     UNetSpec,
     backward,
@@ -228,6 +236,29 @@ class TestMaskedLoss:
         assert whole == pytest.approx(float(np.mean(per)), abs=1e-12)
 
 
+class TestIm2col:
+    @staticmethod
+    def reference(x, k, pad):
+        """Patch matrix straight from a (k, k) sliding window, (du, dv, c) rows."""
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N,H,W,C,k,k)
+        n, h, w, c = x.shape
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * c)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(2, 7, 5, 1), (3, 8, 8, 9), (1, 4, 6, 16)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_sliding_window_layout(self, k, shape, dtype):
+        x = np.random.default_rng(k).normal(size=shape).astype(dtype)
+        got = _im2col(x, k, k // 2)
+        assert got.dtype == dtype
+        assert got.tobytes() == self.reference(x, k, k // 2).tobytes()
+
+    def test_non_contiguous_input(self):
+        x = np.random.default_rng(0).normal(size=(2, 6, 6, 8))[..., ::2]
+        assert _im2col(x, 3, 1).tobytes() == self.reference(x, 3, 1).tobytes()
+
+
 class TestBackward:
     def test_zero_residual_gives_zero_gradients(self):
         params = init_params(TINY, 0, dtype=np.float64)
@@ -288,6 +319,40 @@ class TestBackward:
         _, part = loss_and_grads(params, xt, yt, m, channel_weights=w, trainable=subset)
         for name in subset:
             np.testing.assert_array_equal(part[name], full[name])
+
+    def test_conv_backward_without_input_gradient(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        g = rng.normal(size=(2, 6, 6, 4)).astype(np.float32)
+        dx, dw, db = _conv_backward(x, w, g)
+        none, dw2, db2 = _conv_backward(x, w, g, need_dx=False)
+        assert dx is not None and none is None
+        assert dw2.tobytes() == dw.tobytes() and db2.tobytes() == db.tobytes()
+
+    @pytest.mark.parametrize("frozen_encoder", [False, True])
+    def test_skipped_input_gradients_change_nothing(self, monkeypatch, frozen_encoder):
+        # the data gradient of enc0.conv1, and with a frozen encoder the
+        # deepest up-conv's input gradient, are never computed: every
+        # parameter gradient must equal the run that computes them all
+        spec = UNetSpec(9, 4, 2, heads=(("urban", 1), ("pop", 1)))
+        params = init_params(spec, 9)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 12, 12, 9)).astype(np.float32)
+        g = rng.normal(size=(3, 12, 12, 2)).astype(np.float32)
+        trainable = set(head_names(spec, "pop")) if frozen_encoder else None
+        _, cache = _forward(params, x)
+        got = _backward(params, cache, g, trainable)
+
+        def always_dx(x, w, g, need_dx=True):
+            return _conv_backward(x, w, g)
+
+        monkeypatch.setattr(unet, "_conv_backward", always_dx)
+        _, cache = _forward(params, x)
+        want = _backward(params, cache, g, trainable)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_non_finite_loss_raises(self):
         params = init_params(TINY, 5, dtype=np.float64)
@@ -377,6 +442,16 @@ class TestCheckpoints:
         marker = b"head.urban.b"
         path.write_bytes(raw[: raw.rfind(marker) - 1])
         with pytest.raises(IntegrityError, match="missing"):
+            load_params(path)
+
+    def test_non_finite_value_rejected_on_load(self, tmp_path):
+        params = init_params(TINY, 14)
+        path = tmp_path / "model.unpk"
+        save_params(params, path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))  # last value of head.urban.b
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="non-finite"):
             load_params(path)
 
     def test_wrong_shape_refused_on_save(self, tmp_path):
