@@ -268,7 +268,7 @@ def _cmd_eval(args) -> int:
     scope_mask = {
         "train": split.train_mask, "test": split.test_mask,
         "all": np.asarray(norm.mask),
-    }[args.split][pad:-pad, pad:-pad].astype(bool)
+    }[args.split][pad : norm.height - pad, pad : norm.width - pad].astype(bool)
     builtup = world.channels["urban_2000"] + world.channels[TARGET_URBAN]
     strata = stratify(world.mask, builtup, select=scope_mask)
 
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
         # must land in the environment before numpy first loads
         for var in _BLAS_VARS:
             os.environ[var] = str(args.threads)
+    if getattr(args, "pad", 0) < 0:
+        _log("error: --pad must be >= 0")
+        return 1
 
     from .errors import (ConfigError, DivergenceError, NumericError,
                          SpecError, UrbanetError)

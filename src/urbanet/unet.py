@@ -22,11 +22,16 @@ loss and the residual scaling that seeds backpropagation are always computed
 in float64.  ``grad_check`` builds float64 parameters so the whole pipeline,
 forward and backward, runs in 64-bit when checked against finite differences.
 
-Activations use channel-last (N, H, W, C) layout internally — im2col reduces
-every convolution to one GEMM and the transposed-kernel identity gives the
-input gradient as another im2col GEMM, avoiding scatter-adds.  The public
-operations speak the channel-first (N, C, H, W) convention of the rest of
-the pipeline.
+Activations use channel-last (N, H, W, C) layout internally.  Every
+convolution is an im2col GEMM, built and multiplied one block of a few
+images at a time (``_im2col_blocks``), so the patch matrix never exists
+whole and each block is still in cache when its GEMM reads it.  The
+transposed-kernel identity gives the input gradient as another blocked
+im2col GEMM, avoiding scatter-adds.  Row blocks change float32 rounding
+against a single whole-batch GEMM (BLAS picks its kernel by matrix size),
+by about float32 epsilon; a fixed thread count stays bit-reproducible.
+The public operations speak the channel-first (N, C, H, W) convention of
+the rest of the pipeline.
 """
 
 from __future__ import annotations
@@ -238,32 +243,51 @@ class Batch:
 # layer primitives (channel-last)
 
 
-def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(N,H,W,C) -> (N*H*W, k*k*C) patch matrix, rows in (du, dv, c) layout.
+# Patch-matrix block size: each block stays in cache from its copy to its
+# GEMM.  Desk-spec train steps and forwards at S = 28 ran equally fast from
+# 128 to 512 KiB and 10-25 % slower from 1 to 4 MiB (sweep in CHANGES.md).
+_BLOCK_BYTES = 256 << 10
 
-    Channel-last, the patch row du of pixel (i, j) is the k*C contiguous
-    values xp[i + du, j : j + k], so the copy moves runs of k*C values
-    rather than C.  Needs an odd k with pad = k // 2 (validate_spec).
+
+def _im2col_blocks(x: np.ndarray, k: int):
+    """Yield (row slice, patch rows) of the (N*H*W, k*k*C) patch matrix of
+    (N,H,W,C) ``x``, a few whole images per block; rows in (du, dv, c) layout.
+
+    The input is zero-padded once.  Each block is copied into one reused
+    buffer of about ``_BLOCK_BYTES`` (at least one image), so a consumer
+    must finish with a block before asking for the next.  Channel-last, the
+    patch row du of pixel (i, j) is the k*C contiguous values
+    xp[i + du, j : j + k], so the copy moves runs of k*C values rather than
+    C.  A 1x1 kernel needs no copy: ``x`` itself is yielded as one block.
+    Needs an odd k (validate_spec); the padding is k // 2.
     """
-    if k == 1:
-        return x.reshape(-1, x.shape[-1])
     n, h, w, c = x.shape
+    if k == 1:
+        yield slice(0, n * h * w), x.reshape(-1, c)
+        return
+    pad = k // 2
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), x.dtype)
     xp[:, pad : pad + h, pad : pad + w] = x
     sn, sh, sw, sc = xp.strides
     win = as_strided(xp, (n, h, w, k, k * c), (sn, sh, sw, sh, sc), writeable=False)
-    cols = np.empty((n, h, w, k, k * c), x.dtype)
-    np.copyto(cols, win)
-    return cols.reshape(n * h * w, k * k * c)
+    step = max(1, min(n, _BLOCK_BYTES // (h * w * k * k * c * x.itemsize)))
+    buf = np.empty((step, h, w, k, k * c), x.dtype)
+    for i in range(0, n, step):
+        m = min(step, n - i)
+        np.copyto(buf[:m], win[i : i + m])
+        yield slice(i * h * w, (i + m) * h * w), buf[:m].reshape(m * h * w, k * k * c)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     f, c, k, _ = w.shape
     n, h, wd, _ = x.shape
-    cols = _im2col(x, k, k // 2)
-    y = cols @ w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
-    y += b
-    return y.reshape(n, h, wd, f)
+    wm = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
+    y = np.empty((n, h, wd, f), np.result_type(x, w))
+    y2 = y.reshape(-1, f)
+    for rows, cols in _im2col_blocks(x, k):
+        yb = np.matmul(cols, wm, out=y2[rows])
+        yb += b
+    return y
 
 
 def _conv_backward(
@@ -271,19 +295,28 @@ def _conv_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a same-padded convolution: (d_input, d_weight, d_bias).
 
-    d_input is itself a same-padded convolution of the output gradient with
-    the spatially flipped, in/out-swapped kernel — one more im2col GEMM
-    instead of a scatter-add.  Without ``need_dx`` it is skipped (None).
+    d_weight sums the blocks' cols.T @ g.  d_input is itself a same-padded
+    convolution of the output gradient with the spatially flipped,
+    in/out-swapped kernel — one more blocked im2col GEMM instead of a
+    scatter-add.  Without ``need_dx`` it is skipped (None).
     """
     f, c, k, _ = w.shape
     n, h, wd, _ = x.shape
     g2 = g.reshape(-1, f)
-    dw = (_im2col(x, k, k // 2).T @ g2).reshape(k, k, c, f).transpose(3, 2, 0, 1)
+    blocks = _im2col_blocks(x, k)
+    rows, cols = next(blocks)
+    dw = cols.T @ g2[rows]
+    for rows, cols in blocks:
+        dw += cols.T @ g2[rows]
+    dw = dw.reshape(k, k, c, f).transpose(3, 2, 0, 1)
     db = g2.sum(axis=0)
     if not need_dx:
         return None, dw, db
     wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * f, c)
-    dx = (_im2col(g, k, k // 2) @ wflip).reshape(n, h, wd, c)
+    dx = np.empty((n, h, wd, c), np.result_type(g, w))
+    dx2 = dx.reshape(-1, c)
+    for rows, cols in _im2col_blocks(g, k):
+        np.matmul(cols, wflip, out=dx2[rows])
     return dx, dw, db
 
 

@@ -11,7 +11,8 @@ import pytest
 
 import urbanet
 from urbanet.cli import main
-from urbanet.grid import load_grid
+from urbanet.grid import load_grid, pad_grid, save_grid
+from urbanet.synth import SynthConfig, gen_world
 from urbanet.unet import load_params
 
 
@@ -58,6 +59,16 @@ class TestUsage:
 
     def test_bad_threads(self):
         assert main(["--threads", "0", "synth", "--out", "x.wgrd"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["train"],
+        ["multitask", "--checkpoint", "x.unpk"],
+        ["eval", "--checkpoint", "x.unpk", "--report", "r.csv"],
+    ])
+    def test_negative_pad(self, world_file, capsys, command):
+        rc = main(command + ["--grid", str(world_file), "--pad", "-1"])
+        assert rc == 1
+        assert "error: --pad must be >= 0" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -176,6 +187,25 @@ class TestEvalReport:
         assert " tiles/s); coverage on land: " in line
         assert f"min {int(cover.min())}, median {np.median(cover):g}; " in line
         assert line.endswith("; 0 land pixels never covered")
+
+    def test_eval_without_padding(self, run_dir, tmp_path):
+        # land sits 9 pixels from every edge, beyond the reach of a 16-pixel
+        # window, so --pad 0 and --pad 8 predict the same tiles
+        world = tmp_path / "margin.wgrd"
+        save_grid(pad_grid(gen_world(SynthConfig(seed=5, height=46, width=46)), 9),
+                  world)
+        for split in ("test", "all"):
+            rows = []
+            for pad in ("0", "8"):
+                report = tmp_path / f"{split}-{pad}.csv"
+                assert main(["eval", "--grid", str(world), "--window", "16",
+                             "--pad", pad, "--test-regions", "R03",
+                             "--split", split,
+                             "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
+                             "--report", str(report)]) == 0
+                rows.append(report.read_text().splitlines())
+            assert len(rows[0]) == 3
+            assert rows[0] == rows[1]
 
     def test_eval_never_mutates_inputs(self, world_file, run_dir, tmp_path):
         before = hashlib.sha256(world_file.read_bytes()).hexdigest()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from urbanet.unet import (
     _backward,
     _conv_backward,
     _forward,
-    _im2col,
+    _im2col_blocks,
     UNetParams,
     UNetSpec,
     backward,
@@ -236,27 +237,107 @@ class TestMaskedLoss:
         assert whole == pytest.approx(float(np.mean(per)), abs=1e-12)
 
 
+def whole_im2col(x, k):
+    """Patch matrix straight from a (k, k) sliding window, (du, dv, c) rows."""
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N,H,W,C,k,k)
+    n, h, w, c = x.shape
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * c)
+
+
+def whole_conv(x, w, b, g):
+    """Forward output, d_input and d_weight from single whole-batch GEMMs."""
+    f, c, k, _ = w.shape
+    y = whole_im2col(x, k) @ w.transpose(2, 3, 1, 0).reshape(k * k * c, f) + b
+    wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * f, c)
+    dx = whole_im2col(g, k) @ wflip
+    dw = whole_im2col(x, k).T @ g.reshape(-1, f)
+    return (y.reshape(*x.shape[:3], f), dx.reshape(x.shape),
+            dw.reshape(k, k, c, f).transpose(3, 2, 0, 1))
+
+
+def image_bytes(x, k):
+    """Bytes of one image's patch rows."""
+    _, h, w, c = x.shape
+    return h * w * k * k * c * x.itemsize
+
+
 class TestIm2col:
     @staticmethod
-    def reference(x, k, pad):
-        """Patch matrix straight from a (k, k) sliding window, (du, dv, c) rows."""
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N,H,W,C,k,k)
-        n, h, w, c = x.shape
-        return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * c)
+    def check_blocks(monkeypatch, x, k):
+        """For 1-image blocks, 2-image blocks (an uneven remainder when N is
+        odd) and a single block, the blocks tile the rows in order and their
+        concatenation is byte-equal to the sliding-window patch matrix."""
+        want = whole_im2col(x, k).tobytes()
+        per = image_bytes(x, k)
+        for block_bytes in (1, 2 * per, 1 << 40):
+            monkeypatch.setattr(unet, "_BLOCK_BYTES", block_bytes)
+            parts, end = [], 0
+            for rows, cols in _im2col_blocks(x, k):
+                assert rows.start == end and cols.shape[0] == rows.stop - rows.start
+                assert cols.dtype == x.dtype
+                if k > 1:
+                    assert cols.nbytes <= max(block_bytes, per)
+                parts.append(cols.copy())  # the buffer is reused
+                end = rows.stop
+            assert end == x.shape[0] * x.shape[1] * x.shape[2]
+            assert np.concatenate(parts).tobytes() == want, block_bytes
 
     @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("shape", [(2, 7, 5, 1), (3, 8, 8, 9), (1, 4, 6, 16)])
+    @pytest.mark.parametrize(
+        "shape", [(2, 7, 5, 1), (3, 8, 8, 9), (1, 4, 6, 16), (5, 6, 7, 4)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_sliding_window_layout(self, k, shape, dtype):
+    def test_matches_sliding_window_layout(self, monkeypatch, k, shape, dtype):
         x = np.random.default_rng(k).normal(size=shape).astype(dtype)
-        got = _im2col(x, k, k // 2)
-        assert got.dtype == dtype
-        assert got.tobytes() == self.reference(x, k, k // 2).tobytes()
+        self.check_blocks(monkeypatch, x, k)
 
-    def test_non_contiguous_input(self):
+    def test_non_contiguous_input(self, monkeypatch):
         x = np.random.default_rng(0).normal(size=(2, 6, 6, 8))[..., ::2]
-        assert _im2col(x, 3, 1).tobytes() == self.reference(x, 3, 1).tobytes()
+        self.check_blocks(monkeypatch, x, 3)
+
+
+class TestBlockedConv:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_whole_matrix_reference(self, monkeypatch, k, dtype, rtol):
+        # 2-image blocks over 5 images: three blocks, the last one uneven.
+        # Row blocks and the per-block d_weight sum change rounding only,
+        # so the tolerance is relative to each array's largest magnitude.
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=(5, 9, 8, 6)).astype(dtype)
+        w = rng.normal(size=(4, 6, k, k)).astype(dtype)
+        b = rng.normal(size=4).astype(dtype)
+        g = rng.normal(size=(5, 9, 8, 4)).astype(dtype)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * max(image_bytes(x, k), image_bytes(g, k)))
+        assert len(list(_im2col_blocks(x, k))) == (1 if k == 1 else 3)
+        y = unet._conv_forward(x, w, b)
+        dx, dw, db = _conv_backward(x, w, g)
+        ry, rdx, rdw = whole_conv(x, w, b, g)
+        for got, ref in ((y, ry), (dx, rdx), (dw, rdw)):
+            assert got.dtype == dtype and got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+        np.testing.assert_array_equal(db, g.reshape(-1, 4).sum(axis=0))
+
+    def test_patch_matrix_is_never_whole(self):
+        # one 16 -> 8 conv at batch 256, S = 28: the whole patch matrix
+        # alone would take 116 MB, the padded input and output 21 MB
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(256, 28, 28, 16)).astype(np.float32)
+        w = rng.normal(size=(8, 16, 3, 3)).astype(np.float32)
+        b = np.zeros(8, np.float32)
+        g = rng.normal(size=(256, 28, 28, 8)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            unet._conv_forward(x, w, b)
+            _, fwd_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _conv_backward(x, w, g)
+            _, bwd_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fwd_peak < 40e6, fwd_peak
+        assert bwd_peak < 40e6, bwd_peak
 
 
 class TestBackward:
