@@ -9,14 +9,12 @@ Evaluation never augments.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .tiler import TileDataset, TileSample
+from .tiler import TileDataset
 
 
 class Transform(enum.Enum):
@@ -65,22 +63,7 @@ def transform_plane(
     return np.ascontiguousarray(out)
 
 
-def apply_transform(tile: TileSample, t: Transform) -> TileSample:
-    """Transform every plane of ``tile`` identically; metadata is untouched."""
-    return dataclasses.replace(
-        tile,
-        input=transform_plane(tile.input, t),
-        target=transform_plane(tile.target, t),
-        mask=transform_plane(tile.mask, t),
-    )
-
-
-def augment_set(tile: TileSample) -> list[TileSample]:
-    """The tile under all six transforms, in the fixed TRANSFORMS order."""
-    return [apply_transform(tile, t) for t in TRANSFORMS]
-
-
-class AugmentedTiles(Sequence):
+class AugmentedTiles:
     """Lazy 6x expansion of a tile dataset.
 
     Index ``k`` maps to base tile ``i = k % n`` under transform
@@ -94,18 +77,6 @@ class AugmentedTiles(Sequence):
 
     def __len__(self) -> int:
         return 6 * len(self.base)
-
-    def _locate(self, k: int) -> tuple[int, Transform]:
-        n = len(self.base)
-        if not -len(self) <= k < len(self):
-            raise IndexError(k)
-        k %= len(self)
-        block, i = divmod(k, n)
-        return i, TRANSFORMS[(i + block) % 6]
-
-    def __getitem__(self, k: int) -> TileSample:
-        i, t = self._locate(k)
-        return apply_transform(self.base[i], t)
 
     def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gather NHWC arrays like TileDataset.batch, applying each transform."""

@@ -153,9 +153,43 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _train_and_save(args, target_names, seed, setup, model_name, tag) -> int:
+    """Streams from ``--grid``, one training run, then its output files.
+
+    ``setup(tr)`` resolves the run against the training stream, before the
+    streams line is logged, and returns ``(fit, config)``: ``fit(tr, va)``
+    trains and returns (model, history), and a ``config`` other than None is
+    saved as ``config_<tag>.cfg`` beside ``history_<tag>.csv``.
+    """
     from pathlib import Path
 
+    from .synth import INPUT_CHANNELS
+    from .tiler import WindowSpec
+    from .trainer import build_streams, save_config, save_history
+    from .unet import save_params
+
+    _, norm, split, _ = _load_split_normalize(args.grid, args.test_regions, args.pad)
+    tr, va, val_regions = build_streams(
+        norm, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
+        target_names=target_names, split=split, seed=seed,
+    )
+    fit, config = setup(tr)
+    _log(f"streams: {len(tr)} train (augmented), {len(va)} val, "
+         f"val regions {sorted(val_regions)}")
+    model, hist = fit(tr, va)
+
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_params(model, out / model_name)
+    save_history(hist, out / f"history_{tag}.csv")
+    if config is not None:
+        save_config(config, out / f"config_{tag}.cfg")
+    _log(f"best epoch {hist.best_epoch}: val loss {hist.best_val_loss:.6e}")
+    _log(f"wrote {out / model_name}")
+    return 0
+
+
+def _cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
     if args.print_config:
         from .trainer import format_config
@@ -164,92 +198,76 @@ def _cmd_train(args) -> int:
         return 0
 
     from .synth import INPUT_CHANNELS
-    from .tiler import WindowSpec
-    from .trainer import build_streams, save_config, save_history, train
-    from .unet import UNetSpec, init_params, save_params
+    from .trainer import train
+    from .unet import UNetSpec, init_params
 
     head = _HEAD_FOR_TARGET[args.target]
-    _, norm, split, _ = _load_split_normalize(args.grid, args.test_regions, args.pad)
-    tr, va, val_regions = build_streams(
-        norm, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
-        target_names=(args.target,), split=split, seed=cfg.seed,
-    )
-    cfg = _with_epoch_default(cfg, tr)
-    _log(f"streams: {len(tr)} train (augmented), {len(va)} val, "
-         f"val regions {sorted(val_regions)}")
-
     spec = UNetSpec(input_channels=len(INPUT_CHANNELS),
                     base_features=args.base_features, depth=args.depth,
                     heads=((head, 1),))
-    params = init_params(spec, seed=cfg.seed)
-    model, hist = train(params, tr, va, cfg)
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    def setup(tr):
+        run_cfg = _with_epoch_default(cfg, tr)
+        return (lambda tr, va: train(init_params(spec, seed=run_cfg.seed), tr, va,
+                                     run_cfg)), run_cfg
+
     tag = f"{head}_sz{args.window}"
-    save_params(model, out / f"unet_{tag}.unpk")
-    save_history(hist, out / f"history_{tag}.csv")
-    save_config(cfg, out / f"config_{tag}.cfg")
-    _log(f"best epoch {hist.best_epoch}: val loss {hist.best_val_loss:.6e}")
-    _log(f"wrote {out / f'unet_{tag}.unpk'}")
-    return 0
+    return _train_and_save(args, (args.target,), cfg.seed, setup,
+                           f"unet_{tag}.unpk", tag)
 
 
 def _cmd_multitask(args) -> int:
     import dataclasses
-    from pathlib import Path
 
-    from .synth import INPUT_CHANNELS, TARGET_POP, TARGET_URBAN
-    from .tiler import WindowSpec
+    from .synth import TARGET_POP, TARGET_URBAN
     from .trainer import (MultiTaskSchedule, TrainConfig, build_multitask,
-                          build_streams, load_config, save_history,
-                          train_multitask)
-    from .unet import load_params, save_params
+                          load_config, train_multitask)
+    from .unet import load_params
 
     pre = load_params(args.checkpoint)
     multi = build_multitask(pre, head="pop", seed=args.seed or 0)
 
-    _, norm, split, _ = _load_split_normalize(args.grid, args.test_regions, args.pad)
-    tr, va, val_regions = build_streams(
-        norm, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
-        target_names=(TARGET_URBAN, TARGET_POP), split=split,
-        seed=args.seed or 0,
-    )
-    phase1 = load_config(args.phase1_config) if args.phase1_config else TrainConfig()
-    phase2 = (load_config(args.phase2_config) if args.phase2_config
-              else TrainConfig(learning_rate=1e-4))
-    if args.seed is not None:
-        phase1 = dataclasses.replace(phase1, seed=args.seed)
-        phase2 = dataclasses.replace(phase2, seed=args.seed)
-    schedule = MultiTaskSchedule(phase1=_with_epoch_default(phase1, tr),
-                                 phase2=_with_epoch_default(phase2, tr))
-    _log(f"streams: {len(tr)} train (augmented), {len(va)} val, "
-         f"val regions {sorted(val_regions)}")
+    def setup(tr):
+        phase1 = load_config(args.phase1_config) if args.phase1_config else TrainConfig()
+        phase2 = (load_config(args.phase2_config) if args.phase2_config
+                  else TrainConfig(learning_rate=1e-4))
+        if args.seed is not None:
+            phase1 = dataclasses.replace(phase1, seed=args.seed)
+            phase2 = dataclasses.replace(phase2, seed=args.seed)
+        schedule = MultiTaskSchedule(phase1=_with_epoch_default(phase1, tr),
+                                     phase2=_with_epoch_default(phase2, tr))
+        return (lambda tr, va: train_multitask(multi, tr, va, schedule)), None
 
-    model, hist = train_multitask(multi, tr, va, schedule)
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = f"sz{args.window}"
-    save_params(model, out / f"multitask_{tag}.unpk")
-    save_history(hist, out / f"history_multitask_{tag}.csv")
-    _log(f"best epoch {hist.best_epoch}: val loss {hist.best_val_loss:.6e}")
-    _log(f"wrote {out / f'multitask_{tag}.unpk'}")
-    return 0
+    tag = f"multitask_sz{args.window}"
+    return _train_and_save(args, (TARGET_URBAN, TARGET_POP), args.seed or 0, setup,
+                           f"{tag}.unpk", tag)
 
 
 def _cmd_eval(args) -> int:
     import numpy as np
 
+    from .errors import DataError
     from .evaluate import (EvalReport, load_report, multitask_label,
                            predict_world, residual_metrics, save_report,
                            stratify, unet_label)
     from .grid import WorldGrid, save_grid
-    from .synth import INPUT_CHANNELS, TARGET_POP, TARGET_URBAN
+    from .synth import INPUT_CHANNELS, TARGET_URBAN
     from .tiler import WindowSpec
     from .unet import load_params
 
     params = load_params(args.checkpoint)
+    # rows for a target other than delta_urban name it, as multitask rows do
+    multi = len(params.spec.heads) > 1
+    label = multitask_label(args.window) if multi else unet_label(args.window)
+    target_for_head = {head: target for target, head in _HEAD_FOR_TARGET.items()}
+    targets = {}
+    for head, _ in params.spec.heads:
+        if head not in target_for_head:
+            raise DataError(f"{args.checkpoint}: head {head!r} has no known target "
+                            f"(known heads: {', '.join(target_for_head)})")
+        target = target_for_head[head]
+        targets[head] = (target, label if target == TARGET_URBAN else f"{label} on {target}")
+
     world, norm, split, _ = _load_split_normalize(args.grid, args.test_regions,
                                                   args.pad)
     t0 = time.perf_counter()
@@ -271,12 +289,6 @@ def _cmd_eval(args) -> int:
     }[args.split][pad : norm.height - pad, pad : norm.width - pad].astype(bool)
     builtup = world.channels["urban_2000"] + world.channels[TARGET_URBAN]
     strata = stratify(world.mask, builtup, select=scope_mask)
-
-    multi = len(params.spec.heads) > 1
-    label = multitask_label(args.window) if multi else unet_label(args.window)
-    targets = {"urban": (TARGET_URBAN, label)}
-    if multi:
-        targets["pop"] = (TARGET_POP, f"{label} on {TARGET_POP}")
 
     report = load_report(args.report) if os.path.exists(args.report) else EvalReport()
     for head, (target, model_label) in targets.items():

@@ -83,15 +83,9 @@ class WorldGrid:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-channel min/max normalization statistics.
-
-    Only the per-channel lines survive serialization; ``mode`` and
-    ``computed_on`` are in-memory bookkeeping.
-    """
+    """Per-channel min/max normalization statistics."""
 
     channels: dict[str, tuple[float, float]]  # name -> (min, max)
-    mode: str = "minmax"
-    computed_on: str = ""
 
 
 @dataclass(frozen=True)
@@ -349,7 +343,7 @@ def normalize_channels(
                     f"channel {name!r} is constant ({lo!r}) on the fitting pixels"
                 )
             table[name] = (lo, hi)
-        stats = NormStats(channels=table, computed_on="fit" if fit_mask is not None else "all")
+        stats = NormStats(channels=table)
     else:
         for name in stats.channels:
             if name not in grid.channels:
@@ -395,7 +389,7 @@ def load_stats(path: str | Path) -> NormStats:
         table[name] = (lo, hi)
     if not table:
         raise FormatError(f"{path}: no stats lines found")
-    return NormStats(channels=table, computed_on="file")
+    return NormStats(channels=table)
 
 
 def _expect_key(part: str, key: str, path: str | Path, lineno: int) -> str:

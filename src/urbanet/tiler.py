@@ -1,21 +1,22 @@
 """Dense tile sampling: one fixed-size window per land pixel.
 
 The sampler works on a *padded* grid (see :func:`urbanet.grid.pad_grid`) so
-every window stays in bounds; centers are reported in unpadded coordinates.
+every window stays in bounds; ``centers_padded`` holds the tile centers in
+padded coordinates (subtract ``pad`` for the unpadded grid).
 Windows of even size have no exact center, so the center pixel sits at index
 ``S // 2`` and the window spans ``[r - S//2, r + S//2 - 1]`` — the maximum
 reach from the center is ``S // 2`` pixels, which the padding must cover.
 
 Tiles are materialized lazily: :class:`TileDataset` keeps sliding-window
-views over the stacked channel planes and copies a window out only when a
-tile or batch is requested.  Densely sampling a world of any real size as
+views over the stacked channel planes and copies windows out only when a
+batch is requested.  Densely sampling a world of any real size as
 one array would not fit in memory, by design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,20 +54,8 @@ class WindowSpec:
         return max(off_r, off_c, self.size - 1 - off_r, self.size - 1 - off_c)
 
 
-@dataclass(frozen=True)
-class TileSample:
-    """One training example, channel-first planes plus center metadata."""
-
-    input: np.ndarray      # (C_in, S, S) float64
-    target: np.ndarray     # (C_t, S, S) float64
-    mask: np.ndarray       # (S, S) uint8
-    center: tuple[int, int]  # unpadded grid coordinates
-    region: int
-    split: str             # "train" or "test"
-
-
-class TileDataset(Sequence):
-    """Deterministic random-access sequence of tiles, one per land pixel.
+class TileDataset:
+    """Deterministic random-access tile set, one tile per land pixel.
 
     Centers run in row-major order over the grid.  ``split_filter`` keeps
     only tiles whose *center* pixel carries the matching label; window
@@ -116,7 +105,6 @@ class TileDataset(Sequence):
         else:
             keep = np.ones(len(centers_p), bool)
         self._centers_p = centers_p[keep]
-        self._labels = labels[keep]
         self._regions = np.asarray(grid.regions)[
             self._centers_p[:, 0], self._centers_p[:, 1]
         ]
@@ -138,41 +126,8 @@ class TileDataset(Sequence):
         self._tg_win = sliding_window_view(self._tg_stack, (s, s), axis=(0, 1))
         self._mask_win = sliding_window_view(np.asarray(grid.mask), (s, s))
 
-    # -- sequence protocol -------------------------------------------------
-
     def __len__(self) -> int:
         return len(self._centers_p)
-
-    def __getitem__(self, i: int) -> TileSample:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        i = i % len(self) if len(self) else 0
-        tr, tc = self.top_left(i)
-        return TileSample(
-            input=np.ascontiguousarray(self._in_win[tr, tc], dtype=np.float64),
-            target=np.ascontiguousarray(self._tg_win[tr, tc], dtype=np.float64),
-            mask=np.ascontiguousarray(self._mask_win[tr, tc], dtype=np.uint8),
-            center=self.center(i),
-            region=int(self._regions[i]),
-            split="test" if self._labels[i] == TEST else "train",
-        )
-
-    def __iter__(self) -> Iterator[TileSample]:
-        for i in range(len(self)):
-            yield self[i]
-
-    # -- array access used by the trainer and evaluator ---------------------
-
-    def center(self, i: int) -> tuple[int, int]:
-        """Center of tile ``i`` in unpadded coordinates."""
-        r, c = self._centers_p[i]
-        return (int(r) - self.pad, int(c) - self.pad)
-
-    def top_left(self, i: int) -> tuple[int, int]:
-        """Window top-left corner of tile ``i`` in padded coordinates."""
-        off_r, off_c = self.window.center_offset
-        r, c = self._centers_p[i]
-        return (int(r) - off_r, int(c) - off_c)
 
     @property
     def centers_padded(self) -> np.ndarray:
@@ -193,67 +148,6 @@ class TileDataset(Sequence):
         y = self._tg_win[tr, tc].transpose(0, 2, 3, 1)
         m = self._mask_win[tr, tc]
         return x, y, m
-
-
-def tile_at(
-    grid: WorldGrid,
-    center: tuple[int, int],
-    window: WindowSpec,
-    *,
-    pad: int,
-    input_names: Iterable[str],
-    target_names: Iterable[str],
-    split: SplitAssignment | None = None,
-) -> TileSample:
-    """Cut the tile centered on one land pixel (``center`` in unpadded coordinates)."""
-    r, c = center
-    pr, pc = r + pad, c + pad
-    mask = np.asarray(grid.mask)
-    if not (0 <= pr < grid.height and 0 <= pc < grid.width):
-        raise ShapeError(f"center {center} outside the grid")
-    if mask[pr, pc] != 1:
-        raise DataError(f"center {center} is not a land pixel")
-    s = window.size
-    off_r, off_c = window.center_offset
-    tr, tc = pr - off_r, pc - off_c
-    if tr < 0 or tc < 0 or tr + s > grid.height or tc + s > grid.width:
-        raise ShapeError(
-            f"window of size {s} at center {center} leaves the padded grid; "
-            f"padding {pad} must be at least {window.max_reach}"
-        )
-    label = TRAIN if split is None else int(split.labels[pr, pc])
-    input_names = tuple(input_names)
-    target_names = tuple(target_names)
-    return TileSample(
-        input=grid.stacked(input_names)[tr : tr + s, tc : tc + s].transpose(2, 0, 1).copy(),
-        target=grid.stacked(target_names)[tr : tr + s, tc : tc + s].transpose(2, 0, 1).copy(),
-        mask=np.ascontiguousarray(mask[tr : tr + s, tc : tc + s], dtype=np.uint8),
-        center=(int(r), int(c)),
-        region=int(grid.regions[pr, pc]),
-        split="test" if label == TEST else "train",
-    )
-
-
-def sample_all(
-    grid: WorldGrid,
-    window: WindowSpec,
-    *,
-    pad: int,
-    input_names: Iterable[str],
-    target_names: Iterable[str],
-    split: SplitAssignment | None = None,
-    split_filter: str = "all",
-) -> TileDataset:
-    """One tile per land pixel matching ``split_filter``, row-major by center."""
-    return TileDataset(
-        grid,
-        window,
-        pad=pad,
-        input_names=input_names,
-        target_names=target_names,
-        split=split,
-        split_filter=split_filter,
-    )
 
 
 def coverage_count(grid: WorldGrid, window: WindowSpec) -> np.ndarray:

@@ -120,9 +120,6 @@ class Subset:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, i: int):
-        return self.data[int(self.indices[i])]
-
     def batch(self, indices):
         return self.data.batch(self.indices[np.asarray(indices)])
 

@@ -30,8 +30,9 @@ transposed-kernel identity gives the input gradient as another blocked
 im2col GEMM, avoiding scatter-adds.  Row blocks change float32 rounding
 against a single whole-batch GEMM (BLAS picks its kernel by matrix size),
 by about float32 epsilon; a fixed thread count stays bit-reproducible.
-The public operations speak the channel-first (N, C, H, W) convention of
-the rest of the pipeline.
+Training and evaluation pass channel-last batches straight from the tile
+streams to ``_forward`` and ``loss_and_grads``; ``forward`` and
+``masked_mse`` are channel-first (N, C, H, W) wrappers around them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -209,36 +210,6 @@ def init_params(spec: UNetSpec, seed: int, dtype=np.float32) -> UNetParams:
     return UNetParams(spec=spec, arrays=arrays)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Channel-first training batch; masks select the pixels the loss sees."""
-
-    inputs: np.ndarray   # (N, C_in, S, S)
-    targets: np.ndarray  # (N, C_t, S, S)
-    masks: np.ndarray    # (N, S, S), values {0, 1}
-
-    def __post_init__(self):
-        if self.inputs.ndim != 4 or self.targets.ndim != 4 or self.masks.ndim != 3:
-            raise ShapeError(
-                f"batch ranks must be 4/4/3, got {self.inputs.ndim}/"
-                f"{self.targets.ndim}/{self.masks.ndim}"
-            )
-        n, _, h, w = self.inputs.shape
-        if self.targets.shape[0] != n or self.targets.shape[2:] != (h, w):
-            raise ShapeError(
-                f"targets shape {self.targets.shape} inconsistent with inputs "
-                f"{self.inputs.shape}"
-            )
-        if self.masks.shape != (n, h, w):
-            raise ShapeError(
-                f"masks shape {self.masks.shape} inconsistent with inputs "
-                f"{self.inputs.shape}"
-            )
-        m = np.asarray(self.masks)
-        if ((m != 0) & (m != 1)).any():
-            raise IntegrityError("masks must be binary")
-
-
 # ---------------------------------------------------------------------------
 # layer primitives (channel-last)
 
@@ -320,14 +291,19 @@ def _conv_backward(
     return dx, dw, db
 
 
-def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pooling; returns (pooled, argmax index within each window)."""
+def _pool_windows(x: np.ndarray) -> np.ndarray:
+    """The 2x2 pooling windows of (N,H,W,C) ``x`` as (N, H/2, W/2, C, 4)."""
     n, h, w, c = x.shape
-    xr = (
+    return (
         x.reshape(n, h // 2, 2, w // 2, 2, c)
         .transpose(0, 1, 3, 5, 2, 4)
         .reshape(n, h // 2, w // 2, c, 4)
     )
+
+
+def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max pooling; returns (pooled, argmax index within each window)."""
+    xr = _pool_windows(x)
     idx = xr.argmax(axis=-1)  # ties -> first position: deterministic
     y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
     return y, idx
@@ -407,13 +383,7 @@ def _forward(params: UNetParams, x: np.ndarray, want_margins: bool = False):
         enc.append((x1, y1, y2))
         if lvl < spec.depth:
             if want_margins:
-                nn, hh, ww, cc = y2.shape
-                xr = (
-                    y2.reshape(nn, hh // 2, 2, ww // 2, 2, cc)
-                    .transpose(0, 1, 3, 5, 2, 4)
-                    .reshape(nn, hh // 2, ww // 2, cc, 4)
-                )
-                top2 = np.sort(xr, axis=-1)[..., -2:]
+                top2 = np.sort(_pool_windows(y2), axis=-1)[..., -2:]
                 gap = top2[..., 1] - top2[..., 0]
                 # Ties among dead units (runner-up exactly 0) cannot flip
                 # under a small perturbation; only contested windows matter.
@@ -561,8 +531,17 @@ def _masked_loss_grad(
 
     Per sample: the squared residual is summed over masked-in pixels and
     divided by that sample's land-pixel count; per-channel means are combined
-    by ``channel_weights`` (uniform when None) and samples averaged.
+    by ``channel_weights`` (uniform when None) and samples averaged.  Target
+    and mask must match ``pred`` exactly (no broadcasting); the mask must be
+    binary.
     """
+    if pred.ndim != 4 or target.shape != pred.shape or mask.shape != pred.shape[:3]:
+        raise ShapeError(
+            f"expected pred and target (N, H, W, C) and mask (N, H, W), got "
+            f"{pred.shape}, {target.shape} and {mask.shape}"
+        )
+    if ((mask != 0) & (mask != 1)).any():
+        raise IntegrityError("masks must be binary")
     p = pred.astype(np.float64, copy=False)
     t = target.astype(np.float64, copy=False)
     n, h, w, c = p.shape
@@ -596,13 +575,9 @@ def masked_mse(
     channel_weights: Iterable[float] | None = None,
 ) -> float:
     """Masked MSE over a channel-first batch; see _masked_loss_grad."""
-    if pred.shape != target.shape:
-        raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
-    if pred.ndim != 4 or mask.ndim != 3:
-        raise ShapeError("expected pred/target (N,C,S,S) and mask (N,S,S)")
     loss, _ = _masked_loss_grad(
-        pred.transpose(0, 2, 3, 1),
-        target.transpose(0, 2, 3, 1),
+        np.moveaxis(pred, 1, -1),
+        np.moveaxis(target, 1, -1),
         mask,
         None if channel_weights is None else np.asarray(list(channel_weights)),
     )
@@ -635,21 +610,6 @@ def loss_and_grads(
         raise NumericError(f"masked loss is non-finite ({loss})")
     grads = _backward(params, cache, g.astype(dtype, copy=False), trainable)
     return loss, grads
-
-
-def backward(
-    params: UNetParams,
-    batch: Batch,
-    channel_weights: Iterable[float] | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and analytic parameter gradients for a channel-first batch."""
-    return loss_and_grads(
-        params,
-        batch.inputs.transpose(0, 2, 3, 1),
-        batch.targets.transpose(0, 2, 3, 1),
-        batch.masks,
-        None if channel_weights is None else np.asarray(list(channel_weights), np.float64),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +675,6 @@ def grad_check(
     batch_size: int = 2,
     tile_size: int = 8,
     max_coords: int | None = None,
-    _backward_fn: Callable | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
@@ -737,10 +696,7 @@ def grad_check(
         params, rng, batch_size, tile_size, max_attempts=500
     )
 
-    if _backward_fn is None:
-        _, analytic = loss_and_grads(params, x, y, m)
-    else:
-        _, analytic = _backward_fn(params, x, y, m)
+    _, analytic = loss_and_grads(params, x, y, m)
 
     def loss_only() -> float:
         pred, _ = _forward(params, x)

@@ -17,7 +17,7 @@ from urbanet.evaluate import (EvalReport, export_report, multitask_label,
 from urbanet.grid import assign_split, normalize_channels, pad_grid, region_iso
 from urbanet.synth import (INPUT_CHANNELS, TARGET_POP, TARGET_URBAN,
                            SynthConfig, gen_world)
-from urbanet.tiler import WindowSpec, coverage_count, sample_all
+from urbanet.tiler import TileDataset, WindowSpec, coverage_count
 from urbanet.trainer import (MultiTaskSchedule, TrainConfig, build_multitask,
                              build_streams, phase1_frozen, train,
                              train_multitask)
@@ -239,10 +239,10 @@ def test_tiler_bijection():
                                       land_fraction=lf, n_regions=4))
         pad = 3
         padded = pad_grid(world, pad)
-        ds = sample_all(padded, WindowSpec(6, center_offset=(3, 3)), pad=pad,
-                        input_names=INPUT_CHANNELS, target_names=(TARGET_URBAN,))
+        ds = TileDataset(padded, WindowSpec(6, center_offset=(3, 3)), pad=pad,
+                         input_names=INPUT_CHANNELS, target_names=(TARGET_URBAN,))
         land_centers = {(int(r), int(c)) for r, c in zip(*np.nonzero(world.mask))}
-        centers = {ds.center(i) for i in range(len(ds))}
+        centers = {(int(r), int(c)) for r, c in ds.centers_padded - pad}
         ok &= len(ds) == len(land_centers) == int(world.mask.sum())
         ok &= centers == land_centers
         ok &= len(AugmentedTiles(ds)) == 6 * len(ds)
@@ -269,7 +269,6 @@ def test_median_aggregation_oracle():
                             input_names=INPUT_CHANNELS, batch_size=1)
 
         # brute force: materialize every prediction a pixel receives
-        from urbanet.tiler import TileDataset
         from urbanet.unet import _forward
 
         ds = TileDataset(padded, win, pad=pad, input_names=INPUT_CHANNELS,
@@ -278,7 +277,7 @@ def test_median_aggregation_oracle():
         for b in range(len(ds)):
             x, _, _ = ds.batch(np.array([b]))
             y, _ = _forward(params, np.ascontiguousarray(x, dtype=np.float32))
-            tr, tc = ds.top_left(b)
+            tr, tc = ds.centers_padded[b] - win.center_offset
             for a in range(5):
                 for cc in range(5):
                     buckets.setdefault((tr + a, tc + cc), []).append(

@@ -9,35 +9,57 @@ from urbanet.augment import (
     TRANSFORMS,
     AugmentedTiles,
     Transform,
-    apply_transform,
-    augment_set,
     transform_plane,
 )
 from urbanet.errors import ShapeError
 from urbanet.grid import WorldGrid, pad_grid
-from urbanet.tiler import TileSample, WindowSpec, sample_all
+from urbanet.tiler import TileDataset, WindowSpec
 
 
-def make_tile(s=4, seed=0, input_plane=None):
+def make_tile(s=4, seed=0):
+    """Channel-last planes of one tile: input (S,S,2), target (S,S,1), mask."""
     rng = np.random.default_rng(seed)
     mask = rng.integers(0, 2, size=(s, s)).astype(np.uint8)
     mask[s // 2, s // 2] = 1
-    inp = input_plane if input_plane is not None else rng.normal(size=(2, s, s))
-    inp = np.asarray(inp, dtype=np.float64) * mask
-    target = rng.normal(size=(1, s, s)) * mask
-    return TileSample(
-        input=inp, target=target, mask=mask,
-        center=(3, 7), region=5, split="train",
+    inp = rng.normal(size=(s, s, 2)) * mask[..., None]
+    target = rng.normal(size=(s, s, 1)) * mask[..., None]
+    return inp, target, mask
+
+
+def make_dataset(mask, inputs, target, pad=3, size=4):
+    """Tiles of a world with input planes ``inputs`` and one target plane."""
+    mask = np.asarray(mask, np.uint8)
+    channels = {f"in{k}": np.where(mask == 1, p, 0.0) for k, p in enumerate(inputs)}
+    channels["target"] = np.where(mask == 1, target, 0.0)
+    world = WorldGrid(mask, mask.astype(np.uint16), channels, {1: "AAA"})
+    return TileDataset(
+        pad_grid(world, pad), WindowSpec(size), pad=pad,
+        input_names=[f"in{k}" for k in range(len(inputs))], target_names=["target"],
     )
+
+
+def oracle(base, i, t):
+    """Base tile ``i`` under ``t``: a direct slice of the stacked planes."""
+    s = base.window.size
+    tr, tc = base.centers_padded[i] - base.window.center_offset
+    window = np.s_[tr : tr + s, tc : tc + s]
+    planes = (base.grid.stacked(base.input_names)[window],
+              base.grid.stacked(base.target_names)[window],
+              np.asarray(base.grid.mask)[window])
+    return tuple(transform_plane(p, t, axes=(0, 1)) for p in planes)
+
+
+def variants(aug, i):
+    """Every augmented sample of base tile ``i``, gathered in one batch."""
+    return aug.batch(i + len(aug.base) * np.arange(len(TRANSFORMS)))
 
 
 class TestDefinitions:
     def test_identity_is_bitwise_equal(self):
-        tile = make_tile()
-        same = apply_transform(tile, Transform.IDENTITY)
-        np.testing.assert_array_equal(same.input, tile.input)
-        np.testing.assert_array_equal(same.target, tile.target)
-        np.testing.assert_array_equal(same.mask, tile.mask)
+        for plane in make_tile():
+            np.testing.assert_array_equal(
+                transform_plane(plane, Transform.IDENTITY, axes=(0, 1)), plane
+            )
 
     def test_hflip_mirrors_columns(self):
         plane = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -67,22 +89,12 @@ class TestDefinitions:
             for j in range(s):
                 assert out[s - 1 - j, i] == plane[i, j]
 
-    def test_metadata_preserved(self):
-        tile = make_tile()
-        rotated = apply_transform(tile, Transform.ROT90)
-        assert rotated.center == tile.center
-        assert rotated.region == tile.region
-        assert rotated.split == tile.split
-
     def test_non_square_rejected(self):
-        tile = make_tile()
-        squished = TileSample(
-            input=tile.input[:, :3, :], target=tile.target[:, :3, :],
-            mask=tile.mask[:3, :], center=tile.center,
-            region=tile.region, split=tile.split,
-        )
+        inp, _, mask = make_tile()
         with pytest.raises(ShapeError, match="square"):
-            apply_transform(squished, Transform.HFLIP)
+            transform_plane(inp[:3], Transform.HFLIP, axes=(0, 1))
+        with pytest.raises(ShapeError, match="square"):
+            transform_plane(mask[:3, :], Transform.HFLIP)
 
 
 class TestGroupLaws:
@@ -120,41 +132,43 @@ class TestGroupLaws:
 
 
 class TestAugmentSet:
+    def make_aug(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
+        mask[2, 2] = 1
+        inputs = [rng.normal(size=(5, 5)) for _ in range(2)]
+        return AugmentedTiles(make_dataset(mask, inputs, rng.normal(size=(5, 5))))
+
     def test_six_tiles_first_is_original(self):
-        tile = make_tile()
-        variants = augment_set(tile)
-        assert len(variants) == 6
-        np.testing.assert_array_equal(variants[0].input, tile.input)
+        aug = self.make_aug(0)
+        x, y, m = variants(aug, 0)  # base tile 0 meets TRANSFORMS in order
+        assert len(x) == len(y) == len(m) == 6
+        for got, want in zip((x[0], y[0], m[0]), aug.base.batch(np.array([0]))):
+            np.testing.assert_array_equal(got, want[0])
 
     def test_asymmetric_marker_gives_distinct_planes(self):
-        marker = np.zeros((1, 3, 3))
-        marker[0, 0, 0], marker[0, 0, 1] = 1.0, 2.0  # breaks every symmetry
-        tile = TileSample(
-            input=marker, target=marker.copy(),
-            mask=np.ones((3, 3), np.uint8),
-            center=(0, 0), region=1, split="train",
-        )
-        planes = [v.input.tobytes() for v in augment_set(tile)]
-        assert len(set(planes)) == 6
+        marker = np.zeros((3, 3))
+        marker[0, 0], marker[0, 1] = 1.0, 2.0  # breaks every symmetry
+        base = make_dataset(np.ones((3, 3)), [marker], marker + 5.0, pad=1, size=3)
+        aug = AugmentedTiles(base)
+        x, _, _ = variants(aug, 4)  # the center tile covers the whole world
+        assert len({v.tobytes() for v in x}) == 6
 
     def test_mask_value_coupling_preserved(self):
-        tile = make_tile(seed=3)
-        for v in augment_set(tile):
-            water = v.mask == 0
-            assert (v.input[:, water] == 0.0).all()
-            assert (v.target[:, water] == 0.0).all()
+        aug = self.make_aug(3)
+        x, y, m = aug.batch(np.arange(len(aug)))
+        water = m == 0
+        assert (x[water] == 0.0).all()
+        assert (y[water] == 0.0).all()
 
     def test_pointwise_relation_survives(self):
-        tile = make_tile(seed=4)
-        coupled = TileSample(
-            input=tile.input,
-            target=(2.0 * tile.input[:1] + 1.0) * tile.mask,
-            mask=tile.mask, center=tile.center,
-            region=tile.region, split=tile.split,
-        )
-        for v in augment_set(coupled):
-            expect = (2.0 * v.input[:1] + 1.0) * v.mask
-            np.testing.assert_array_equal(v.target, expect)
+        rng = np.random.default_rng(4)
+        mask = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
+        mask[2, 2] = 1
+        plane = rng.normal(size=(5, 5))
+        aug = AugmentedTiles(make_dataset(mask, [plane], 2.0 * plane + 1.0))
+        x, y, m = aug.batch(np.arange(len(aug)))
+        np.testing.assert_array_equal(y[..., 0], (2.0 * x[..., 0] + 1.0) * m)
 
 
 class TestAugmentedTiles:
@@ -162,44 +176,45 @@ class TestAugmentedTiles:
         rng = np.random.default_rng(9)
         mask = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
         mask[2, 2] = 1
-        channels = {
-            "in0": np.where(mask == 1, rng.normal(size=(5, 5)), 0.0),
-            "target": np.where(mask == 1, rng.normal(size=(5, 5)), 0.0),
-        }
-        world = WorldGrid(mask, mask.astype(np.uint16), channels, {1: "AAA"})
-        padded = pad_grid(world, 3)
-        return sample_all(
-            padded, WindowSpec(4), pad=3,
-            input_names=["in0"], target_names=["target"],
-        )
+        return make_dataset(mask, [rng.normal(size=(5, 5))], rng.normal(size=(5, 5)))
+
+    def pairs(self, aug, ks):
+        """The (base tile, transform) pair behind each sample of ``aug.batch``."""
+        n = len(aug.base)
+        key = {}
+        for i in range(n):
+            for t in TRANSFORMS:
+                key[b"".join(p.tobytes() for p in oracle(aug.base, i, t))] = (i, t)
+        assert len(key) == 6 * n  # every pair is told apart by its planes
+        x, y, m = aug.batch(np.asarray(ks))
+        return [key[x[b].tobytes() + y[b].tobytes() + m[b].tobytes()]
+                for b in range(len(ks))]
 
     def test_expansion_factor_is_six(self):
         base = self.make_dataset()
         assert len(AugmentedTiles(base)) == 6 * len(base)
 
     def test_each_pair_appears_exactly_once(self):
-        base = self.make_dataset()
-        aug = AugmentedTiles(base)
-        seen = set()
-        for k in range(len(aug)):
-            i, t = aug._locate(k)
-            seen.add((i, t))
-        assert len(seen) == len(aug)
+        aug = AugmentedTiles(self.make_dataset())
+        seen = self.pairs(aug, range(len(aug)))
+        assert len(set(seen)) == len(aug)
         assert {t for _, t in seen} == set(TRANSFORMS)
 
     def test_consecutive_samples_change_transform(self):
-        base = self.make_dataset()
-        aug = AugmentedTiles(base)
-        transforms = [aug._locate(k)[1] for k in range(min(6, len(aug)))]
+        aug = AugmentedTiles(self.make_dataset())
+        transforms = [t for _, t in self.pairs(aug, range(min(6, len(aug))))]
         assert len(set(transforms)) > 1
 
     def test_batch_matches_items(self):
         base = self.make_dataset()
         aug = AugmentedTiles(base)
+        n = len(base)
         idx = np.array([0, 1, len(aug) - 1, len(aug) // 2])
         x, y, m = aug.batch(idx)
         for b, k in enumerate(idx):
-            tile = aug[int(k)]
-            np.testing.assert_array_equal(x[b].transpose(2, 0, 1), tile.input)
-            np.testing.assert_array_equal(y[b].transpose(2, 0, 1), tile.target)
-            np.testing.assert_array_equal(m[b], tile.mask)
+            # index k is base tile k % n under TRANSFORMS[(k % n + k // n) % 6]
+            i = k % n
+            want_x, want_y, want_m = oracle(base, i, TRANSFORMS[(i + k // n) % 6])
+            np.testing.assert_array_equal(x[b], want_x)
+            np.testing.assert_array_equal(y[b], want_y)
+            np.testing.assert_array_equal(m[b], want_m)

@@ -12,8 +12,8 @@ import pytest
 import urbanet
 from urbanet.cli import main
 from urbanet.grid import load_grid, pad_grid, save_grid
-from urbanet.synth import SynthConfig, gen_world
-from urbanet.unet import load_params
+from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
+from urbanet.unet import UNetSpec, init_params, load_params, save_params
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +206,37 @@ class TestEvalReport:
                 rows.append(report.read_text().splitlines())
             assert len(rows[0]) == 3
             assert rows[0] == rows[1]
+
+    def test_eval_population_checkpoint(self, world_file, tmp_path):
+        # a single-task model of delta_population has only the "pop" head
+        assert main(["train", "--grid", str(world_file), "--window", "16",
+                     "--pad", "8", "--test-regions", "R03",
+                     "--out-dir", str(tmp_path), "--depth", "1",
+                     "--base-features", "4", "--max-epochs", "1",
+                     "--target", "delta_population"]) == 0
+        report = tmp_path / "pop.csv"
+        assert main(["eval", "--grid", str(world_file), "--window", "16",
+                     "--pad", "8", "--test-regions", "R03", "--split", "all",
+                     "--checkpoint", str(tmp_path / "unet_pop_sz16.unpk"),
+                     "--report", str(report),
+                     "--pred-out", str(tmp_path / "pred.wgrd")]) == 0
+        rows = report.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.startswith("U-Net (sz16) on delta_population,16,all,")
+                   for row in rows)
+        assert "pred_pop" in load_grid(tmp_path / "pred.wgrd").channels
+
+    def test_eval_unknown_head_exits_2(self, world_file, tmp_path, capsys):
+        spec = UNetSpec(len(INPUT_CHANNELS), 4, 1, heads=(("water", 1),))
+        save_params(init_params(spec, 0), tmp_path / "water.unpk")
+        rc = main(["eval", "--grid", str(world_file), "--window", "16",
+                   "--pad", "8", "--test-regions", "R03",
+                   "--checkpoint", str(tmp_path / "water.unpk"),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "'water'" in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_eval_never_mutates_inputs(self, world_file, run_dir, tmp_path):
         before = hashlib.sha256(world_file.read_bytes()).hexdigest()

@@ -47,7 +47,7 @@ def brute_force_predict(params, grid, window, *, pad, split=None, split_filter="
         x, _, _ = ds.batch(idx)
         y, _ = _forward(params, np.ascontiguousarray(x, dtype=dtype))
         for b, i in enumerate(idx):
-            tr, tc = ds.top_left(int(i))
+            tr, tc = ds.centers_padded[i] - (off_r, off_c)
             for a in range(s):
                 for c in range(s):
                     buckets.setdefault((tr + a, tc + c), []).append(float(y[b, a, c, 0]))

@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from urbanet.errors import DataError, ShapeError
-from urbanet.grid import WorldGrid, assign_split, pad_grid
-from urbanet.tiler import (
-    TileDataset,
-    WindowSpec,
-    coverage_count,
-    sample_all,
-    tile_at,
-)
+from urbanet.grid import TEST, TRAIN, WorldGrid, assign_split, pad_grid
+from urbanet.tiler import TileDataset, WindowSpec, coverage_count
 
 
 def make_world(mask, n_inputs=2, seed=0, value_fn=None):
@@ -32,10 +26,29 @@ def make_world(mask, n_inputs=2, seed=0, value_fn=None):
 def dataset(world, size, pad, **kw):
     padded = pad_grid(world, pad)
     names = [n for n in world.channel_names if n != "target"]
-    return sample_all(
+    return TileDataset(
         padded, WindowSpec(size), pad=pad,
         input_names=names, target_names=["target"], **kw,
     )
+
+
+def centers(ds):
+    """Tile centers in unpadded grid coordinates, in dataset order."""
+    return [(int(r), int(c)) for r, c in ds.centers_padded - ds.pad]
+
+
+def index_of(ds, center):
+    return centers(ds).index(center)
+
+
+def oracle_tile(ds, i):
+    """Tile ``i`` sliced straight from the stacked planes, channel-last."""
+    s = ds.window.size
+    tr, tc = ds.centers_padded[i] - ds.window.center_offset
+    window = np.s_[tr : tr + s, tc : tc + s]
+    return (ds.grid.stacked(ds.input_names)[window],
+            ds.grid.stacked(ds.target_names)[window],
+            np.asarray(ds.grid.mask)[window])
 
 
 class TestWindowSpec:
@@ -58,25 +71,20 @@ class TestWindowSpec:
 class TestTileAt:
     def test_full_window_shapes(self):
         world = make_world(np.ones((30, 30), np.uint8), n_inputs=9)
-        padded = pad_grid(world, 20)
-        tile = tile_at(
-            padded, (15, 15), WindowSpec(28), pad=20,
-            input_names=[f"in{k}" for k in range(9)], target_names=["target"],
-        )
-        assert tile.input.shape == (9, 28, 28)
-        assert tile.target.shape == (1, 28, 28)
-        assert tile.mask.shape == (28, 28)
-        assert tile.center == (15, 15)
+        ds = dataset(world, size=28, pad=20)
+        i = index_of(ds, (15, 15))
+        x, y, m = ds.batch(np.array([i]))
+        assert x.shape == (1, 28, 28, 9)
+        assert y.shape == (1, 28, 28, 1)
+        assert m.shape == (1, 28, 28)
+        assert m[0, 14, 14] == 1
 
     def test_single_pixel_window(self):
         world = make_world(np.ones((1, 1), np.uint8))
-        padded = pad_grid(world, 20)
-        tile = tile_at(
-            padded, (0, 0), WindowSpec(1), pad=20,
-            input_names=["in0"], target_names=["target"],
-        )
-        assert tile.input[0, 0, 0] == world.channels["in0"][0, 0]
-        assert tile.mask[0, 0] == 1
+        ds = dataset(world, size=1, pad=20)
+        x, _, m = ds.batch(np.array([0]))
+        assert x[0, 0, 0, 0] == world.channels["in0"][0, 0]
+        assert m[0, 0, 0] == 1
 
     def test_values_match_index_oracle(self):
         # channel value = 10*row + col on land; verify against direct indexing
@@ -88,47 +96,34 @@ class TestTileAt:
             ),
         )
         pad, s = 3, 4
-        padded = pad_grid(world, pad)
         off = s // 2
-        tile = tile_at(
-            padded, (2, 3), WindowSpec(s), pad=pad,
-            input_names=["in0"], target_names=["target"],
-        )
+        ds = dataset(world, size=s, pad=pad)
+        x, _, _ = ds.batch(np.array([index_of(ds, (2, 3))]))
         for i in range(s):
             for j in range(s):
                 rr, cc = 2 - off + i, 3 - off + j  # unpadded coordinates
                 if 0 <= rr < 5 and 0 <= cc < 5:
-                    assert tile.input[0, i, j] == 10.0 * rr + cc
+                    assert x[0, i, j, 0] == 10.0 * rr + cc
                 else:
-                    assert tile.input[0, i, j] == 0.0
-
-    def test_water_center_rejected(self):
-        mask = np.ones((3, 3), np.uint8)
-        mask[1, 1] = 0
-        world = make_world(mask)
-        padded = pad_grid(world, 4)
-        with pytest.raises(DataError, match="not a land pixel"):
-            tile_at(padded, (1, 1), WindowSpec(3), pad=4,
-                    input_names=["in0", "in1"], target_names=["target"])
+                    assert x[0, i, j, 0] == 0.0
 
     def test_insufficient_padding_rejected(self):
         world = make_world(np.ones((4, 4), np.uint8))
-        padded = pad_grid(world, 1)
         with pytest.raises(ShapeError, match="padding"):
-            tile_at(padded, (0, 0), WindowSpec(5), pad=1,
-                    input_names=["in0", "in1"], target_names=["target"])
+            dataset(world, size=5, pad=1)
 
     def test_center_split_and_region(self):
         mask = np.ones((2, 2), np.uint8)
         regions = np.array([[5, 5], [5, 9]], np.uint16)
         world = make_world(mask)
         world = WorldGrid(mask, regions, world.channels, {5: "AAA", 9: "BBB"})
-        padded = pad_grid(world, 2)
-        split = assign_split(padded, {"BBB"})
-        kw = dict(pad=2, input_names=["in0", "in1"], target_names=["target"], split=split)
-        assert tile_at(padded, (1, 1), WindowSpec(2), **kw).split == "test"
-        assert tile_at(padded, (0, 0), WindowSpec(2), **kw).split == "train"
-        assert tile_at(padded, (1, 1), WindowSpec(2), **kw).region == 9
+        split = assign_split(pad_grid(world, 2), {"BBB"})
+        test = dataset(world, size=2, pad=2, split=split, split_filter="test")
+        train = dataset(world, size=2, pad=2, split=split, split_filter="train")
+        assert centers(test) == [(1, 1)]
+        assert test.regions.tolist() == [9]
+        assert centers(train) == [(0, 0), (0, 1), (1, 0)]
+        assert train.regions.tolist() == [5, 5, 5]
 
 
 class TestSampleAll:
@@ -139,14 +134,17 @@ class TestSampleAll:
         mask = mask.reshape(8, 8)
         ds = dataset(make_world(mask), size=6, pad=4)
         assert len(ds) == 37
-        centers = {tile.center for tile in ds}
+        assert len(set(centers(ds))) == 37
         land = {(r, c) for r in range(8) for c in range(8) if mask[r, c] == 1}
-        assert centers == land
+        assert set(centers(ds)) == land
 
     def test_zero_land_gives_empty_sequence(self):
         ds = dataset(make_world(np.zeros((4, 4), np.uint8)), size=4, pad=4)
         assert len(ds) == 0
-        assert list(ds) == []
+        assert centers(ds) == []
+        x, y, m = ds.batch(np.arange(0))
+        assert x.shape == (0, 4, 4, 2) and y.shape == (0, 4, 4, 1)
+        assert m.shape == (0, 4, 4)
 
     def test_row_major_order_and_determinism(self):
         rng = np.random.default_rng(1)
@@ -154,22 +152,22 @@ class TestSampleAll:
         world = make_world(mask, seed=1)
         a = dataset(world, size=4, pad=4)
         b = dataset(world, size=4, pad=4)
-        centers = [t.center for t in a]
-        assert centers == sorted(centers)
-        for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.input, tb.input)
-            assert ta.center == tb.center
+        assert centers(a) == sorted(centers(a))
+        assert centers(a) == centers(b)
+        every = np.arange(len(a))
+        for got, want in zip(a.batch(every), b.batch(every)):
+            np.testing.assert_array_equal(got, want)
 
     def test_tile_invariants_exhaustively(self):
         rng = np.random.default_rng(2)
         mask = rng.integers(0, 2, size=(7, 7)).astype(np.uint8)
         ds = dataset(make_world(mask, seed=2), size=5, pad=4)
-        off = WindowSpec(5).center_offset
-        for tile in ds:
-            assert tile.mask[off] == 1
-            water = tile.mask == 0
-            assert (tile.input[:, water] == 0.0).all()
-            assert (tile.target[:, water] == 0.0).all()
+        off_r, off_c = WindowSpec(5).center_offset
+        x, y, m = ds.batch(np.arange(len(ds)))
+        assert (m[:, off_r, off_c] == 1).all()
+        water = m == 0
+        assert (x[water] == 0.0).all()
+        assert (y[water] == 0.0).all()
 
     def test_split_filtering(self):
         mask = np.ones((6, 6), np.uint8)
@@ -177,17 +175,17 @@ class TestSampleAll:
         regions[:, 3:] = 9
         world = make_world(mask)
         world = WorldGrid(mask, regions, world.channels, {5: "AAA", 9: "BBB"})
-        padded = pad_grid(world, 3)
-        split = assign_split(padded, {"BBB"})
-        names = dict(input_names=["in0", "in1"], target_names=["target"])
-        w = WindowSpec(4)
-        all_t = sample_all(padded, w, pad=3, split=split, split_filter="all", **names)
-        train = sample_all(padded, w, pad=3, split=split, split_filter="train", **names)
-        test = sample_all(padded, w, pad=3, split=split, split_filter="test", **names)
+        split = assign_split(pad_grid(world, 3), {"BBB"})
+        all_t, train, test = (
+            dataset(world, size=4, pad=3, split=split, split_filter=f)
+            for f in ("all", "train", "test")
+        )
         assert len(train) == 18 and len(test) == 18
         assert len(all_t) == len(train) + len(test)
-        assert all(t.split == "train" for t in train)
-        assert all(t.split == "test" for t in test)
+        for ds, label, region in ((train, TRAIN, 5), (test, TEST, 9)):
+            r, c = ds.centers_padded.T
+            assert (split.labels[r, c] == label).all()
+            assert (ds.regions == region).all()
 
     def test_batch_matches_items(self):
         rng = np.random.default_rng(3)
@@ -198,10 +196,10 @@ class TestSampleAll:
         x, y, m = ds.batch(idx)
         assert x.shape == (3, 4, 4, 2) and y.shape == (3, 4, 4, 1)
         for b, i in enumerate(idx):
-            tile = ds[int(i)]
-            np.testing.assert_array_equal(x[b].transpose(2, 0, 1), tile.input)
-            np.testing.assert_array_equal(y[b].transpose(2, 0, 1), tile.target)
-            np.testing.assert_array_equal(m[b], tile.mask)
+            want_x, want_y, want_m = oracle_tile(ds, i)
+            np.testing.assert_array_equal(x[b], want_x)
+            np.testing.assert_array_equal(y[b], want_y)
+            np.testing.assert_array_equal(m[b], want_m)
 
     def test_bad_split_filter(self):
         world = make_world(np.ones((2, 2), np.uint8))
@@ -232,7 +230,6 @@ class TestCoverage:
         padded = pad_grid(world, pad)
         ds = dataset(world, size=s, pad=pad)
         brute = np.zeros((padded.height, padded.width), np.int64)
-        for i in range(len(ds)):
-            tr, tc = ds.top_left(i)
+        for tr, tc in ds.centers_padded - ds.window.center_offset:
             brute[tr : tr + s, tc : tc + s] += 1
         np.testing.assert_array_equal(coverage_count(padded, WindowSpec(s)), brute)

@@ -19,14 +19,12 @@ from urbanet.errors import (
     SpecError,
 )
 from urbanet.unet import (
-    Batch,
     _backward,
     _conv_backward,
     _forward,
     _im2col_blocks,
     UNetParams,
     UNetSpec,
-    backward,
     encoder_names,
     expected_shapes,
     forward,
@@ -67,6 +65,11 @@ def random_batch(rng, n=2, s=8, cin=3, ct=1, land_p=0.8):
     x = rng.normal(size=(n, cin, s, s)) * m[:, None]
     y = rng.normal(size=(n, ct, s, s)) * m[:, None]
     return x, y, m
+
+
+def nhwc(a):
+    """Channel-first (N, C, S, S) batch as the channel-last arrays of training."""
+    return a.transpose(0, 2, 3, 1)
 
 
 class TestSpecAndInit:
@@ -346,7 +349,7 @@ class TestBackward:
         rng = np.random.default_rng(0)
         x, _, m = random_batch(rng)
         target = forward(params, x)  # residuals vanish identically
-        loss, grads = backward(params, Batch(x, target, m))
+        loss, grads = loss_and_grads(params, nhwc(x), nhwc(target), m)
         assert loss == 0.0
         for name, g in grads.items():
             np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
@@ -355,9 +358,9 @@ class TestBackward:
         params = init_params(TINY, 1, dtype=np.float64)
         rng = np.random.default_rng(1)
         x, y, m = random_batch(rng)
-        l1, g1 = backward(params, Batch(x, y, m))
+        l1, g1 = loss_and_grads(params, nhwc(x), nhwc(y), m)
         y2 = y + np.where((m == 0)[:, None], 100.0, 0.0)
-        l2, g2 = backward(params, Batch(x, y2, m))
+        l2, g2 = loss_and_grads(params, nhwc(x), nhwc(y2), m)
         assert l1 == l2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
@@ -366,8 +369,8 @@ class TestBackward:
         params = init_params(TINY, 2)
         rng = np.random.default_rng(2)
         x, y, m = random_batch(rng)
-        l1, g1 = backward(params, Batch(x, y, m))
-        l2, g2 = backward(params, Batch(x, y, m))
+        l1, g1 = loss_and_grads(params, nhwc(x), nhwc(y), m)
+        l2, g2 = loss_and_grads(params, nhwc(x), nhwc(y), m)
         assert l1 == l2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
@@ -377,8 +380,7 @@ class TestBackward:
         params = init_params(spec, 3, dtype=np.float64)
         rng = np.random.default_rng(3)
         x, y, m = random_batch(rng, ct=2)
-        xt = x.transpose(0, 2, 3, 1)
-        yt = y.transpose(0, 2, 3, 1)
+        xt, yt = nhwc(x), nhwc(y)
         _, full = loss_and_grads(params, xt, yt, m)
         subset = set(head_names(spec, "pop"))
         _, part = loss_and_grads(params, xt, yt, m, trainable=subset)
@@ -393,7 +395,7 @@ class TestBackward:
         params = init_params(spec, 4, dtype=np.float64)
         rng = np.random.default_rng(4)
         x, y, m = random_batch(rng, ct=2)
-        xt, yt = x.transpose(0, 2, 3, 1), y.transpose(0, 2, 3, 1)
+        xt, yt = nhwc(x), nhwc(y)
         w = np.array([0.0, 1.0])
         _, full = loss_and_grads(params, xt, yt, m, channel_weights=w)
         subset = set(head_names(spec, "pop"))
@@ -441,15 +443,20 @@ class TestBackward:
         rng = np.random.default_rng(5)
         x, y, m = random_batch(rng)
         with pytest.raises(NumericError):
-            backward(params, Batch(x, y, m))
+            loss_and_grads(params, nhwc(x), nhwc(y), m)
 
     def test_batch_validation(self):
+        # one tile's target or mask must not broadcast over the batch, and a
+        # mask value other than 0 or 1 is corrupt data
+        params = init_params(TINY, 6, dtype=np.float64)
         rng = np.random.default_rng(6)
         x, y, m = random_batch(rng)
         with pytest.raises(ShapeError):
-            Batch(x, y[:1], m)
+            loss_and_grads(params, nhwc(x), nhwc(y[:1]), m)
+        with pytest.raises(ShapeError):
+            loss_and_grads(params, nhwc(x), nhwc(y), m[:1])
         with pytest.raises(IntegrityError):
-            Batch(x, y, m + 1)
+            loss_and_grads(params, nhwc(x), nhwc(y), m + 1)
 
 
 class TestGradCheck:
@@ -468,13 +475,16 @@ class TestGradCheck:
         report = grad_check(spec, seed=2)
         assert report.passed, str(report)
 
-    def test_corrupted_gradient_detected(self):
+    def test_corrupted_gradient_detected(self, monkeypatch):
+        honest = unet.loss_and_grads
+
         def corrupted(params, x, y, m):
-            loss, grads = loss_and_grads(params, x, y, m)
+            loss, grads = honest(params, x, y, m)
             grads["enc0.conv1.w"] = grads["enc0.conv1.w"] + 1e-2
             return loss, grads
 
-        report = grad_check(TINY, seed=3, _backward_fn=corrupted)
+        monkeypatch.setattr(unet, "loss_and_grads", corrupted)
+        report = grad_check(TINY, seed=3)
         assert not report.passed
         assert report.max_rel_err > 1e-4
         assert report.per_array["enc0.conv1.w"] > 1e-4
