@@ -270,6 +270,23 @@ def _cmd_eval(args) -> int:
 
     world, norm, split, _ = _load_split_normalize(args.grid, args.test_regions,
                                                   args.pad)
+    pad = args.pad
+    scope_mask = {
+        "train": split.train_mask, "test": split.test_mask,
+        "all": np.asarray(norm.mask),
+    }[args.split][pad : norm.height - pad, pad : norm.width - pad].astype(bool)
+    builtup = world.channels["urban_2000"] + world.channels[TARGET_URBAN]
+    strata = stratify(world.mask, builtup, select=scope_mask)
+
+    # a rerun onto the same report fails before the world is predicted
+    report = load_report(args.report) if os.path.exists(args.report) else EvalReport()
+    taken = {row.key for row in report.rows}
+    for _, model_label in targets.values():
+        for stratum_name in strata:
+            key = (model_label, args.window, args.split, stratum_name)  # MetricsRow.key
+            if key in taken:
+                raise DataError(f"{args.report}: duplicate report row key {key}")
+
     t0 = time.perf_counter()
     pred = predict_world(
         params, norm, WindowSpec(args.window), pad=args.pad,
@@ -282,15 +299,6 @@ def _cmd_eval(args) -> int:
          f"min {cover.min()}, median {np.median(cover):g}; "
          f"{np.count_nonzero(cover == 0)} land pixels never covered")
 
-    pad = args.pad
-    scope_mask = {
-        "train": split.train_mask, "test": split.test_mask,
-        "all": np.asarray(norm.mask),
-    }[args.split][pad : norm.height - pad, pad : norm.width - pad].astype(bool)
-    builtup = world.channels["urban_2000"] + world.channels[TARGET_URBAN]
-    strata = stratify(world.mask, builtup, select=scope_mask)
-
-    report = load_report(args.report) if os.path.exists(args.report) else EvalReport()
     for head, (target, model_label) in targets.items():
         for stratum_name, stratum_mask in strata.items():
             row = residual_metrics(

@@ -169,7 +169,8 @@ def predict_world(
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         x, _, _ = ds.batch(idx)
-        y, _ = _forward(params, np.ascontiguousarray(x, dtype=dtype))  # (B,S,S,C)
+        x = np.ascontiguousarray(x, dtype=dtype)  # drops the float64 gather
+        y, _ = _forward(params, x)  # (B,S,S,C)
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite prediction in batch {start // batch_size} "
                                f"(tiles {start}..{idx[-1]})")

@@ -189,7 +189,8 @@ def evaluate_loss(
     for start in range(0, len(tiles), batch_size):
         idx = np.arange(start, min(start + batch_size, len(tiles)))
         x, y, m = tiles.batch(idx)
-        pred, _ = _forward(params, np.ascontiguousarray(x, dtype=dtype))
+        x = np.ascontiguousarray(x, dtype=dtype)  # drops the float64 gather
+        pred, _ = _forward(params, x)
         loss, _ = _masked_loss_grad(pred, y, m, channel_weights)
         total += loss * len(idx)
         count += len(idx)

@@ -22,17 +22,19 @@ loss and the residual scaling that seeds backpropagation are always computed
 in float64.  ``grad_check`` builds float64 parameters so the whole pipeline,
 forward and backward, runs in 64-bit when checked against finite differences.
 
-Activations use channel-last (N, H, W, C) layout internally.  Every
-convolution is an im2col GEMM, built and multiplied one block of a few
-images at a time (``_im2col_blocks``), so the patch matrix never exists
-whole and each block is still in cache when its GEMM reads it.  The
-transposed-kernel identity gives the input gradient as another blocked
-im2col GEMM, avoiding scatter-adds.  Row blocks change float32 rounding
-against a single whole-batch GEMM (BLAS picks its kernel by matrix size),
-by about float32 epsilon; a fixed thread count stays bit-reproducible.
-Training and evaluation pass channel-last batches straight from the tile
-streams to ``_forward`` and ``loss_and_grads``; ``forward`` and
-``masked_mse`` are channel-first (N, C, H, W) wrappers around them.
+Activations use channel-last (N, H, W, C) layout.  Every convolution is an
+im2col GEMM, built and multiplied one block of a few images at a time
+(``_im2col_blocks``), so the patch matrix never exists whole and each block
+is still in cache when its GEMM reads it; the bias and the ReLU are applied
+to each output block right after its GEMM.  The transposed-kernel identity
+gives the input gradient as another blocked im2col GEMM, avoiding
+scatter-adds.  Row blocks change float32 rounding against a single
+whole-batch GEMM (BLAS picks its kernel by matrix size), by about float32
+epsilon; a fixed thread count stays bit-reproducible.  Training and
+evaluation pass channel-last batches straight from the tile streams to
+``_forward`` and ``loss_and_grads``.  Only backprop asks ``_forward`` to
+keep its activation cache; inference frees each activation once it is
+dead, so its memory is a few layers' worth rather than the whole network's.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -249,15 +250,34 @@ def _im2col_blocks(x: np.ndarray, k: int):
         yield slice(i * h * w, (i + m) * h * w), buf[:m].reshape(m * h * w, k * k * c)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _conv_forward(
+    x: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    relu: bool = False,
+    margins: list[float] | None = None,
+) -> np.ndarray:
+    """Same-padded convolution of (N,H,W,C) ``x``, one GEMM block at a time.
+
+    Each block gets its bias, and with ``relu`` its ReLU, while it is still
+    in cache.  Given a ``margins`` list, appends the smallest |value| before
+    the ReLU (how far the batch sits from the kink).
+    """
     f, c, k, _ = w.shape
     n, h, wd, _ = x.shape
     wm = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
     y = np.empty((n, h, wd, f), np.result_type(x, w))
     y2 = y.reshape(-1, f)
+    lows = []
     for rows, cols in _im2col_blocks(x, k):
         yb = np.matmul(cols, wm, out=y2[rows])
         yb += b
+        if margins is not None:
+            lows.append(np.abs(yb).min())
+        if relu:
+            np.maximum(yb, 0.0, out=yb)
+    if margins is not None:
+        margins.append(float(np.min(lows)))
     return y
 
 
@@ -301,11 +321,23 @@ def _pool_windows(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pooling; returns (pooled, argmax index within each window)."""
-    xr = _pool_windows(x)
-    idx = xr.argmax(axis=-1)  # ties -> first position: deterministic
-    y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+def _pool_forward(
+    x: np.ndarray, want_index: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """2x2 max pooling as the max of the four strided views of each window.
+
+    With ``want_index`` also returns, for backprop, each window's argmax in
+    row-major window order, ties going to the first maximum; else None.
+    """
+    views = (x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2])
+    y = np.maximum(views[0], views[1])
+    np.maximum(y, views[2], out=y)
+    np.maximum(y, views[3], out=y)
+    if not want_index:
+        return y, None
+    idx = np.full(y.shape, 3, np.intp)
+    for pos in (2, 1, 0):  # the first maximum overwrites later ones
+        idx[views[pos] == y] = pos
     return y, idx
 
 
@@ -343,14 +375,24 @@ def _pad_amounts(size: int, multiple: int) -> tuple[int, int]:
     return total // 2, total - total // 2
 
 
-def _forward(params: UNetParams, x: np.ndarray, want_margins: bool = False):
+def _forward(
+    params: UNetParams,
+    x: np.ndarray,
+    want_margins: bool = False,
+    keep_cache: bool = False,
+):
     """Channel-last forward pass; returns (output, cache).
 
-    The cache keeps references to every layer input and post-ReLU output so
-    the backward pass can gate ReLUs and rebuild im2col matrices without
-    storing them.  With ``want_margins`` the cache also records how far the
-    batch sits from every ReLU kink and pooling tie — used to pick
-    well-conditioned probe points for finite differencing.
+    The cache is None unless ``keep_cache`` asks for it, as backprop does.
+    Without it every activation is released once it is dead, and only the
+    skip outputs and the bottleneck live until the last head has used them.
+    The kept cache holds references to every layer input and post-ReLU
+    output and the pooling argmax, so the backward pass can gate ReLUs and
+    rebuild im2col blocks without storing them.  With ``want_margins`` the
+    kept cache also records how far the batch sits from every ReLU kink and
+    pooling tie — used to pick well-conditioned probe points for finite
+    differencing.  Either way each convolution adds its bias and applies its
+    ReLU block by block, and the outputs are the same bytes.
     """
     spec = params.spec
     arrays = params.arrays
@@ -368,19 +410,19 @@ def _forward(params: UNetParams, x: np.ndarray, want_margins: bool = False):
     margins: list[float] = []
 
     def conv_relu(name: str, a: np.ndarray) -> np.ndarray:
-        pre = _conv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"])
-        if want_margins:
-            margins.append(float(np.abs(pre).min()))
-        return np.maximum(pre, 0.0, out=pre)
+        return _conv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"], relu=True,
+                             margins=margins if want_margins else None)
 
     enc: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     pools: list[tuple[np.ndarray, tuple]] = []
-    a = x
+    skips: list[np.ndarray] = []  # every level's output; the last is the bottleneck
     for lvl in range(spec.depth + 1):
-        x1 = a
-        y1 = conv_relu(f"enc{lvl}.conv1", x1)
+        y1 = conv_relu(f"enc{lvl}.conv1", x)
         y2 = conv_relu(f"enc{lvl}.conv2", y1)
-        enc.append((x1, y1, y2))
+        if keep_cache:
+            enc.append((x, y1, y2))
+        del x, y1
+        skips.append(y2)
         if lvl < spec.depth:
             if want_margins:
                 top2 = np.sort(_pool_windows(y2), axis=-1)[..., -2:]
@@ -389,40 +431,49 @@ def _forward(params: UNetParams, x: np.ndarray, want_margins: bool = False):
                 # under a small perturbation; only contested windows matter.
                 risky = top2[..., 0] > 0
                 margins.append(float(gap[risky].min()) if risky.any() else np.inf)
-            a, idx = _pool_forward(y2)
-            pools.append((idx, y2.shape))
+            x, idx = _pool_forward(y2, want_index=keep_cache)
+            if keep_cache:
+                pools.append((idx, y2.shape))
 
-    bottleneck = enc[-1][2]  # deepest level's output feeds every decoder
     head_outs: list[np.ndarray] = []
     heads_cache: dict[str, tuple[list[dict], np.ndarray]] = {}
     for head, _ in spec.heads:
-        d = bottleneck
+        d = skips[-1]  # the bottleneck feeds every decoder
         stages: list[dict] = []
         for lvl in range(spec.depth - 1, -1, -1):
             xu = _up_forward(d)
+            del d
             yu = conv_relu(f"dec.{head}.{lvl}.up", xu)
-            xc = np.concatenate([yu, enc[lvl][2]], axis=-1)
+            xc = np.concatenate([yu, skips[lvl]], axis=-1)
+            if keep_cache:
+                stages.append({"lvl": lvl, "xu": xu, "yu": yu, "xc": xc})
+            del xu, yu
             y1 = conv_relu(f"dec.{head}.{lvl}.conv1", xc)
-            y2 = conv_relu(f"dec.{head}.{lvl}.conv2", y1)
-            stages.append({"lvl": lvl, "xu": xu, "yu": yu, "xc": xc, "y1": y1, "y2": y2})
-            d = y2
+            del xc
+            d = conv_relu(f"dec.{head}.{lvl}.conv2", y1)
+            if keep_cache:
+                stages[-1].update(y1=y1, y2=d)
+            del y1
         out = _conv_forward(d, arrays[f"head.{head}.w"], arrays[f"head.{head}.b"])
         head_outs.append(out)
-        heads_cache[head] = (stages, d)
+        if keep_cache:
+            heads_cache[head] = (stages, d)
+        del d
 
     y = head_outs[0] if len(head_outs) == 1 else np.concatenate(head_outs, axis=-1)
     if pt or pb or pl or pr:
         y = y[:, pt : pt + h, pl : pl + w, :]
-    cache = {
+    if not keep_cache:
+        return y, None
+    return y, {
         "pads": (pt, pb, pl, pr),
         "in_shape": (n, h, w),
         "enc": enc,
         "pools": pools,
-        "bottleneck": bottleneck,
+        "bottleneck": enc[-1][2],
         "heads": heads_cache,
         "margins": margins,
     }
-    return y, cache
 
 
 def _backward(
@@ -568,32 +619,6 @@ def _masked_loss_grad(
     return loss, grad
 
 
-def masked_mse(
-    pred: np.ndarray,
-    target: np.ndarray,
-    mask: np.ndarray,
-    channel_weights: Iterable[float] | None = None,
-) -> float:
-    """Masked MSE over a channel-first batch; see _masked_loss_grad."""
-    loss, _ = _masked_loss_grad(
-        np.moveaxis(pred, 1, -1),
-        np.moveaxis(target, 1, -1),
-        mask,
-        None if channel_weights is None else np.asarray(list(channel_weights)),
-    )
-    return loss
-
-
-def forward(params: UNetParams, inputs: np.ndarray) -> np.ndarray:
-    """Predict (N, C_t, S, S) from channel-first inputs (N, C_in, S, S)."""
-    if inputs.ndim != 4:
-        raise ShapeError(f"inputs must be (N, C, S, S), got {inputs.shape}")
-    dtype = next(iter(params.arrays.values())).dtype
-    x = inputs.transpose(0, 2, 3, 1).astype(dtype, copy=False)
-    y, _ = _forward(params, x)
-    return y.transpose(0, 3, 1, 2)
-
-
 def loss_and_grads(
     params: UNetParams,
     x: np.ndarray,
@@ -604,7 +629,7 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Fused forward + masked loss + backward on channel-last arrays."""
     dtype = next(iter(params.arrays.values())).dtype
-    pred, cache = _forward(params, np.ascontiguousarray(x, dtype=dtype))
+    pred, cache = _forward(params, np.ascontiguousarray(x, dtype=dtype), keep_cache=True)
     loss, g = _masked_loss_grad(pred, y, m, channel_weights)
     if not math.isfinite(loss):
         raise NumericError(f"masked loss is non-finite ({loss})")
@@ -657,7 +682,7 @@ def _well_conditioned_batch(
                 m[k, size // 2, size // 2] = 1.0
         x = rng.normal(size=(n, size, size, spec.input_channels))
         y = rng.normal(size=(n, size, size, spec.out_channels))
-        _, cache = _forward(params, x, want_margins=True)
+        _, cache = _forward(params, x, want_margins=True, keep_cache=True)
         if min(cache["margins"]) > _KINK_MARGIN:
             return x, y, m, attempt
     raise NumericError(

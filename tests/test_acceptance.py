@@ -21,8 +21,8 @@ from urbanet.tiler import TileDataset, WindowSpec, coverage_count
 from urbanet.trainer import (MultiTaskSchedule, TrainConfig, build_multitask,
                              build_streams, phase1_frozen, train,
                              train_multitask)
-from urbanet.unet import (UNetSpec, grad_check, init_params, load_params,
-                          masked_mse)
+from urbanet.unet import (UNetSpec, _masked_loss_grad, grad_check, init_params,
+                          load_params)
 
 DESK = dict(base_features=8, depth=2)
 BIG_TEST_REGIONS = ("R02", "R07")
@@ -177,13 +177,13 @@ def test_masked_loss_oracle():
         n = int(rng.integers(1, 5))
         s = int(rng.integers(2, 7))
         c = int(rng.integers(1, 4))
-        pred = rng.normal(size=(n, c, s, s))
-        tgt = rng.normal(size=(n, c, s, s))
+        pred = rng.normal(size=(n, s, s, c))
+        tgt = rng.normal(size=(n, s, s, c))
         mask = np.zeros((n, s, s))
         for k in range(n):  # every sample keeps at least one valid pixel
             flat = rng.permutation(s * s)[: int(rng.integers(1, s * s + 1))]
             mask[k].ravel()[flat] = 1.0
-        got = masked_mse(pred, tgt, mask)
+        got, _ = _masked_loss_grad(pred, tgt, mask, None)
         want = 0.0
         for k in range(n):
             per_channel = []
@@ -192,17 +192,18 @@ def test_masked_loss_oracle():
                 for i in range(s):
                     for j in range(s):
                         if mask[k, i, j]:
-                            num += (tgt[k, ch, i, j] - pred[k, ch, i, j]) ** 2
+                            num += (tgt[k, i, j, ch] - pred[k, i, j, ch]) ** 2
                             den += 1.0
                 per_channel.append(num / den)
             want += sum(per_channel) / c
         want /= n
         worst = max(worst, abs(got - want))
 
-    hand = masked_mse(
-        np.zeros((1, 1, 2, 2)),
-        np.array([[0.0, 1.0], [2.0, 9.9]]).reshape(1, 1, 2, 2),
+    hand, _ = _masked_loss_grad(
+        np.zeros((1, 2, 2, 1)),
+        np.array([[0.0, 1.0], [2.0, 9.9]]).reshape(1, 2, 2, 1),
         np.array([[1.0, 1.0], [1.0, 0.0]]).reshape(1, 2, 2),
+        None,
     )
     _flag("masked-loss-oracle",
           worst <= 1e-12 and hand == 5.0 / 3.0,

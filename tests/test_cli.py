@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import urbanet
+from urbanet import evaluate
 from urbanet.cli import main
 from urbanet.grid import load_grid, pad_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
@@ -147,7 +148,7 @@ class TestTrain:
 
 
 class TestEvalReport:
-    def test_eval_appends_both_strata(self, world_file, run_dir, tmp_path):
+    def test_eval_appends_both_strata(self, world_file, run_dir, tmp_path, monkeypatch):
         report = tmp_path / "rows.csv"
         rc = main(["eval", "--grid", str(world_file), "--window", "16",
                    "--pad", "8", "--test-regions", "R03",
@@ -165,11 +166,18 @@ class TestEvalReport:
         assert "pred_urban" in pred.channels
         assert "coverage" in pred.channels
 
-        # appending the same rows again collides on the report key
+        # appending the same rows again collides on the report key, and
+        # that is found before the world is predicted
+        def no_prediction(*args, **kwargs):
+            raise AssertionError("predict_world ran on a colliding rerun")
+
+        monkeypatch.setattr(evaluate, "predict_world", no_prediction)
+        before = report.read_bytes()
         assert main(["eval", "--grid", str(world_file), "--window", "16",
                      "--pad", "8", "--test-regions", "R03",
                      "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
                      "--report", str(report)]) == 2
+        assert report.read_bytes() == before
 
     def test_eval_logs_coverage_summary(self, world_file, run_dir, tmp_path, capsys):
         rc = main(["eval", "--grid", str(world_file), "--window", "16",

@@ -28,7 +28,7 @@ from urbanet.trainer import (
     train,
     train_multitask,
 )
-from urbanet.unet import UNetSpec, forward, init_params, loss_and_grads
+from urbanet.unet import UNetSpec, _forward, init_params, loss_and_grads
 
 TINY = UNetSpec(input_channels=9, base_features=4, depth=1)
 PAD = 8
@@ -323,9 +323,10 @@ class TestMultiTask:
         pre = init_params(TINY, seed=7)
         multi = build_multitask(pre, head="pop", seed=1)
         x, _, _ = train_stream.batch(np.arange(8))
-        out_single = forward(pre, x.transpose(0, 3, 1, 2))
-        out_multi = forward(multi, x.transpose(0, 3, 1, 2))
-        assert np.array_equal(out_multi[:, :1], out_single)
+        x = np.ascontiguousarray(x, dtype=np.float32)
+        out_single, _ = _forward(pre, x)
+        out_multi, _ = _forward(multi, x)
+        assert np.array_equal(out_multi[..., :1], out_single)
 
     def test_build_parameter_count(self):
         from urbanet.unet import expected_shapes, head_names

@@ -23,17 +23,18 @@ from urbanet.unet import (
     _conv_backward,
     _forward,
     _im2col_blocks,
+    _masked_loss_grad,
+    _pool_forward,
+    _pool_windows,
     UNetParams,
     UNetSpec,
     encoder_names,
     expected_shapes,
-    forward,
     grad_check,
     head_names,
     init_params,
     load_params,
     loss_and_grads,
-    masked_mse,
     save_params,
 )
 
@@ -42,7 +43,7 @@ TINY = UNetSpec(input_channels=3, base_features=2, depth=1)
 
 def masked_mse_oracle(pred, target, mask):
     """Deliberately slow triple-loop evaluation of the masked loss."""
-    n, c, h, w = pred.shape
+    n, h, w, c = pred.shape
     total = 0.0
     for k in range(n):
         denom = float(mask[k].sum())
@@ -52,24 +53,76 @@ def masked_mse_oracle(pred, target, mask):
             for i in range(h):
                 for j in range(w):
                     if mask[k, i, j]:
-                        s += (target[k, ch, i, j] - pred[k, ch, i, j]) ** 2
+                        s += (target[k, i, j, ch] - pred[k, i, j, ch]) ** 2
             chan_means.append(s / denom)
         total += sum(chan_means) / c
     return total / n
 
 
 def random_batch(rng, n=2, s=8, cin=3, ct=1, land_p=0.8):
+    """Channel-last inputs (N, S, S, cin) and targets (N, S, S, ct), zero
+    off the (N, S, S) land mask."""
     m = (rng.random((n, s, s)) < land_p).astype(np.uint8)
     for k in range(n):
         m[k, s // 2, s // 2] = 1
-    x = rng.normal(size=(n, cin, s, s)) * m[:, None]
-    y = rng.normal(size=(n, ct, s, s)) * m[:, None]
+    x = rng.normal(size=(n, s, s, cin)) * m[..., None]
+    y = rng.normal(size=(n, s, s, ct)) * m[..., None]
     return x, y, m
 
 
-def nhwc(a):
-    """Channel-first (N, C, S, S) batch as the channel-last arrays of training."""
-    return a.transpose(0, 2, 3, 1)
+def masked_loss(pred, target, mask, channel_weights=None):
+    """The loss value of _masked_loss_grad."""
+    weights = None if channel_weights is None else np.asarray(channel_weights)
+    return _masked_loss_grad(pred, target, mask, weights)[0]
+
+
+def predict(params, x):
+    """The forward output for channel-last ``x`` in the parameters' dtype."""
+    dtype = next(iter(params.arrays.values())).dtype
+    y, cache = _forward(params, np.ascontiguousarray(x, dtype=dtype))
+    assert cache is None
+    return y
+
+
+def reference_forward(params, x):
+    """The unfused forward: whole-array bias, ReLU and margins, pooling by
+    argmax.  Returns (output, margins) in the order _forward records them."""
+    spec, arrays = params.spec, params.arrays
+    _, h, w, _ = x.shape
+    pt, pb = unet._pad_amounts(h, 1 << spec.depth)
+    pl, pr = unet._pad_amounts(w, 1 << spec.depth)
+    a = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    margins = []
+
+    def conv_relu(name, a):
+        pre = unet._conv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"])
+        margins.append(float(np.abs(pre).min()))
+        return np.maximum(pre, 0.0)
+
+    skips = []
+    for lvl in range(spec.depth + 1):
+        a = conv_relu(f"enc{lvl}.conv2", conv_relu(f"enc{lvl}.conv1", a))
+        skips.append(a)
+        if lvl < spec.depth:
+            windows = _pool_windows(a)
+            top2 = np.sort(windows, axis=-1)[..., -2:]
+            risky = top2[..., 0] > 0
+            gap = top2[..., 1] - top2[..., 0]
+            margins.append(float(gap[risky].min()) if risky.any() else np.inf)
+            idx = windows.argmax(axis=-1)
+            a = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    outs = []
+    for head, _ in spec.heads:
+        d = skips[-1]
+        for lvl in range(spec.depth - 1, -1, -1):
+            name = f"dec.{head}.{lvl}"
+            yu = conv_relu(f"{name}.up", unet._up_forward(d))
+            xc = np.concatenate([yu, skips[lvl]], axis=-1)
+            d = conv_relu(f"{name}.conv2", conv_relu(f"{name}.conv1", xc))
+        name = f"head.{head}"
+        outs.append(unet._conv_forward(d, arrays[f"{name}.w"], arrays[f"{name}.b"]))
+    y = np.concatenate(outs, axis=-1)
+    return y[:, pt : pt + h, pl : pl + w], margins
 
 
 class TestSpecAndInit:
@@ -131,76 +184,131 @@ class TestForward:
     def test_output_shape_28(self):
         spec = UNetSpec(input_channels=9, base_features=4, depth=2)
         params = init_params(spec, 0)
-        x = np.random.default_rng(0).normal(size=(3, 9, 28, 28))
-        out = forward(params, x)
-        assert out.shape == (3, 1, 28, 28)
+        x = np.random.default_rng(0).normal(size=(3, 28, 28, 9))
+        out = predict(params, x)
+        assert out.shape == (3, 28, 28, 1)
 
     def test_zero_params_give_zero_output(self):
         params = init_params(TINY, 0)
         for name in params.arrays:
             params.arrays[name] = np.zeros_like(params.arrays[name])
-        x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
-        np.testing.assert_array_equal(forward(params, x), 0.0)
+        x = np.random.default_rng(1).normal(size=(2, 8, 8, 3))
+        np.testing.assert_array_equal(predict(params, x), 0.0)
 
     def test_head_weight_homogeneity(self):
         params = init_params(TINY, 3, dtype=np.float64)
         params.arrays["head.urban.b"] = np.array([0.7])
-        x = np.random.default_rng(2).normal(size=(2, 3, 8, 8))
-        out1 = forward(params, x)
+        x = np.random.default_rng(2).normal(size=(2, 8, 8, 3))
+        out1 = predict(params, x)
         params.arrays["head.urban.w"] = params.arrays["head.urban.w"] * 2.0
-        out2 = forward(params, x)
+        out2 = predict(params, x)
         np.testing.assert_allclose(out2 - 0.7, 2.0 * (out1 - 0.7), atol=1e-12)
 
     def test_internal_padding_preserves_size(self):
         # 28 is not divisible by 2^3; the net pads to 32 and crops back
         spec = UNetSpec(input_channels=2, base_features=2, depth=3)
         params = init_params(spec, 0)
-        x = np.random.default_rng(3).normal(size=(1, 2, 28, 28))
-        assert forward(params, x).shape == (1, 1, 28, 28)
+        x = np.random.default_rng(3).normal(size=(1, 28, 28, 2))
+        assert predict(params, x).shape == (1, 28, 28, 1)
 
     def test_odd_size_preserved(self):
         params = init_params(TINY, 0)
-        x = np.random.default_rng(4).normal(size=(1, 3, 7, 7))
-        assert forward(params, x).shape == (1, 1, 7, 7)
+        x = np.random.default_rng(4).normal(size=(1, 7, 7, 3))
+        assert predict(params, x).shape == (1, 7, 7, 1)
 
     def test_multi_head_output_stacks_in_order(self):
         spec = UNetSpec(3, 2, 1, heads=(("urban", 1), ("pop", 1)))
         params = init_params(spec, 0, dtype=np.float64)
-        x = np.random.default_rng(5).normal(size=(2, 3, 8, 8))
-        out = forward(params, x)
-        assert out.shape == (2, 2, 8, 8)
+        x = np.random.default_rng(5).normal(size=(2, 8, 8, 3))
+        out = predict(params, x)
+        assert out.shape == (2, 8, 8, 2)
         # zeroing one head's 1x1 conv must zero exactly that output slice
         params.arrays["head.pop.w"] = np.zeros_like(params.arrays["head.pop.w"])
-        out2 = forward(params, x)
-        np.testing.assert_array_equal(out2[:, 1], 0.0)
-        np.testing.assert_array_equal(out2[:, 0], out[:, 0])
+        out2 = predict(params, x)
+        np.testing.assert_array_equal(out2[..., 1], 0.0)
+        np.testing.assert_array_equal(out2[..., 0], out[..., 0])
 
     def test_wrong_channel_count_rejected(self):
         params = init_params(TINY, 0)
         with pytest.raises(ShapeError):
-            forward(params, np.zeros((1, 5, 8, 8)))
+            _forward(params, np.zeros((1, 8, 8, 5), np.float32))
+        with pytest.raises(ShapeError):
+            _forward(params, np.zeros((8, 8, 3), np.float32))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("size", [12, 16, 22, 28])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cache_free_matches_cached(self, monkeypatch, depth, size, heads, dtype):
+        # bias and ReLU per GEMM block (one image per block here), pooling by
+        # the max of four views, and no cache: the same bytes as the cached
+        # and the unfused pass
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 1)
+        spec = UNetSpec(9, 4, depth, heads=(("urban", 1), ("pop", 1))[:heads])
+        params = init_params(spec, depth, dtype=dtype)
+        rng = np.random.default_rng(size)
+        for name, arr in params.arrays.items():
+            if name.endswith(".b"):
+                params.arrays[name] = rng.normal(0.0, 0.2, size=arr.shape).astype(dtype)
+        x = rng.normal(size=(3, size, size, 9)).astype(dtype)
+        free, cache = _forward(params, x)
+        assert cache is None
+        kept, cache = _forward(params, x, want_margins=True, keep_cache=True)
+        ref, ref_margins = reference_forward(params, x)
+        assert free.dtype == dtype and free.shape == (3, size, size, heads)
+        assert free.tobytes() == kept.tobytes() == ref.tobytes()
+        assert cache["margins"] == ref_margins
+        assert len(ref_margins) == 3 * depth + 2 + 3 * depth * heads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_index_matches_argmax(self, dtype):
+        # post-ReLU values from {0, 1, 2}: most windows tie, and the top-left
+        # windows of every image are all zero
+        rng = np.random.default_rng(7)
+        x = np.maximum(rng.integers(-2, 3, size=(3, 8, 10, 5)), 0).astype(dtype)
+        x[:, :4, :4] = 0.0
+        windows = _pool_windows(x)
+        y, idx = _pool_forward(x, want_index=True)
+        np.testing.assert_array_equal(idx, windows.argmax(axis=-1))
+        assert y.tobytes() == windows.max(axis=-1).tobytes()
+        y_only, none = _pool_forward(x)
+        assert none is None and y_only.tobytes() == y.tobytes()
+
+    def test_inference_memory_is_bounded(self):
+        # desk spec, batch 256, S = 28: a forward that built the backprop
+        # cache peaked at 106 MB and returned 98 MB of it
+        params = init_params(UNetSpec.desk(), 0)
+        x = np.random.default_rng(0).normal(size=(256, 28, 28, 9)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y, cache = _forward(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache is None and y.shape == (256, 28, 28, 1)
+        assert peak < 70e6, peak
 
 
 class TestMaskedLoss:
     def test_hand_case(self):
-        target = np.array([[[[1.0, 2.0], [3.0, 0.0]]]])
-        pred = np.array([[[[1.0, 1.0], [1.0, 0.0]]]])
+        target = np.array([[1.0, 2.0], [3.0, 0.0]]).reshape(1, 2, 2, 1)
+        pred = np.array([[1.0, 1.0], [1.0, 0.0]]).reshape(1, 2, 2, 1)
         mask = np.array([[[1, 1], [1, 0]]], dtype=np.uint8)
-        assert masked_mse(pred, target, mask) == 5.0 / 3.0
+        assert masked_loss(pred, target, mask) == 5.0 / 3.0
 
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
         x, y, m = random_batch(rng)
-        assert masked_mse(y, y, m) == 0.0
+        assert masked_loss(y, y, m) == 0.0
 
     def test_masked_pixels_ignored_exactly(self):
         rng = np.random.default_rng(1)
         _, y, m = random_batch(rng, n=3)
         pred = rng.normal(size=y.shape)
-        base = masked_mse(pred, y, m)
+        base = masked_loss(pred, y, m)
         # arbitrary garbage outside the mask must not move the loss at all
-        y2 = np.where((m == 0)[:, None], 1e6, y)
-        assert masked_mse(pred, y2, m) == base
+        y2 = np.where((m == 0)[..., None], 1e6, y)
+        assert masked_loss(pred, y2, m) == base
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -208,7 +316,7 @@ class TestMaskedLoss:
             n, c, s = int(rng.integers(1, 4)), int(rng.integers(1, 3)), 5
             _, y, m = random_batch(rng, n=n, s=s, ct=c)
             pred = rng.normal(size=y.shape)
-            assert masked_mse(pred, y, m) == pytest.approx(
+            assert masked_loss(pred, y, m) == pytest.approx(
                 masked_mse_oracle(pred, y, m), abs=1e-12
             )
 
@@ -216,26 +324,26 @@ class TestMaskedLoss:
         rng = np.random.default_rng(3)
         _, y, m = random_batch(rng, ct=2)
         pred = rng.normal(size=y.shape)
-        only_second = masked_mse(pred, y, m, channel_weights=(0.0, 1.0))
-        second_alone = masked_mse(pred[:, 1:], y[:, 1:], m)
+        only_second = masked_loss(pred, y, m, channel_weights=(0.0, 1.0))
+        second_alone = masked_loss(pred[..., 1:], y[..., 1:], m)
         assert only_second == pytest.approx(second_alone, abs=1e-15)
-        both = masked_mse(pred, y, m, channel_weights=(1.0, 1.0))
-        assert both == pytest.approx(masked_mse(pred, y, m), abs=1e-15)
+        both = masked_loss(pred, y, m, channel_weights=(1.0, 1.0))
+        assert both == pytest.approx(masked_loss(pred, y, m), abs=1e-15)
 
     def test_all_water_sample_rejected(self):
         rng = np.random.default_rng(4)
         _, y, m = random_batch(rng, n=2)
         m[1] = 0
         with pytest.raises(DataError, match="all-water"):
-            masked_mse(y, y, m)
+            masked_loss(y, y, m)
 
     def test_batch_loss_is_mean_of_sample_losses(self):
         rng = np.random.default_rng(5)
         _, y, m = random_batch(rng, n=4)
         pred = rng.normal(size=y.shape)
-        whole = masked_mse(pred, y, m)
+        whole = masked_loss(pred, y, m)
         per = [
-            masked_mse(pred[k : k + 1], y[k : k + 1], m[k : k + 1]) for k in range(4)
+            masked_loss(pred[k : k + 1], y[k : k + 1], m[k : k + 1]) for k in range(4)
         ]
         assert whole == pytest.approx(float(np.mean(per)), abs=1e-12)
 
@@ -348,8 +456,8 @@ class TestBackward:
         params = init_params(TINY, 0, dtype=np.float64)
         rng = np.random.default_rng(0)
         x, _, m = random_batch(rng)
-        target = forward(params, x)  # residuals vanish identically
-        loss, grads = loss_and_grads(params, nhwc(x), nhwc(target), m)
+        target = predict(params, x)  # residuals vanish identically
+        loss, grads = loss_and_grads(params, x, target, m)
         assert loss == 0.0
         for name, g in grads.items():
             np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
@@ -358,9 +466,9 @@ class TestBackward:
         params = init_params(TINY, 1, dtype=np.float64)
         rng = np.random.default_rng(1)
         x, y, m = random_batch(rng)
-        l1, g1 = loss_and_grads(params, nhwc(x), nhwc(y), m)
-        y2 = y + np.where((m == 0)[:, None], 100.0, 0.0)
-        l2, g2 = loss_and_grads(params, nhwc(x), nhwc(y2), m)
+        l1, g1 = loss_and_grads(params, x, y, m)
+        y2 = y + np.where((m == 0)[..., None], 100.0, 0.0)
+        l2, g2 = loss_and_grads(params, x, y2, m)
         assert l1 == l2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
@@ -369,8 +477,8 @@ class TestBackward:
         params = init_params(TINY, 2)
         rng = np.random.default_rng(2)
         x, y, m = random_batch(rng)
-        l1, g1 = loss_and_grads(params, nhwc(x), nhwc(y), m)
-        l2, g2 = loss_and_grads(params, nhwc(x), nhwc(y), m)
+        l1, g1 = loss_and_grads(params, x, y, m)
+        l2, g2 = loss_and_grads(params, x, y, m)
         assert l1 == l2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
@@ -380,10 +488,9 @@ class TestBackward:
         params = init_params(spec, 3, dtype=np.float64)
         rng = np.random.default_rng(3)
         x, y, m = random_batch(rng, ct=2)
-        xt, yt = nhwc(x), nhwc(y)
-        _, full = loss_and_grads(params, xt, yt, m)
+        _, full = loss_and_grads(params, x, y, m)
         subset = set(head_names(spec, "pop"))
-        _, part = loss_and_grads(params, xt, yt, m, trainable=subset)
+        _, part = loss_and_grads(params, x, y, m, trainable=subset)
         assert set(part) == subset
         for name in subset:
             np.testing.assert_array_equal(part[name], full[name])
@@ -395,11 +502,10 @@ class TestBackward:
         params = init_params(spec, 4, dtype=np.float64)
         rng = np.random.default_rng(4)
         x, y, m = random_batch(rng, ct=2)
-        xt, yt = nhwc(x), nhwc(y)
         w = np.array([0.0, 1.0])
-        _, full = loss_and_grads(params, xt, yt, m, channel_weights=w)
+        _, full = loss_and_grads(params, x, y, m, channel_weights=w)
         subset = set(head_names(spec, "pop"))
-        _, part = loss_and_grads(params, xt, yt, m, channel_weights=w, trainable=subset)
+        _, part = loss_and_grads(params, x, y, m, channel_weights=w, trainable=subset)
         for name in subset:
             np.testing.assert_array_equal(part[name], full[name])
 
@@ -424,14 +530,14 @@ class TestBackward:
         x = rng.normal(size=(3, 12, 12, 9)).astype(np.float32)
         g = rng.normal(size=(3, 12, 12, 2)).astype(np.float32)
         trainable = set(head_names(spec, "pop")) if frozen_encoder else None
-        _, cache = _forward(params, x)
+        _, cache = _forward(params, x, keep_cache=True)
         got = _backward(params, cache, g, trainable)
 
         def always_dx(x, w, g, need_dx=True):
             return _conv_backward(x, w, g)
 
         monkeypatch.setattr(unet, "_conv_backward", always_dx)
-        _, cache = _forward(params, x)
+        _, cache = _forward(params, x, keep_cache=True)
         want = _backward(params, cache, g, trainable)
         assert sorted(got) == sorted(want)
         for name in want:
@@ -443,7 +549,7 @@ class TestBackward:
         rng = np.random.default_rng(5)
         x, y, m = random_batch(rng)
         with pytest.raises(NumericError):
-            loss_and_grads(params, nhwc(x), nhwc(y), m)
+            loss_and_grads(params, x, y, m)
 
     def test_batch_validation(self):
         # one tile's target or mask must not broadcast over the batch, and a
@@ -452,11 +558,11 @@ class TestBackward:
         rng = np.random.default_rng(6)
         x, y, m = random_batch(rng)
         with pytest.raises(ShapeError):
-            loss_and_grads(params, nhwc(x), nhwc(y[:1]), m)
+            loss_and_grads(params, x, y[:1], m)
         with pytest.raises(ShapeError):
-            loss_and_grads(params, nhwc(x), nhwc(y), m[:1])
+            loss_and_grads(params, x, y, m[:1])
         with pytest.raises(IntegrityError):
-            loss_and_grads(params, nhwc(x), nhwc(y), m + 1)
+            loss_and_grads(params, x, y, m + 1)
 
 
 class TestGradCheck:
@@ -507,8 +613,8 @@ class TestCheckpoints:
         path = tmp_path / "model.unpk"
         save_params(params, path)
         back = load_params(path)
-        x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
-        np.testing.assert_array_equal(forward(params, x), forward(back, x))
+        x = np.random.default_rng(0).normal(size=(2, 8, 8, 3))
+        np.testing.assert_array_equal(predict(params, x), predict(back, x))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.unpk"
