@@ -4,7 +4,8 @@ The training set uses exactly {identity, horizontal flip, vertical flip,
 rotation by 90/180/270 degrees}, applied identically to input channels,
 target channels, and mask.  Rot90 is 90 degrees counterclockwise, pinned by
 the index map (i, j) -> (S-1-j, i); all other conventions follow from it.
-Evaluation never augments.
+Augmented tiles are gathered through the tiler's window offset table as
+rearranged by :func:`transform_plane`.  Evaluation never augments.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ class Transform(enum.Enum):
     ROT270 = "rot270"
 
 
-#: Fixed augmentation order used everywhere a set of variants is produced.
-TRANSFORMS: tuple[Transform, ...] = (
-    Transform.IDENTITY,
-    Transform.HFLIP,
-    Transform.VFLIP,
-    Transform.ROT90,
-    Transform.ROT180,
-    Transform.ROT270,
-)
+#: Fixed augmentation order used everywhere a set of variants is produced:
+#: the order the transforms are defined in.
+TRANSFORMS: tuple[Transform, ...] = tuple(Transform)
+
+# counterclockwise quarter turns of the transforms that are rotations
+_TURNS = {Transform.IDENTITY: 0, Transform.ROT90: 1, Transform.ROT180: 2, Transform.ROT270: 3}
 
 
 def transform_plane(
@@ -46,20 +44,12 @@ def transform_plane(
         raise ShapeError(
             f"spatial axes must be square, got {plane.shape[rows]}x{plane.shape[cols]}"
         )
-    if t is Transform.IDENTITY:
-        out = plane
-    elif t is Transform.HFLIP:
+    if t is Transform.HFLIP:
         out = np.flip(plane, axis=cols)
     elif t is Transform.VFLIP:
         out = np.flip(plane, axis=rows)
-    elif t is Transform.ROT90:
-        out = np.rot90(plane, 1, axes=axes)
-    elif t is Transform.ROT180:
-        out = np.rot90(plane, 2, axes=axes)
-    elif t is Transform.ROT270:
-        out = np.rot90(plane, 3, axes=axes)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown transform {t!r}")
+    else:
+        out = np.rot90(plane, _TURNS[t], axes=axes)
     return np.ascontiguousarray(out)
 
 
@@ -69,29 +59,19 @@ class AugmentedTiles:
     Index ``k`` maps to base tile ``i = k % n`` under transform
     ``TRANSFORMS[(i + k // n) % 6]``: a diagonal enumeration, so consecutive
     samples differ in both base tile and transform rather than replaying one
-    tile six times in a row.
+    tile six times in a row.  A batch is one gather of the base dataset.
     """
 
     def __init__(self, base: TileDataset):
         self.base = base
+        self.offsets = np.stack([transform_plane(base.offsets, t) for t in TRANSFORMS])
 
     def __len__(self) -> int:
         return 6 * len(self.base)
 
     def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather NHWC arrays like TileDataset.batch, applying each transform."""
+        """Gather NHWC arrays like TileDataset.batch, each under its transform."""
         idx = np.asarray(indices)
         n = len(self.base)
         base_idx = idx % n
-        t_idx = (base_idx + idx // n) % 6
-        x, y, m = self.base.batch(base_idx)
-        x, y, m = x.copy(), y.copy(), m.copy()
-        for ti in range(6):
-            rows = t_idx == ti
-            if not rows.any() or TRANSFORMS[ti] is Transform.IDENTITY:
-                continue
-            t = TRANSFORMS[ti]
-            x[rows] = transform_plane(x[rows], t, axes=(1, 2))
-            y[rows] = transform_plane(y[rows], t, axes=(1, 2))
-            m[rows] = transform_plane(m[rows], t, axes=(1, 2))
-        return x, y, m
+        return self.base.gather(base_idx, self.offsets[(base_idx + idx // n) % 6])

@@ -13,6 +13,8 @@ import sys
 import time
 
 DEFAULT_TEST_REGIONS = "USA,CHN,GBR,MWI"
+_TEST_REGIONS_HELP = (f"comma-separated held-out regions (default {DEFAULT_TEST_REGIONS}; "
+                      "required when the grid names none of them)")
 DEFAULT_PAD = 20
 WINDOW_CHOICES = (16, 22, 28)
 _HEAD_FOR_TARGET = {"delta_urban": "urban", "delta_population": "pop"}
@@ -38,24 +40,34 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _regions_list(text: str) -> list[str]:
+def _split(grid, test_regions: str | None):
+    """Region split of ``grid``.  Without --test-regions the defaults apply,
+    and the grid must name one of them; a named unknown region only warns."""
+    from .grid import assign_split
+
+    known = sorted(grid.region_table.values())
+    if test_regions is None and not set(known) & set(DEFAULT_TEST_REGIONS.split(",")):
+        raise _UsageError(f"the grid names none of the default test regions "
+                          f"{DEFAULT_TEST_REGIONS}; pick some with --test-regions "
+                          f"(grid regions: {', '.join(known)})")
+    text = DEFAULT_TEST_REGIONS if test_regions is None else test_regions
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         raise _UsageError("--test-regions needs at least one region name")
-    return names
+    return assign_split(grid, names)
 
 
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _load_split_normalize(grid_path, test_regions: str, pad: int):
+def _load_split_normalize(grid_path, test_regions: str | None, pad: int):
     """Padded grid, split, and train-fitted normalized inputs."""
-    from .grid import assign_split, load_grid, normalize_channels, pad_grid
+    from .grid import load_grid, normalize_channels, pad_grid
     from .synth import INPUT_CHANNELS
 
     world = load_grid(grid_path)
     padded = pad_grid(world, pad)
-    split = assign_split(padded, _regions_list(test_regions))
+    split = _split(padded, test_regions)
     norm, stats = normalize_channels(
         padded, fit_mask=split.train_mask, channels=INPUT_CHANNELS
     )
@@ -114,8 +126,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", required=True, help="input WGRD world file")
-    p.add_argument("--test-regions", default=DEFAULT_TEST_REGIONS,
-                   help=f"comma-separated held-out regions (default {DEFAULT_TEST_REGIONS})")
+    p.add_argument("--test-regions", help=_TEST_REGIONS_HELP)
     p.add_argument("--pad", type=int, default=DEFAULT_PAD,
                    help=f"zero-padding border in pixels (default {DEFAULT_PAD})")
     p.add_argument("--window", type=int, choices=WINDOW_CHOICES, default=28,
@@ -142,10 +153,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    from .grid import assign_split, load_grid
+    from .grid import load_grid
 
     grid = load_grid(args.grid)
-    split = assign_split(grid, _regions_list(args.test_regions))
+    split = _split(grid, args.test_regions)
     n_land = int(grid.mask.sum())
     n_train = int(split.train_mask.sum())
     n_test = int(split.test_mask.sum())
@@ -397,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="show train/test pixel counts")
     p.add_argument("--grid", required=True)
-    p.add_argument("--test-regions", default=DEFAULT_TEST_REGIONS)
+    p.add_argument("--test-regions", help=_TEST_REGIONS_HELP)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="train a single-task model")

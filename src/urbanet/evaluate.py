@@ -141,14 +141,13 @@ def predict_world(
     hp, wp = grid.height, grid.width
     tls = ds.centers_padded - np.asarray(window.center_offset)  # row-major
     ar = np.arange(s)
-    dtype = next(iter(params.arrays.values())).dtype
     land = np.asarray(grid.mask)[:, pad : wp - pad] == 1
 
     # Tile (tr, tc) stores its value for pixel (q, c) in slot
     # (q - tr) * S + (c - tc) of row q.  Top rows never decrease, so before
     # the tiles with top row t are stored every row above t is final, and
     # the open rows fit a ring of S rows indexed by q % S.
-    ring = np.full((s, len(spec.heads), wp, s * s), np.nan, dtype)
+    ring = np.full((s, len(spec.heads), wp, s * s), np.nan, params.dtype)
     slot = ar[:, None] * s + ar[None, :]
     planes = np.zeros((len(spec.heads), hp - 2 * pad, wp - 2 * pad))
     count = np.zeros((hp - 2 * pad, wp - 2 * pad), np.int64)
@@ -169,7 +168,6 @@ def predict_world(
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         x, _, _ = ds.batch(idx)
-        x = np.ascontiguousarray(x, dtype=dtype)  # drops the float64 gather
         y, _ = _forward(params, x)  # (B,S,S,C)
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite prediction in batch {start // batch_size} "

@@ -14,8 +14,8 @@ On-disk format (``WGRD``, little-endian)::
     regions plane:     H*W u16, row-major
     channel planes:    H*W f64, row-major, in directory order
 
-All grid-layer arithmetic stays in float64; the network layer downcasts on its
-own terms.
+All grid-layer arithmetic stays in float64.  The tiler keeps the network
+inputs it gathers in float32 (see :mod:`urbanet.tiler`); targets stay float64.
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ Windows of even size have no exact center, so the center pixel sits at index
 ``S // 2`` and the window spans ``[r - S//2, r + S//2 - 1]`` — the maximum
 reach from the center is ``S // 2`` pixels, which the padding must cover.
 
-Tiles are materialized lazily: :class:`TileDataset` keeps sliding-window
-views over the stacked channel planes and copies windows out only when a
-batch is requested.  Densely sampling a world of any real size as
-one array would not fit in memory, by design.
+Tiles are materialized lazily: :class:`TileDataset` keeps inputs (float32),
+targets (float64, for the loss) and mask (uint8) as flat channel-last pixel
+tables and gathers a batch with one ``np.take`` each, at every tile's flat
+top-left index plus an (S, S) table of window offsets ``i * W + j``; a
+transformed tile is just another offset table.  Densely sampling a world of
+any real size as one array would not fit in memory, by design.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ShapeError
 from .grid import TEST, TRAIN, SplitAssignment, WorldGrid
@@ -120,11 +121,12 @@ class TileDataset:
                     f"({off_r}, {off_c}); need at least {window.max_reach}"
                 )
 
-        self._in_stack = grid.stacked(self.input_names)
-        self._tg_stack = grid.stacked(self.target_names)
-        self._in_win = sliding_window_view(self._in_stack, (s, s), axis=(0, 1))
-        self._tg_win = sliding_window_view(self._tg_stack, (s, s), axis=(0, 1))
-        self._mask_win = sliding_window_view(np.asarray(grid.mask), (s, s))
+        h, w = grid.height, grid.width
+        self._inputs = grid.stacked(self.input_names).astype(np.float32).reshape(h * w, -1)
+        self._targets = grid.stacked(self.target_names).reshape(h * w, -1)
+        self._mask = np.asarray(grid.mask, np.uint8).reshape(h * w)
+        self._top_left = (self._centers_p - (off_r, off_c)) @ np.array([w, 1])
+        self.offsets = np.arange(s)[:, None] * w + np.arange(s)
 
     def __len__(self) -> int:
         return len(self._centers_p)
@@ -139,15 +141,18 @@ class TileDataset:
 
     def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gather tiles ``indices`` as NHWC arrays: (B,S,S,C_in), (B,S,S,C_t), (B,S,S)."""
-        idx = np.asarray(indices)
-        off_r, off_c = self.window.center_offset
-        tr = self._centers_p[idx, 0] - off_r
-        tc = self._centers_p[idx, 1] - off_c
-        # views are (..., C, S, S); move channels last for the network layer
-        x = self._in_win[tr, tc].transpose(0, 2, 3, 1)
-        y = self._tg_win[tr, tc].transpose(0, 2, 3, 1)
-        m = self._mask_win[tr, tc]
-        return x, y, m
+        return self.gather(indices, self.offsets)
+
+    def gather(
+        self, indices: np.ndarray, offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Like :meth:`batch`, with window position (i, j) of each tile read
+        from ``offsets[..., i, j]`` pixels past its top-left pixel; ``offsets``
+        is one (S, S) table or a (B, S, S) table per tile."""
+        flat = self._top_left[np.asarray(indices), None, None] + offsets
+        return (np.take(self._inputs, flat, axis=0),
+                np.take(self._targets, flat, axis=0),
+                np.take(self._mask, flat))
 
 
 def coverage_count(grid: WorldGrid, window: WindowSpec) -> np.ndarray:

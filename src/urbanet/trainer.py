@@ -184,12 +184,10 @@ def evaluate_loss(
     """Sample-weighted masked MSE over a tile stream (no updates)."""
     if len(tiles) == 0:
         raise DataError("cannot evaluate an empty tile stream")
-    dtype = next(iter(params.arrays.values())).dtype
     total, count = 0.0, 0
     for start in range(0, len(tiles), batch_size):
         idx = np.arange(start, min(start + batch_size, len(tiles)))
         x, y, m = tiles.batch(idx)
-        x = np.ascontiguousarray(x, dtype=dtype)  # drops the float64 gather
         pred, _ = _forward(params, x)
         loss, _ = _masked_loss_grad(pred, y, m, channel_weights)
         total += loss * len(idx)
@@ -367,8 +365,7 @@ def build_multitask(
     if any(name == head for name, _ in spec.heads):
         raise SpecError(f"model already has a head named {head!r}")
     new_spec = replace(spec, heads=spec.heads + ((head, out_channels),))
-    dtype = next(iter(pretrained.arrays.values())).dtype
-    fresh = init_params(new_spec, seed=seed, dtype=dtype)
+    fresh = init_params(new_spec, seed=seed, dtype=pretrained.dtype)
     for name, arr in pretrained.arrays.items():
         fresh.arrays[name] = arr.copy()
     validate_params(fresh)

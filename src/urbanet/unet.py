@@ -167,6 +167,11 @@ class UNetParams:
     arrays: dict[str, np.ndarray]
 
     @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: every array shares it."""
+        return next(iter(self.arrays.values())).dtype
+
+    @property
     def n_parameters(self) -> int:
         return sum(a.size for a in self.arrays.values())
 
@@ -392,7 +397,8 @@ def _forward(
     kept cache also records how far the batch sits from every ReLU kink and
     pooling tie — used to pick well-conditioned probe points for finite
     differencing.  Either way each convolution adds its bias and applies its
-    ReLU block by block, and the outputs are the same bytes.
+    ReLU block by block, and the outputs are the same bytes.  ``x`` is cast
+    to the parameters' dtype, so callers pass their tiles as gathered.
     """
     spec = params.spec
     arrays = params.arrays
@@ -400,6 +406,7 @@ def _forward(
         raise ShapeError(
             f"expected inputs (N, H, W, {spec.input_channels}), got {x.shape}"
         )
+    x = np.ascontiguousarray(x, dtype=params.dtype)
     n, h, w, _ = x.shape
     mult = 1 << spec.depth
     pt, pb = _pad_amounts(h, mult)
@@ -628,12 +635,11 @@ def loss_and_grads(
     trainable: set[str] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Fused forward + masked loss + backward on channel-last arrays."""
-    dtype = next(iter(params.arrays.values())).dtype
-    pred, cache = _forward(params, np.ascontiguousarray(x, dtype=dtype), keep_cache=True)
+    pred, cache = _forward(params, x, keep_cache=True)
     loss, g = _masked_loss_grad(pred, y, m, channel_weights)
     if not math.isfinite(loss):
         raise NumericError(f"masked loss is non-finite ({loss})")
-    grads = _backward(params, cache, g.astype(dtype, copy=False), trainable)
+    grads = _backward(params, cache, g.astype(params.dtype, copy=False), trainable)
     return loss, grads
 
 

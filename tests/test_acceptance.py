@@ -277,7 +277,7 @@ def test_median_aggregation_oracle():
         buckets = {}
         for b in range(len(ds)):
             x, _, _ = ds.batch(np.array([b]))
-            y, _ = _forward(params, np.ascontiguousarray(x, dtype=np.float32))
+            y, _ = _forward(params, x)
             tr, tc = ds.centers_padded[b] - win.center_offset
             for a in range(5):
                 for cc in range(5):

@@ -39,11 +39,12 @@ def make_dataset(mask, inputs, target, pad=3, size=4):
 
 
 def oracle(base, i, t):
-    """Base tile ``i`` under ``t``: a direct slice of the stacked planes."""
+    """Base tile ``i`` under ``t``: a direct slice of the stacked planes,
+    with the inputs cast to the float32 the tiler stores them in."""
     s = base.window.size
     tr, tc = base.centers_padded[i] - base.window.center_offset
     window = np.s_[tr : tr + s, tc : tc + s]
-    planes = (base.grid.stacked(base.input_names)[window],
+    planes = (base.grid.stacked(base.input_names)[window].astype(np.float32),
               base.grid.stacked(base.target_names)[window],
               np.asarray(base.grid.mask)[window])
     return tuple(transform_plane(p, t, axes=(0, 1)) for p in planes)
@@ -165,10 +166,13 @@ class TestAugmentSet:
         rng = np.random.default_rng(4)
         mask = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
         mask[2, 2] = 1
-        plane = rng.normal(size=(5, 5))
+        # float32-representable inputs, so the float32 input tiles hold them
+        # exactly and the relation can be recomputed in float64
+        plane = rng.normal(size=(5, 5)).astype(np.float32).astype(np.float64)
         aug = AugmentedTiles(make_dataset(mask, [plane], 2.0 * plane + 1.0))
         x, y, m = aug.batch(np.arange(len(aug)))
-        np.testing.assert_array_equal(y[..., 0], (2.0 * x[..., 0] + 1.0) * m)
+        np.testing.assert_array_equal(
+            y[..., 0], (2.0 * x[..., 0].astype(np.float64) + 1.0) * m)
 
 
 class TestAugmentedTiles:
@@ -218,3 +222,52 @@ class TestAugmentedTiles:
             np.testing.assert_array_equal(x[b], want_x)
             np.testing.assert_array_equal(y[b], want_y)
             np.testing.assert_array_equal(m[b], want_m)
+
+
+class TestGatherGeometry:
+    """Plain and augmented batches against the slice oracle on a padded
+    world whose height and width differ, so a window offset table built
+    with the wrong row stride cannot pass."""
+
+    def make_aug(self, size):
+        rng = np.random.default_rng(size)
+        mask = rng.integers(0, 2, size=(5, 9)).astype(np.uint8)
+        mask[2, 4] = 1
+        inputs = [rng.normal(size=(5, 9)) for _ in range(2)]
+        base = make_dataset(mask, inputs, rng.normal(size=(5, 9)), pad=size, size=size)
+        assert base.grid.height != base.grid.width
+        return AugmentedTiles(base)
+
+    def expected(self, stream, ks):
+        """Oracle batch for ``ks``: plain tiles, or augmented samples."""
+        if isinstance(stream, AugmentedTiles):
+            n = len(stream.base)
+            pairs = [(k % n, TRANSFORMS[(k % n + k // n) % 6]) for k in ks]
+            stream = stream.base
+        else:
+            pairs = [(k, Transform.IDENTITY) for k in ks]
+        tiles = [oracle(stream, i, t) for i, t in pairs]
+        return tuple(np.stack(planes) for planes in zip(*tiles))
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_batches_match_slice_oracle(self, size):
+        aug = self.make_aug(size)
+        n = len(aug.base)
+        assert {TRANSFORMS[(k % n + k // n) % 6] for k in range(len(aug))} == set(TRANSFORMS)
+        for stream in (aug.base, aug):
+            ks = np.arange(len(stream))
+            for got, want in zip(stream.batch(ks), self.expected(stream, ks)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_batches_are_fresh_contiguous_arrays(self, size):
+        aug = self.make_aug(size)
+        for stream in (aug.base, aug):
+            ks = np.array([len(stream) - 1, 0, len(stream) // 2, 0])
+            first = stream.batch(ks)
+            for arr, dtype in zip(first, (np.float32, np.float64, np.uint8)):
+                assert arr.dtype == dtype and arr.flags.c_contiguous
+                arr.fill(7)
+            for got, want in zip(stream.batch(ks), self.expected(stream, ks)):
+                assert got.tobytes() == want.tobytes()

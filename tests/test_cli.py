@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import urbanet
-from urbanet import evaluate
+from urbanet import evaluate, trainer
 from urbanet.cli import main
 from urbanet.grid import load_grid, pad_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
@@ -70,6 +70,37 @@ class TestUsage:
         rc = main(command + ["--grid", str(world_file), "--pad", "-1"])
         assert rc == 1
         assert "error: --pad must be >= 0" in capsys.readouterr().err
+
+
+class TestDefaultTestRegions:
+    # synth worlds name their regions R01, R02, ..., none of the defaults
+    @pytest.mark.parametrize("command", [
+        ["split"],
+        ["train", "--window", "16", "--pad", "8", "--depth", "1",
+         "--base-features", "4", "--max-epochs", "1"],
+        ["multitask", "--window", "16", "--pad", "8", "--checkpoint", "CKPT"],
+        ["eval", "--window", "16", "--pad", "8", "--split", "all",
+         "--checkpoint", "CKPT", "--report", "OUT/r.csv"],
+    ], ids=lambda command: command[0])
+    def test_omitted_flag_fails_before_work(self, world_file, run_dir, tmp_path,
+                                            monkeypatch, capsys, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran without a test split")
+
+        for module, name in ((trainer, "train"), (trainer, "train_multitask"),
+                             (evaluate, "predict_world")):
+            monkeypatch.setattr(module, name, no_work)
+        ckpt = str(run_dir / "unet_urban_sz16.unpk")
+        argv = [a.replace("CKPT", ckpt).replace("OUT", str(tmp_path)) for a in command]
+        if command[0] in ("train", "multitask"):
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv + ["--grid", str(world_file)]) == 1
+        regions = ", ".join(sorted(load_grid(world_file).region_table.values()))
+        assert regions.startswith("R01, R02")
+        err = capsys.readouterr().err
+        assert "none of the default test regions USA,CHN,GBR,MWI" in err
+        assert f"(grid regions: {regions})" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSynth:

@@ -40,12 +40,11 @@ def brute_force_predict(params, grid, window, *, pad, split=None, split_filter="
                      target_names=(), split=split, split_filter=split_filter)
     s = window.size
     off_r, off_c = window.center_offset
-    dtype = next(iter(params.arrays.values())).dtype
     buckets: dict[tuple[int, int], list[float]] = {}
     for start in range(0, len(ds), batch_size):
         idx = np.arange(start, min(start + batch_size, len(ds)))
         x, _, _ = ds.batch(idx)
-        y, _ = _forward(params, np.ascontiguousarray(x, dtype=dtype))
+        y, _ = _forward(params, x)
         for b, i in enumerate(idx):
             tr, tc = ds.centers_padded[i] - (off_r, off_c)
             for a in range(s):
@@ -96,7 +95,7 @@ def global_sort_reference(params, grid, window, *, pad, split=None,
     for start in range(0, len(ds), batch_size):
         idx = np.arange(start, min(start + batch_size, len(ds)))
         x, _, _ = ds.batch(idx)
-        y, _ = evaluate._forward(params, np.ascontiguousarray(x, dtype=np.float32))
+        y, _ = evaluate._forward(params, x)
         rows = tls[idx, 0, None, None] + ar[None, :, None]
         cols = tls[idx, 1, None, None] + ar[None, None, :]
         pix_chunks.append((rows * wp + cols).reshape(-1))

@@ -42,11 +42,12 @@ def index_of(ds, center):
 
 
 def oracle_tile(ds, i):
-    """Tile ``i`` sliced straight from the stacked planes, channel-last."""
+    """Tile ``i`` sliced straight from the stacked planes, channel-last,
+    with the inputs cast to the float32 the tiler stores them in."""
     s = ds.window.size
     tr, tc = ds.centers_padded[i] - ds.window.center_offset
     window = np.s_[tr : tr + s, tc : tc + s]
-    return (ds.grid.stacked(ds.input_names)[window],
+    return (ds.grid.stacked(ds.input_names)[window].astype(np.float32),
             ds.grid.stacked(ds.target_names)[window],
             np.asarray(ds.grid.mask)[window])
 
@@ -83,7 +84,7 @@ class TestTileAt:
         world = make_world(np.ones((1, 1), np.uint8))
         ds = dataset(world, size=1, pad=20)
         x, _, m = ds.batch(np.array([0]))
-        assert x[0, 0, 0, 0] == world.channels["in0"][0, 0]
+        assert x[0, 0, 0, 0] == np.float32(world.channels["in0"][0, 0])
         assert m[0, 0, 0] == 1
 
     def test_values_match_index_oracle(self):

@@ -323,7 +323,6 @@ class TestMultiTask:
         pre = init_params(TINY, seed=7)
         multi = build_multitask(pre, head="pop", seed=1)
         x, _, _ = train_stream.batch(np.arange(8))
-        x = np.ascontiguousarray(x, dtype=np.float32)
         out_single, _ = _forward(pre, x)
         out_multi, _ = _forward(multi, x)
         assert np.array_equal(out_multi[..., :1], out_single)

@@ -78,8 +78,7 @@ def masked_loss(pred, target, mask, channel_weights=None):
 
 def predict(params, x):
     """The forward output for channel-last ``x`` in the parameters' dtype."""
-    dtype = next(iter(params.arrays.values())).dtype
-    y, cache = _forward(params, np.ascontiguousarray(x, dtype=dtype))
+    y, cache = _forward(params, x)
     assert cache is None
     return y
 
@@ -227,6 +226,15 @@ class TestForward:
         out2 = predict(params, x)
         np.testing.assert_array_equal(out2[..., 1], 0.0)
         np.testing.assert_array_equal(out2[..., 0], out[..., 0])
+
+    @pytest.mark.parametrize("keep_cache", [False, True])
+    def test_input_cast_to_param_dtype(self, keep_cache):
+        params = init_params(TINY, 0)
+        x = np.random.default_rng(4).normal(size=(2, 8, 8, 3))
+        y64, _ = _forward(params, x, keep_cache=keep_cache)
+        y32, _ = _forward(params, x.astype(np.float32), keep_cache=keep_cache)
+        assert y64.dtype == np.float32
+        assert y64.tobytes() == y32.tobytes()
 
     def test_wrong_channel_count_rejected(self):
         params = init_params(TINY, 0)
