@@ -1,35 +1,10 @@
 """Masked pixel-wise U-Net regression on multi-channel world grids.
 
-Submodules are imported lazily so that lightweight entry points (argument
-parsing, ``--threads`` environment setup) never pay the numpy import cost.
+The package module imports none of its submodules, so a bare
+``import urbanet`` and the lightweight entry points (argument parsing,
+``--threads`` environment setup) never pay the numpy import cost.  Import
+a submodule by name: ``from urbanet import tiler`` or
+``from urbanet.tiler import TileDataset``.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "augment",
-    "cli",
-    "errors",
-    "evaluate",
-    "grid",
-    "synth",
-    "tiler",
-    "trainer",
-    "unet",
-)
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))

@@ -157,10 +157,7 @@ def _cmd_split(args) -> int:
 
     grid = load_grid(args.grid)
     split = _split(grid, args.test_regions)
-    n_land = int(grid.mask.sum())
-    n_train = int(split.train_mask.sum())
-    n_test = int(split.test_mask.sum())
-    print(f"land={n_land} train={n_train} test={n_test}")
+    print(f"land={split.n_train + split.n_test} train={split.n_train} test={split.n_test}")
     return 0
 
 

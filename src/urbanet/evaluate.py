@@ -16,7 +16,7 @@ numbers, which are bundled as data and never recomputed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -347,11 +347,10 @@ def load_baseline() -> list[MetricsRow]:
         return load_report(path).rows
 
 
-def export_report(report: EvalReport, path, *, include_baseline: bool = True) -> None:
+def export_report(report: EvalReport, path) -> None:
     """Write the final report, baseline rows first."""
     merged = EvalReport()
-    if include_baseline:
-        merged.extend(load_baseline())
+    merged.extend(load_baseline())
     merged.extend(report.rows)
     save_report(merged, path)
 

@@ -25,7 +25,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class WorldGrid:
     @property
     def channel_names(self) -> tuple[str, ...]:
         return tuple(self.channels)
-
-    @property
-    def land_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
 
     def stacked(self, names: Iterable[str] | None = None) -> np.ndarray:
         """Stack channels into an (H, W, C) array in the given (or directory) order."""
@@ -361,44 +357,6 @@ def normalize_channels(
     return dataclasses.replace(grid, channels=new_channels), stats
 
 
-def save_stats(stats: NormStats, path: str | Path) -> None:
-    lines = [
-        f"channel={name} min={lo!r} max={hi!r}\n"
-        for name, (lo, hi) in stats.channels.items()
-    ]
-    Path(path).write_text("".join(lines), encoding="ascii")
-
-
-def load_stats(path: str | Path) -> NormStats:
-    table: dict[str, tuple[float, float]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            head, min_part, max_part = line.rsplit(" ", 2)
-            name = _expect_key(head, "channel", path, lineno)
-            lo = float(_expect_key(min_part, "min", path, lineno))
-            hi = float(_expect_key(max_part, "max", path, lineno))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed stats line {line!r}") from exc
-        if name in table:
-            raise IntegrityError(f"{path}:{lineno}: duplicate channel {name!r}")
-        if hi < lo:
-            raise IntegrityError(f"{path}:{lineno}: max {hi!r} < min {lo!r}")
-        table[name] = (lo, hi)
-    if not table:
-        raise FormatError(f"{path}: no stats lines found")
-    return NormStats(channels=table)
-
-
-def _expect_key(part: str, key: str, path: str | Path, lineno: int) -> str:
-    prefix = key + "="
-    if not part.startswith(prefix):
-        raise FormatError(f"{path}:{lineno}: expected {prefix}..., got {part!r}")
-    return part[len(prefix):]
-
-
 def assign_split(grid: WorldGrid, test_regions: Iterable[str]) -> SplitAssignment:
     """Label each pixel train/test/water; test = land whose region is listed.
 
@@ -420,9 +378,3 @@ def assign_split(grid: WorldGrid, test_regions: Iterable[str]) -> SplitAssignmen
         labels[land & np.isin(grid.regions, test_codes)] = TEST
     return SplitAssignment(test_regions=wanted, labels=labels)
 
-
-def region_iso(grid: WorldGrid, code: int) -> str:
-    """ISO text for a region code; water/unknown codes get a stable fallback."""
-    if code == 0:
-        return "WATER"
-    return grid.region_table.get(code, f"R{code}")

@@ -3,9 +3,11 @@
 The sampler works on a *padded* grid (see :func:`urbanet.grid.pad_grid`) so
 every window stays in bounds; ``centers_padded`` holds the tile centers in
 padded coordinates (subtract ``pad`` for the unpadded grid).
-Windows of even size have no exact center, so the center pixel sits at index
-``S // 2`` and the window spans ``[r - S//2, r + S//2 - 1]`` — the maximum
-reach from the center is ``S // 2`` pixels, which the padding must cover.
+The center pixel sits at window index ``(S // 2, S // 2)``, so a tile
+centered at ``r`` spans rows ``[r - S//2, r - S//2 + S - 1]``.  Windows of
+even size have no exact center; theirs is the lower-right of the middle
+four.  Either way the window reaches ``S // 2`` pixels from its center,
+which the padding must cover.
 
 Tiles are materialized lazily: :class:`TileDataset` keeps inputs (float32),
 targets (float64, for the loss) and mask (uint8) as flat channel-last pixel
@@ -17,7 +19,7 @@ any real size as one array would not fit in memory, by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -30,29 +32,23 @@ SPLIT_FILTERS = ("train", "test", "all")
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Square sampling window; ``center_offset`` defaults to (S//2, S//2)."""
+    """Square S×S sampling window centered at window index (S//2, S//2)."""
 
     size: int
-    center_offset: tuple[int, int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.size < 1:
             raise ShapeError(f"window size must be >= 1, got {self.size}")
-        if self.center_offset is None:
-            object.__setattr__(
-                self, "center_offset", (self.size // 2, self.size // 2)
-            )
-        off_r, off_c = self.center_offset
-        if not (0 <= off_r < self.size and 0 <= off_c < self.size):
-            raise ShapeError(
-                f"center_offset {self.center_offset} outside window of size {self.size}"
-            )
+
+    @property
+    def center_offset(self) -> tuple[int, int]:
+        """Window index (row, col) of the center pixel."""
+        return self.size // 2, self.size // 2
 
     @property
     def max_reach(self) -> int:
         """Largest distance the window extends from its center, any direction."""
-        off_r, off_c = self.center_offset
-        return max(off_r, off_c, self.size - 1 - off_r, self.size - 1 - off_c)
+        return self.size // 2
 
 
 class TileDataset:
@@ -110,22 +106,21 @@ class TileDataset:
             self._centers_p[:, 0], self._centers_p[:, 1]
         ]
 
-        s = window.size
-        off_r, off_c = window.center_offset
+        s, off = window.size, window.size // 2
         if len(self._centers_p):
-            top = self._centers_p.min(axis=0) - (off_r, off_c)
-            bot = self._centers_p.max(axis=0) - (off_r, off_c) + s
+            top = self._centers_p.min(axis=0) - off
+            bot = self._centers_p.max(axis=0) - off + s
             if top.min() < 0 or bot[0] > grid.height or bot[1] > grid.width:
                 raise ShapeError(
-                    f"padding {pad} too small for window size {s} with offset "
-                    f"({off_r}, {off_c}); need at least {window.max_reach}"
+                    f"padding {pad} too small for window size {s}; "
+                    f"need at least {window.max_reach}"
                 )
 
         h, w = grid.height, grid.width
         self._inputs = grid.stacked(self.input_names).astype(np.float32).reshape(h * w, -1)
         self._targets = grid.stacked(self.target_names).reshape(h * w, -1)
         self._mask = np.asarray(grid.mask, np.uint8).reshape(h * w)
-        self._top_left = (self._centers_p - (off_r, off_c)) @ np.array([w, 1])
+        self._top_left = (self._centers_p - off) @ np.array([w, 1])
         self.offsets = np.arange(s)[:, None] * w + np.arange(s)
 
     def __len__(self) -> int:
@@ -159,19 +154,18 @@ def coverage_count(grid: WorldGrid, window: WindowSpec) -> np.ndarray:
     """How many sampled tiles contain each pixel of the (padded) grid.
 
     Pixel q lies inside the tile centered at p exactly when p falls in the
-    S×S box ``[q + off - S + 1, q + off]``, so the count is a box sum of the
+    S×S box ``[q + S//2 - S + 1, q + S//2]``, so the count is a box sum of the
     land mask, computed with a summed-area table.
     """
     land = (np.asarray(grid.mask) == 1).astype(np.int64)
     h, w = land.shape
     sat = np.zeros((h + 1, w + 1), np.int64)
     np.cumsum(np.cumsum(land, axis=0), axis=1, out=sat[1:, 1:])
-    s = window.size
-    off_r, off_c = window.center_offset
-    r0 = np.clip(np.arange(h) + off_r - s + 1, 0, h)
-    r1 = np.clip(np.arange(h) + off_r + 1, 0, h)
-    c0 = np.clip(np.arange(w) + off_c - s + 1, 0, w)
-    c1 = np.clip(np.arange(w) + off_c + 1, 0, w)
+    s, off = window.size, window.size // 2
+    r0 = np.clip(np.arange(h) + off - s + 1, 0, h)
+    r1 = np.clip(np.arange(h) + off + 1, 0, h)
+    c0 = np.clip(np.arange(w) + off - s + 1, 0, w)
+    c1 = np.clip(np.arange(w) + off + 1, 0, w)
     return (
         sat[np.ix_(r1, c1)]
         - sat[np.ix_(r0, c1)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -305,7 +305,6 @@ def build_streams(
     target_names: Iterable[str],
     split: SplitAssignment | None = None,
     val_regions: Iterable[int] | None = None,
-    val_fraction: float = 0.1,
     seed: int = 0,
 ) -> tuple[Subset, Subset, frozenset[int]]:
     """Augmented training stream and unaugmented validation stream.
@@ -322,9 +321,7 @@ def build_streams(
     if len(base) == 0:
         raise DataError("no training tiles in the grid")
     if val_regions is None:
-        val_regions = choose_validation_regions(
-            np.unique(base.regions), fraction=val_fraction, seed=seed
-        )
+        val_regions = choose_validation_regions(np.unique(base.regions), seed=seed)
     val_regions = frozenset(int(c) for c in val_regions)
     is_val = np.isin(base.regions, sorted(val_regions))
     if not is_val.any():
@@ -352,10 +349,9 @@ def epoch_size(train_stream) -> int:
 # ---------------------------------------------------------------------------
 # multi-task assembly and schedule
 
-def build_multitask(
-    pretrained: UNetParams, *, head: str = "pop", out_channels: int = 1, seed: int = 0
-) -> UNetParams:
-    """Extend a single-task model with a freshly initialized second decoder.
+def build_multitask(pretrained: UNetParams, *, head: str = "pop", seed: int = 0) -> UNetParams:
+    """Extend a single-task model with a freshly initialized second decoder
+    and its one-channel head.
 
     The shared encoder and the task-1 decoder are copied bitwise; only
     the new head's decoder and output projection are drawn from ``seed``.
@@ -364,7 +360,7 @@ def build_multitask(
     spec = pretrained.spec
     if any(name == head for name, _ in spec.heads):
         raise SpecError(f"model already has a head named {head!r}")
-    new_spec = replace(spec, heads=spec.heads + ((head, out_channels),))
+    new_spec = replace(spec, heads=spec.heads + ((head, 1),))
     fresh = init_params(new_spec, seed=seed, dtype=pretrained.dtype)
     for name, arr in pretrained.arrays.items():
         fresh.arrays[name] = arr.copy()

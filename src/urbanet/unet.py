@@ -55,6 +55,7 @@ from .errors import (
     ShapeError,
     SpecError,
 )
+from .grid import _decode_ascii
 
 CHECKPOINT_MAGIC = b"UNPK"
 CHECKPOINT_VERSION = 1
@@ -141,6 +142,9 @@ def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
             conv(f"dec.{head}.{lvl}.conv2", width, width)
             upper = width
         conv(f"head.{head}", spec.base_features, out_ch, 1)
+    for name in shapes:  # a checkpoint stores each name behind a one-byte length
+        if len(name) > 255:
+            raise SpecError(f"parameter name {name!r} is longer than 255 bytes")
     return shapes
 
 
@@ -177,9 +181,6 @@ class UNetParams:
 
     def copy(self) -> "UNetParams":
         return UNetParams(self.spec, {k: v.copy() for k, v in self.arrays.items()})
-
-    def astype(self, dtype) -> "UNetParams":
-        return UNetParams(self.spec, {k: v.astype(dtype) for k, v in self.arrays.items()})
 
 
 def validate_params(params: UNetParams) -> None:
@@ -654,7 +655,6 @@ class GradCheckReport:
     n_checked: int
     tolerance: float
     per_array: dict[str, float]
-    attempts: int
 
     @property
     def passed(self) -> bool:
@@ -675,13 +675,20 @@ _CHECK_SPEC = UNetSpec(input_channels=9, base_features=4, depth=1)
 # contested pooling gap clears this margin, so no epsilon-perturbation can
 # cross a ReLU kink or flip an argmax during finite differencing.
 _KINK_MARGIN = 5e-4
+_PROBE_ATTEMPTS = 500
+_PROBE_BATCH = 2
+_EPSILON = 1e-5
+# Models up to this many parameters are checked at every coordinate; larger
+# ones at a stratified sample of _SAMPLED_COORDS (at least one per array).
+_FULL_CHECK_COORDS = 4000
+_SAMPLED_COORDS = 500
 
 
 def _well_conditioned_batch(
-    params: UNetParams, rng: np.random.Generator, n: int, size: int, max_attempts: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    spec = params.spec
-    for attempt in range(1, max_attempts + 1):
+    params: UNetParams, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    spec, n = params.spec, _PROBE_BATCH
+    for _ in range(_PROBE_ATTEMPTS):
         m = (rng.random((n, size, size)) < 0.8).astype(np.float64)
         for k in range(n):  # the loss needs at least one land pixel per sample
             if not m[k].any():
@@ -690,10 +697,10 @@ def _well_conditioned_batch(
         y = rng.normal(size=(n, size, size, spec.out_channels))
         _, cache = _forward(params, x, want_margins=True, keep_cache=True)
         if min(cache["margins"]) > _KINK_MARGIN:
-            return x, y, m, attempt
+            return x, y, m
     raise NumericError(
         f"could not find a finite-difference probe batch clear of ReLU kinks "
-        f"in {max_attempts} attempts"
+        f"in {_PROBE_ATTEMPTS} attempts"
     )
 
 
@@ -702,18 +709,16 @@ def grad_check(
     seed: int = 0,
     tolerance: float = 1e-4,
     *,
-    epsilon: float = 1e-5,
-    batch_size: int = 2,
     tile_size: int = 8,
-    max_coords: int | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Runs entirely in float64.  All coordinates are checked when the model is
-    small; otherwise a stratified sample of at least 500 coordinates (and at
-    least one per parameter array) is drawn.  The probe batch is re-sampled
-    until it sits away from every ReLU kink and pooling tie, which keeps the
-    quadratic finite-difference error model valid at ``epsilon`` = 1e-5.
+    Runs entirely in float64 on a batch of two ``tile_size`` tiles.  Every
+    coordinate is checked when the model has at most 4000 parameters;
+    otherwise a stratified sample of 500 coordinates (at least one per
+    parameter array) is drawn.  The probe batch is re-sampled until it sits
+    away from every ReLU kink and pooling tie, which keeps the quadratic
+    finite-difference error model valid at a step of 1e-5.
     """
     spec = _CHECK_SPEC if spec is None else spec
     params = init_params(spec, seed, dtype=np.float64)
@@ -723,9 +728,7 @@ def grad_check(
         # exactly on the ReLU kink; probe at a generic point instead.
         if name.endswith(".b"):
             params.arrays[name] = rng.normal(0.0, 0.2, size=arr.shape)
-    x, y, m, attempts = _well_conditioned_batch(
-        params, rng, batch_size, tile_size, max_attempts=500
-    )
+    x, y, m = _well_conditioned_batch(params, rng, tile_size)
 
     _, analytic = loss_and_grads(params, x, y, m)
 
@@ -737,15 +740,11 @@ def grad_check(
     names = list(expected_shapes(spec))
     sizes = {n: params.arrays[n].size for n in names}
     total = sum(sizes.values())
-    budget = total if max_coords is None and total <= 4000 else (max_coords or 500)
-    coords: list[tuple[str, int]] = []
-    if budget >= total:
-        for name in names:
-            coords += [(name, i) for i in range(sizes[name])]
-    else:
-        for name in names:  # at least one coordinate from every array
-            coords.append((name, int(rng.integers(sizes[name]))))
-        while len(coords) < max(budget, 500):
+    if total <= _FULL_CHECK_COORDS:
+        coords = [(name, i) for name in names for i in range(sizes[name])]
+    else:  # at least one coordinate from every array
+        coords = [(name, int(rng.integers(sizes[name]))) for name in names]
+        while len(coords) < _SAMPLED_COORDS:
             name = names[int(rng.integers(len(names)))]
             coords.append((name, int(rng.integers(sizes[name]))))
 
@@ -754,12 +753,12 @@ def grad_check(
     for name, flat in coords:
         arr = params.arrays[name]
         orig = arr.flat[flat]
-        arr.flat[flat] = orig + epsilon
+        arr.flat[flat] = orig + _EPSILON
         lp = loss_only()
-        arr.flat[flat] = orig - epsilon
+        arr.flat[flat] = orig - _EPSILON
         lm = loss_only()
         arr.flat[flat] = orig
-        fd = (lp - lm) / (2.0 * epsilon)
+        fd = (lp - lm) / (2.0 * _EPSILON)
         an = float(analytic[name].flat[flat])
         rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
         per_array[name] = max(per_array[name], rel)
@@ -771,7 +770,6 @@ def grad_check(
         n_checked=len(coords),
         tolerance=tolerance,
         per_array=per_array,
-        attempts=attempts,
     )
 
 
@@ -827,19 +825,22 @@ def load_params(path: str | Path) -> UNetParams:
     heads = []
     for _ in range(n_heads):
         (ln,) = struct.unpack("<B", take(1, "head name"))
-        name = take(ln, "head name").decode("ascii")
+        name = _decode_ascii(take(ln, "head name"), path, "head name")
         (out_ch,) = struct.unpack("<H", take(2, "head channels"))
         heads.append((name, out_ch))
     spec = UNetSpec(
         input_channels=cin, base_features=base, depth=depth,
         kernel_size=k, heads=tuple(heads),
     )
-    shapes = expected_shapes(spec)
+    try:
+        shapes = expected_shapes(spec)
+    except SpecError as err:  # a corrupt file, not a bad request
+        raise IntegrityError(f"{path}: invalid spec block: {err}") from None
 
     arrays: dict[str, np.ndarray] = {}
     while off < len(data):
         (ln,) = struct.unpack("<B", take(1, "array name"))
-        name = take(ln, "array name").decode("ascii")
+        name = _decode_ascii(take(ln, "array name"), path, "array name")
         if name in arrays:
             raise IntegrityError(f"{path}: duplicate array {name!r}")
         if name not in shapes:

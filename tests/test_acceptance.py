@@ -14,7 +14,7 @@ from urbanet.augment import AugmentedTiles, Transform, transform_plane
 from urbanet.evaluate import (EvalReport, export_report, multitask_label,
                               predict_world, residual_metrics, stratify,
                               unet_label)
-from urbanet.grid import assign_split, normalize_channels, pad_grid, region_iso
+from urbanet.grid import assign_split, normalize_channels, pad_grid
 from urbanet.synth import (INPUT_CHANNELS, TARGET_POP, TARGET_URBAN,
                            SynthConfig, gen_world)
 from urbanet.tiler import TileDataset, WindowSpec, coverage_count
@@ -107,7 +107,7 @@ def _seed_study_once(seed: int, checkpoint_dir=None):
     land_per_region = {c: int((world.regions == c).sum()) for c in world.region_table}
     test_code = max(land_per_region, key=lambda c: (land_per_region[c], -c))
     padded = pad_grid(world, pad)
-    split = assign_split(padded, [region_iso(world, test_code)])
+    split = assign_split(padded, [world.region_table[test_code]])
     norm, _ = normalize_channels(padded, fit_mask=split.train_mask,
                                  channels=INPUT_CHANNELS)
 
@@ -240,7 +240,7 @@ def test_tiler_bijection():
                                       land_fraction=lf, n_regions=4))
         pad = 3
         padded = pad_grid(world, pad)
-        ds = TileDataset(padded, WindowSpec(6, center_offset=(3, 3)), pad=pad,
+        ds = TileDataset(padded, WindowSpec(6), pad=pad,
                          input_names=INPUT_CHANNELS, target_names=(TARGET_URBAN,))
         land_centers = {(int(r), int(c)) for r, c in zip(*np.nonzero(world.mask))}
         centers = {(int(r), int(c)) for r, c in ds.centers_padded - pad}

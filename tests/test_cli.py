@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +276,25 @@ class TestEvalReport:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error: " in err and "'water'" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("corrupt", ["depth-0", "even-kernel", "non-ascii-head"])
+    def test_eval_corrupt_checkpoint_exits_2(self, world_file, tmp_path, capsys, corrupt):
+        path = tmp_path / "bad.unpk"
+        save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 4, 1), 0), path)
+        raw = bytearray(path.read_bytes())
+        if corrupt == "depth-0":
+            struct.pack_into("<H", raw, 10, 0)
+        elif corrupt == "even-kernel":
+            struct.pack_into("<H", raw, 12, 2)
+        else:
+            raw[raw.index(b"urban")] = 0xE9
+        path.write_bytes(bytes(raw))
+        rc = main(["eval", "--grid", str(world_file), "--window", "16",
+                   "--pad", "8", "--test-regions", "R03",
+                   "--checkpoint", str(path), "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert f"error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_eval_never_mutates_inputs(self, world_file, run_dir, tmp_path):

@@ -23,11 +23,9 @@ from urbanet.grid import (
     WorldGrid,
     assign_split,
     load_grid,
-    load_stats,
     normalize_channels,
     pad_grid,
     save_grid,
-    save_stats,
     validate_grid,
 )
 
@@ -324,13 +322,6 @@ class TestNormalize:
         normed, stats = normalize_channels(grid, channels=["ch0"])
         assert set(stats.channels) == {"ch0"}
         np.testing.assert_array_equal(normed.channels["ch1"], grid.channels["ch1"])
-
-    def test_stats_file_round_trip(self, tmp_path):
-        stats = NormStats(channels={"a": (0.1, 0.30000000000000004), "b": (-2.5, 7.0)})
-        path = tmp_path / "stats.txt"
-        save_stats(stats, path)
-        back = load_stats(path)
-        assert back.channels == stats.channels
 
     def test_stats_for_missing_channel_rejected(self):
         grid = make_grid([[1, 1]])

@@ -157,6 +157,18 @@ class TestSpecAndInit:
         with pytest.raises(SpecError):
             expected_shapes(UNetSpec(3, 2, 1, heads=()))
 
+    def test_head_name_length_bounded(self, tmp_path):
+        # a checkpoint stores each parameter name, which embeds the head
+        # name, behind a one-byte length; the longest is "dec.<head>.0.conv1.w"
+        longest = 255 - len("dec..0.conv1.w")
+        with pytest.raises(SpecError, match="255"):
+            init_params(UNetSpec(3, 2, 1, heads=(("a" * (longest + 1), 1),)), 0)
+        with pytest.raises(SpecError, match="255"):
+            init_params(UNetSpec(3, 2, 1, heads=(("a" * 256, 1),)), 0)
+        spec = UNetSpec(3, 2, 1, heads=(("a" * longest, 1),))
+        save_params(init_params(spec, 0), tmp_path / "model.unpk")
+        assert load_params(tmp_path / "model.unpk").spec == spec
+
     def test_name_groups_partition_parameters(self):
         spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
         all_names = set(expected_shapes(spec))
@@ -664,3 +676,28 @@ class TestCheckpoints:
         params.arrays["head.urban.w"] = np.zeros((2, 2, 1, 1), np.float32)
         with pytest.raises(IntegrityError):
             save_params(params, tmp_path / "model.unpk")
+
+    @pytest.mark.parametrize("marker", [b"urban", b"enc0.conv1.w"],
+                             ids=["head-name", "array-name"])
+    def test_non_ascii_name_is_format_error(self, tmp_path, marker):
+        path = tmp_path / "model.unpk"
+        save_params(init_params(TINY, 15), path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(marker)] = 0xE9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="not ASCII") as exc:
+            load_params(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("field_offset, value", [(10, 0), (12, 2)],
+                             ids=["depth-0", "even-kernel"])
+    def test_corrupt_spec_block_is_integrity_error(self, tmp_path, field_offset, value):
+        # spec block after magic and version: cin, base, depth, k, n_heads (u16 each)
+        path = tmp_path / "model.unpk"
+        save_params(init_params(TINY, 16), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<H", raw, field_offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="spec block") as exc:
+            load_params(path)
+        assert str(path) in str(exc.value)
