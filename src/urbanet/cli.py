@@ -60,12 +60,24 @@ def _split(grid, test_regions: str | None):
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _load_split_normalize(grid_path, test_regions: str | None, pad: int):
-    """Padded grid, split, and train-fitted normalized inputs."""
+def _require_channels(path, grid, names) -> None:
+    """Fail before any work when ``grid``, read from ``path``, lacks a plane."""
+    from .errors import DataError
+
+    for name in names:
+        if name not in grid.channels:
+            raise DataError(f"{path}: no {name!r} channel "
+                            f"(channels: {', '.join(grid.channels)})")
+
+
+def _load_split_normalize(grid_path, test_regions: str | None, pad: int, targets):
+    """Padded grid, split, and train-fitted normalized inputs.  The grid
+    must hold every input channel and every plane named in ``targets``."""
     from .grid import load_grid, normalize_channels, pad_grid
     from .synth import INPUT_CHANNELS
 
     world = load_grid(grid_path)
+    _require_channels(grid_path, world, INPUT_CHANNELS + tuple(targets))
     padded = pad_grid(world, pad)
     split = _split(padded, test_regions)
     norm, stats = normalize_channels(
@@ -176,7 +188,8 @@ def _train_and_save(args, target_names, seed, setup, model_name, tag) -> int:
     from .trainer import build_streams, save_config, save_history
     from .unet import save_params
 
-    _, norm, split, _ = _load_split_normalize(args.grid, args.test_regions, args.pad)
+    _, norm, split, _ = _load_split_normalize(args.grid, args.test_regions, args.pad,
+                                              target_names)
     tr, va, val_regions = build_streams(
         norm, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
         target_names=target_names, split=split, seed=seed,
@@ -276,8 +289,10 @@ def _cmd_eval(args) -> int:
         target = target_for_head[head]
         targets[head] = (target, label if target == TARGET_URBAN else f"{label} on {target}")
 
-    world, norm, split, _ = _load_split_normalize(args.grid, args.test_regions,
-                                                  args.pad)
+    # the built-up stratum reads delta_urban whatever the model's heads
+    world, norm, split, _ = _load_split_normalize(
+        args.grid, args.test_regions, args.pad,
+        (TARGET_URBAN, *(target for target, _ in targets.values())))
     pad = args.pad
     scope_mask = {
         "train": split.train_mask, "test": split.test_mask,
@@ -339,19 +354,27 @@ def _cmd_report(args) -> int:
     for path in args.inputs:
         for row in load_report(path).rows:
             merged.add(row)
-    export_report(merged, args.out)
-    _log(f"wrote {args.out} ({len(merged.rows)} model rows + baseline)")
 
-    if args.scatter:
+    if args.scatter:  # every scatter input is checked before anything is written
         if not (args.pred and args.grid):
             raise _UsageError("--scatter needs --pred and --grid")
         import numpy as np
 
+        from .errors import DataError
         from .grid import load_grid
 
         pred_grid = load_grid(args.pred)
         world = load_grid(args.grid)
         name = f"pred_{_HEAD_FOR_TARGET[args.target]}"
+        _require_channels(args.pred, pred_grid, ("coverage", name))
+        _require_channels(args.grid, world, (args.target,))
+        if pred_grid.mask.shape != world.mask.shape:
+            raise DataError(f"{args.pred}: planes of shape {pred_grid.mask.shape} do not "
+                            f"match the {world.mask.shape} grid {args.grid}")
+
+    export_report(merged, args.out)
+    _log(f"wrote {args.out} ({len(merged.rows)} model rows + baseline)")
+    if args.scatter:
         covered = (np.asarray(world.mask) == 1) & (pred_grid.channels["coverage"] > 0)
         export_scatter(
             pred_grid.channels[name], world.channels[args.target], covered,

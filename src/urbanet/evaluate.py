@@ -16,6 +16,7 @@ numbers, which are bundled as data and never recomputed.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -297,7 +298,7 @@ def save_report(report: EvalReport, path) -> None:
     """One CSV line per row; strata rendered with their table labels."""
     if not report.rows:
         raise DataError("refusing to write an empty report")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for r in report.rows:
@@ -315,16 +316,24 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
+    """Rows of a report CSV.  A file that is not one raises DataError naming
+    the file and the line."""
     label_to_key = {v: k for k, v in STRATUM_LABELS.items()}
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise DataError(f"{path}, line {line}: not a text report ({err.reason})") from None
     report = EvalReport()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header != list(REPORT_COLUMNS):
-            raise DataError(f"unrecognized report header in {path}: {header}")
+            raise DataError(f"unrecognized report header {header}")
         for line in reader:
             if len(line) != len(REPORT_COLUMNS):
-                raise DataError(f"malformed report line: {line}")
+                raise DataError(f"expected {len(REPORT_COLUMNS)} fields, got {line}")
             model, window, scope, stratum, n_cells = line[:5]
             report.add(MetricsRow(
                 scope=scope,
@@ -337,6 +346,8 @@ def load_report(path) -> EvalReport:
                 model=model,
                 window=None if window == "" else int(window),
             ))
+    except (DataError, ValueError, csv.Error) as err:
+        raise DataError(f"{path}, line {reader.line_num}: {err}") from None
     return report
 
 

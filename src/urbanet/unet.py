@@ -32,9 +32,14 @@ scatter-adds.  Row blocks change float32 rounding against a single
 whole-batch GEMM (BLAS picks its kernel by matrix size), by about float32
 epsilon; a fixed thread count stays bit-reproducible.  Training and
 evaluation pass channel-last batches straight from the tile streams to
-``_forward`` and ``loss_and_grads``.  Only backprop asks ``_forward`` to
-keep its activation cache; inference frees each activation once it is
-dead, so its memory is a few layers' worth rather than the whole network's.
+``_forward`` and ``loss_and_grads``.
+
+The wiring is written once, in ``_forward``.  For backprop it records a
+tape, one entry per ``conv``, ``pool``, ``up`` and ``cat`` layer, which
+``_backward`` replays in reverse without knowing the network's shape and
+``_margins`` reads to place the gradient checker's probe points.  Inference
+records no tape and frees each activation once it is dead, so its memory is
+a few layers' worth rather than the whole network's.
 """
 
 from __future__ import annotations
@@ -93,24 +98,23 @@ class UNetSpec:
 
 
 def validate_spec(spec: UNetSpec) -> None:
-    if spec.input_channels < 1:
-        raise SpecError(f"input_channels must be >= 1, got {spec.input_channels}")
-    if spec.base_features < 1:
-        raise SpecError(f"base_features must be >= 1, got {spec.base_features}")
-    if spec.depth < 1:
-        raise SpecError(f"depth must be >= 1, got {spec.depth}")
-    if spec.kernel_size < 1 or spec.kernel_size % 2 == 0:
+    # a checkpoint packs the four sizes, the head count and each head's
+    # channel count as unsigned 16-bit fields
+    for field in ("input_channels", "base_features", "depth", "kernel_size"):
+        if not 1 <= getattr(spec, field) <= 0xFFFF:
+            raise SpecError(f"{field} must be in 1..65535, got {getattr(spec, field)}")
+    if spec.kernel_size % 2 == 0:
         raise SpecError(f"kernel_size must be odd, got {spec.kernel_size}")
-    if not spec.heads:
-        raise SpecError("at least one head is required")
+    if not 1 <= len(spec.heads) <= 0xFFFF:
+        raise SpecError(f"a spec needs 1..65535 heads, got {len(spec.heads)}")
     names = [h for h, _ in spec.heads]
     if len(set(names)) != len(names):
         raise SpecError(f"duplicate head names in {names}")
     for name, out_ch in spec.heads:
         if not name or not name.isascii():
             raise SpecError(f"head name {name!r} must be non-empty ASCII")
-        if out_ch < 1:
-            raise SpecError(f"head {name!r} must emit >= 1 channel, got {out_ch}")
+        if not 1 <= out_ch <= 0xFFFF:
+            raise SpecError(f"head {name!r} must emit 1..65535 channels, got {out_ch}")
 
 
 def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
@@ -146,11 +150,6 @@ def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
         if len(name) > 255:
             raise SpecError(f"parameter name {name!r} is longer than 255 bytes")
     return shapes
-
-
-def encoder_names(spec: UNetSpec) -> tuple[str, ...]:
-    """Shared-path parameters: every encoder level including the bottleneck."""
-    return tuple(n for n in expected_shapes(spec) if n.startswith("enc"))
 
 
 def head_names(spec: UNetSpec, head: str) -> tuple[str, ...]:
@@ -257,33 +256,23 @@ def _im2col_blocks(x: np.ndarray, k: int):
 
 
 def _conv_forward(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray,
-    relu: bool = False,
-    margins: list[float] | None = None,
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
 ) -> np.ndarray:
     """Same-padded convolution of (N,H,W,C) ``x``, one GEMM block at a time.
 
     Each block gets its bias, and with ``relu`` its ReLU, while it is still
-    in cache.  Given a ``margins`` list, appends the smallest |value| before
-    the ReLU (how far the batch sits from the kink).
+    in cache.
     """
     f, c, k, _ = w.shape
     n, h, wd, _ = x.shape
     wm = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
     y = np.empty((n, h, wd, f), np.result_type(x, w))
     y2 = y.reshape(-1, f)
-    lows = []
     for rows, cols in _im2col_blocks(x, k):
         yb = np.matmul(cols, wm, out=y2[rows])
         yb += b
-        if margins is not None:
-            lows.append(np.abs(yb).min())
         if relu:
             np.maximum(yb, 0.0, out=yb)
-    if margins is not None:
-        margins.append(float(np.min(lows)))
     return y
 
 
@@ -381,25 +370,16 @@ def _pad_amounts(size: int, multiple: int) -> tuple[int, int]:
     return total // 2, total - total // 2
 
 
-def _forward(
-    params: UNetParams,
-    x: np.ndarray,
-    want_margins: bool = False,
-    keep_cache: bool = False,
-):
+def _forward(params: UNetParams, x: np.ndarray, keep_cache: bool = False):
     """Channel-last forward pass; returns (output, cache).
 
     The cache is None unless ``keep_cache`` asks for it, as backprop does.
-    Without it every activation is released once it is dead, and only the
-    skip outputs and the bottleneck live until the last head has used them.
-    The kept cache holds references to every layer input and post-ReLU
-    output and the pooling argmax, so the backward pass can gate ReLUs and
-    rebuild im2col blocks without storing them.  With ``want_margins`` the
-    kept cache also records how far the batch sits from every ReLU kink and
-    pooling tie — used to pick well-conditioned probe points for finite
-    differencing.  Either way each convolution adds its bias and applies its
-    ReLU block by block, and the outputs are the same bytes.  ``x`` is cast
-    to the parameters' dtype, so callers pass their tiles as gathered.
+    Without it every activation is released once it is dead.  With it the
+    cache holds the tape: one ``(kind, name, inputs, output, extra)`` entry
+    per layer in execution order, where a ``conv`` names its parameters and
+    carries its ReLU flag and a ``pool`` carries its argmax.  The entries
+    hold references, not copies.  Either way the outputs are the same bytes.
+    ``x`` is cast to the parameters' dtype, so callers pass tiles as gathered.
     """
     spec = params.spec
     arrays = params.arrays
@@ -408,80 +388,60 @@ def _forward(
             f"expected inputs (N, H, W, {spec.input_channels}), got {x.shape}"
         )
     x = np.ascontiguousarray(x, dtype=params.dtype)
-    n, h, w, _ = x.shape
+    _, h, w, _ = x.shape
     mult = 1 << spec.depth
     pt, pb = _pad_amounts(h, mult)
     pl, pr = _pad_amounts(w, mult)
     if pt or pb or pl or pr:
         x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
 
-    margins: list[float] = []
+    tape: list[tuple] = []
 
-    def conv_relu(name: str, a: np.ndarray) -> np.ndarray:
-        return _conv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"], relu=True,
-                             margins=margins if want_margins else None)
+    def layer(kind, name, inputs, out, extra=None):
+        if keep_cache:
+            tape.append((kind, name, inputs, out, extra))
+        return out
 
-    enc: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    pools: list[tuple[np.ndarray, tuple]] = []
+    def conv(name: str, a: np.ndarray, relu: bool = True) -> np.ndarray:
+        y = _conv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"], relu)
+        return layer("conv", name, (a,), y, relu)
+
+    def cat(parts: tuple) -> np.ndarray:
+        return layer("cat", None, parts, np.concatenate(parts, axis=-1))
+
     skips: list[np.ndarray] = []  # every level's output; the last is the bottleneck
     for lvl in range(spec.depth + 1):
-        y1 = conv_relu(f"enc{lvl}.conv1", x)
-        y2 = conv_relu(f"enc{lvl}.conv2", y1)
-        if keep_cache:
-            enc.append((x, y1, y2))
-        del x, y1
-        skips.append(y2)
+        y1 = conv(f"enc{lvl}.conv1", x)
+        del x
+        skips.append(conv(f"enc{lvl}.conv2", y1))
+        del y1
         if lvl < spec.depth:
-            if want_margins:
-                top2 = np.sort(_pool_windows(y2), axis=-1)[..., -2:]
-                gap = top2[..., 1] - top2[..., 0]
-                # Ties among dead units (runner-up exactly 0) cannot flip
-                # under a small perturbation; only contested windows matter.
-                risky = top2[..., 0] > 0
-                margins.append(float(gap[risky].min()) if risky.any() else np.inf)
-            x, idx = _pool_forward(y2, want_index=keep_cache)
-            if keep_cache:
-                pools.append((idx, y2.shape))
+            x, idx = _pool_forward(skips[-1], want_index=keep_cache)
+            layer("pool", None, (skips[-1],), x, idx)
 
     head_outs: list[np.ndarray] = []
-    heads_cache: dict[str, tuple[list[dict], np.ndarray]] = {}
     for head, _ in spec.heads:
         d = skips[-1]  # the bottleneck feeds every decoder
-        stages: list[dict] = []
         for lvl in range(spec.depth - 1, -1, -1):
-            xu = _up_forward(d)
+            xu = layer("up", None, (d,), _up_forward(d))
             del d
-            yu = conv_relu(f"dec.{head}.{lvl}.up", xu)
-            xc = np.concatenate([yu, skips[lvl]], axis=-1)
-            if keep_cache:
-                stages.append({"lvl": lvl, "xu": xu, "yu": yu, "xc": xc})
-            del xu, yu
-            y1 = conv_relu(f"dec.{head}.{lvl}.conv1", xc)
+            yu = conv(f"dec.{head}.{lvl}.up", xu)
+            del xu
+            xc = cat((yu, skips[lvl]))
+            del yu
+            y1 = conv(f"dec.{head}.{lvl}.conv1", xc)
             del xc
-            d = conv_relu(f"dec.{head}.{lvl}.conv2", y1)
-            if keep_cache:
-                stages[-1].update(y1=y1, y2=d)
+            d = conv(f"dec.{head}.{lvl}.conv2", y1)
             del y1
-        out = _conv_forward(d, arrays[f"head.{head}.w"], arrays[f"head.{head}.b"])
-        head_outs.append(out)
-        if keep_cache:
-            heads_cache[head] = (stages, d)
+        head_outs.append(conv(f"head.{head}", d, relu=False))
         del d
 
-    y = head_outs[0] if len(head_outs) == 1 else np.concatenate(head_outs, axis=-1)
+    y = head_outs[0] if len(head_outs) == 1 else cat(tuple(head_outs))
     if pt or pb or pl or pr:
         y = y[:, pt : pt + h, pl : pl + w, :]
     if not keep_cache:
         return y, None
-    return y, {
-        "pads": (pt, pb, pl, pr),
-        "in_shape": (n, h, w),
-        "enc": enc,
-        "pools": pools,
-        "bottleneck": enc[-1][2],
-        "heads": heads_cache,
-        "margins": margins,
-    }
+    return y, {"pads": (pt, pb, pl, pr), "tape": tape}
 
 
 def _backward(
@@ -490,89 +450,54 @@ def _backward(
     g_out: np.ndarray,
     trainable: set[str] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Backpropagate d(loss)/d(output) through the cached forward pass.
+    """Backpropagate d(loss)/d(output) by replaying the cached tape in reverse.
 
     Returns gradients for ``trainable`` names (all parameters when None).
-    Heads whose output gradient is identically zero and whose parameters are
-    all non-trainable are skipped outright; likewise the encoder sweep when
-    nothing in it is trainable — the results for the remaining parameters
-    are bitwise-identical either way.
+    A layer runs only when a trainable parameter feeds its output, and a
+    convolution computes its input gradient only when one feeds its input;
+    the work skipped reaches no returned gradient.  An activation that
+    several layers read sums their gradients as they arrive.
     """
-    spec = params.spec
     arrays = params.arrays
-    wanted = set(expected_shapes(spec)) if trainable is None else set(trainable)
+    wanted = set(arrays) if trainable is None else set(trainable)
+    tape = cache["tape"]
+    # activations are keyed by id(), which the tape keeps unique by keeping
+    # every one of them alive
+    fed: set[int] = set()  # the activations that a trainable parameter feeds
+    for kind, name, inputs, out, _ in tape:
+        if (kind == "conv" and f"{name}.w" in wanted) or any(id(a) in fed for a in inputs):
+            fed.add(id(out))
+
+    g = g_out
+    if any(cache["pads"]):  # undo the output crop
+        pt, pb, pl, pr = cache["pads"]
+        g = np.pad(g_out, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    pending = {id(tape[-1][3]): g}  # activation -> d(loss)/d(activation)
     grads: dict[str, np.ndarray] = {}
-
-    def store(name: str, dw: np.ndarray, db: np.ndarray) -> None:
-        if f"{name}.w" in wanted:
-            if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-                raise NumericError(f"non-finite gradient in layer {name!r}")
-            grads[f"{name}.w"] = dw
-            grads[f"{name}.b"] = db
-
-    pt, pb, pl, pr = cache["pads"]
-    n, h, w = cache["in_shape"]
-    if pt or pb or pl or pr:
-        g = np.zeros((n, h + pt + pb, w + pl + pr, g_out.shape[-1]), g_out.dtype)
-        g[:, pt : pt + h, pl : pl + w, :] = g_out
-    else:
-        g = g_out
-
-    enc = cache["enc"]
-    g_bott = np.zeros_like(cache["bottleneck"])
-    g_skip = [np.zeros_like(enc[lvl][2]) for lvl in range(spec.depth)]
-
-    encoder_wanted = any(name in wanted for name in encoder_names(spec))
-    offset = 0
-    for head, out_ch in spec.heads:
-        gh = g[..., offset : offset + out_ch]
-        offset += out_ch
-        head_params = set(head_names(spec, head))
-        # A head's branch can be skipped only when none of its own parameters
-        # are trainable AND it cannot feed gradient anywhere trainable (the
-        # encoder is frozen too, or this head's loss weight made gh zero).
-        if not (head_params & wanted) and (not encoder_wanted or not gh.any()):
+    for kind, name, inputs, out, extra in reversed(tape):
+        if id(out) not in fed:
             continue
-        stages, head_in = cache["heads"][head]
-        gd, dw, db = _conv_backward(head_in, arrays[f"head.{head}.w"], gh)
-        store(f"head.{head}", dw, db)
-        for stage in reversed(stages):
-            lvl = stage["lvl"]
-            width = spec.base_features << lvl
-            gp = gd * (stage["y2"] > 0)
-            gd, dw, db = _conv_backward(stage["y1"], arrays[f"dec.{head}.{lvl}.conv2.w"], gp)
-            store(f"dec.{head}.{lvl}.conv2", dw, db)
-            gp = gd * (stage["y1"] > 0)
-            gd, dw, db = _conv_backward(stage["xc"], arrays[f"dec.{head}.{lvl}.conv1.w"], gp)
-            store(f"dec.{head}.{lvl}.conv1", dw, db)
-            g_skip[lvl] += gd[..., width:]
-            gp = gd[..., :width] * (stage["yu"] > 0)
-            # the deepest up-conv's input gradient only feeds the encoder
-            gd, dw, db = _conv_backward(stage["xu"], arrays[f"dec.{head}.{lvl}.up.w"], gp,
-                                        need_dx=encoder_wanted or lvl < spec.depth - 1)
-            store(f"dec.{head}.{lvl}.up", dw, db)
-            if gd is not None:
-                gd = _up_backward(gd)
-        if encoder_wanted:
-            g_bott += gd
-
-    if not encoder_wanted:
-        return grads
-
-    gd = g_bott
-    for lvl in range(spec.depth, -1, -1):
-        x1, y1, y2 = enc[lvl]
-        if lvl < spec.depth:
-            idx, shape = cache["pools"][lvl]
-            gd = _pool_backward(gd, idx, shape) + g_skip[lvl]
-        gp = gd * (y2 > 0)
-        gd, dw, db = _conv_backward(y1, arrays[f"enc{lvl}.conv2.w"], gp)
-        store(f"enc{lvl}.conv2", dw, db)
-        gp = gd * (y1 > 0)
-        # the gradient with respect to the input data is never used
-        gd, dw, db = _conv_backward(x1, arrays[f"enc{lvl}.conv1.w"], gp,
-                                    need_dx=lvl > 0)
-        store(f"enc{lvl}.conv1", dw, db)
+        g = pending.pop(id(out))
+        if kind == "conv":
+            if extra:  # the ReLU passes gradient only where it was open
+                g = g * (out > 0)
+            dx, dw, db = _conv_backward(inputs[0], arrays[f"{name}.w"], g,
+                                        need_dx=id(inputs[0]) in fed)
+            if f"{name}.w" in wanted:
+                if not (np.isfinite(dw).all() and np.isfinite(db).all()):
+                    raise NumericError(f"non-finite gradient in layer {name!r}")
+                grads[f"{name}.w"] = dw
+                grads[f"{name}.b"] = db
+            g_in = [dx]
+        elif kind == "pool":
+            g_in = [_pool_backward(g, extra, inputs[0].shape)]
+        elif kind == "up":
+            g_in = [_up_backward(g)]
+        else:  # cat: each input takes back its own channels
+            g_in = np.split(g, np.cumsum([a.shape[-1] for a in inputs[:-1]]), axis=-1)
+        for a, ga in zip(inputs, g_in):
+            if id(a) in fed:
+                pending[id(a)] = pending[id(a)] + ga if id(a) in pending else ga
     return grads
 
 
@@ -684,6 +609,30 @@ _FULL_CHECK_COORDS = 4000
 _SAMPLED_COORDS = 500
 
 
+def _margins(params: UNetParams, cache: dict) -> list[float]:
+    """How far a taped batch sits from every ReLU kink and pooling tie.
+
+    In tape order: for each ReLU convolution the smallest |pre-activation|,
+    recomputed from its taped input by the same blocked ``_conv_forward``
+    without the ReLU; for each pooling the smallest gap between a window's
+    top two values.
+    """
+    arrays = params.arrays
+    margins: list[float] = []
+    for kind, name, inputs, _, extra in cache["tape"]:
+        if kind == "conv" and extra:
+            pre = _conv_forward(inputs[0], arrays[f"{name}.w"], arrays[f"{name}.b"])
+            margins.append(float(np.abs(pre).min()))
+        elif kind == "pool":
+            top2 = np.sort(_pool_windows(inputs[0]), axis=-1)[..., -2:]
+            gap = top2[..., 1] - top2[..., 0]
+            # Ties among dead units (runner-up exactly 0) cannot flip
+            # under a small perturbation; only contested windows matter.
+            risky = top2[..., 0] > 0
+            margins.append(float(gap[risky].min()) if risky.any() else np.inf)
+    return margins
+
+
 def _well_conditioned_batch(
     params: UNetParams, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -695,8 +644,8 @@ def _well_conditioned_batch(
                 m[k, size // 2, size // 2] = 1.0
         x = rng.normal(size=(n, size, size, spec.input_channels))
         y = rng.normal(size=(n, size, size, spec.out_channels))
-        _, cache = _forward(params, x, want_margins=True, keep_cache=True)
-        if min(cache["margins"]) > _KINK_MARGIN:
+        _, cache = _forward(params, x, keep_cache=True)
+        if min(_margins(params, cache)) > _KINK_MARGIN:
             return x, y, m
     raise NumericError(
         f"could not find a finite-difference probe batch clear of ReLU kinks "

@@ -13,7 +13,7 @@ import pytest
 import urbanet
 from urbanet import evaluate, trainer
 from urbanet.cli import main
-from urbanet.grid import load_grid, pad_grid, save_grid
+from urbanet.grid import WorldGrid, load_grid, pad_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
 from urbanet.unet import UNetSpec, init_params, load_params, save_params
 
@@ -333,6 +333,83 @@ class TestEvalReport:
               "--report", str(rows)])
         rc = main(["report", str(rows), str(rows), "--out", str(tmp_path / "f.csv")])
         assert rc == 2
+
+
+def planes_file(path, world, **planes):
+    """A WGRD of ``world``'s mask and regions holding only ``planes``."""
+    save_grid(WorldGrid(mask=world.mask, regions=world.regions, channels=planes,
+                        region_table=world.region_table), path)
+    return path
+
+
+class TestBadInputsExit2:
+    """Files that are not what a command needs exit 2 with a message naming
+    the file, before anything is written or predicted."""
+
+    HEADER = ",".join(evaluate.REPORT_COLUMNS).encode() + b"\n"
+    ROW = b"U-Net (sz16),16,test,All grid cells,12,0.5,1.0,0.25,0.5\n"
+
+    @pytest.mark.parametrize("body, line, says", [
+        (b"model,window\n\x89PNG\r\n\x1a\n\xff\x00", 2, "not a text report"),
+        (HEADER + ROW + b"U-Net (sz16),16,test,other,abc,0.5,1.0,0.25,0.5\n", 3, "'abc'"),
+        (HEADER + b"x" * 200_000 + b",16,test,other,12,0.5,1.0,0.25,0.5\n", 2,
+         "field larger than field limit"),
+    ], ids=["binary", "non-integer-count", "oversized-field"])
+    def test_report_input_that_is_not_a_report(self, tmp_path, capsys, body, line, says):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(body)
+        out = tmp_path / "final.csv"
+        assert main(["report", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}, line {line}: " in err and says in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["no-coverage", "no-pred-pop", "other-shape"])
+    def test_scatter_planes_checked_first(self, world_file, tmp_path, capsys, case):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(evaluate.REPORT_COLUMNS) + "\n")
+        world = load_grid(world_file)
+        ones = world.mask.astype(np.float64)  # water planes must hold 0
+        target = "delta_urban"
+        if case == "no-coverage":
+            pred = planes_file(tmp_path / "pred.wgrd", world, pred_urban=ones)
+            want = f"error: {tmp_path / 'pred.wgrd'}: no 'coverage' channel"
+        elif case == "no-pred-pop":
+            pred = planes_file(tmp_path / "pred.wgrd", world, pred_urban=ones,
+                               coverage=ones)
+            target = "delta_population"
+            want = f"error: {tmp_path / 'pred.wgrd'}: no 'pred_pop' channel"
+        else:
+            small = gen_world(SynthConfig(seed=1, height=20, width=20))
+            small_ones = small.mask.astype(np.float64)
+            pred = planes_file(tmp_path / "pred.wgrd", small, pred_urban=small_ones,
+                               coverage=small_ones)
+            want = f"error: {tmp_path / 'pred.wgrd'}: planes of shape (20, 20)"
+        out = tmp_path / "final.csv"
+        rc = main(["report", str(rows), "--out", str(out), "--scatter",
+                   str(tmp_path / "s.svg"), "--pred", str(pred),
+                   "--grid", str(world_file), "--target", target])
+        assert rc == 2
+        assert want in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.wgrd", "rows.csv"]
+
+    def test_eval_grid_without_target_fails_before_predicting(
+            self, world_file, run_dir, tmp_path, monkeypatch, capsys):
+        def no_prediction(*args, **kwargs):
+            raise AssertionError("predict_world ran on a grid without the target")
+
+        monkeypatch.setattr(evaluate, "predict_world", no_prediction)
+        world = load_grid(world_file)
+        grid = planes_file(tmp_path / "inputs.wgrd", world,
+                           **{n: world.channels[n] for n in INPUT_CHANNELS})
+        report = tmp_path / "r.csv"
+        rc = main(["eval", "--grid", str(grid), "--window", "16", "--pad", "8",
+                   "--test-regions", "R03",
+                   "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
+                   "--report", str(report)])
+        assert rc == 2
+        assert f"error: {grid}: no 'delta_urban' channel" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestMultitask:

@@ -1,8 +1,12 @@
-"""Source hygiene checks that need no linter: every import in the package is used."""
+"""Source hygiene checks that need no linter: every import in the package is
+used, and the command line parses its flags before numpy loads."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "urbanet"
@@ -53,3 +57,21 @@ def test_no_unused_imports():
               for path in sorted(SRC.glob("*.py"))
               for line, name in unused_imports(path.read_text())]
     assert unused == []
+
+
+def test_cli_parses_without_numpy():
+    # --threads sets the BLAS thread variables, which only take effect if
+    # numpy has not been imported yet when main() reads the flag
+    code = (
+        "import sys\n"
+        "import urbanet\n"
+        "import urbanet.cli\n"
+        "urbanet.cli.build_parser().parse_args(['--threads', '2', 'split', '--grid', 'g'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -23,12 +24,12 @@ from urbanet.unet import (
     _conv_backward,
     _forward,
     _im2col_blocks,
+    _margins,
     _masked_loss_grad,
     _pool_forward,
     _pool_windows,
     UNetParams,
     UNetSpec,
-    encoder_names,
     expected_shapes,
     grad_check,
     head_names,
@@ -36,6 +37,7 @@ from urbanet.unet import (
     load_params,
     loss_and_grads,
     save_params,
+    validate_spec,
 )
 
 TINY = UNetSpec(input_channels=3, base_features=2, depth=1)
@@ -85,7 +87,7 @@ def predict(params, x):
 
 def reference_forward(params, x):
     """The unfused forward: whole-array bias, ReLU and margins, pooling by
-    argmax.  Returns (output, margins) in the order _forward records them."""
+    argmax.  Returns (output, margins) in the order _margins reports them."""
     spec, arrays = params.spec, params.arrays
     _, h, w, _ = x.shape
     pt, pb = unet._pad_amounts(h, 1 << spec.depth)
@@ -169,10 +171,31 @@ class TestSpecAndInit:
         save_params(init_params(spec, 0), tmp_path / "model.unpk")
         assert load_params(tmp_path / "model.unpk").spec == spec
 
+    @pytest.mark.parametrize("field", [
+        "input_channels", "base_features", "depth", "kernel_size"])
+    def test_checkpoint_u16_fields_bounded(self, field):
+        # a checkpoint packs these as unsigned 16-bit fields: 65535 is the
+        # largest value a spec may hold.  Only the spec is validated here,
+        # so no array of that size is ever drawn.
+        with pytest.raises(SpecError, match="65535"):
+            validate_spec(dataclasses.replace(TINY, **{field: 70001}))
+        validate_spec(dataclasses.replace(TINY, **{field: 0xFFFF}))
+
+    def test_head_count_and_channels_bounded(self, tmp_path):
+        # 70000 channels used to pass init_params and then die in
+        # save_params with a bare struct.error
+        with pytest.raises(SpecError, match="65535"):
+            save_params(init_params(UNetSpec(3, 2, 1, heads=(("urban", 70000),)), 0),
+                        tmp_path / "model.unpk")
+        validate_spec(UNetSpec(3, 2, 1, heads=(("urban", 0xFFFF),)))
+        heads = tuple((f"h{i}", 1) for i in range(0x10000))
+        with pytest.raises(SpecError, match="65535"):
+            validate_spec(UNetSpec(3, 2, 1, heads=heads))
+
     def test_name_groups_partition_parameters(self):
         spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
         all_names = set(expected_shapes(spec))
-        enc = set(encoder_names(spec))
+        enc = {n for n in all_names if n.startswith("enc")}
         urban = set(head_names(spec, "urban"))
         pop = set(head_names(spec, "pop"))
         assert enc | urban | pop == all_names
@@ -273,11 +296,11 @@ class TestForward:
         x = rng.normal(size=(3, size, size, 9)).astype(dtype)
         free, cache = _forward(params, x)
         assert cache is None
-        kept, cache = _forward(params, x, want_margins=True, keep_cache=True)
+        kept, cache = _forward(params, x, keep_cache=True)
         ref, ref_margins = reference_forward(params, x)
         assert free.dtype == dtype and free.shape == (3, size, size, heads)
         assert free.tobytes() == kept.tobytes() == ref.tobytes()
-        assert cache["margins"] == ref_margins
+        assert _margins(params, cache) == ref_margins
         assert len(ref_margins) == 3 * depth + 2 + 3 * depth * heads
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -503,17 +526,54 @@ class TestBackward:
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
 
-    def test_trainable_filter_matches_full_run(self):
-        spec = UNetSpec(3, 2, 1, heads=(("urban", 1), ("pop", 1)))
+    @pytest.mark.parametrize("subset, weights", [
+        (lambda spec: set(head_names(spec, "pop")), None),
+        (lambda spec: {n for n in expected_shapes(spec) if n.startswith("enc")}, None),
+        (lambda spec: {n for n in expected_shapes(spec) if n.startswith("dec.pop.1.")},
+         None),
+        # the urban loss weight is zero and nothing of the urban branch is
+        # trainable, but the encoder under it is
+        (lambda spec: set(expected_shapes(spec)) - set(head_names(spec, "urban")),
+         (0.0, 1.0)),
+    ], ids=["pop-head", "encoder", "one-decoder-level", "all-but-urban-zero-weight"])
+    def test_trainable_filter_matches_full_run(self, subset, weights):
+        # every gradient a subset asks for is the byte-for-byte gradient of
+        # the run that differentiates every layer
+        spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
         params = init_params(spec, 3, dtype=np.float64)
         rng = np.random.default_rng(3)
         x, y, m = random_batch(rng, ct=2)
-        _, full = loss_and_grads(params, x, y, m)
-        subset = set(head_names(spec, "pop"))
-        _, part = loss_and_grads(params, x, y, m, trainable=subset)
+        w = None if weights is None else np.array(weights)
+        _, full = loss_and_grads(params, x, y, m, channel_weights=w)
+        subset = subset(spec)
+        _, part = loss_and_grads(params, x, y, m, channel_weights=w, trainable=subset)
         assert set(part) == subset
         for name in subset:
-            np.testing.assert_array_equal(part[name], full[name])
+            assert part[name].tobytes() == full[name].tobytes(), name
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_frozen_phase_runs_only_the_new_decoder(self, monkeypatch, depth):
+        # phase 1 of multi-task training: only the task-2 decoder and head
+        # are trainable, so no encoder or task-1 layer is differentiated
+        spec = UNetSpec(3, 2, depth, heads=(("urban", 1), ("pop", 1)))
+        params = init_params(spec, 5)
+        names = {id(a): n for n, a in params.arrays.items()}
+        seen = []
+        honest = unet._conv_backward
+
+        def spy(x, w, g, need_dx=True):
+            seen.append(names[id(w)])
+            return honest(x, w, g, need_dx=need_dx)
+
+        monkeypatch.setattr(unet, "_conv_backward", spy)
+        x, y, m = random_batch(np.random.default_rng(5), ct=2)
+        trainable = set(head_names(spec, "pop"))
+        _, grads = loss_and_grads(params, x, y, m, channel_weights=np.array([0.0, 1.0]),
+                                  trainable=trainable)
+        assert set(grads) == trainable
+        assert len(seen) == 1 + 3 * depth
+        assert sorted(seen) == sorted(n for n in trainable if n.endswith(".w"))
+        assert not [n for n in seen if n.startswith(("enc", "dec.urban."))]
 
     def test_frozen_phase_shortcut_is_exact(self):
         # encoder + task-1 decoder frozen, task-2 loss only: the skipped
