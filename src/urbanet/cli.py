@@ -389,6 +389,13 @@ def _cmd_gradcheck(args) -> int:
     from .errors import NumericError
     from .unet import UNetSpec, grad_check
 
+    # zero seeds would check nothing and report success
+    if args.seeds < 1:
+        raise _UsageError("--seeds must be >= 1")
+    if args.tile_size < 1:
+        raise _UsageError("--tile-size must be >= 1")
+    if not args.tolerance > 0:
+        raise _UsageError("--tolerance must be > 0")
     spec = UNetSpec(input_channels=args.channels, base_features=args.base_features,
                     depth=args.depth)
     worst = 0.0

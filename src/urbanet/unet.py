@@ -13,6 +13,16 @@ Architecture (fixed by this artifact, not tunable per call):
   — outputs are unbounded regression values.
 * No batch normalization, no dropout: gradients stay exactly checkable.
 
+Neither the upsampled nor the concatenated tensor is ever built.  A conv
+after nearest 2x upsampling equals one conv on the low-resolution input
+with four output phases, whose taps are sums of the stored taps (the
+resize-convolution identity, in the sub-pixel layout): the up-conv runs
+at low resolution and interleaves the phases.  Its float32 result differs
+from upsample-then-conv by about 1e-6 of the largest value, as the taps
+are summed before the products.  Each decoder ``conv1`` writes its two
+inputs side by side into the padded input its im2col builds anyway, which
+gives the same bytes as concatenating them first.
+
 Tile sizes that ``2^depth`` does not divide are zero-padded internally to the
 next multiple (e.g. 28 -> 32 at depth 3, two pixels on each side) and the
 output is center-cropped back; the padding never leaks into the loss.
@@ -35,7 +45,7 @@ evaluation pass channel-last batches straight from the tile streams to
 ``_forward`` and ``loss_and_grads``.
 
 The wiring is written once, in ``_forward``.  For backprop it records a
-tape, one entry per ``conv``, ``pool``, ``up`` and ``cat`` layer, which
+tape, one entry per ``conv``, ``upconv``, ``pool`` and ``cat`` layer, which
 ``_backward`` replays in reverse without knowing the network's shape and
 ``_margins`` reads to place the gradient checker's probe points.  Inference
 records no tape and frees each activation once it is dead, so its memory is
@@ -226,47 +236,63 @@ def init_params(spec: UNetSpec, seed: int, dtype=np.float32) -> UNetParams:
 _BLOCK_BYTES = 256 << 10
 
 
-def _im2col_blocks(x: np.ndarray, k: int):
+def _parts(x) -> tuple:
+    """A convolution input as a tuple of parts (one part for a plain array)."""
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _im2col_blocks(x, k: int):
     """Yield (row slice, patch rows) of the (N*H*W, k*k*C) patch matrix of
     (N,H,W,C) ``x``, a few whole images per block; rows in (du, dv, c) layout.
 
+    ``x`` may also be a tuple of (N,H,W,C_i) parts: they are written side by
+    side, in order, into the padded input, so the patch matrix is that of
+    their channel concatenation without the concatenation being built.
     The input is zero-padded once.  Each block is copied into one reused
     buffer of about ``_BLOCK_BYTES`` (at least one image), so a consumer
     must finish with a block before asking for the next.  Channel-last, the
     patch row du of pixel (i, j) is the k*C contiguous values
     xp[i + du, j : j + k], so the copy moves runs of k*C values rather than
-    C.  A 1x1 kernel needs no copy: ``x`` itself is yielded as one block.
+    C.  A 1x1 kernel needs no copy: a single ``x`` is yielded as one block.
     Needs an odd k (validate_spec); the padding is k // 2.
     """
-    n, h, w, c = x.shape
-    if k == 1:
-        yield slice(0, n * h * w), x.reshape(-1, c)
+    parts = _parts(x)
+    n, h, w, _ = parts[0].shape
+    c = sum(part.shape[-1] for part in parts)
+    if k == 1 and len(parts) == 1:
+        yield slice(0, n * h * w), parts[0].reshape(-1, c)
         return
     pad = k // 2
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), x.dtype)
-    xp[:, pad : pad + h, pad : pad + w] = x
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), parts[0].dtype)
+    c0 = 0
+    for part in parts:
+        xp[:, pad : pad + h, pad : pad + w, c0 : c0 + part.shape[-1]] = part
+        c0 += part.shape[-1]
+    if k == 1:
+        yield slice(0, n * h * w), xp.reshape(-1, c)
+        return
     sn, sh, sw, sc = xp.strides
     win = as_strided(xp, (n, h, w, k, k * c), (sn, sh, sw, sh, sc), writeable=False)
-    step = max(1, min(n, _BLOCK_BYTES // (h * w * k * k * c * x.itemsize)))
-    buf = np.empty((step, h, w, k, k * c), x.dtype)
+    step = max(1, min(n, _BLOCK_BYTES // (h * w * k * k * c * xp.itemsize)))
+    buf = np.empty((step, h, w, k, k * c), xp.dtype)
     for i in range(0, n, step):
         m = min(step, n - i)
         np.copyto(buf[:m], win[i : i + m])
         yield slice(i * h * w, (i + m) * h * w), buf[:m].reshape(m * h * w, k * k * c)
 
 
-def _conv_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
-) -> np.ndarray:
+def _conv_forward(x, w: np.ndarray, b: np.ndarray, relu: bool = False) -> np.ndarray:
     """Same-padded convolution of (N,H,W,C) ``x``, one GEMM block at a time.
 
-    Each block gets its bias, and with ``relu`` its ReLU, while it is still
-    in cache.
+    ``x`` may be a tuple of parts, convolved as their channel concatenation
+    (``_im2col_blocks``).  Each block gets its bias, and with ``relu`` its
+    ReLU, while it is still in cache.
     """
     f, c, k, _ = w.shape
-    n, h, wd, _ = x.shape
+    x0 = _parts(x)[0]
+    n, h, wd, _ = x0.shape
     wm = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
-    y = np.empty((n, h, wd, f), np.result_type(x, w))
+    y = np.empty((n, h, wd, f), np.result_type(x0, w))
     y2 = y.reshape(-1, f)
     for rows, cols in _im2col_blocks(x, k):
         yb = np.matmul(cols, wm, out=y2[rows])
@@ -276,18 +302,18 @@ def _conv_forward(
     return y
 
 
-def _conv_backward(
-    x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool = True
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+def _conv_backward(x, w: np.ndarray, g: np.ndarray, need_dx: bool = True):
     """Gradients of a same-padded convolution: (d_input, d_weight, d_bias).
 
     d_weight sums the blocks' cols.T @ g.  d_input is itself a same-padded
     convolution of the output gradient with the spatially flipped,
     in/out-swapped kernel — one more blocked im2col GEMM instead of a
-    scatter-add.  Without ``need_dx`` it is skipped (None).
+    scatter-add.  For a tuple of parts, d_input is a tuple of one gradient
+    per part, channel views of one array.  Without ``need_dx`` it is
+    skipped (None).
     """
     f, c, k, _ = w.shape
-    n, h, wd, _ = x.shape
+    n, h, wd, _ = _parts(x)[0].shape
     g2 = g.reshape(-1, f)
     blocks = _im2col_blocks(x, k)
     rows, cols = next(blocks)
@@ -303,7 +329,75 @@ def _conv_backward(
     dx2 = dx.reshape(-1, c)
     for rows, cols in _im2col_blocks(g, k):
         np.matmul(cols, wflip, out=dx2[rows])
+    if isinstance(x, tuple):
+        dx = tuple(np.split(dx, np.cumsum([part.shape[-1] for part in x[:-1]]), axis=-1))
     return dx, dw, db
+
+
+def _tap_sum_map(k: int) -> np.ndarray:
+    """The 0/1 map from a k x k kernel run after nearest-neighbor 2x
+    upsampling to the four kl x kl kernels, one per output phase, that give
+    the same output from the low-resolution input.
+
+    Shape (2, 2, kl, kl, k, k), with kl = 2 * ceil((k // 2) / 2) + 1: output
+    row 2i + a reads upsampled row 2i + a + du - k // 2, which is
+    low-resolution row i + (a + du - k // 2) // 2.  Columns likewise.
+    """
+    p = k // 2
+    r = (p + 1) // 2
+    taps = np.zeros((2, 2 * r + 1, k))
+    for a in (0, 1):
+        taps[a, r + (a + np.arange(k) - p) // 2, np.arange(k)] = 1.0
+    return np.einsum("aud,bve->abuvde", taps, taps)
+
+
+def _phase_weight(w: np.ndarray) -> np.ndarray:
+    """The (4F, C, kl, kl) sub-pixel kernel of stored (F, C, k, k) up-conv
+    weights: its output channel (2a + b) * F + f is feature f at the output
+    pixels (2i + a, 2j + b)."""
+    f, c, k, _ = w.shape
+    m = _tap_sum_map(k)
+    kl = m.shape[2]
+    wp = w.reshape(f * c, k * k) @ m.reshape(-1, k * k).T.astype(w.dtype)
+    return wp.reshape(f, c, 2, 2, kl, kl).transpose(2, 3, 0, 1, 4, 5).reshape(4 * f, c, kl, kl)
+
+
+def _phase_weight_grad(dwp: np.ndarray, k: int) -> np.ndarray:
+    """The adjoint of ``_phase_weight``: d_weight (F, C, k, k) from the
+    sub-pixel kernel's gradient."""
+    f4, c, kl, _ = dwp.shape
+    f = f4 // 4
+    d = dwp.reshape(2, 2, f, c, kl, kl).transpose(2, 3, 0, 1, 4, 5).reshape(f * c, -1)
+    return (d @ _tap_sum_map(k).reshape(-1, k * k).astype(dwp.dtype)).reshape(f, c, k, k)
+
+
+def _upconv_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
+) -> np.ndarray:
+    """Nearest-neighbor 2x upsampling of (N,H,W,C) ``x``, then a same-padded
+    convolution, computed at low resolution (sub-pixel layout).
+
+    One blocked convolution of ``x`` with the phase kernel yields the four
+    output phases as 4F channels; a depth-to-space copy interleaves them.
+    """
+    n, h, wd, _ = x.shape
+    f = w.shape[0]
+    y = _conv_forward(x, _phase_weight(w), np.tile(b, 4), relu)
+    return y.reshape(n, h, wd, 2, 2, f).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * h, 2 * wd, f)
+
+
+def _upconv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool = True):
+    """Gradients of ``_upconv_forward`` before its ReLU: (d_input, d_weight,
+    d_bias), with d_input at the low resolution of ``x``.
+
+    The output gradient goes space-to-depth into the phase layout and
+    through the blocked convolution backward with the phase kernel.
+    """
+    n, h, wd, _ = x.shape
+    f, _, k, _ = w.shape
+    g4 = g.reshape(n, h, 2, wd, 2, f).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, wd, 4 * f)
+    dx, dwp, dbp = _conv_backward(x, _phase_weight(w), g4, need_dx)
+    return dx, _phase_weight_grad(dwp, k), dbp.reshape(4, f).sum(axis=0)
 
 
 def _pool_windows(x: np.ndarray) -> np.ndarray:
@@ -347,20 +441,6 @@ def _pool_backward(g: np.ndarray, idx: np.ndarray, in_shape: tuple) -> np.ndarra
     )
 
 
-def _up_forward(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor 2x upsampling."""
-    n, h, w, c = x.shape
-    return (
-        np.broadcast_to(x[:, :, None, :, None, :], (n, h, 2, w, 2, c))
-        .reshape(n, 2 * h, 2 * w, c)
-    )
-
-
-def _up_backward(g: np.ndarray) -> np.ndarray:
-    n, h2, w2, c = g.shape
-    return g.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 
@@ -376,9 +456,11 @@ def _forward(params: UNetParams, x: np.ndarray, keep_cache: bool = False):
     The cache is None unless ``keep_cache`` asks for it, as backprop does.
     Without it every activation is released once it is dead.  With it the
     cache holds the tape: one ``(kind, name, inputs, output, extra)`` entry
-    per layer in execution order, where a ``conv`` names its parameters and
-    carries its ReLU flag and a ``pool`` carries its argmax.  The entries
-    hold references, not copies.  Either way the outputs are the same bytes.
+    per layer in execution order, where a ``conv`` or ``upconv`` names its
+    parameters and carries its ReLU flag and a ``pool`` carries its argmax.
+    A decoder ``conv1`` has two inputs, the up path and the skip, read side
+    by side rather than concatenated.  The entries hold references, not
+    copies.  Either way the outputs are the same bytes.
     ``x`` is cast to the parameters' dtype, so callers pass tiles as gathered.
     """
     spec = params.spec
@@ -402,12 +484,13 @@ def _forward(params: UNetParams, x: np.ndarray, keep_cache: bool = False):
             tape.append((kind, name, inputs, out, extra))
         return out
 
-    def conv(name: str, a: np.ndarray, relu: bool = True) -> np.ndarray:
-        y = _conv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"], relu)
-        return layer("conv", name, (a,), y, relu)
+    def conv(name: str, *parts: np.ndarray, relu: bool = True) -> np.ndarray:
+        y = _conv_forward(parts, arrays[f"{name}.w"], arrays[f"{name}.b"], relu)
+        return layer("conv", name, parts, y, relu)
 
-    def cat(parts: tuple) -> np.ndarray:
-        return layer("cat", None, parts, np.concatenate(parts, axis=-1))
+    def upconv(name: str, a: np.ndarray) -> np.ndarray:
+        y = _upconv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"], relu=True)
+        return layer("upconv", name, (a,), y, True)
 
     skips: list[np.ndarray] = []  # every level's output; the last is the bottleneck
     for lvl in range(spec.depth + 1):
@@ -423,20 +506,19 @@ def _forward(params: UNetParams, x: np.ndarray, keep_cache: bool = False):
     for head, _ in spec.heads:
         d = skips[-1]  # the bottleneck feeds every decoder
         for lvl in range(spec.depth - 1, -1, -1):
-            xu = layer("up", None, (d,), _up_forward(d))
+            yu = upconv(f"dec.{head}.{lvl}.up", d)
             del d
-            yu = conv(f"dec.{head}.{lvl}.up", xu)
-            del xu
-            xc = cat((yu, skips[lvl]))
+            y1 = conv(f"dec.{head}.{lvl}.conv1", yu, skips[lvl])
             del yu
-            y1 = conv(f"dec.{head}.{lvl}.conv1", xc)
-            del xc
             d = conv(f"dec.{head}.{lvl}.conv2", y1)
             del y1
         head_outs.append(conv(f"head.{head}", d, relu=False))
         del d
 
-    y = head_outs[0] if len(head_outs) == 1 else cat(tuple(head_outs))
+    if len(head_outs) == 1:
+        y = head_outs[0]
+    else:
+        y = layer("cat", None, tuple(head_outs), np.concatenate(head_outs, axis=-1))
     if pt or pb or pl or pr:
         y = y[:, pt : pt + h, pl : pl + w, :]
     if not keep_cache:
@@ -465,7 +547,7 @@ def _backward(
     # every one of them alive
     fed: set[int] = set()  # the activations that a trainable parameter feeds
     for kind, name, inputs, out, _ in tape:
-        if (kind == "conv" and f"{name}.w" in wanted) or any(id(a) in fed for a in inputs):
+        if (name is not None and f"{name}.w" in wanted) or any(id(a) in fed for a in inputs):
             fed.add(id(out))
 
     g = g_out
@@ -478,23 +560,25 @@ def _backward(
         if id(out) not in fed:
             continue
         g = pending.pop(id(out))
-        if kind == "conv":
+        if kind == "pool":
+            g_in = [_pool_backward(g, extra, inputs[0].shape)]
+        elif kind == "cat":  # each input takes back its own channels
+            g_in = np.split(g, np.cumsum([a.shape[-1] for a in inputs[:-1]]), axis=-1)
+        else:  # conv or upconv
             if extra:  # the ReLU passes gradient only where it was open
                 g = g * (out > 0)
-            dx, dw, db = _conv_backward(inputs[0], arrays[f"{name}.w"], g,
-                                        need_dx=id(inputs[0]) in fed)
+            need_dx = any(id(a) in fed for a in inputs)
+            if kind == "conv":
+                dx, dw, db = _conv_backward(inputs, arrays[f"{name}.w"], g, need_dx)
+            else:
+                dx, dw, db = _upconv_backward(inputs[0], arrays[f"{name}.w"], g, need_dx)
+                dx = (dx,)
             if f"{name}.w" in wanted:
                 if not (np.isfinite(dw).all() and np.isfinite(db).all()):
                     raise NumericError(f"non-finite gradient in layer {name!r}")
                 grads[f"{name}.w"] = dw
                 grads[f"{name}.b"] = db
-            g_in = [dx]
-        elif kind == "pool":
-            g_in = [_pool_backward(g, extra, inputs[0].shape)]
-        elif kind == "up":
-            g_in = [_up_backward(g)]
-        else:  # cat: each input takes back its own channels
-            g_in = np.split(g, np.cumsum([a.shape[-1] for a in inputs[:-1]]), axis=-1)
+            g_in = dx if need_dx else ()
         for a, ga in zip(inputs, g_in):
             if id(a) in fed:
                 pending[id(a)] = pending[id(a)] + ga if id(a) in pending else ga
@@ -612,16 +696,20 @@ _SAMPLED_COORDS = 500
 def _margins(params: UNetParams, cache: dict) -> list[float]:
     """How far a taped batch sits from every ReLU kink and pooling tie.
 
-    In tape order: for each ReLU convolution the smallest |pre-activation|,
-    recomputed from its taped input by the same blocked ``_conv_forward``
-    without the ReLU; for each pooling the smallest gap between a window's
-    top two values.
+    In tape order: for each ReLU convolution or up-convolution the smallest
+    |pre-activation|, recomputed from its taped inputs by the same blocked
+    forward without the ReLU; for each pooling the smallest gap between a
+    window's top two values.
     """
     arrays = params.arrays
     margins: list[float] = []
     for kind, name, inputs, _, extra in cache["tape"]:
-        if kind == "conv" and extra:
-            pre = _conv_forward(inputs[0], arrays[f"{name}.w"], arrays[f"{name}.b"])
+        if kind in ("conv", "upconv") and extra:
+            w, b = arrays[f"{name}.w"], arrays[f"{name}.b"]
+            if kind == "conv":
+                pre = _conv_forward(inputs, w, b)
+            else:
+                pre = _upconv_forward(inputs[0], w, b)
             margins.append(float(np.abs(pre).min()))
         elif kind == "pool":
             top2 = np.sort(_pool_windows(inputs[0]), axis=-1)[..., -2:]

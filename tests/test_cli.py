@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import urbanet
-from urbanet import evaluate, trainer
+from urbanet import evaluate, trainer, unet
 from urbanet.cli import main
 from urbanet.grid import WorldGrid, load_grid, pad_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
@@ -445,6 +445,25 @@ class TestGradcheck:
     def test_passes_on_tiny_model(self, capsys):
         assert main(["gradcheck", "--seeds", "1", "--tile-size", "6"]) == 0
         assert "gradients ok" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", "0"], "--seeds"),
+        (["--seeds", "-2"], "--seeds"),
+        (["--tile-size", "0"], "--tile-size"),
+        (["--tolerance", "-1"], "--tolerance"),
+        (["--tolerance", "0"], "--tolerance"),
+        (["--tolerance", "nan"], "--tolerance"),
+    ])
+    def test_rejects_arguments_that_check_nothing(self, monkeypatch, capsys, flags, message):
+        # refused before any gradient is checked: zero seeds used to print
+        # "gradients ok", tile size 0 to crash with a traceback
+        def no_check(*args, **kwargs):
+            raise AssertionError("grad_check ran")
+
+        monkeypatch.setattr(unet, "grad_check", no_check)
+        assert main(["gradcheck", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "gradients ok" not in err
 
 
 class TestConsoleScript:

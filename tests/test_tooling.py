@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every import in the package is
-used, and the command line parses its flags before numpy loads."""
+used, every private function or class has a caller, and the command line
+parses its flags before numpy loads."""
 
 from __future__ import annotations
 
@@ -57,6 +58,52 @@ def test_no_unused_imports():
               for path in sorted(SRC.glob("*.py"))
               for line, name in unused_imports(path.read_text())]
     assert unused == []
+
+
+def uncalled_private_defs(sources: dict[str, str]) -> list[str]:
+    """``file:name`` of each module-level ``_name`` function or class that no
+    other statement of any source references.
+
+    A reference is a name read, an attribute or an imported name; the
+    definition's own body (recursion) does not count.
+    """
+    statements = []  # (file, top-level statement, the names it references)
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            refs = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    refs.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    refs.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    refs.add(n.name)
+            statements.append((path, node, refs))
+    found = []
+    for path, node, _ in statements:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            if not any(node.name in refs for _, other, refs in statements
+                       if other is not node):
+                found.append(f"{path}:{node.name}")
+    return sorted(found)
+
+
+def test_private_defs_have_callers():
+    sample = {
+        "a.py": "def _used(): pass\n"
+                "def _recursive(n): return _recursive(n - 1)\n"
+                "class _Dead: pass\n"
+                "def public(): return _used()\n",
+        "b.py": "from a import _imported\n"
+                "import a\n"
+                "x = a._attribute\n",
+        "c.py": "def _imported(): pass\n"
+                "def _attribute(): pass\n",
+    }
+    assert uncalled_private_defs(sample) == ["a.py:_Dead", "a.py:_recursive"]
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert uncalled_private_defs(sources) == []
 
 
 def test_cli_parses_without_numpy():
