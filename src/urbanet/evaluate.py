@@ -25,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
+from .files import atomic_write
 from .grid import SplitAssignment, WorldGrid
 from .tiler import TileDataset, WindowSpec
 from .unet import UNetParams, _forward
@@ -298,7 +299,7 @@ def save_report(report: EvalReport, path) -> None:
     """One CSV line per row; strata rendered with their table labels."""
     if not report.rows:
         raise DataError("refusing to write an empty report")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for r in report.rows:
@@ -380,13 +381,14 @@ def export_scatter(
     obs = np.asarray(truth, np.float64)[sel]
     est = np.asarray(pred, np.float64)[sel]
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["observed", "predicted"])
         for o, p in zip(obs, est):
             writer.writerow([repr(float(o)), repr(float(p))])
     svg = Path(svg_path) if svg_path is not None else path.with_suffix(".svg")
-    svg.write_text(_scatter_svg(obs, est, target_name))
+    with atomic_write(svg) as fh:
+        fh.write(_scatter_svg(obs, est, target_name))
 
 
 def _scatter_svg(obs: np.ndarray, est: np.ndarray, target_name: str) -> str:

@@ -35,6 +35,7 @@ from .errors import (
     FormatError,
     IntegrityError,
 )
+from .files import atomic_write
 
 MAGIC = b"WGRD"
 VERSION = 1
@@ -206,7 +207,8 @@ def save_grid(grid: WorldGrid, path: str | Path) -> None:
     for plane in grid.channels.values():
         buf += np.ascontiguousarray(plane, dtype="<f8").tobytes()
     try:
-        Path(path).write_bytes(buf)
+        with atomic_write(path, "wb") as fh:
+            fh.write(buf)
     except OSError as exc:
         raise OSError(f"cannot write grid to {path}: {exc}") from exc
 

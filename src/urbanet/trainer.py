@@ -22,11 +22,13 @@ import numpy as np
 
 from .augment import TRANSFORMS, AugmentedTiles
 from .errors import ConfigError, DataError, DivergenceError, NumericError, SpecError
+from .files import atomic_write
 from .grid import WorldGrid, SplitAssignment
 from .tiler import TileDataset, WindowSpec
 from .unet import (
     UNetParams,
     _forward,
+    _live_heads,
     _masked_loss_grad,
     expected_shapes,
     head_names,
@@ -62,8 +64,10 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         # 0 is allowed so a zero step can be asserted to leave params alone
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -72,8 +76,8 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.min_delta < 0:
-            raise ConfigError(f"min_delta must be >= 0, got {self.min_delta}")
+        if not 0 <= self.min_delta < math.inf:
+            raise ConfigError(f"min_delta must be finite and >= 0, got {self.min_delta}")
         if self.samples_per_epoch is not None and self.samples_per_epoch < 1:
             raise ConfigError("samples_per_epoch must be >= 1 when set")
 
@@ -181,14 +185,17 @@ def evaluate_loss(
     batch_size: int = 256,
     channel_weights: np.ndarray | None = None,
 ) -> float:
-    """Sample-weighted masked MSE over a tile stream (no updates)."""
+    """Sample-weighted masked MSE over a tile stream (no updates).
+
+    A head whose channels all have weight 0 is not computed."""
     if len(tiles) == 0:
         raise DataError("cannot evaluate an empty tile stream")
+    heads = _live_heads(params.spec, channel_weights)
     total, count = 0.0, 0
     for start in range(0, len(tiles), batch_size):
         idx = np.arange(start, min(start + batch_size, len(tiles)))
         x, y, m = tiles.batch(idx)
-        pred, _ = _forward(params, x)
+        pred, _ = _forward(params, x, heads=heads)
         loss, _ = _masked_loss_grad(pred, y, m, channel_weights)
         total += loss * len(idx)
         count += len(idx)
@@ -386,17 +393,18 @@ def train_multitask(
     checkpoint_dir=None,
 ) -> tuple[UNetParams, TrainHistory]:
     """Run the frozen phase then joint fine-tuning; tiles must carry one
-    target channel per head, in head order.
+    target channel per output channel, in head order.
 
-    Phase 1 optimizes the task-2 loss only and never touches the frozen
-    parameters (bitwise).  Phase 2 minimizes the equal-weight mean of the
-    tasks' masked MSEs.  Each phase early-stops independently.
+    Phase 1 optimizes the last head's loss only and never touches the
+    frozen parameters (bitwise).  Phase 2 minimizes the equal-weight mean
+    of the output channels' masked MSEs.  Each phase early-stops
+    independently.
     """
     spec = params.spec
     if len(spec.heads) < 2:
         raise SpecError("multi-task training needs at least two heads")
-    w1 = [0.0] * len(spec.heads)
-    w1[-1] = 1.0
+    last = spec.heads[-1][1]
+    w1 = [0.0] * (spec.out_channels - last) + [1.0] * last
     m1, h1 = train(
         params, train_tiles, val_tiles, schedule.phase1,
         channel_weights=w1, trainable=phase1_trainable(spec),
@@ -445,7 +453,8 @@ def format_config(config: TrainConfig) -> str:
 
 
 def save_config(config: TrainConfig, path) -> None:
-    Path(path).write_text(format_config(config))
+    with atomic_write(path) as fh:
+        fh.write(format_config(config))
 
 
 def parse_config_line(line: str) -> tuple[str, str] | None:
@@ -490,7 +499,7 @@ def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def save_history(history: TrainHistory, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch,phase,train_loss,val_loss,seconds\n")
         for row in history.rows:
             fh.write(

@@ -50,6 +50,14 @@ tape, one entry per ``conv``, ``upconv``, ``pool`` and ``cat`` layer, which
 ``_margins`` reads to place the gradient checker's probe points.  Inference
 records no tape and frees each activation once it is dead, so its memory is
 a few layers' worth rather than the whole network's.
+
+The forward mirrors the backward's liveness rule.  A loss evaluation runs a
+head only when a channel of it has nonzero loss weight or a trainable
+parameter feeds it (``_live_heads``): the frozen multi-task phase never
+runs the first head's decoder, in training or in validation.  The tape
+keeps only what the backward replays: a pool stores no argmax, and its
+backward recomputes the routing from the taped input and output.  Both
+leave every loss and gradient byte-for-byte as a full pass gives them.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ from .errors import (
     ShapeError,
     SpecError,
 )
+from .files import atomic_write
 from .grid import _decode_ascii
 
 CHECKPOINT_MAGIC = b"UNPK"
@@ -400,45 +409,45 @@ def _upconv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool 
     return dx, _phase_weight_grad(dwp, k), dbp.reshape(4, f).sum(axis=0)
 
 
+def _pool_views(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four strided views of (N,H,W,C) ``x`` that each hold one pixel of
+    every 2x2 window, in row-major window order."""
+    return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+
+
 def _pool_windows(x: np.ndarray) -> np.ndarray:
     """The 2x2 pooling windows of (N,H,W,C) ``x`` as (N, H/2, W/2, C, 4)."""
-    n, h, w, c = x.shape
-    return (
-        x.reshape(n, h // 2, 2, w // 2, 2, c)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, h // 2, w // 2, c, 4)
-    )
+    return np.stack(_pool_views(x), axis=-1)
 
 
-def _pool_forward(
-    x: np.ndarray, want_index: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _pool_forward(x: np.ndarray) -> np.ndarray:
     """2x2 max pooling as the max of the four strided views of each window.
 
-    With ``want_index`` also returns, for backprop, each window's argmax in
-    row-major window order, ties going to the first maximum; else None.
+    No argmax is kept: ``_pool_backward`` recomputes the routing from the
+    input and this output, so a pool whose backward never runs pays nothing.
     """
-    views = (x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2])
+    views = _pool_views(x)
     y = np.maximum(views[0], views[1])
     np.maximum(y, views[2], out=y)
     np.maximum(y, views[3], out=y)
-    if not want_index:
-        return y, None
-    idx = np.full(y.shape, 3, np.intp)
-    for pos in (2, 1, 0):  # the first maximum overwrites later ones
-        idx[views[pos] == y] = pos
-    return y, idx
+    return y
 
 
-def _pool_backward(g: np.ndarray, idx: np.ndarray, in_shape: tuple) -> np.ndarray:
-    n, h, w, c = in_shape
-    z = np.zeros((n, h // 2, w // 2, c, 4), g.dtype)
-    np.put_along_axis(z, idx[..., None], g[..., None], axis=-1)
-    return (
-        z.reshape(n, h // 2, w // 2, c, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, h, w, c)
-    )
+def _pool_backward(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of ``y = _pool_forward(x)``: each window's output gradient
+    goes to its first maximum in row-major window order, the pixel that
+    equals ``y`` first (the last pixel when none does, as for NaN).  Every
+    other pixel gets +0.0."""
+    dx = np.zeros(x.shape, g.dtype)
+    dst = _pool_views(dx)
+    taken = np.zeros(y.shape, bool)  # windows already routed
+    for pos, src in enumerate(_pool_views(x)[:3]):
+        hit = src == y
+        np.greater(hit, taken, out=hit)  # hit and not taken
+        np.copyto(dst[pos], g, where=hit)
+        taken |= hit
+    np.copyto(dst[3], g, where=~taken)
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +459,26 @@ def _pad_amounts(size: int, multiple: int) -> tuple[int, int]:
     return total // 2, total - total // 2
 
 
-def _forward(params: UNetParams, x: np.ndarray, keep_cache: bool = False):
+def _forward(
+    params: UNetParams,
+    x: np.ndarray,
+    keep_cache: bool = False,
+    heads: frozenset[str] | None = None,
+):
     """Channel-last forward pass; returns (output, cache).
 
     The cache is None unless ``keep_cache`` asks for it, as backprop does.
     Without it every activation is released once it is dead.  With it the
     cache holds the tape: one ``(kind, name, inputs, output, extra)`` entry
     per layer in execution order, where a ``conv`` or ``upconv`` names its
-    parameters and carries its ReLU flag and a ``pool`` carries its argmax.
-    A decoder ``conv1`` has two inputs, the up path and the skip, read side
-    by side rather than concatenated.  The entries hold references, not
-    copies.  Either way the outputs are the same bytes.
+    parameters and carries its ReLU flag; a ``pool`` keeps only its input
+    and output.  A decoder ``conv1`` has two inputs, the up path and the
+    skip, read side by side rather than concatenated.  The entries hold
+    references, not copies.  Either way the outputs are the same bytes.
+
+    ``heads`` names the heads to run (all when None, see ``_live_heads``);
+    a head left out runs no layer, is not taped, and reads as zeros in its
+    output channels.  The other channels are the bytes of a full pass.
     ``x`` is cast to the parameters' dtype, so callers pass tiles as gathered.
     """
     spec = params.spec
@@ -499,11 +517,13 @@ def _forward(params: UNetParams, x: np.ndarray, keep_cache: bool = False):
         skips.append(conv(f"enc{lvl}.conv2", y1))
         del y1
         if lvl < spec.depth:
-            x, idx = _pool_forward(skips[-1], want_index=keep_cache)
-            layer("pool", None, (skips[-1],), x, idx)
+            x = layer("pool", None, (skips[-1],), _pool_forward(skips[-1]))
 
     head_outs: list[np.ndarray] = []
-    for head, _ in spec.heads:
+    for head, out_ch in spec.heads:
+        if heads is not None and head not in heads:
+            head_outs.append(np.zeros(skips[0].shape[:3] + (out_ch,), skips[0].dtype))
+            continue
         d = skips[-1]  # the bottleneck feeds every decoder
         for lvl in range(spec.depth - 1, -1, -1):
             yu = upconv(f"dec.{head}.{lvl}.up", d)
@@ -561,7 +581,7 @@ def _backward(
             continue
         g = pending.pop(id(out))
         if kind == "pool":
-            g_in = [_pool_backward(g, extra, inputs[0].shape)]
+            g_in = [_pool_backward(g, inputs[0], out)]
         elif kind == "cat":  # each input takes back its own channels
             g_in = np.split(g, np.cumsum([a.shape[-1] for a in inputs[:-1]]), axis=-1)
         else:  # conv or upconv
@@ -587,6 +607,41 @@ def _backward(
 
 # ---------------------------------------------------------------------------
 # masked loss
+
+
+def _weight_vector(channel_weights, c: int) -> np.ndarray:
+    """``channel_weights`` as a float64 vector, which must have shape (c,)."""
+    wts = np.asarray(channel_weights, dtype=np.float64)
+    if wts.shape != (c,):
+        raise ShapeError(f"channel_weights must have shape ({c},), got {wts.shape}")
+    return wts
+
+
+def _live_heads(
+    spec: UNetSpec, channel_weights, trainable: set[str] | None = frozenset()
+) -> frozenset[str] | None:
+    """The heads a loss evaluation must run, for ``_forward``'s ``heads``.
+
+    A head is dead when every one of its channels has weight 0, unless a
+    trainable parameter feeds it (an encoder one or its own; None: every
+    parameter is trainable): then its backward runs and it stays live, so
+    the gradients keep their bytes.  A dead head changes neither the loss
+    nor any returned gradient.  Returns None when every head is live, and
+    also when none is: the weights are then invalid and the loss refuses
+    them.
+    """
+    if channel_weights is None or trainable is None:
+        return None
+    wts = _weight_vector(channel_weights, spec.out_channels)
+    shared = any(n.startswith("enc") for n in trainable)
+    live, c0 = [], 0
+    for head, out_ch in spec.heads:
+        own = (f"dec.{head}.", f"head.{head}.")
+        if (shared or (wts[c0 : c0 + out_ch] != 0).any()
+                or any(n.startswith(own) for n in trainable)):
+            live.append(head)
+        c0 += out_ch
+    return frozenset(live) if 0 < len(live) < len(spec.heads) else None
 
 
 def _masked_loss_grad(
@@ -621,9 +676,7 @@ def _masked_loss_grad(
     if channel_weights is None:
         wts = np.full(c, 1.0 / c)
     else:
-        wts = np.asarray(channel_weights, dtype=np.float64)
-        if wts.shape != (c,):
-            raise ShapeError(f"channel_weights must have shape ({c},), got {wts.shape}")
+        wts = _weight_vector(channel_weights, c)
         if (wts < 0).any() or wts.sum() <= 0:
             raise DataError("channel_weights must be non-negative and sum to > 0")
         wts = wts / wts.sum()
@@ -644,8 +697,13 @@ def loss_and_grads(
     channel_weights: np.ndarray | None = None,
     trainable: set[str] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Fused forward + masked loss + backward on channel-last arrays."""
-    pred, cache = _forward(params, x, keep_cache=True)
+    """Fused forward + masked loss + backward on channel-last arrays.
+
+    A head whose loss weights are all zero and that no trainable parameter
+    feeds is not computed (``_live_heads``).
+    """
+    heads = _live_heads(params.spec, channel_weights, trainable)
+    pred, cache = _forward(params, x, keep_cache=True, heads=heads)
     loss, g = _masked_loss_grad(pred, y, m, channel_weights)
     if not math.isfinite(loss):
         raise NumericError(f"masked loss is non-finite ({loss})")
@@ -836,7 +894,8 @@ def save_params(params: UNetParams, path: str | Path) -> None:
         buf += struct.pack("<B", arr.ndim)
         buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
         buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    Path(path).write_bytes(buf)
+    with atomic_write(path, "wb") as fh:
+        fh.write(buf)
 
 
 def load_params(path: str | Path) -> UNetParams:

@@ -161,6 +161,15 @@ class TestTrain:
         assert "learning_rate=0.25" in out
         assert "batch_size=16" in out
 
+    @pytest.mark.parametrize("line", ["learning_rate = nan", "learning_rate=inf",
+                                      "min_delta=nan"])
+    def test_non_finite_config_exits_1(self, tmp_path, capsys, line):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["train", "--grid", "unused.wgrd", "--config", str(cfg),
+                     "--print-config"]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_artifacts_written(self, run_dir):
         params = load_params(run_dir / "unet_urban_sz16.unpk")
         assert params.spec.heads == (("urban", 1),)
@@ -210,6 +219,22 @@ class TestEvalReport:
                      "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
                      "--report", str(report)]) == 2
         assert report.read_bytes() == before
+
+    def test_failed_report_write_keeps_the_rows(self, world_file, run_dir, tmp_path,
+                                                failing_writes):
+        # eval loads the report, appends its rows and saves it: a save that
+        # fails midway leaves the old rows and no temporary file
+        report = tmp_path / "rows.csv"
+        args = ["eval", "--grid", str(world_file), "--window", "16", "--pad", "8",
+                "--test-regions", "R03", "--report", str(report),
+                "--checkpoint", str(run_dir / "unet_urban_sz16.unpk")]
+        assert main(args + ["--split", "test"]) == 0
+        before = report.read_bytes()
+        failing_writes.arm()
+        assert main(args + ["--split", "all"]) == 2
+        assert failing_writes.opened
+        assert report.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
     def test_eval_logs_coverage_summary(self, world_file, run_dir, tmp_path, capsys):
         rc = main(["eval", "--grid", str(world_file), "--window", "16",

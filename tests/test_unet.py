@@ -8,9 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from urbanet import unet
+from urbanet import trainer, unet
 from urbanet.errors import (
     DataError,
     FormatError,
@@ -26,6 +28,7 @@ from urbanet.unet import (
     _im2col_blocks,
     _margins,
     _masked_loss_grad,
+    _pool_backward,
     _pool_forward,
     _pool_windows,
     UNetParams,
@@ -316,16 +319,19 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pool_index_matches_argmax(self, dtype):
         # post-ReLU values from {0, 1, 2}: most windows tie, and the top-left
-        # windows of every image are all zero
+        # windows of every image are all zero.  The pool keeps no index; its
+        # backward routes each window's gradient to the argmax.
         rng = np.random.default_rng(7)
         x = np.maximum(rng.integers(-2, 3, size=(3, 8, 10, 5)), 0).astype(dtype)
         x[:, :4, :4] = 0.0
         windows = _pool_windows(x)
-        y, idx = _pool_forward(x, want_index=True)
-        np.testing.assert_array_equal(idx, windows.argmax(axis=-1))
+        y = _pool_forward(x)
         assert y.tobytes() == windows.max(axis=-1).tobytes()
-        y_only, none = _pool_forward(x)
-        assert none is None and y_only.tobytes() == y.tobytes()
+        g = rng.uniform(1.0, 2.0, size=y.shape).astype(dtype)
+        routed = _pool_windows(_pool_backward(g, x, y))
+        np.testing.assert_array_equal((routed != 0).argmax(axis=-1), windows.argmax(axis=-1))
+        assert (routed != 0).sum(axis=-1).max() == 1
+        assert routed.sum(axis=-1).tobytes() == g.tobytes()
 
     def test_inference_memory_is_bounded(self):
         # desk spec, batch 256, S = 28: a forward that built the backprop
@@ -718,6 +724,215 @@ class TestBackward:
             loss_and_grads(params, x, y, m[:1])
         with pytest.raises(IntegrityError):
             loss_and_grads(params, x, y, m + 1)
+
+
+def first_max_routing(g, x):
+    """Per-window reference of the pool backward: each window's gradient
+    goes to the first pixel, in row-major order, equal to the window's
+    maximum; every other pixel holds +0.0."""
+    dx = np.zeros(x.shape, g.dtype)
+    n, h, w, c = g.shape
+    for k, i, j, ch in np.ndindex(n, h, w, c):
+        pixels = [(2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1)]
+        values = [x[k, r, s, ch] for r, s in pixels]
+        top = max(values)
+        r, s = pixels[next(p for p, v in enumerate(values) if v == top)]
+        dx[k, r, s, ch] = g[k, i, j, ch]
+    return dx
+
+
+class TestPoolBackward:
+    @given(
+        st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        st.sampled_from([np.float32, np.float64]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_first_max_reference(self, shape, dtype, data):
+        # few distinct values: most windows tie, and +0.0 ties with -0.0
+        n, h, w, c = shape
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+        x = np.array(data.draw(st.lists(values, min_size=n * 4 * h * w * c,
+                                        max_size=n * 4 * h * w * c)),
+                     dtype).reshape(n, 2 * h, 2 * w, c)
+        g = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0]),
+                                        min_size=n * h * w * c, max_size=n * h * w * c)),
+                     dtype).reshape(n, h, w, c)
+        y = _pool_forward(x)
+        np.testing.assert_array_equal(y, _pool_windows(x).max(axis=-1))
+        got = _pool_backward(g, x, y)
+        assert got.dtype == dtype and got.shape == x.shape
+        assert got.tobytes() == first_max_routing(g, x).tobytes()
+
+    def test_backward_reads_only_the_tape(self):
+        # the routing comes from the taped input and output: nothing else
+        # of the pool is kept
+        params = init_params(UNetSpec(3, 2, 2), 0)
+        x = np.random.default_rng(0).normal(size=(2, 8, 8, 3)).astype(np.float32)
+        _, cache = _forward(params, x, keep_cache=True)
+        pools = [e for e in cache["tape"] if e[0] == "pool"]
+        assert len(pools) == 2
+        for _, name, inputs, out, extra in pools:
+            assert name is None and extra is None and len(inputs) == 1
+            assert out.tobytes() == _pool_forward(inputs[0]).tobytes()
+
+
+def full_loss_and_grads(params, x, y, m, weights, trainable):
+    """loss_and_grads with every head computed: the oracle of the skip."""
+    pred, cache = _forward(params, x, keep_cache=True)
+    loss, g = _masked_loss_grad(pred, y, m, weights)
+    return loss, _backward(params, cache, g.astype(params.dtype), trainable)
+
+
+def full_validation_loss(params, x, y, m, weights, batch_size):
+    """trainer.evaluate_loss with every head computed."""
+    total = 0.0
+    for start in range(0, len(x), batch_size):
+        sl = slice(start, start + batch_size)
+        pred, _ = _forward(params, x[sl])
+        total += _masked_loss_grad(pred, y[sl], m[sl], weights)[0] * len(x[sl])
+    return total / len(x)
+
+
+class ArrayTiles:
+    """A tile stream over in-memory channel-last arrays."""
+
+    def __init__(self, x, y, m):
+        self.x, self.y, self.m = x, y, m
+
+    def __len__(self):
+        return len(self.x)
+
+    def batch(self, idx):
+        return self.x[idx], self.y[idx], self.m[idx]
+
+
+def phase1_weights(spec):
+    """Zero for every channel but the last head's, as in multi-task phase 1."""
+    last = spec.heads[-1][1]
+    return np.array([0.0] * (spec.out_channels - last) + [1.0] * last)
+
+
+class TestDeadHeads:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("heads", [
+        (("urban", 1), ("pop", 1)),
+        (("urban", 1), ("pop", 1), ("third", 1)),
+        (("urban", 2), ("pop", 1)),
+        (("urban", 1), ("pop", 2)),
+    ], ids=["two-heads", "three-heads", "two-channel-first", "two-channel-last"])
+    def test_phase1_bytes_equal_full_forward(self, heads, depth, dtype):
+        # the frozen phase skips every dead head: its loss, its gradients
+        # and the validation loss are the bytes of the run that computes
+        # every head
+        spec = UNetSpec(9, 4, depth, heads=heads)
+        params = init_params(spec, 11, dtype=dtype)
+        rng = np.random.default_rng(depth)
+        x, y, m = random_batch(rng, n=5, s=14, cin=9, ct=spec.out_channels)
+        w = phase1_weights(spec)
+        trainable = trainer.phase1_trainable(spec)
+        loss, grads = loss_and_grads(params, x, y, m, w, trainable)
+        ref_loss, ref_grads = full_loss_and_grads(params, x, y, m, w, trainable)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert sorted(grads) == sorted(ref_grads) == sorted(trainable)
+        for name in trainable:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        val = trainer.evaluate_loss(params, ArrayTiles(x, y, m), 2, w)
+        ref_val = full_validation_loss(params, x, y, m, w, 2)
+        assert np.float64(val).tobytes() == np.float64(ref_val).tobytes()
+
+    def test_phase1_never_touches_the_dead_head(self, monkeypatch):
+        # a spy on every forward convolution: the phase-1 step and the
+        # phase-1 validation loss run no urban decoder or head layer
+        spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
+        params = init_params(spec, 5)
+        names = {id(a): n for n, a in params.arrays.items()}
+        seen = []
+        honest = unet._conv_forward
+        honest_phase = unet._phase_weight
+
+        def phase_spy(w):
+            seen.append(names[id(w)])
+            wp = honest_phase(w)
+            names[id(wp)] = names[id(w)]
+            return wp
+
+        def spy(x, w, b, relu=False):
+            seen.append(names[id(w)])
+            return honest(x, w, b, relu)
+
+        monkeypatch.setattr(unet, "_phase_weight", phase_spy)
+        monkeypatch.setattr(unet, "_conv_forward", spy)
+        x, y, m = random_batch(np.random.default_rng(5), n=3, ct=2)
+        w = np.array([0.0, 1.0])
+        trainable = set(head_names(spec, "pop"))
+        _, grads = loss_and_grads(params, x, y, m, w, trainable)
+        assert set(grads) == trainable
+        step = set(seen)
+        seen.clear()
+        trainer.evaluate_loss(params, ArrayTiles(x, y, m), 2, w)
+        for run in (step, set(seen)):
+            assert run, "the spy saw no layer"
+            assert not [n for n in run if n.startswith(("dec.urban.", "head.urban."))]
+            assert {n for n in run if n.startswith(("dec.pop.", "head.pop."))} == {
+                n for n in trainable if n.endswith(".w")}
+        # with every head weighted, both heads run again
+        seen.clear()
+        trainer.evaluate_loss(params, ArrayTiles(x, y, m), 2, None)
+        assert "head.urban.w" in seen and "head.pop.w" in seen
+
+    def test_dead_head_stays_when_its_gradient_is_asked(self):
+        # a trainable parameter that feeds the zero-weighted head (an
+        # encoder one, or its own) keeps it live, so those gradients are
+        # the bytes of the full run
+        spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
+        w = np.array([0.0, 1.0])
+        every = set(expected_shapes(spec))
+        assert unet._live_heads(spec, w) == frozenset({"pop"})
+        assert unet._live_heads(spec, w, set(head_names(spec, "pop"))) == frozenset({"pop"})
+        assert unet._live_heads(spec, w, {"enc0.conv1.w"}) is None
+        assert unet._live_heads(spec, w, {"head.urban.b"}) is None
+        assert unet._live_heads(spec, None, set()) is None
+        assert unet._live_heads(spec, w, None) is None  # every parameter trainable
+        assert unet._live_heads(spec, np.zeros(2), set()) is None  # the loss refuses it
+        # weights map to heads by channel: a 2-channel head owns two
+        wide = UNetSpec(3, 2, 1, heads=(("urban", 2), ("pop", 1), ("third", 1)))
+        assert unet._live_heads(wide, [0.0, 0.0, 1.0, 0.0]) == frozenset({"pop"})
+        assert unet._live_heads(wide, [0.0, 2.0, 0.0, 0.0]) == frozenset({"urban"})
+        assert unet._live_heads(wide, [0.0, 0.0, 0.0, 1.0]) == frozenset({"third"})
+        params = init_params(spec, 6, dtype=np.float64)
+        x, y, m = random_batch(np.random.default_rng(6), ct=2)
+        for trainable in ({"enc1.conv2.w", "enc1.conv2.b"}, {"head.urban.w"}, every):
+            _, got = loss_and_grads(params, x, y, m, w, trainable)
+            _, ref = full_loss_and_grads(params, x, y, m, w, trainable)
+            assert sorted(got) == sorted(ref)
+            for name in ref:
+                assert got[name].tobytes() == ref[name].tobytes(), name
+
+    def test_weight_shape_checked_before_head_mapping(self):
+        # a wrong-length weight vector is a shape error, not a silent map
+        spec = UNetSpec(3, 2, 1, heads=(("urban", 2), ("pop", 1)))
+        params = init_params(spec, 7, dtype=np.float64)
+        x, y, m = random_batch(np.random.default_rng(7), ct=3)
+        trainable = set(head_names(spec, "pop"))
+        for bad in ([0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [[0.0, 0.0, 1.0]]):
+            with pytest.raises(ShapeError, match=r"shape \(3,\)"):
+                loss_and_grads(params, x, y, m, np.array(bad), trainable)
+            with pytest.raises(ShapeError, match=r"shape \(3,\)"):
+                trainer.evaluate_loss(params, ArrayTiles(x, y, m), 2, np.array(bad))
+        with pytest.raises(DataError):  # all zero: every head dead
+            loss_and_grads(params, x, y, m, np.zeros(3), trainable)
+
+    def test_dead_head_reads_as_zeros(self):
+        spec = UNetSpec(3, 2, 2, heads=(("urban", 2), ("pop", 1)))
+        params = init_params(spec, 8)
+        x = np.random.default_rng(8).normal(size=(2, 10, 10, 3)).astype(np.float32)
+        full, _ = _forward(params, x)
+        part, _ = _forward(params, x, heads=frozenset({"pop"}))
+        assert part.shape == full.shape and part.dtype == full.dtype
+        assert part[..., 2].tobytes() == full[..., 2].tobytes()
+        assert not part[..., :2].any() and not np.signbit(part[..., :2]).any()
 
 
 class TestGradCheck:
