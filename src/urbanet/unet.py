@@ -17,11 +17,16 @@ Neither the upsampled nor the concatenated tensor is ever built.  A conv
 after nearest 2x upsampling equals one conv on the low-resolution input
 with four output phases, whose taps are sums of the stored taps (the
 resize-convolution identity, in the sub-pixel layout): the up-conv runs
-at low resolution and interleaves the phases.  Its float32 result differs
-from upsample-then-conv by about 1e-6 of the largest value, as the taps
-are summed before the products.  Each decoder ``conv1`` writes its two
-inputs side by side into the padded input its im2col builds anyway, which
-gives the same bytes as concatenating them first.
+at low resolution and interleaves the phases.  Each phase reads only a
+(k//2 + 1)^2 window of the low-resolution input, 2x2 at k = 3, so the
+phase kernel is that size and holds no structurally zero tap; for an odd
+k//2 the phases' windows are offset by one pixel, and the phase conv runs
+on one extra row and column that each phase reads shifted
+(``_tap_sum_map``).  Its float32 result differs from upsample-then-conv
+by about 1e-6 of the largest value, as the taps are summed before the
+products.  Each decoder ``conv1`` writes its two inputs side by side into
+the padded input its im2col builds anyway, which gives the same bytes as
+concatenating them first.
 
 Tile sizes that ``2^depth`` does not divide are zero-padded internally to the
 next multiple (e.g. 28 -> 32 at depth 3, two pixels on each side) and the
@@ -36,13 +41,15 @@ Activations use channel-last (N, H, W, C) layout.  Every convolution is an
 im2col GEMM, built and multiplied one block of a few images at a time
 (``_im2col_blocks``), so the patch matrix never exists whole and each block
 is still in cache when its GEMM reads it; the bias and the ReLU are applied
-to each output block right after its GEMM.  The transposed-kernel identity
-gives the input gradient as another blocked im2col GEMM, avoiding
-scatter-adds.  Row blocks change float32 rounding against a single
-whole-batch GEMM (BLAS picks its kernel by matrix size), by about float32
-epsilon; a fixed thread count stays bit-reproducible.  Training and
-evaluation pass channel-last batches straight from the tile streams to
-``_forward`` and ``loss_and_grads``.
+to each output block right after its GEMM.  The backward builds one patch
+matrix, of the zero-padded output gradient: times the flipped kernel it
+is the input gradient (the transposed-kernel identity, no scatter-add),
+and the input's rows times it give the weight gradient, block by block.
+Row blocks change float32 rounding against a single whole-batch GEMM
+(BLAS picks its kernel by matrix size), by about float32 epsilon; a fixed
+thread count stays bit-reproducible.  Training and evaluation pass
+channel-last batches straight from the tile streams to ``_forward`` and
+``loss_and_grads``.
 
 The wiring is written once, in ``_forward``.  For backprop it records a
 tape, one entry per ``conv``, ``upconv``, ``pool`` and ``cat`` layer, which
@@ -62,6 +69,7 @@ leave every loss and gradient byte-for-byte as a full pass gives them.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -250,48 +258,51 @@ def _parts(x) -> tuple:
     return x if isinstance(x, tuple) else (x,)
 
 
-def _im2col_blocks(x, k: int):
-    """Yield (row slice, patch rows) of the (N*H*W, k*k*C) patch matrix of
-    (N,H,W,C) ``x``, a few whole images per block; rows in (du, dv, c) layout.
+def _im2col_blocks(x, k: int, pad: int):
+    """Yield (row slice, patch rows) of the (N*Ho*Wo, k*k*C) patch matrix of
+    (N,H,W,C) ``x`` zero-padded by ``pad`` on every side, a few whole images
+    per block; Ho = H + 2 * pad - k + 1 (likewise Wo), rows in (du, dv, c)
+    layout.  A same-padded conv has ``pad = k // 2`` and Ho = H.
 
     ``x`` may also be a tuple of (N,H,W,C_i) parts: they are written side by
     side, in order, into the padded input, so the patch matrix is that of
     their channel concatenation without the concatenation being built.
-    The input is zero-padded once.  Each block is copied into one reused
-    buffer of about ``_BLOCK_BYTES`` (at least one image), so a consumer
-    must finish with a block before asking for the next.  Channel-last, the
+    The input is padded once (with no padding and one part, only made
+    contiguous).  Each block is copied into one reused buffer of about
+    ``_BLOCK_BYTES`` (at least one image), so a consumer must finish with
+    a block before asking for the next.  Channel-last, the
     patch row du of pixel (i, j) is the k*C contiguous values
     xp[i + du, j : j + k], so the copy moves runs of k*C values rather than
-    C.  A 1x1 kernel needs no copy: a single ``x`` is yielded as one block.
-    Needs an odd k (validate_spec); the padding is k // 2.
+    C.  A 1x1 kernel needs no copy: its padded input is yielded as one block.
     """
     parts = _parts(x)
     n, h, w, _ = parts[0].shape
     c = sum(part.shape[-1] for part in parts)
-    if k == 1 and len(parts) == 1:
-        yield slice(0, n * h * w), parts[0].reshape(-1, c)
-        return
-    pad = k // 2
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), parts[0].dtype)
-    c0 = 0
-    for part in parts:
-        xp[:, pad : pad + h, pad : pad + w, c0 : c0 + part.shape[-1]] = part
-        c0 += part.shape[-1]
+    if pad == 0 and len(parts) == 1:
+        xp = np.ascontiguousarray(parts[0])
+    else:
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), parts[0].dtype)
+        c0 = 0
+        for part in parts:
+            xp[:, pad : pad + h, pad : pad + w, c0 : c0 + part.shape[-1]] = part
+            c0 += part.shape[-1]
+    ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
     if k == 1:
-        yield slice(0, n * h * w), xp.reshape(-1, c)
+        yield slice(0, n * ho * wo), xp.reshape(-1, c)
         return
     sn, sh, sw, sc = xp.strides
-    win = as_strided(xp, (n, h, w, k, k * c), (sn, sh, sw, sh, sc), writeable=False)
-    step = max(1, min(n, _BLOCK_BYTES // (h * w * k * k * c * xp.itemsize)))
-    buf = np.empty((step, h, w, k, k * c), xp.dtype)
+    win = as_strided(xp, (n, ho, wo, k, k * c), (sn, sh, sw, sh, sc), writeable=False)
+    step = max(1, min(n, _BLOCK_BYTES // (ho * wo * k * k * c * xp.itemsize)))
+    buf = np.empty((step, ho, wo, k, k * c), xp.dtype)
     for i in range(0, n, step):
         m = min(step, n - i)
         np.copyto(buf[:m], win[i : i + m])
-        yield slice(i * h * w, (i + m) * h * w), buf[:m].reshape(m * h * w, k * k * c)
+        yield slice(i * ho * wo, (i + m) * ho * wo), buf[:m].reshape(m * ho * wo, k * k * c)
 
 
-def _conv_forward(x, w: np.ndarray, b: np.ndarray, relu: bool = False) -> np.ndarray:
-    """Same-padded convolution of (N,H,W,C) ``x``, one GEMM block at a time.
+def _conv_forward(x, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False) -> np.ndarray:
+    """Convolution of (N,H,W,C) ``x`` zero-padded by ``pad``, one GEMM block
+    at a time: (N, H + 2 * pad - k + 1, W + 2 * pad - k + 1, F).
 
     ``x`` may be a tuple of parts, convolved as their channel concatenation
     (``_im2col_blocks``).  Each block gets its bias, and with ``relu`` its
@@ -301,9 +312,9 @@ def _conv_forward(x, w: np.ndarray, b: np.ndarray, relu: bool = False) -> np.nda
     x0 = _parts(x)[0]
     n, h, wd, _ = x0.shape
     wm = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
-    y = np.empty((n, h, wd, f), np.result_type(x0, w))
+    y = np.empty((n, h + 2 * pad - k + 1, wd + 2 * pad - k + 1, f), np.result_type(x0, w))
     y2 = y.reshape(-1, f)
-    for rows, cols in _im2col_blocks(x, k):
+    for rows, cols in _im2col_blocks(x, k, pad):
         yb = np.matmul(cols, wm, out=y2[rows])
         yb += b
         if relu:
@@ -311,57 +322,70 @@ def _conv_forward(x, w: np.ndarray, b: np.ndarray, relu: bool = False) -> np.nda
     return y
 
 
-def _conv_backward(x, w: np.ndarray, g: np.ndarray, need_dx: bool = True):
-    """Gradients of a same-padded convolution: (d_input, d_weight, d_bias).
+def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = True):
+    """Gradients of ``_conv_forward(x, w, b, pad)``: (d_input, d_weight, d_bias).
 
-    d_weight sums the blocks' cols.T @ g.  d_input is itself a same-padded
-    convolution of the output gradient with the spatially flipped,
-    in/out-swapped kernel — one more blocked im2col GEMM instead of a
-    scatter-add.  For a tuple of parts, d_input is a tuple of one gradient
-    per part, channel views of one array.  Without ``need_dx`` it is
-    skipped (None).
+    Only the output gradient is lowered to patches.  Zero-padded by
+    k - 1 - pad, its patch row at input pixel (i, j) and tap (k-1-du, k-1-dv)
+    is the output gradient that input pixel meets through weight tap
+    (du, dv).  So d_input is that patch matrix times the spatially flipped,
+    in/out-swapped kernel (a convolution, not a scatter-add), and d_weight,
+    with its taps flipped back, sums x_rows.T @ cols over the same blocks.
+    For a tuple of parts, d_weight takes one such product per part, and
+    d_input is a tuple of one gradient per part, channel views of one array.
+    Without ``need_dx`` d_input is skipped (None).
     """
     f, c, k, _ = w.shape
-    n, h, wd, _ = _parts(x)[0].shape
-    g2 = g.reshape(-1, f)
-    blocks = _im2col_blocks(x, k)
-    rows, cols = next(blocks)
-    dw = cols.T @ g2[rows]
-    for rows, cols in blocks:
-        dw += cols.T @ g2[rows]
-    dw = dw.reshape(k, k, c, f).transpose(3, 2, 0, 1)
-    db = g2.sum(axis=0)
+    parts = _parts(x)
+    n, h, wd, _ = parts[0].shape
+    x_rows = [part.reshape(-1, part.shape[-1]) for part in parts]
+    bounds = np.cumsum([0] + [part.shape[-1] for part in parts])
+    dt = np.result_type(g, w)
+    if need_dx:
+        wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * f, c)
+        dx = np.empty((n, h, wd, c), dt)
+        dx2 = dx.reshape(-1, c)
+    dwt = np.zeros((c, k * k * f), dt)  # rows c, columns (flipped du, dv, f)
+    for rows, cols in _im2col_blocks(g, k, k - 1 - pad):
+        if need_dx:
+            np.matmul(cols, wflip, out=dx2[rows])
+        for xr, c0, c1 in zip(x_rows, bounds[:-1], bounds[1:]):
+            dwt[c0:c1] += xr[rows].T @ cols
+    dw = dwt.reshape(c, k, k, f)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+    db = g.reshape(-1, f).sum(axis=0)
     if not need_dx:
         return None, dw, db
-    wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * f, c)
-    dx = np.empty((n, h, wd, c), np.result_type(g, w))
-    dx2 = dx.reshape(-1, c)
-    for rows, cols in _im2col_blocks(g, k):
-        np.matmul(cols, wflip, out=dx2[rows])
     if isinstance(x, tuple):
-        dx = tuple(np.split(dx, np.cumsum([part.shape[-1] for part in x[:-1]]), axis=-1))
+        dx = tuple(np.split(dx, bounds[1:-1], axis=-1))
     return dx, dw, db
 
 
+@functools.cache
 def _tap_sum_map(k: int) -> np.ndarray:
     """The 0/1 map from a k x k kernel run after nearest-neighbor 2x
-    upsampling to the four kl x kl kernels, one per output phase, that give
-    the same output from the low-resolution input.
+    upsampling to the four (p+1) x (p+1) kernels, p = k // 2, one per output
+    phase, that give the same output from the low-resolution input.  Every
+    phase tap sums at least one stored tap.  Computed once per k; read-only.
 
-    Shape (2, 2, kl, kl, k, k), with kl = 2 * ceil((k // 2) / 2) + 1: output
-    row 2i + a reads upsampled row 2i + a + du - k // 2, which is
-    low-resolution row i + (a + du - k // 2) // 2.  Columns likewise.
+    Shape (2, 2, p+1, p+1, k, k).  Output row 2i + a reads upsampled row
+    2i + a + du - p, which is low-resolution row i + (a + du - p) // 2.  The
+    phase kernel runs on the input padded by q = ceil(p / 2), and phase a
+    reads it at row i + a * s, s = p % 2, whose tap t is low-resolution row
+    i + a * s + t - q.  Columns likewise.
     """
     p = k // 2
-    r = (p + 1) // 2
-    taps = np.zeros((2, 2 * r + 1, k))
+    q, s = (p + 1) // 2, p % 2
+    du = np.arange(k)
+    taps = np.zeros((2, p + 1, k))
     for a in (0, 1):
-        taps[a, r + (a + np.arange(k) - p) // 2, np.arange(k)] = 1.0
-    return np.einsum("aud,bve->abuvde", taps, taps)
+        taps[a, (a + du - p) // 2 + q - a * s, du] = 1.0
+    m = np.einsum("aud,bve->abuvde", taps, taps)
+    m.setflags(write=False)
+    return m
 
 
 def _phase_weight(w: np.ndarray) -> np.ndarray:
-    """The (4F, C, kl, kl) sub-pixel kernel of stored (F, C, k, k) up-conv
+    """The (4F, C, p+1, p+1) sub-pixel kernel of stored (F, C, k, k) up-conv
     weights: its output channel (2a + b) * F + f is feature f at the output
     pixels (2i + a, 2j + b)."""
     f, c, k, _ = w.shape
@@ -380,32 +404,50 @@ def _phase_weight_grad(dwp: np.ndarray, k: int) -> np.ndarray:
     return (d @ _tap_sum_map(k).reshape(-1, k * k).astype(dwp.dtype)).reshape(f, c, k, k)
 
 
+def _phase_view(y4: np.ndarray, s: int) -> np.ndarray:
+    """The (N, H, 2, W, 2, F) view of a (N, H+s, W+s, 4F) phase array whose
+    element (n, i, a, j, b, f) is phase (a, b)'s feature f at output pixel
+    (2i + a, 2j + b): channel (2a + b) * F + f at position (i + a*s, j + b*s).
+    Reshaped, it is the (N, 2H, 2W, F) output.  The phases' elements are
+    disjoint, so the view can be written through."""
+    n, hs, ws, f4 = y4.shape
+    f = f4 // 4
+    sn, sh, sw, sc = y4.strides
+    return as_strided(y4, (n, hs - s, 2, ws - s, 2, f),
+                      (sn, sh, s * sh + 2 * f * sc, sw, s * sw + f * sc, sc))
+
+
 def _upconv_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
 ) -> np.ndarray:
     """Nearest-neighbor 2x upsampling of (N,H,W,C) ``x``, then a same-padded
     convolution, computed at low resolution (sub-pixel layout).
 
-    One blocked convolution of ``x`` with the phase kernel yields the four
-    output phases as 4F channels; a depth-to-space copy interleaves them.
+    One valid convolution of ``x`` padded by ceil(p / 2) with the phase
+    kernel yields the four output phases as 4F channels at (H+s) x (W+s)
+    positions (``_tap_sum_map``); a depth-to-space copy interleaves them.
     """
     n, h, wd, _ = x.shape
-    f = w.shape[0]
-    y = _conv_forward(x, _phase_weight(w), np.tile(b, 4), relu)
-    return y.reshape(n, h, wd, 2, 2, f).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * h, 2 * wd, f)
+    f, _, k, _ = w.shape
+    p = k // 2
+    y4 = _conv_forward(x, _phase_weight(w), np.tile(b, 4), (p + 1) // 2, relu)
+    return _phase_view(y4, p % 2).reshape(n, 2 * h, 2 * wd, f)
 
 
 def _upconv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool = True):
     """Gradients of ``_upconv_forward`` before its ReLU: (d_input, d_weight,
     d_bias), with d_input at the low resolution of ``x``.
 
-    The output gradient goes space-to-depth into the phase layout and
-    through the blocked convolution backward with the phase kernel.
+    The output gradient goes space-to-depth into the phase layout, zero at
+    the positions no phase reads, and through the convolution backward with
+    the phase kernel.
     """
     n, h, wd, _ = x.shape
     f, _, k, _ = w.shape
-    g4 = g.reshape(n, h, 2, wd, 2, f).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, wd, 4 * f)
-    dx, dwp, dbp = _conv_backward(x, _phase_weight(w), g4, need_dx)
+    p = k // 2
+    g4 = np.zeros((n, h + p % 2, wd + p % 2, 4 * f), g.dtype)
+    np.copyto(_phase_view(g4, p % 2), g.reshape(n, h, 2, wd, 2, f))
+    dx, dwp, dbp = _conv_backward(x, _phase_weight(w), g4, (p + 1) // 2, need_dx)
     return dx, _phase_weight_grad(dwp, k), dbp.reshape(4, f).sum(axis=0)
 
 
@@ -503,7 +545,8 @@ def _forward(
         return out
 
     def conv(name: str, *parts: np.ndarray, relu: bool = True) -> np.ndarray:
-        y = _conv_forward(parts, arrays[f"{name}.w"], arrays[f"{name}.b"], relu)
+        w = arrays[f"{name}.w"]  # same-padded
+        y = _conv_forward(parts, w, arrays[f"{name}.b"], w.shape[-1] // 2, relu)
         return layer("conv", name, parts, y, relu)
 
     def upconv(name: str, a: np.ndarray) -> np.ndarray:
@@ -588,10 +631,11 @@ def _backward(
             if extra:  # the ReLU passes gradient only where it was open
                 g = g * (out > 0)
             need_dx = any(id(a) in fed for a in inputs)
+            w = arrays[f"{name}.w"]
             if kind == "conv":
-                dx, dw, db = _conv_backward(inputs, arrays[f"{name}.w"], g, need_dx)
+                dx, dw, db = _conv_backward(inputs, w, g, w.shape[-1] // 2, need_dx)
             else:
-                dx, dw, db = _upconv_backward(inputs[0], arrays[f"{name}.w"], g, need_dx)
+                dx, dw, db = _upconv_backward(inputs[0], w, g, need_dx)
                 dx = (dx,)
             if f"{name}.w" in wanted:
                 if not (np.isfinite(dw).all() and np.isfinite(db).all()):
@@ -765,7 +809,7 @@ def _margins(params: UNetParams, cache: dict) -> list[float]:
         if kind in ("conv", "upconv") and extra:
             w, b = arrays[f"{name}.w"], arrays[f"{name}.b"]
             if kind == "conv":
-                pre = _conv_forward(inputs, w, b)
+                pre = _conv_forward(inputs, w, b, w.shape[-1] // 2)
             else:
                 pre = _upconv_forward(inputs[0], w, b)
             margins.append(float(np.abs(pre).min()))

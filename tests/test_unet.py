@@ -106,7 +106,8 @@ def reference_forward(params, x):
     margins = []
 
     def conv_relu(name, a):
-        pre = unet._conv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"])
+        w = arrays[f"{name}.w"]
+        pre = unet._conv_forward(a, w, arrays[f"{name}.b"], w.shape[-1] // 2)
         margins.append(float(np.abs(pre).min()))
         return np.maximum(pre, 0.0)
 
@@ -131,7 +132,7 @@ def reference_forward(params, x):
             xc = np.concatenate([yu, skips[lvl]], axis=-1)
             d = conv_relu(f"{name}.conv2", conv_relu(f"{name}.conv1", xc))
         name = f"head.{head}"
-        outs.append(unet._conv_forward(d, arrays[f"{name}.w"], arrays[f"{name}.b"]))
+        outs.append(unet._conv_forward(d, arrays[f"{name}.w"], arrays[f"{name}.b"], 0))
     y = np.concatenate(outs, axis=-1)
     return y[:, pt : pt + h, pl : pl + w], margins
 
@@ -446,7 +447,7 @@ class TestIm2col:
         for block_bytes in (1, 2 * per, 1 << 40):
             monkeypatch.setattr(unet, "_BLOCK_BYTES", block_bytes)
             parts, end = [], 0
-            for rows, cols in _im2col_blocks(x, k):
+            for rows, cols in _im2col_blocks(x, k, k // 2):
                 assert rows.start == end and cols.shape[0] == rows.stop - rows.start
                 assert cols.dtype == x.dtype
                 if k > 1:
@@ -482,9 +483,9 @@ class TestBlockedConv:
         b = rng.normal(size=4).astype(dtype)
         g = rng.normal(size=(5, 9, 8, 4)).astype(dtype)
         monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * max(image_bytes(x, k), image_bytes(g, k)))
-        assert len(list(_im2col_blocks(x, k))) == (1 if k == 1 else 3)
-        y = unet._conv_forward(x, w, b)
-        dx, dw, db = _conv_backward(x, w, g)
+        assert len(list(_im2col_blocks(x, k, k // 2))) == (1 if k == 1 else 3)
+        y = unet._conv_forward(x, w, b, k // 2)
+        dx, dw, db = _conv_backward(x, w, g, k // 2)
         ry, rdx, rdw = whole_conv(x, w, b, g)
         for got, ref in ((y, ry), (dx, rdx), (dw, rdw)):
             assert got.dtype == dtype and got.shape == ref.shape
@@ -501,10 +502,10 @@ class TestBlockedConv:
         g = rng.normal(size=(256, 28, 28, 8)).astype(np.float32)
         tracemalloc.start()
         try:
-            unet._conv_forward(x, w, b)
+            unet._conv_forward(x, w, b, 1)
             _, fwd_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            _conv_backward(x, w, g)
+            _conv_backward(x, w, g, 1)
             _, bwd_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -513,25 +514,29 @@ class TestBlockedConv:
 
 
 class TestSubpixelUpconv:
-    @pytest.mark.parametrize("k, kl", [(1, 1), (3, 3), (5, 3), (7, 5)])
+    @pytest.mark.parametrize("k, kl", [(1, 1), (3, 2), (5, 3), (7, 4)])
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_matches_upsample_then_conv(self, monkeypatch, k, kl, dtype, rtol):
         # the oracle upsamples by np.repeat and runs the plain convolution;
         # its input gradient sums each 2x2 block back.  8 input channels and
-        # 4 * 2 phase channels: 2-image blocks over 5 images, the last uneven
+        # 4 * 2 phase channels: 2-image blocks over 5 images, the last
+        # uneven, at the phase conv's (H+s) x (W+s) positions, s = (k // 2) % 2
         rng = np.random.default_rng(k)
         x = rng.normal(size=(5, 4, 3, 8)).astype(dtype)
         w = rng.normal(size=(2, 8, k, k)).astype(dtype)
         b = rng.normal(size=2).astype(dtype)
         g = rng.normal(size=(5, 8, 6, 2)).astype(dtype)
         assert unet._phase_weight(w).shape == (8, 8, kl, kl)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, kl))
+        p = k // 2
+        s = p % 2
+        positions = np.zeros((1, 4 + s, 3 + s, 8), dtype)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(positions, kl))
         if kl > 1:
-            assert len(list(_im2col_blocks(x, kl))) == 3
+            assert len(list(_im2col_blocks(x, kl, (p + 1) // 2))) == 3
         y = unet._upconv_forward(x, w, b)
         dx, dw, db = unet._upconv_backward(x, w, g)
-        ry = unet._conv_forward(upsample(x), w, b)
-        rdx, rdw, rdb = _conv_backward(upsample(x), w, g)
+        ry = unet._conv_forward(upsample(x), w, b, p)
+        rdx, rdw, rdb = _conv_backward(upsample(x), w, g, p)
         rdx = rdx.reshape(5, 4, 2, 3, 2, 8).sum(axis=(2, 4))
         for got, ref in ((y, ry), (dx, rdx), (dw, rdw), (db, rdb)):
             assert got.dtype == dtype and got.shape == ref.shape
@@ -556,14 +561,141 @@ class TestTwoPartConv:
         g = rng.normal(size=(5, 6, 7, 4)).astype(dtype)
         xc = np.concatenate([a, s], axis=-1)
         monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(xc, k))
-        y = unet._conv_forward((a, s), w, b, relu=True)
-        assert y.tobytes() == unet._conv_forward(xc, w, b, relu=True).tobytes()
-        (da, ds), dw, db = _conv_backward((a, s), w, g)
-        rdx, rdw, rdb = _conv_backward(xc, w, g)
+        y = unet._conv_forward((a, s), w, b, k // 2, relu=True)
+        assert y.tobytes() == unet._conv_forward(xc, w, b, k // 2, relu=True).tobytes()
+        (da, ds), dw, db = _conv_backward((a, s), w, g, k // 2)
+        rdx, rdw, rdb = _conv_backward(xc, w, g, k // 2)
         assert da.shape == a.shape and ds.shape == s.shape
         assert da.tobytes() == rdx[..., :3].tobytes()
         assert ds.tobytes() == rdx[..., 3:].tobytes()
         assert dw.tobytes() == rdw.tobytes() and db.tobytes() == rdb.tobytes()
+
+
+class TestOnePatchMatrix:
+    """A convolution backward lowers only its output gradient to patches."""
+
+    @staticmethod
+    def spy_lowerings(monkeypatch):
+        lowered = []
+        honest = unet._im2col_blocks
+
+        def spy(x, k, pad):
+            lowered.append(x)
+            return honest(x, k, pad)
+
+        monkeypatch.setattr(unet, "_im2col_blocks", spy)
+        return lowered
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("two_parts", [False, True], ids=["plain", "two-part"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv_backward_lowers_the_gradient_once(self, monkeypatch, k, two_parts, need_dx):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(3, 6, 5, 3))
+        s = rng.normal(size=(3, 6, 5, 4))
+        x = (a, s) if two_parts else np.concatenate([a, s], axis=-1)
+        w = rng.normal(size=(2, 7, k, k))
+        g = rng.normal(size=(3, 6, 5, 2))
+        lowered = self.spy_lowerings(monkeypatch)
+        _conv_backward(x, w, g, k // 2, need_dx)
+        assert len(lowered) == 1 and lowered[0] is g
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_upconv_backward_lowers_the_phase_gradient_once(self, monkeypatch, k, need_dx):
+        # the phase layout of the gradient, at the (H+s) x (W+s) positions
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=(2, 4, 3, 6))
+        w = rng.normal(size=(3, 6, k, k))
+        g = rng.normal(size=(2, 8, 6, 3))
+        lowered = self.spy_lowerings(monkeypatch)
+        unet._upconv_backward(x, w, g, need_dx)
+        s = (k // 2) % 2
+        assert len(lowered) == 1 and lowered[0].shape == (2, 4 + s, 3 + s, 12)
+
+
+class TestTapSumMap:
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_no_phase_tap_is_a_structural_zero(self, k):
+        p = k // 2
+        m = unet._tap_sum_map(k)
+        assert m.shape == (2, 2, p + 1, p + 1, k, k)
+        # every stored tap lands on exactly one tap of each phase
+        np.testing.assert_array_equal(m.sum(axis=(2, 3)), np.ones((2, 2, k, k)))
+        # and every phase tap sums at least one stored tap
+        assert m.reshape(4 * (p + 1) ** 2, k * k).any(axis=1).all()
+
+    def test_computed_once_and_read_only(self):
+        m = unet._tap_sum_map(3)
+        assert unet._tap_sum_map(3) is m
+        with pytest.raises(ValueError):
+            m[0, 0, 0, 0, 0, 0] = 2.0
+
+
+class TestRandomShapes:
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 7), st.integers(1, 7)),
+        st.integers(1, 6),
+        st.integers(0, 6),
+        st.integers(1, 4),
+        st.sampled_from([1, 3, 5, 7]),
+        st.integers(1, 1 << 14),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_matches_whole_matrix(self, nhw, c, split, f, k, block_bytes, seed):
+        # float64 at 1e-12 of each array's largest value, for random block
+        # sizes; an input split in two parts where 0 < split < c.  The
+        # up-conv of the same input matches upsample-then-conv.
+        n, h, w = nhw
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, h, w, c))
+        wt = rng.normal(size=(f, c, k, k))
+        b = rng.normal(size=f)
+        g = rng.normal(size=(n, h, w, f))
+        gu = rng.normal(size=(n, 2 * h, 2 * w, f))
+        xin = (x[..., :split].copy(), x[..., split:].copy()) if 0 < split < c else x
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(unet, "_BLOCK_BYTES", block_bytes)
+            y = unet._conv_forward(xin, wt, b, k // 2)
+            dx, dw, db = _conv_backward(xin, wt, g, k // 2)
+            yu = unet._upconv_forward(x, wt, b)
+            dxu, dwu, dbu = unet._upconv_backward(x, wt, gu)
+        if isinstance(dx, tuple):
+            dx = np.concatenate(dx, axis=-1)
+        ry, rdx, rdw = whole_conv(x, wt, b, g)
+        ryu, rdxu, rdwu = whole_conv(upsample(x), wt, b, gu)
+        rdxu = rdxu.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))
+        for got, ref in ((y, ry), (dx, rdx), (dw, rdw), (db, g.sum(axis=(0, 1, 2))),
+                         (yu, ryu), (dxu, rdxu), (dwu, rdwu), (dbu, gu.sum(axis=(0, 1, 2)))):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+class TestFloat32Tolerance:
+    @pytest.mark.parametrize("depth, k", [(1, 3), (2, 3), (3, 3), (2, 5), (1, 7)])
+    def test_float32_step_tracks_float64(self, depth, k):
+        # the tolerance that bounds any change of float32 summation order:
+        # on a batch clear of every ReLU kink and pooling tie, a float32
+        # step's loss and gradients match the float64 step from the same
+        # rounded parameters and inputs (measured: <= 1.4e-8 and 2.1e-6)
+        spec = UNetSpec(3, 2, depth, kernel_size=k, heads=(("urban", 1), ("pop", 1)))
+        p64 = init_params(spec, 1, dtype=np.float64)
+        rng = np.random.default_rng(1)
+        for name, arr in p64.arrays.items():  # off the kinks, as grad_check does
+            if name.endswith(".b"):
+                p64.arrays[name] = rng.normal(0.0, 0.2, size=arr.shape)
+        x, y, m = unet._well_conditioned_batch(p64, rng, 8)
+        p32 = UNetParams(spec, {n: a.astype(np.float32) for n, a in p64.arrays.items()})
+        p64 = UNetParams(spec, {n: a.astype(np.float64) for n, a in p32.arrays.items()})
+        x = x.astype(np.float32)
+        l32, g32 = loss_and_grads(p32, x, y, m)
+        l64, g64 = loss_and_grads(p64, x.astype(np.float64), y, m)
+        assert l32 == pytest.approx(l64, rel=1e-7)
+        for name, ref in g64.items():
+            assert g32[name].dtype == np.float32
+            np.testing.assert_allclose(g32[name], ref, rtol=0, atol=1e-5 * np.abs(ref).max(),
+                                       err_msg=name)
 
 
 class TestBackward:
@@ -641,9 +773,9 @@ class TestBackward:
             names[id(wp)] = names[id(w)]
             return wp
 
-        def spy(x, w, g, need_dx=True):
+        def spy(x, w, g, pad, need_dx=True):
             seen.append(names[id(w)])
-            return honest(x, w, g, need_dx=need_dx)
+            return honest(x, w, g, pad, need_dx=need_dx)
 
         monkeypatch.setattr(unet, "_phase_weight", phase_spy)
         monkeypatch.setattr(unet, "_conv_backward", spy)
@@ -675,8 +807,8 @@ class TestBackward:
         x = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         g = rng.normal(size=(2, 6, 6, 4)).astype(np.float32)
-        dx, dw, db = _conv_backward(x, w, g)
-        none, dw2, db2 = _conv_backward(x, w, g, need_dx=False)
+        dx, dw, db = _conv_backward(x, w, g, 1)
+        none, dw2, db2 = _conv_backward(x, w, g, 1, need_dx=False)
         assert dx is not None and none is None
         assert dw2.tobytes() == dw.tobytes() and db2.tobytes() == db.tobytes()
 
@@ -694,8 +826,8 @@ class TestBackward:
         _, cache = _forward(params, x, keep_cache=True)
         got = _backward(params, cache, g, trainable)
 
-        def always_dx(x, w, g, need_dx=True):
-            return _conv_backward(x, w, g)
+        def always_dx(x, w, g, pad, need_dx=True):
+            return _conv_backward(x, w, g, pad)
 
         monkeypatch.setattr(unet, "_conv_backward", always_dx)
         _, cache = _forward(params, x, keep_cache=True)
@@ -858,9 +990,9 @@ class TestDeadHeads:
             names[id(wp)] = names[id(w)]
             return wp
 
-        def spy(x, w, b, relu=False):
+        def spy(x, w, b, pad, relu=False):
             seen.append(names[id(w)])
-            return honest(x, w, b, relu)
+            return honest(x, w, b, pad, relu)
 
         monkeypatch.setattr(unet, "_phase_weight", phase_spy)
         monkeypatch.setattr(unet, "_conv_forward", spy)
