@@ -86,6 +86,17 @@ def _load_split_normalize(grid_path, test_regions: str | None, pad: int, targets
     return world, norm, split, stats
 
 
+def _check_spec(spec, size: int, flag: str) -> None:
+    """Refuse an invalid spec, or one that would pad ``size``-pixel tiles
+    up to ``2**depth`` pixels, before any work."""
+    from .unet import validate_spec
+
+    validate_spec(spec)
+    if 2 ** spec.depth > size:
+        raise _UsageError(f"--depth {spec.depth} needs tiles of at least "
+                          f"2**{spec.depth} = {2 ** spec.depth} pixels, but {flag} is {size}")
+
+
 def _with_epoch_default(cfg, train_stream):
     """Default one full pass over the base tiles per epoch."""
     import dataclasses
@@ -226,6 +237,7 @@ def _cmd_train(args) -> int:
     spec = UNetSpec(input_channels=len(INPUT_CHANNELS),
                     base_features=args.base_features, depth=args.depth,
                     heads=((head, 1),))
+    _check_spec(spec, args.window, "--window")
 
     def setup(tr):
         run_cfg = _with_epoch_default(cfg, tr)
@@ -398,6 +410,7 @@ def _cmd_gradcheck(args) -> int:
         raise _UsageError("--tolerance must be > 0")
     spec = UNetSpec(input_channels=args.channels, base_features=args.base_features,
                     depth=args.depth)
+    _check_spec(spec, args.tile_size, "--tile-size")
     worst = 0.0
     for seed in range(args.seed, args.seed + args.seeds):
         report = grad_check(spec, seed=seed, tolerance=args.tolerance,

@@ -1,12 +1,34 @@
-"""Atomic file replacement: a reader of the target sees the old file or the
-new one, never a part of either."""
+"""Atomic file replacement, and the checksummed container of both binary
+formats (``.wgrd`` worlds, ``.unpk`` checkpoints).  Container layout::
+
+    magic (4 bytes) | version u16 | header length u32 | header CRC32 u32
+    header: ASCII JSON {"meta": ..., "arrays": [[name, dtype, shape, crc32], ...]}
+    arrays: each array's little-endian C-order bytes, in directory order
+
+The header, and then each array, is zero-padded to the next multiple of 64
+bytes; each array starts where the one before it ends, so no offsets are
+stored.  Each CRC32 covers its section's padding, and the header's also the
+fields before it, so no byte of a file goes unchecked.  dtypes are ``<u1``,
+``<u2``, ``<f4`` or ``<f8``.
+"""
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import secrets
+import struct
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
+
+from .errors import FormatError, IntegrityError
+
+_PREFIX = 14  # magic, version, header length, header CRC32
+_DTYPES = {np.dtype(code): code for code in ("<u1", "<u2", "<f4", "<f8")}
 
 
 @contextmanager
@@ -29,3 +51,97 @@ def atomic_write(path, mode: str = "w", **open_args):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _padded(n: int) -> int:
+    """``n`` rounded up to a multiple of 64."""
+    return n + -n % 64
+
+
+def write_container(path, magic: bytes, version: int, meta, arrays) -> None:
+    """Atomically write ``meta`` (JSON-serializable) and the ``arrays``
+    (name -> ndarray of a supported dtype, in file order) to ``path``."""
+    directory, blobs = [], []
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        raw = np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+        pad = bytes(-raw.size % 64)
+        directory.append([name, _DTYPES[arr.dtype], list(arr.shape),
+                          zlib.crc32(pad, zlib.crc32(raw))])
+        blobs += [raw, pad]
+    text = json.dumps({"meta": meta, "arrays": directory}, separators=(",", ":"))
+    header = text.encode("ascii") + bytes(-(_PREFIX + len(text)) % 64)
+    lead = magic + struct.pack("<HI", version, len(text))
+    with atomic_write(path, "wb") as fh:
+        fh.write(lead + struct.pack("<I", zlib.crc32(header, zlib.crc32(lead))) + header)
+        for blob in blobs:
+            fh.write(blob)
+
+
+def read_container(path, magic: bytes, version: int, schema):
+    """Read a :func:`write_container` file: ``(meta, arrays)``, each array a
+    read-only view of a copy of its bytes, ``meta`` of the shape of
+    ``schema`` (see :func:`_mismatch`).  Checks magic and version
+    (FormatError), header CRC (IntegrityError), header shape (FormatError),
+    then the size against the directory and each array's CRC (IntegrityError)."""
+    data = Path(path).read_bytes()
+    if data[:4] != magic or len(data) < _PREFIX:
+        raise FormatError(f"{path}: bad magic or prefix {data[:_PREFIX]!r}, expected {magic!r}")
+    got, length, crc = struct.unpack_from("<HII", data, 4)
+    if got != version:
+        raise FormatError(f"{path}: unsupported version {got}, expected {version}")
+    start = _padded(_PREFIX + length)
+    if zlib.crc32(data[_PREFIX:start], zlib.crc32(data[:_PREFIX - 4])) != crc:
+        raise IntegrityError(f"{path}: header checksum mismatch")
+    try:
+        header = json.loads(data[_PREFIX:_PREFIX + length])
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: header is not JSON: {exc}") from None
+    problem = _mismatch(header, {"meta": schema, "arrays": [[str, str, [int], int]]})
+    if problem is not None:
+        raise FormatError(f"{path}: {problem}")
+    seen = set()
+    for name, dtype, shape, _ in header["arrays"]:
+        if dtype not in _DTYPES.values():
+            raise FormatError(f"{path}: array {name!r} has unknown dtype {dtype!r}")
+        if min(shape, default=0) < 0:
+            raise FormatError(f"{path}: array {name!r} has a negative dimension in {shape}")
+        if name in seen:
+            raise FormatError(f"{path}: duplicate array name {name!r}")
+        seen.add(name)
+    ends = [start]
+    for _, dtype, shape, _ in header["arrays"]:
+        ends.append(ends[-1] + _padded(math.prod(shape) * np.dtype(dtype).itemsize))
+    if len(data) != ends[-1]:
+        raise IntegrityError(f"{path}: size mismatch (the directory needs {ends[-1]} "
+                             f"bytes, the file has {len(data)})")
+    arrays = {}
+    for (name, dtype, shape, crc), lo, hi in zip(header["arrays"], ends, ends[1:]):
+        raw = data[lo:hi]  # its own buffer: no array pins the whole file's
+        if zlib.crc32(raw) != crc:
+            raise IntegrityError(f"{path}: array {name!r} fails its checksum")
+        arrays[name] = np.frombuffer(raw, dtype, math.prod(shape)).reshape(tuple(shape))
+    return header["meta"], arrays
+
+
+def _mismatch(value, schema, where: str = "header"):
+    """Why the decoded JSON ``value`` does not have the shape of ``schema``,
+    or None.  A type matches its instances (a bool is no int, a str must be
+    ASCII), a dict the same keys with matching values, a one-item list any
+    list of matches of its item, a longer list that many matches in turn."""
+    if isinstance(schema, type):
+        if not isinstance(value, schema) or isinstance(value, bool) and schema is not bool:
+            return f"{where} must be {schema.__name__}, not {type(value).__name__}"
+        if isinstance(value, str) and not value.isascii():
+            return f"{where} {value!r} is not ASCII"
+        return None
+    if isinstance(schema, dict):
+        if not isinstance(value, dict) or value.keys() != schema.keys():
+            return f"{where} must be an object with keys {list(schema)}"
+        items = [(value[key], sub, f"{where}.{key}") for key, sub in schema.items()]
+    else:
+        if not isinstance(value, list) or len(schema) > 1 and len(value) != len(schema):
+            return f"{where} must be a list" + (f" of {len(schema)}" if len(schema) > 1 else "")
+        items = [(item, schema[i if len(schema) > 1 else 0], f"{where}[{i}]")
+                 for i, item in enumerate(value)]
+    return next(filter(None, (_mismatch(*item) for item in items)), None)

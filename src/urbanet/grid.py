@@ -5,14 +5,10 @@ A :class:`WorldGrid` holds named float64 channel planes plus two side planes:
 0 = water/none).  Water pixels are zero-filled in every channel; that invariant
 is enforced on load and save so downstream code never has to re-check it.
 
-On-disk format (``WGRD``, little-endian)::
-
-    magic "WGRD" | version u16 = 1 | H u32 | W u32 | n_channels u16 | n_regions u16
-    region table:      (code u16, len u8, ASCII ISO text) x n_regions
-    channel directory: (len u8, ASCII name) x n_channels
-    mask plane:        H*W u8, row-major
-    regions plane:     H*W u16, row-major
-    channel planes:    H*W f64, row-major, in directory order
+On disk a grid is a :mod:`urbanet.files` container, magic ``WGRD``,
+version 2: meta ``{"regions": [[code, ISO text], ...], "channels": [name, ...]}``
+and (H, W) arrays ``mask`` ``<u1``, ``regions`` ``<u2``, then ``channel.<i>``
+``<f8`` for the i-th name.
 
 All grid-layer arithmetic stays in float64.  The tiler keeps the network
 inputs it gathers in float32 (see :mod:`urbanet.tiler`); targets stay float64.
@@ -21,7 +17,6 @@ inputs it gathers in float32 (see :mod:`urbanet.tiler`); targets stay float64.
 from __future__ import annotations
 
 import dataclasses
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,10 +30,11 @@ from .errors import (
     FormatError,
     IntegrityError,
 )
-from .files import atomic_write
+from .files import read_container, write_container
 
 MAGIC = b"WGRD"
-VERSION = 1
+VERSION = 2
+_SCHEMA = {"regions": [[int, str]], "channels": [str]}
 
 # Split labels used by SplitAssignment.labels.
 WATER = 0
@@ -149,6 +145,7 @@ def validate_grid(grid: WorldGrid) -> None:
     for name, plane in grid.channels.items():
         if not name:
             raise IntegrityError("channel names must be non-empty")
+        _check_name(name, f"channel name {name!r}")
         plane = np.asarray(plane)
         if plane.shape != shape:
             raise IntegrityError(
@@ -172,119 +169,52 @@ def validate_grid(grid: WorldGrid) -> None:
             raise IntegrityError("region code 0 is reserved for water and cannot be named")
         if not (0 < code <= 0xFFFF):
             raise IntegrityError(f"region code {code} does not fit in 16 bits")
-        _ascii_bytes(iso, f"region name for code {code}")
+        _check_name(iso, f"region name for code {code}")
 
 
-def _ascii_bytes(text: str, what: str) -> bytes:
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise FormatError(f"{what} must be ASCII, got {text!r}") from exc
-    if len(raw) > 255:
+def _check_name(text: str, what: str) -> None:
+    if not text.isascii():
+        raise FormatError(f"{what} must be ASCII, got {text!r}")
+    if len(text) > 255:
         raise FormatError(f"{what} is longer than 255 bytes")
-    return raw
 
 
 def save_grid(grid: WorldGrid, path: str | Path) -> None:
-    """Write ``grid`` to ``path`` in WGRD format (deterministic bytes)."""
+    """Write ``grid`` to ``path`` as a WGRD file (deterministic bytes)."""
     validate_grid(grid)
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack(
-        "<HIIHH", VERSION, grid.height, grid.width,
-        len(grid.channels), len(grid.region_table),
-    )
-    # Table and directory keep the grid's own ordering so load/save round-trips
-    # are byte-identical for any well-formed file.
-    for code, iso in grid.region_table.items():
-        raw = _ascii_bytes(iso, f"region name for code {code}")
-        buf += struct.pack("<HB", code, len(raw)) + raw
-    for name in grid.channels:
-        raw = _ascii_bytes(name, f"channel name {name!r}")
-        buf += struct.pack("<B", len(raw)) + raw
-    buf += np.ascontiguousarray(grid.mask, dtype=np.uint8).tobytes()
-    buf += np.ascontiguousarray(grid.regions, dtype="<u2").tobytes()
-    for plane in grid.channels.values():
-        buf += np.ascontiguousarray(plane, dtype="<f8").tobytes()
+    # the region table and channel directory keep the grid's own order, so
+    # a load/save round trip is byte-identical
+    meta = {"regions": [[int(code), iso] for code, iso in grid.region_table.items()],
+            "channels": list(grid.channels)}
+    arrays = {"mask": np.asarray(grid.mask, np.uint8),
+              "regions": np.asarray(grid.regions, np.uint16),
+              **{f"channel.{i}": plane for i, plane in enumerate(grid.channels.values())}}
     try:
-        with atomic_write(path, "wb") as fh:
-            fh.write(buf)
+        write_container(path, MAGIC, VERSION, meta, arrays)
     except OSError as exc:
         raise OSError(f"cannot write grid to {path}: {exc}") from exc
 
 
 def load_grid(path: str | Path) -> WorldGrid:
-    """Read a WGRD file; validates every type invariant before returning."""
+    """Read a WGRD file; validates every type invariant before returning.
+    Its planes are read-only views of the file's bytes."""
+    meta, arrays = read_container(path, MAGIC, VERSION, _SCHEMA)
+    codes, names = [code for code, _ in meta["regions"]], meta["channels"]
+    for what, keys in (("region code", codes), ("channel name", names)):
+        if len(set(keys)) != len(keys):
+            dup = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise IntegrityError(f"{path}: duplicate {what} {dup!r}")
+    expected = ["mask", "regions", *(f"channel.{i}" for i in range(len(names)))]
+    if list(arrays) != expected:
+        raise IntegrityError(f"{path}: arrays {list(arrays)}, expected {expected}")
+    grid = WorldGrid(mask=arrays["mask"], regions=arrays["regions"],
+                     channels={name: arrays[f"channel.{i}"] for i, name in enumerate(names)},
+                     region_table=dict(meta["regions"]))
     try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise OSError(f"cannot read grid from {path}: {exc}") from exc
-
-    header = struct.calcsize("<HIIHH")
-    if len(data) < 4 + header:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    if data[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, h, w, n_channels, n_regions = struct.unpack_from("<HIIHH", data, 4)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}, expected {VERSION}")
-    off = 4 + header
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise IntegrityError(f"{path}: file ends inside {what}")
-        chunk = data[off:off + n]
-        off += n
-        return chunk
-
-    region_table: dict[int, str] = {}
-    for _ in range(n_regions):
-        code, length = struct.unpack("<HB", take(3, "region table"))
-        iso = _decode_ascii(take(length, "region table"), path, "region name")
-        if code in region_table:
-            raise IntegrityError(f"{path}: duplicate region code {code}")
-        region_table[code] = iso
-
-    names: list[str] = []
-    for _ in range(n_channels):
-        (length,) = struct.unpack("<B", take(1, "channel directory"))
-        name = _decode_ascii(take(length, "channel directory"), path, "channel name")
-        if name in names:
-            raise IntegrityError(f"{path}: duplicate channel name {name!r}")
-        names.append(name)
-
-    n_pix = h * w
-    expected = off + n_pix * (1 + 2 + 8 * n_channels)
-    if len(data) != expected:
-        raise IntegrityError(
-            f"{path}: plane data size mismatch (expected {expected} bytes total, "
-            f"got {len(data)})"
-        )
-
-    mask = np.frombuffer(take(n_pix, "mask plane"), dtype=np.uint8).reshape(h, w)
-    regions = np.frombuffer(take(2 * n_pix, "regions plane"), dtype="<u2")
-    regions = regions.astype(np.uint16).reshape(h, w)
-    channels: dict[str, np.ndarray] = {}
-    for name in names:
-        plane = np.frombuffer(take(8 * n_pix, f"channel {name!r}"), dtype="<f8")
-        channels[name] = plane.astype(np.float64).reshape(h, w)
-
-    grid = WorldGrid(
-        mask=mask.copy(), regions=regions, channels=channels,
-        region_table=region_table,
-    )
-    validate_grid(grid)
-    for arr in (grid.mask, grid.regions, *grid.channels.values()):
-        arr.flags.writeable = False
+        validate_grid(grid)
+    except (FormatError, IntegrityError) as err:
+        raise type(err)(f"{path}: {err}") from None
     return grid
-
-
-def _decode_ascii(raw: bytes, path: str | Path, what: str) -> str:
-    try:
-        return raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {what} is not ASCII") from exc
 
 
 def pad_grid(grid: WorldGrid, pad: int) -> WorldGrid:

@@ -71,8 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,17 +79,17 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DataError,
-    FormatError,
     IntegrityError,
     NumericError,
     ShapeError,
     SpecError,
 )
-from .files import atomic_write
-from .grid import _decode_ascii
+from .files import read_container, write_container
 
 CHECKPOINT_MAGIC = b"UNPK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_CHECKPOINT_SCHEMA = {"spec": {"input_channels": int, "base_features": int, "depth": int,
+                               "kernel_size": int, "heads": [[str, int]]}}
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +124,7 @@ class UNetSpec:
 
 
 def validate_spec(spec: UNetSpec) -> None:
-    # a checkpoint packs the four sizes, the head count and each head's
-    # channel count as unsigned 16-bit fields
+    # sizes and counts are bounded to 1..65535, far beyond any trainable network
     for field in ("input_channels", "base_features", "depth", "kernel_size"):
         if not 1 <= getattr(spec, field) <= 0xFFFF:
             raise SpecError(f"{field} must be in 1..65535, got {getattr(spec, field)}")
@@ -173,7 +171,7 @@ def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
             conv(f"dec.{head}.{lvl}.conv2", width, width)
             upper = width
         conv(f"head.{head}", spec.base_features, out_ch, 1)
-    for name in shapes:  # a checkpoint stores each name behind a one-byte length
+    for name in shapes:  # names are bounded like grid channel names
         if len(name) > 255:
             raise SpecError(f"parameter name {name!r} is longer than 255 bytes")
     return shapes
@@ -917,89 +915,30 @@ def grad_check(
 
 
 def save_params(params: UNetParams, path: str | Path) -> None:
-    """Write a UNPK checkpoint: spec block, then named float32 arrays."""
+    """Write a UNPK checkpoint: a :mod:`urbanet.files` container, magic
+    ``UNPK``, version 2, whose meta is ``{"spec": {...}}`` (the spec's
+    fields, heads as [name, channels] pairs) and whose arrays are the
+    parameters as ``<f4`` in ``expected_shapes`` order."""
     validate_params(params)
-    spec = params.spec
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<H", CHECKPOINT_VERSION)
-    buf += struct.pack(
-        "<HHHHH", spec.input_channels, spec.base_features, spec.depth,
-        spec.kernel_size, len(spec.heads),
-    )
-    for name, out_ch in spec.heads:
-        raw = name.encode("ascii")
-        buf += struct.pack("<B", len(raw)) + raw + struct.pack("<H", out_ch)
-    for name in expected_shapes(spec):  # canonical array order
-        arr = params.arrays[name]
-        raw = name.encode("ascii")
-        buf += struct.pack("<B", len(raw))
-        buf += raw
-        buf += struct.pack("<B", arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    with atomic_write(path, "wb") as fh:
-        fh.write(buf)
+    arrays = {name: np.asarray(params.arrays[name], np.float32)
+              for name in expected_shapes(params.spec)}
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                    {"spec": asdict(params.spec)}, arrays)
 
 
 def load_params(path: str | Path) -> UNetParams:
-    """Read a UNPK checkpoint, validating shapes against its spec block and
-    refusing non-finite values."""
-    data = Path(path).read_bytes()
-    if len(data) < 6 or data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a UNPK checkpoint")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 6
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise IntegrityError(f"{path}: file ends inside {what}")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    cin, base, depth, k, n_heads = struct.unpack("<HHHHH", take(10, "spec block"))
-    heads = []
-    for _ in range(n_heads):
-        (ln,) = struct.unpack("<B", take(1, "head name"))
-        name = _decode_ascii(take(ln, "head name"), path, "head name")
-        (out_ch,) = struct.unpack("<H", take(2, "head channels"))
-        heads.append((name, out_ch))
-    spec = UNetSpec(
-        input_channels=cin, base_features=base, depth=depth,
-        kernel_size=k, heads=tuple(heads),
-    )
+    """Read a UNPK checkpoint, validating its arrays against its spec and
+    refusing non-finite values.  Returns writable float32 copies."""
+    meta, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                  _CHECKPOINT_SCHEMA)
+    spec = UNetSpec(**{**meta["spec"], "heads": tuple(map(tuple, meta["spec"]["heads"]))})
     try:
         shapes = expected_shapes(spec)
     except SpecError as err:  # a corrupt file, not a bad request
         raise IntegrityError(f"{path}: invalid spec block: {err}") from None
-
-    arrays: dict[str, np.ndarray] = {}
-    while off < len(data):
-        (ln,) = struct.unpack("<B", take(1, "array name"))
-        name = _decode_ascii(take(ln, "array name"), path, "array name")
-        if name in arrays:
-            raise IntegrityError(f"{path}: duplicate array {name!r}")
-        if name not in shapes:
-            raise IntegrityError(f"{path}: array {name!r} not part of the spec")
-        (rank,) = struct.unpack("<B", take(1, "array rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "array dims"))
-        if dims != shapes[name]:
-            raise IntegrityError(
-                f"{path}: array {name!r} has shape {dims}, spec requires {shapes[name]}"
-            )
-        count = int(np.prod(dims, dtype=np.int64))
-        raw = take(4 * count, f"array {name!r} values")
-        arrays[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(dims)
-    missing = sorted(set(shapes) - set(arrays))
-    if missing:
-        raise IntegrityError(f"{path}: checkpoint is missing arrays {missing}")
-    params = UNetParams(spec=spec, arrays={name: arrays[name] for name in shapes})
+    params = UNetParams(spec, {name: arr.astype(np.float32) for name, arr in arrays.items()})
     try:
         validate_params(params)
     except IntegrityError as err:
         raise IntegrityError(f"{path}: {err}") from None
-    return params
+    return UNetParams(spec, {name: params.arrays[name] for name in shapes})

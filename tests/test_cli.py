@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import urbanet
-from urbanet import evaluate, trainer, unet
+from urbanet import evaluate, grid, trainer, unet
 from urbanet.cli import main
 from urbanet.grid import WorldGrid, load_grid, pad_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
@@ -146,6 +145,27 @@ class TestSplit:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("flags, message", [
+        (["--base-features", "0"], "base_features must be in 1..65535"),
+        (["--depth", "5"], "2**5 = 32 pixels, but --window is 16"),
+        (["--depth", "9"], "2**9 = 512 pixels, but --window is 16"),
+    ], ids=["no-features", "depth-5", "depth-9"])
+    def test_bad_network_fails_before_work(self, world_file, tmp_path, monkeypatch,
+                                           capsys, flags, message):
+        # --depth 9 at window 16 would build a 553.7 M-parameter network on
+        # inputs padded to 512 pixels: the refusal must come before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran with a bad network")
+
+        for module, name in ((grid, "load_grid"), (trainer, "build_streams"),
+                             (trainer, "train")):
+            monkeypatch.setattr(module, name, no_work)
+        assert main(["train", "--grid", str(world_file), "--window", "16", "--pad", "8",
+                     "--test-regions", "R03", "--out-dir", str(tmp_path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err and "streams:" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_print_config_defaults(self, capsys):
         assert main(["train", "--grid", "unused.wgrd", "--print-config"]) == 0
         out = capsys.readouterr().out
@@ -304,17 +324,21 @@ class TestEvalReport:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("corrupt", ["depth-0", "even-kernel", "non-ascii-head"])
-    def test_eval_corrupt_checkpoint_exits_2(self, world_file, tmp_path, capsys, corrupt):
+    def test_eval_corrupt_checkpoint_exits_2(self, world_file, tmp_path, capsys, reseal,
+                                             corrupt):
         path = tmp_path / "bad.unpk"
         save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 4, 1), 0), path)
-        raw = bytearray(path.read_bytes())
-        if corrupt == "depth-0":
-            struct.pack_into("<H", raw, 10, 0)
-        elif corrupt == "even-kernel":
-            struct.pack_into("<H", raw, 12, 2)
-        else:
-            raw[raw.index(b"urban")] = 0xE9
-        path.write_bytes(bytes(raw))
+
+        def edit(header, arrays):
+            spec = header["meta"]["spec"]
+            if corrupt == "depth-0":
+                spec["depth"] = 0
+            elif corrupt == "even-kernel":
+                spec["kernel_size"] = 2
+            else:
+                spec["heads"][0][0] = "\u00e9rban"
+
+        reseal(path, edit)
         rc = main(["eval", "--grid", str(world_file), "--window", "16",
                    "--pad", "8", "--test-regions", "R03",
                    "--checkpoint", str(path), "--report", str(tmp_path / "r.csv")])
@@ -478,6 +502,9 @@ class TestGradcheck:
         (["--tolerance", "-1"], "--tolerance"),
         (["--tolerance", "0"], "--tolerance"),
         (["--tolerance", "nan"], "--tolerance"),
+        (["--base-features", "0"], "base_features"),
+        (["--depth", "4", "--tile-size", "8"], "--tile-size is 8"),
+        (["--depth", "9"], "--tile-size is 8"),
     ])
     def test_rejects_arguments_that_check_nothing(self, monkeypatch, capsys, flags, message):
         # refused before any gradient is checked: zero seeds used to print

@@ -1,17 +1,24 @@
 """Atomic writes: a writer that fails midway leaves the old file as it was
-and no temporary file behind."""
+and no temporary file behind.  The checksummed container: every changed,
+cut or appended byte of a world or a checkpoint is refused as a format or
+integrity error, and a header of the wrong shape as a format error."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from urbanet.errors import FormatError, IntegrityError
 from urbanet.evaluate import EvalReport, MetricsRow, export_scatter, save_report
-from urbanet.files import atomic_write
-from urbanet.grid import save_grid
+from urbanet.files import atomic_write, read_container, write_container
+from urbanet.grid import WorldGrid, load_grid, save_grid
 from urbanet.synth import SynthConfig, gen_world
 from urbanet.trainer import EpochStats, TrainConfig, TrainHistory, save_config, save_history
-from urbanet.unet import UNetSpec, init_params, save_params
+from urbanet.unet import UNetSpec, init_params, load_params, save_params
 
 
 def report_of(n):
@@ -92,3 +99,193 @@ def test_missing_directory_leaves_nothing(tmp_path):
         with atomic_write(tmp_path / "no" / "such" / "file"):
             pass
     assert list(tmp_path.iterdir()) == []
+
+
+def test_container_round_trip(tmp_path):
+    arrays = {"bytes": np.arange(5, dtype=np.uint8),
+              "codes": np.arange(6, dtype=np.uint16).reshape(2, 3),
+              "empty": np.zeros((0, 4), np.float32),
+              "scalar": np.array(2.5),
+              "planes": np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)}
+    meta = {"name": "x", "sizes": [1, 2], "nested": {"flag": True, "none": None}}
+    path = tmp_path / "c.bin"
+    write_container(path, b"TEST", 7, meta, arrays)
+    assert path.stat().st_size % 64 == 0
+    back_meta, back = read_container(path, b"TEST", 7, dict)
+    assert back_meta == meta and list(back) == list(arrays)
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype and back[name].shape == arr.shape
+        np.testing.assert_array_equal(back[name], arr)
+        assert not back[name].flags.writeable
+    with pytest.raises(FormatError, match="unsupported version 7, expected 8"):
+        read_container(path, b"TEST", 8, dict)
+    with pytest.raises(FormatError, match="header.meta must be an object with keys"):
+        read_container(path, b"TEST", 7, {"name": str})
+
+
+def small_world():
+    mask = np.array([[1, 0], [1, 1]], np.uint8)
+    return WorldGrid(mask=mask, regions=mask.astype(np.uint16) * 7,
+                     channels={"ch0": np.array([[0.5, 0.0], [1.5, 2.5]])},
+                     region_table={7: "AAA"})
+
+
+# name -> (file name, write a small valid file, its loader)
+FORMATS = {
+    "grid": ("w.wgrd", lambda p: save_grid(small_world(), p), load_grid),
+    "params": ("m.unpk", lambda p: save_params(init_params(UNetSpec(3, 2, 1), 0), p),
+               load_params),
+}
+
+
+@pytest.fixture(scope="module")
+def sealed(tmp_path_factory):
+    """name -> (a scratch path, the valid file's bytes, its loader)."""
+    out = {}
+    for kind, (name, write, load) in FORMATS.items():
+        path = tmp_path_factory.mktemp(kind) / name
+        write(path)
+        out[kind] = (path, path.read_bytes(), load)
+    assert len(out["grid"][1]) == 384 and len(out["params"][1]) == 3584
+    return out
+
+
+def refused(sealed, kind, data) -> None:
+    path, _, load = sealed[kind]
+    path.write_bytes(bytes(data))
+    with pytest.raises((FormatError, IntegrityError)):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_changed_byte_is_refused(sealed, kind, data):
+    good = sealed[kind][1]
+    at = data.draw(st.integers(0, len(good) - 1), label="position")
+    flip = data.draw(st.integers(1, 255), label="xor")
+    bad = bytearray(good)
+    bad[at] ^= flip
+    refused(sealed, kind, bad)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_truncation_or_append_is_refused(sealed, kind, data):
+    good = sealed[kind][1]
+    if data.draw(st.booleans(), label="append"):
+        refused(sealed, kind, good + data.draw(st.binary(min_size=1), label="tail"))
+    else:
+        refused(sealed, kind, good[:data.draw(st.integers(0, len(good) - 1), label="cut")])
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_a_bit_flip_at_every_byte_is_refused(sealed, kind):
+    good = sealed[kind][1]
+    for at in range(len(good)):
+        bad = bytearray(good)
+        bad[at] ^= 0x80 if at % 2 else 0x01  # the lowest and the highest bit
+        refused(sealed, kind, bad)
+
+
+def nodes(value, where=()):
+    """(path, value) of every node of a decoded JSON value, the root first."""
+    yield where, value
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, item in items:
+        yield from nodes(item, where + (key,))
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # reseal is stateless
+@given(data=st.data())
+def test_header_of_the_wrong_json_type_is_format_error(sealed, kind, reseal, data):
+    path, good, load = sealed[kind]
+
+    def retype(header, arrays):
+        # every node below the root (wrapped_header covers the root)
+        where, old = data.draw(st.sampled_from(list(nodes(header))[1:]), label="node")
+        new = data.draw(JSON.filter(lambda v: type(v) is not type(old)), label="value")
+        header = copy.deepcopy(header)  # reseal renews the CRCs of the original
+        parent = header
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = new
+        return header
+
+    path.write_bytes(good)
+    reseal(path, retype)
+    with pytest.raises(FormatError):
+        load(path)
+
+
+def rename_second_array(header, arrays):
+    header["arrays"][1][0] = header["arrays"][0][0]
+
+
+def unknown_dtype(header, arrays):
+    header["arrays"][0][1] = "<i8"
+
+
+def negative_dim(header, arrays):
+    header["arrays"][0][2][0] = -1
+
+
+def bool_dim(header, arrays):
+    header["arrays"][0][2][0] = True  # JSON true is no integer
+
+
+def extra_key(header, arrays):
+    header["extra"] = 1
+
+
+def wrapped_header(header, arrays):
+    return [header]
+
+
+def meta_field_retyped(header, arrays):
+    header["meta"]["channels" if "channels" in header["meta"] else "spec"] = "ch0"
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@pytest.mark.parametrize("edit, message", [
+    (rename_second_array, "duplicate array name"),
+    (unknown_dtype, "unknown dtype '<i8'"),
+    (negative_dim, "negative dimension"),
+    (bool_dim, r"header.arrays\[0\]\[2\]\[0\] must be int, not bool"),
+    (extra_key, "header must be an object with keys"),
+    (wrapped_header, "header must be an object with keys"),
+    (meta_field_retyped, "must be"),
+], ids=["duplicate-name", "unknown-dtype", "negative-dim", "bool-dim", "extra-key",
+     "header-list", "meta-type"])
+def test_valid_checksum_bad_header_is_format_error(sealed, kind, reseal, edit, message):
+    path, good, load = sealed[kind]
+    path.write_bytes(good)
+    reseal(path, edit)
+    with pytest.raises(FormatError, match=message) as exc:
+        load(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_reseal_alone_keeps_a_file_loadable(sealed, reseal):
+    # the ported corruption tests rely on it: an unedited reseal is exact
+    for path, good, load in sealed.values():
+        path.write_bytes(good)
+        reseal(path, lambda header, arrays: None)
+        assert path.read_bytes() == good
+        load(path)

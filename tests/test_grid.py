@@ -82,6 +82,11 @@ class TestRoundTrip:
         save_grid(load_grid(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_numpy_region_codes_save(self, tmp_path):
+        grid = make_grid([[1, 1]], regions=[[3, 3]], region_table={np.uint16(3): "AAA"})
+        save_grid(grid, tmp_path / "g.wgrd")
+        assert load_grid(tmp_path / "g.wgrd").region_table == {3: "AAA"}
+
     def test_save_deterministic(self, tmp_path):
         grid = make_grid([[1, 0], [1, 1]], n_channels=2)
         p1, p2 = tmp_path / "a.wgrd", tmp_path / "b.wgrd"
@@ -133,16 +138,27 @@ class TestFormatErrors:
         with pytest.raises(IntegrityError, match=r"\(0, 1\)"):
             save_grid(broken, "/dev/null")
 
-    def test_load_names_offending_water_pixel(self, tmp_path):
+    def test_load_names_offending_water_pixel(self, tmp_path, reseal):
         grid = make_grid([[1, 0], [1, 1]])
         path = tmp_path / "g.wgrd"
         save_grid(grid, path)
+
+        def poke(header, arrays):
+            # a nonzero float in the water pixel (row 0, col 1) of ch0
+            arrays[2][0, 1] = 2.25
+
+        reseal(path, poke)
+        with pytest.raises(IntegrityError, match=r"\(0, 1\).*'ch0'") as exc:
+            load_grid(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_flipped_plane_byte_fails_checksum(self, tmp_path):
+        path = tmp_path / "g.wgrd"
+        save_grid(make_grid([[1, 0], [1, 1]]), path)
         raw = bytearray(path.read_bytes())
-        # Poke a nonzero float into the water pixel (row 0, col 1) of ch0.
-        plane_off = len(raw) - 4 * 8
-        raw[plane_off + 8 : plane_off + 16] = struct.pack("<d", 2.25)
+        raw[-64] ^= 0x01  # first byte of ch0, the last array
         path.write_bytes(bytes(raw))
-        with pytest.raises(IntegrityError, match=r"\(0, 1\).*'ch0'"):
+        with pytest.raises(IntegrityError, match="'channel.0' fails its checksum"):
             load_grid(path)
 
     def test_bad_magic(self, tmp_path):
@@ -158,9 +174,18 @@ class TestFormatErrors:
         path = tmp_path / "g.wgrd"
         save_grid(make_grid([[1]]), path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<H", raw, 4, 2)
+        struct.pack_into("<H", raw, 4, 3)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
+            load_grid(path)
+
+    def test_version_1_file_refused(self, tmp_path):
+        # the hand-packed layout of version 1: a 1x1 land grid, one channel
+        path = tmp_path / "g.wgrd"
+        path.write_bytes(b"WGRD" + struct.pack("<HIIHH", 1, 1, 1, 1, 1)
+                         + struct.pack("<HB", 7, 3) + b"AAA" + b"\x03ch0"
+                         + struct.pack("<BHd", 1, 7, 0.5))
+        with pytest.raises(FormatError, match="unsupported version 1, expected 2"):
             load_grid(path)
 
     def test_truncated_plane(self, tmp_path):
@@ -177,14 +202,15 @@ class TestFormatErrors:
         with pytest.raises(IntegrityError, match="size mismatch"):
             load_grid(path)
 
-    def test_duplicate_channel_names_rejected(self, tmp_path):
+    def test_duplicate_channel_names_rejected(self, tmp_path, reseal):
         path = tmp_path / "g.wgrd"
         save_grid(make_grid([[1]], n_channels=2), path)
-        raw = bytearray(path.read_bytes())
-        # Directory holds "ch0" then "ch1"; rewrite the second name to "ch0".
-        idx = raw.find(b"ch1")
-        raw[idx : idx + 3] = b"ch0"
-        path.write_bytes(bytes(raw))
+
+        def rename(header, arrays):
+            # the directory holds "ch0" then "ch1"; rename the second to "ch0"
+            header["meta"]["channels"][1] = "ch0"
+
+        reseal(path, rename)
         with pytest.raises(IntegrityError, match="duplicate channel"):
             load_grid(path)
 

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import in the package is
-used, every private function or class has a caller, and the command line
-parses its flags before numpy loads."""
+used, every private function or class has a caller, one module owns the
+binary file format, and the command line parses its flags before numpy
+loads."""
 
 from __future__ import annotations
 
@@ -122,3 +123,34 @@ def test_cli_parses_without_numpy():
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def binary_format_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each import of ``struct`` or ``zlib`` and each
+    ``frombuffer`` or ``tobytes`` attribute in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] in ("struct", "zlib")]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("struct", "zlib"):
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Attribute) and node.attr in ("frombuffer", "tobytes"):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_one_module_owns_the_binary_format():
+    # files.py holds the container that every binary file goes through
+    sample = (
+        "import struct, os\n"
+        "from zlib import crc32\n"
+        "def f(np, a):\n"
+        "    return np.frombuffer(a.tobytes(), 'u1')\n"
+    )
+    assert binary_format_uses(sample) == [(1, "struct"), (2, "zlib"),
+                                          (4, "frombuffer"), (4, "tobytes")]
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "files.py"
+             for line, name in binary_format_uses(path.read_text())]
+    assert found == []

@@ -171,8 +171,8 @@ class TestSpecAndInit:
             expected_shapes(UNetSpec(3, 2, 1, heads=()))
 
     def test_head_name_length_bounded(self, tmp_path):
-        # a checkpoint stores each parameter name, which embeds the head
-        # name, behind a one-byte length; the longest is "dec.<head>.0.conv1.w"
+        # parameter names, which embed the head name, are bounded to 255
+        # bytes; the longest is "dec.<head>.0.conv1.w"
         longest = 255 - len("dec..0.conv1.w")
         with pytest.raises(SpecError, match="255"):
             init_params(UNetSpec(3, 2, 1, heads=(("a" * (longest + 1), 1),)), 0)
@@ -185,16 +185,14 @@ class TestSpecAndInit:
     @pytest.mark.parametrize("field", [
         "input_channels", "base_features", "depth", "kernel_size"])
     def test_checkpoint_u16_fields_bounded(self, field):
-        # a checkpoint packs these as unsigned 16-bit fields: 65535 is the
-        # largest value a spec may hold.  Only the spec is validated here,
-        # so no array of that size is ever drawn.
+        # 65535 is the largest value a spec may hold.  Only the spec is
+        # validated here, so no array of that size is ever drawn.
         with pytest.raises(SpecError, match="65535"):
             validate_spec(dataclasses.replace(TINY, **{field: 70001}))
         validate_spec(dataclasses.replace(TINY, **{field: 0xFFFF}))
 
     def test_head_count_and_channels_bounded(self, tmp_path):
-        # 70000 channels used to pass init_params and then die in
-        # save_params with a bare struct.error
+        # 70000 channels are refused before any checkpoint is written
         with pytest.raises(SpecError, match="65535"):
             save_params(init_params(UNetSpec(3, 2, 1, heads=(("urban", 70000),)), 0),
                         tmp_path / "model.unpk")
@@ -1145,25 +1143,46 @@ class TestCheckpoints:
         with pytest.raises(IntegrityError):
             load_params(path)
 
-    def test_missing_array_rejected(self, tmp_path):
+    def test_missing_array_rejected(self, tmp_path, reseal):
         params = init_params(TINY, 12)
         path = tmp_path / "model.unpk"
         save_params(params, path)
-        raw = path.read_bytes()
-        # head bias is the last array: strip its record entirely
-        marker = b"head.urban.b"
-        path.write_bytes(raw[: raw.rfind(marker) - 1])
+
+        def drop_last(header, arrays):
+            # the head bias is the last array: strip its entry and its bytes
+            assert header["arrays"].pop()[0] == "head.urban.b"
+            arrays.pop()
+
+        reseal(path, drop_last)
         with pytest.raises(IntegrityError, match="missing"):
             load_params(path)
 
-    def test_non_finite_value_rejected_on_load(self, tmp_path):
+    def test_non_finite_value_rejected_on_load(self, tmp_path, reseal):
         params = init_params(TINY, 14)
         path = tmp_path / "model.unpk"
         save_params(params, path)
-        raw = bytearray(path.read_bytes())
-        raw[-4:] = struct.pack("<f", float("nan"))  # last value of head.urban.b
-        path.write_bytes(bytes(raw))
+
+        def poke(header, arrays):
+            arrays[-1][-1] = np.nan  # last value of head.urban.b
+
+        reseal(path, poke)
         with pytest.raises(IntegrityError, match="non-finite"):
+            load_params(path)
+
+    def test_flipped_value_byte_fails_checksum(self, tmp_path):
+        path = tmp_path / "model.unpk"
+        save_params(init_params(TINY, 14), path)
+        raw = bytearray(path.read_bytes())
+        raw[-64] ^= 0x80  # inside head.urban.b, the last array
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="'head.urban.b' fails its checksum"):
+            load_params(path)
+
+    def test_version_1_file_refused(self, tmp_path):
+        path = tmp_path / "model.unpk"
+        path.write_bytes(b"UNPK" + struct.pack("<HHHHHH", 1, 3, 2, 1, 3, 1)
+                         + b"\x05urban" + struct.pack("<H", 1))
+        with pytest.raises(FormatError, match="unsupported version 1, expected 2"):
             load_params(path)
 
     def test_wrong_shape_refused_on_save(self, tmp_path):
@@ -1172,27 +1191,28 @@ class TestCheckpoints:
         with pytest.raises(IntegrityError):
             save_params(params, tmp_path / "model.unpk")
 
-    @pytest.mark.parametrize("marker", [b"urban", b"enc0.conv1.w"],
-                             ids=["head-name", "array-name"])
-    def test_non_ascii_name_is_format_error(self, tmp_path, marker):
+    @pytest.mark.parametrize("where", ["head-name", "array-name"])
+    def test_non_ascii_name_is_format_error(self, tmp_path, reseal, where):
         path = tmp_path / "model.unpk"
         save_params(init_params(TINY, 15), path)
-        raw = bytearray(path.read_bytes())
-        raw[raw.index(marker)] = 0xE9
-        path.write_bytes(bytes(raw))
+
+        def rename(header, arrays):
+            if where == "head-name":
+                header["meta"]["spec"]["heads"][0][0] = "\u00e9rban"
+            else:
+                header["arrays"][0][0] = "\u00e9nc0.conv1.w"
+
+        reseal(path, rename)
         with pytest.raises(FormatError, match="not ASCII") as exc:
             load_params(path)
         assert str(path) in str(exc.value)
 
-    @pytest.mark.parametrize("field_offset, value", [(10, 0), (12, 2)],
+    @pytest.mark.parametrize("field, value", [("depth", 0), ("kernel_size", 2)],
                              ids=["depth-0", "even-kernel"])
-    def test_corrupt_spec_block_is_integrity_error(self, tmp_path, field_offset, value):
-        # spec block after magic and version: cin, base, depth, k, n_heads (u16 each)
+    def test_corrupt_spec_block_is_integrity_error(self, tmp_path, reseal, field, value):
         path = tmp_path / "model.unpk"
         save_params(init_params(TINY, 16), path)
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<H", raw, field_offset, value)
-        path.write_bytes(bytes(raw))
+        reseal(path, lambda header, arrays: header["meta"]["spec"].update({field: value}))
         with pytest.raises(IntegrityError, match="spec block") as exc:
             load_params(path)
         assert str(path) in str(exc.value)
