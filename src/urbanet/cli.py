@@ -3,6 +3,11 @@
 Every subcommand reads inputs, writes outputs to files, and logs progress
 to stderr only.  Exit codes: 0 success, 1 usage/config error, 2 data or
 integrity error, 3 numeric divergence.
+
+Training options have one parser.  Each ``TrainConfig`` field is both a
+config-file key and a ``--flag`` of ``train``, and either value is a
+string parsed by ``trainer.config_from_pairs``.  ``train``, ``multitask``
+and ``eval`` check their configs and network depth before reading the grid.
 """
 
 from __future__ import annotations
@@ -18,6 +23,12 @@ _TEST_REGIONS_HELP = (f"comma-separated held-out regions (default {DEFAULT_TEST_
 DEFAULT_PAD = 20
 WINDOW_CHOICES = (16, 22, 28)
 _HEAD_FOR_TARGET = {"delta_urban": "urban", "delta_population": "pop"}
+# The fields of trainer.TrainConfig, in order.  Each is also a --flag whose
+# value goes, as a string, through the config-file parser.  They are
+# written out here because the parser is built before numpy, which
+# trainer imports, may load (--threads must reach the environment first).
+_TRAIN_OPTIONS = ("batch_size", "learning_rate", "optimizer", "momentum", "max_epochs",
+                  "patience", "min_delta", "seed", "shuffle", "samples_per_epoch")
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -86,14 +97,15 @@ def _load_split_normalize(grid_path, test_regions: str | None, pad: int, targets
     return world, norm, split, stats
 
 
-def _check_spec(spec, size: int, flag: str) -> None:
+def _check_spec(spec, size: int, flag: str, depth_from: str = "--depth") -> None:
     """Refuse an invalid spec, or one that would pad ``size``-pixel tiles
-    up to ``2**depth`` pixels, before any work."""
+    up to ``2**depth`` pixels, before any work.  ``depth_from`` names where
+    the depth came from: a flag, or a checkpoint."""
     from .unet import validate_spec
 
     validate_spec(spec)
     if 2 ** spec.depth > size:
-        raise _UsageError(f"--depth {spec.depth} needs tiles of at least "
+        raise _UsageError(f"{depth_from} {spec.depth} needs tiles of at least "
                           f"2**{spec.depth} = {2 ** spec.depth} pixels, but {flag} is {size}")
 
 
@@ -108,43 +120,25 @@ def _with_epoch_default(cfg, train_stream):
     return dataclasses.replace(cfg, samples_per_epoch=epoch_size(train_stream))
 
 
-def _resolve_train_config(args):
+def _train_config(path, args, default=None):
+    """The config file at ``path`` (else ``default``, else the defaults),
+    overridden by each training option flag set in ``args``.  Flag values
+    are strings parsed like config-file values."""
     from .trainer import TrainConfig, config_from_pairs, load_config
 
-    cfg = load_config(args.config) if args.config else TrainConfig()
-    overrides = [
-        (key, str(val))
-        for key, val in (
-            ("batch_size", args.batch_size),
-            ("learning_rate", args.learning_rate),
-            ("optimizer", args.optimizer),
-            ("momentum", args.momentum),
-            ("max_epochs", args.max_epochs),
-            ("patience", args.patience),
-            ("min_delta", args.min_delta),
-            ("seed", args.seed),
-            ("shuffle", args.shuffle),
-            ("samples_per_epoch", args.samples_per_epoch),
-        )
-        if val is not None
-    ]
-    return config_from_pairs(overrides, base=cfg)
+    cfg = load_config(path) if path else default or TrainConfig()
+    flags = [(name, getattr(args, name)) for name in _TRAIN_OPTIONS
+             if getattr(args, name, None) is not None]
+    return config_from_pairs(flags, cfg)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value training config file")
     p.add_argument("--print-config", action="store_true",
                    help="print the effective training config and exit")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--min-delta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shuffle", choices=("true", "false"))
-    p.add_argument("--samples-per-epoch", type=int)
+    for name in _TRAIN_OPTIONS:
+        p.add_argument("--" + name.replace("_", "-"), metavar="VALUE",
+                       help=f"overrides {name} in --config")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -184,31 +178,30 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _train_and_save(args, target_names, seed, setup, model_name, tag) -> int:
-    """Streams from ``--grid``, one training run, then its output files.
-
-    ``setup(tr)`` resolves the run against the training stream, before the
-    streams line is logged, and returns ``(fit, config)``: ``fit(tr, va)``
-    trains and returns (model, history), and a ``config`` other than None is
-    saved as ``config_<tag>.cfg`` beside ``history_<tag>.csv``.
-    """
-    from pathlib import Path
-
+def _streams(args, targets, seed):
+    """Train and validation tile streams from ``--grid``."""
     from .synth import INPUT_CHANNELS
     from .tiler import WindowSpec
-    from .trainer import build_streams, save_config, save_history
-    from .unet import save_params
+    from .trainer import build_streams
 
     _, norm, split, _ = _load_split_normalize(args.grid, args.test_regions, args.pad,
-                                              target_names)
+                                              targets)
     tr, va, val_regions = build_streams(
         norm, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
-        target_names=target_names, split=split, seed=seed,
+        target_names=targets, split=split, seed=seed,
     )
-    fit, config = setup(tr)
     _log(f"streams: {len(tr)} train (augmented), {len(va)} val, "
          f"val regions {sorted(val_regions)}")
-    model, hist = fit(tr, va)
+    return tr, va
+
+
+def _save_run(args, model, hist, tag, model_name, config=None) -> None:
+    """Write the model, ``history_<tag>.csv`` and, when given,
+    ``config_<tag>.cfg`` into ``--out-dir``."""
+    from pathlib import Path
+
+    from .trainer import save_config, save_history
+    from .unet import save_params
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,11 +211,10 @@ def _train_and_save(args, target_names, seed, setup, model_name, tag) -> int:
         save_config(config, out / f"config_{tag}.cfg")
     _log(f"best epoch {hist.best_epoch}: val loss {hist.best_val_loss:.6e}")
     _log(f"wrote {out / model_name}")
-    return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve_train_config(args)
+    cfg = _train_config(args.config, args)
     if args.print_config:
         from .trainer import format_config
 
@@ -238,42 +230,36 @@ def _cmd_train(args) -> int:
                     base_features=args.base_features, depth=args.depth,
                     heads=((head, 1),))
     _check_spec(spec, args.window, "--window")
-
-    def setup(tr):
-        run_cfg = _with_epoch_default(cfg, tr)
-        return (lambda tr, va: train(init_params(spec, seed=run_cfg.seed), tr, va,
-                                     run_cfg)), run_cfg
-
+    tr, va = _streams(args, (args.target,), cfg.seed)
+    cfg = _with_epoch_default(cfg, tr)
+    model, hist = train(init_params(spec, seed=cfg.seed), tr, va, cfg)
     tag = f"{head}_sz{args.window}"
-    return _train_and_save(args, (args.target,), cfg.seed, setup,
-                           f"unet_{tag}.unpk", tag)
+    _save_run(args, model, hist, tag, f"unet_{tag}.unpk", cfg)
+    return 0
 
 
 def _cmd_multitask(args) -> int:
-    import dataclasses
-
     from .synth import TARGET_POP, TARGET_URBAN
-    from .trainer import (MultiTaskSchedule, TrainConfig, build_multitask,
-                          load_config, train_multitask)
+    from .trainer import MultiTaskSchedule, build_multitask, train_multitask
     from .unet import load_params
 
+    default = MultiTaskSchedule()
+    phase1 = _train_config(args.phase1_config, args, default.phase1)
+    phase2 = _train_config(args.phase2_config, args, default.phase2)
+    MultiTaskSchedule(phase1, phase2)  # the rate rule, checked before any work
     pre = load_params(args.checkpoint)
-    multi = build_multitask(pre, head="pop", seed=args.seed or 0)
-
-    def setup(tr):
-        phase1 = load_config(args.phase1_config) if args.phase1_config else TrainConfig()
-        phase2 = (load_config(args.phase2_config) if args.phase2_config
-                  else TrainConfig(learning_rate=1e-4))
-        if args.seed is not None:
-            phase1 = dataclasses.replace(phase1, seed=args.seed)
-            phase2 = dataclasses.replace(phase2, seed=args.seed)
-        schedule = MultiTaskSchedule(phase1=_with_epoch_default(phase1, tr),
-                                     phase2=_with_epoch_default(phase2, tr))
-        return (lambda tr, va: train_multitask(multi, tr, va, schedule)), None
-
+    _check_spec(pre.spec, args.window, "--window", f"{args.checkpoint}: depth")
+    # without --seed the new head and the streams draw from seed 0,
+    # whatever seed the phase files hold
+    seed = phase1.seed if args.seed is not None else 0
+    multi = build_multitask(pre, head="pop", seed=seed)
+    tr, va = _streams(args, (TARGET_URBAN, TARGET_POP), seed)
+    schedule = MultiTaskSchedule(_with_epoch_default(phase1, tr),
+                                 _with_epoch_default(phase2, tr))
+    model, hist = train_multitask(multi, tr, va, schedule)
     tag = f"multitask_sz{args.window}"
-    return _train_and_save(args, (TARGET_URBAN, TARGET_POP), args.seed or 0, setup,
-                           f"{tag}.unpk", tag)
+    _save_run(args, model, hist, tag, f"{tag}.unpk")
+    return 0
 
 
 def _cmd_eval(args) -> int:
@@ -289,6 +275,7 @@ def _cmd_eval(args) -> int:
     from .unet import load_params
 
     params = load_params(args.checkpoint)
+    _check_spec(params.spec, args.window, "--window", f"{args.checkpoint}: depth")
     # rows for a target other than delta_urban name it, as multitask rows do
     multi = len(params.spec.heads) > 1
     label = multitask_label(args.window) if multi else unet_label(args.window)
@@ -468,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pretrained single-task UNPK file")
     p.add_argument("--phase1-config", help="frozen-phase training config file")
     p.add_argument("--phase2-config", help="fine-tuning config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", metavar="VALUE", help="overrides seed in both phase configs")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_multitask)
 

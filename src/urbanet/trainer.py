@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_args, get_type_hints
 
 import numpy as np
 
@@ -424,17 +424,10 @@ def train_multitask(
 # ---------------------------------------------------------------------------
 # config and history files
 
-_CONFIG_FIELDS: dict[str, type] = {
-    "batch_size": int,
-    "learning_rate": float,
-    "optimizer": str,
-    "momentum": float,
-    "max_epochs": int,
-    "patience": int,
-    "min_delta": float,
-    "seed": int,
-    "shuffle": bool,
-    "samples_per_epoch": int,  # or the literal "none"
+# option -> the types of its annotation: (int,), or (int, NoneType) for an
+# ``int | None`` field, which also takes the literal "none"
+_CONFIG_FIELDS: dict[str, tuple[type, ...]] = {
+    name: get_args(hint) or (hint,) for name, hint in get_type_hints(TrainConfig).items()
 }
 
 
@@ -469,20 +462,22 @@ def parse_config_line(line: str) -> tuple[str, str] | None:
 
 
 def config_from_pairs(pairs: Iterable[tuple[str, str]], base: TrainConfig | None = None) -> TrainConfig:
+    """``base`` (default: the defaults) with each string ``value`` parsed by
+    the type of its field and applied in turn."""
     config = base if base is not None else TrainConfig()
     for key, value in pairs:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown training option {key!r}")
-        kind = _CONFIG_FIELDS[key]
-        if key == "samples_per_epoch" and value.lower() == "none":
+        kinds = _CONFIG_FIELDS[key]
+        if type(None) in kinds and value.lower() == "none":
             parsed = None
-        elif kind is bool:
+        elif kinds[0] is bool:
             if value.lower() not in ("true", "false"):
                 raise ConfigError(f"{key} must be true or false, got {value!r}")
             parsed = value.lower() == "true"
         else:
             try:
-                parsed = kind(value)
+                parsed = kinds[0](value)
             except ValueError as err:
                 raise ConfigError(f"bad value for {key}: {value!r}") from err
         config = replace(config, **{key: parsed})
@@ -490,12 +485,23 @@ def config_from_pairs(pairs: Iterable[tuple[str, str]], base: TrainConfig | None
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    pairs = []
-    for line in Path(path).read_text().splitlines():
-        parsed = parse_config_line(line)
-        if parsed is not None:
-            pairs.append(parsed)
-    return config_from_pairs(pairs, base)
+    """``base`` overridden by the key=value lines of ``path``.  An error
+    names the file and the line."""
+    config = base if base is not None else TrainConfig()
+    raw = Path(path).read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise ConfigError(f"{path}, line {line}: not a text config ({err.reason})") from None
+    for number, line in enumerate(lines, 1):
+        try:
+            pair = parse_config_line(line)
+            if pair is not None:
+                config = config_from_pairs([pair], config)
+        except ConfigError as err:
+            raise ConfigError(f"{path}, line {number}: {err}") from None
+    return config
 
 
 def save_history(history: TrainHistory, path) -> None:

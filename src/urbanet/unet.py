@@ -932,7 +932,17 @@ def load_params(path: str | Path) -> UNetParams:
     meta, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                   _CHECKPOINT_SCHEMA)
     spec = UNetSpec(**{**meta["spec"], "heads": tuple(map(tuple, meta["spec"]["heads"]))})
+    # the array count is checked before any name is built, so a header that
+    # asks for a huge depth costs no more work than the file's size: each
+    # encoder level has 2 convs, each decoder level 3, each head one more,
+    # and every conv is a weight and a bias
     try:
+        validate_spec(spec)
+        need = 4 * (spec.depth + 1) + len(spec.heads) * (6 * spec.depth + 2)
+        if len(arrays) != need:
+            kind = "missing" if len(arrays) < need else "extra"
+            raise IntegrityError(f"{path}: {kind} arrays: the spec needs {need}, "
+                                 f"the file holds {len(arrays)}")
         shapes = expected_shapes(spec)
     except SpecError as err:  # a corrupt file, not a bad request
         raise IntegrityError(f"{path}: invalid spec block: {err}") from None

@@ -172,6 +172,29 @@ class TestTrain:
         assert "batch_size=64" in out
         assert "optimizer=adam" in out
 
+    def test_flags_parse_like_file_values(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("max_epochs=7\nsamples_per_epoch=50\n")
+        assert main(["train", "--grid", "unused.wgrd", "--config", str(cfg),
+                     "--batch-size", "16", "--learning-rate", "5e-4", "--optimizer", "sgd",
+                     "--momentum", "0.5", "--shuffle", "false", "--samples-per-epoch", "none",
+                     "--print-config"]) == 0
+        assert capsys.readouterr().out == (
+            "batch_size=16\nlearning_rate=0.0005\noptimizer=sgd\nmomentum=0.5\n"
+            "max_epochs=7\npatience=10\nmin_delta=1e-07\nseed=0\nshuffle=false\n"
+            "samples_per_epoch=none\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch-size", "x", "error: bad value for batch_size: 'x'"),
+        ("--seed", "1.5", "error: bad value for seed: '1.5'"),
+        ("--optimizer", "rmsprop", "error: optimizer must be one of ('adam', 'sgd')"),
+        ("--shuffle", "maybe", "error: shuffle must be true or false, got 'maybe'"),
+    ])
+    def test_bad_flag_value_exits_1(self, capsys, flag, value, message):
+        assert main(["train", "--grid", "unused.wgrd", flag, value, "--print-config"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("learning_rate=0.5\nbatch_size=16\n")
@@ -479,6 +502,34 @@ class TestMultitask:
         phases = [ln.split(",")[1] for ln in history[1:]]
         assert phases == ["phase1", "phase2"]
 
+    @pytest.mark.parametrize("phase2, message, line", [
+        ("max_epochs=1\nwarmup=5\n", "unknown training option 'warmup'", 2),
+        ("# tuned\nlearning_rate=inf\n", "learning_rate must be finite", 2),
+        ("max_epochs=1\nlearning_rate=0.001\n", "fine-tuning rate must be smaller", None),
+    ], ids=["unknown-key", "non-finite-rate", "schedule-violation"])
+    def test_bad_phase_config_fails_before_work(self, world_file, run_dir, tmp_path,
+                                                monkeypatch, capsys, phase2, message, line):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran with a bad phase config")
+
+        for module, name in ((grid, "load_grid"), (trainer, "build_streams"),
+                             (trainer, "train_multitask")):
+            monkeypatch.setattr(module, name, no_work)
+        good, bad = tmp_path / "phase1.cfg", tmp_path / "phase2.cfg"
+        good.write_text("max_epochs=1\n")
+        bad.write_text(phase2)
+        out = tmp_path / "out"
+        assert main(["multitask", "--grid", str(world_file), "--window", "16",
+                     "--pad", "8", "--test-regions", "R03",
+                     "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
+                     "--phase1-config", str(good), "--phase2-config", str(bad),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(good) not in err
+        if line is not None:
+            assert f"error: {bad}, line {line}: " in err
+        assert not out.exists()
+
     def test_schedule_violation_is_usage_error(self, world_file, run_dir, tmp_path):
         cfg = tmp_path / "same.cfg"
         cfg.write_text("max_epochs=1\n")
@@ -488,6 +539,28 @@ class TestMultitask:
                    "--phase1-config", str(cfg), "--phase2-config", str(cfg),
                    "--out-dir", str(tmp_path)])
         assert rc == 1
+
+
+class TestCheckpointDepth:
+    @pytest.mark.parametrize("command", ["eval", "multitask"])
+    def test_too_deep_checkpoint_fails_before_work(self, world_file, tmp_path, monkeypatch,
+                                                   capsys, command):
+        # a depth-5 network pads every 16-pixel tile to 32 pixels
+        def no_work(*args, **kwargs):
+            raise AssertionError("read the grid for a too-deep checkpoint")
+
+        monkeypatch.setattr(grid, "load_grid", no_work)
+        path = tmp_path / "deep.unpk"
+        save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 2, 5), 0), path)
+        out = tmp_path / "out"
+        argv = [command, "--grid", str(world_file), "--window", "16", "--pad", "8",
+                "--test-regions", "R03", "--checkpoint", str(path)]
+        argv += (["--report", str(out / "r.csv")] if command == "eval"
+                 else ["--out-dir", str(out)])
+        assert main(argv) == 1
+        assert (f"error: {path}: depth 5 needs tiles of at least 2**5 = 32 pixels, "
+                "but --window is 16") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheck:

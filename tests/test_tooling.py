@@ -1,11 +1,13 @@
 """Source hygiene checks that need no linter: every import in the package is
 used, every private function or class has a caller, one module owns the
-binary file format, and the command line parses its flags before numpy
-loads."""
+binary file format, the command line parses its flags before numpy
+loads, and its training flags are the fields of ``TrainConfig``."""
 
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -123,6 +125,25 @@ def test_cli_parses_without_numpy():
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_training_flags_are_the_config_fields():
+    # the flags carry no type of their own: each value is parsed by the
+    # config-file parser, from the dataclass's annotations
+    from urbanet import cli
+    from urbanet.trainer import TrainConfig
+
+    assert cli._TRAIN_OPTIONS == tuple(f.name for f in dataclasses.fields(TrainConfig))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {command: [a for a in sub.choices[command]._actions
+                       if a.dest in cli._TRAIN_OPTIONS]
+             for command in ("train", "multitask")}
+    assert tuple(a.dest for a in flags["train"]) == cli._TRAIN_OPTIONS
+    assert [a.dest for a in flags["multitask"]] == ["seed"]
+    typed = [(command, a.dest) for command, actions in flags.items() for a in actions
+             if a.type is not None or a.choices is not None]
+    assert typed == []
 
 
 def binary_format_uses(source: str) -> list[tuple[int, str]]:

@@ -114,6 +114,19 @@ class TestConfig:
         assert cfg.batch_size == 16
         assert cfg.learning_rate == 0.01
 
+    @pytest.mark.parametrize("body, line, says", [
+        (b"# tuned\nbatch_size=16\nwarmup=5\n", 3, "unknown training option 'warmup'"),
+        (b"seed=1\nlearning_rate=nan\n", 2, "learning_rate must be finite"),
+        (b"batch_size\n", 1, "expected key=value"),
+        (b"seed=1\n\xff\n", 2, "not a text config"),
+    ], ids=["unknown-key", "non-finite", "no-equals", "binary"])
+    def test_file_errors_name_the_file_and_line(self, tmp_path, body, line, says):
+        path = tmp_path / "train.cfg"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match=says) as exc:
+            load_config(path)
+        assert str(exc.value).startswith(f"{path}, line {line}: ")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             config_from_pairs([("warmup", "5")])

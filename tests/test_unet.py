@@ -1169,6 +1169,21 @@ class TestCheckpoints:
         with pytest.raises(IntegrityError, match="non-finite"):
             load_params(path)
 
+    def test_huge_depth_refused_before_names_are_built(self, tmp_path, reseal, monkeypatch):
+        # a valid header CRC is easy to forge; the parameter map of a depth
+        # 65,535 spec would take far longer to build than the file to read
+        path = tmp_path / "model.unpk"
+        save_params(init_params(TINY, 17), path)
+        reseal(path, lambda header, arrays: header["meta"]["spec"].update(depth=0xFFFF))
+
+        def no_names(spec):
+            raise AssertionError("built the parameter names of a forged spec")
+
+        monkeypatch.setattr(unet, "expected_shapes", no_names)
+        with pytest.raises(IntegrityError, match="missing arrays: the spec needs") as exc:
+            load_params(path)
+        assert str(path) in str(exc.value)
+
     def test_flipped_value_byte_fails_checksum(self, tmp_path):
         path = tmp_path / "model.unpk"
         save_params(init_params(TINY, 14), path)
