@@ -141,8 +141,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                        help=f"overrides {name} in --config")
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", required=True, help="input WGRD world file")
+def _add_data_flags(p: argparse.ArgumentParser, grid_required: bool = True) -> None:
+    p.add_argument("--grid", required=grid_required, help="input WGRD world file")
     p.add_argument("--test-regions", help=_TEST_REGIONS_HELP)
     p.add_argument("--pad", type=int, default=DEFAULT_PAD,
                    help=f"zero-padding border in pixels (default {DEFAULT_PAD})")
@@ -214,6 +214,9 @@ def _save_run(args, model, hist, tag, model_name, config=None) -> None:
 
 
 def _cmd_train(args) -> int:
+    # --print-config reads no grid, so argparse cannot require --grid
+    if args.grid is None and not args.print_config:
+        raise _UsageError("the following arguments are required: --grid")
     cfg = _train_config(args.config, args)
     if args.print_config:
         from .trainer import format_config
@@ -249,11 +252,10 @@ def _cmd_multitask(args) -> int:
     MultiTaskSchedule(phase1, phase2)  # the rate rule, checked before any work
     pre = load_params(args.checkpoint)
     _check_spec(pre.spec, args.window, "--window", f"{args.checkpoint}: depth")
-    # without --seed the new head and the streams draw from seed 0,
-    # whatever seed the phase files hold
-    seed = phase1.seed if args.seed is not None else 0
-    multi = build_multitask(pre, head="pop", seed=seed)
-    tr, va = _streams(args, (TARGET_URBAN, TARGET_POP), seed)
+    # the new head and the validation regions draw from phase 1's seed,
+    # which --seed overrides
+    multi = build_multitask(pre, head="pop", seed=phase1.seed)
+    tr, va = _streams(args, (TARGET_URBAN, TARGET_POP), phase1.seed)
     schedule = MultiTaskSchedule(_with_epoch_default(phase1, tr),
                                  _with_epoch_default(phase2, tr))
     model, hist = train_multitask(multi, tr, va, schedule)
@@ -439,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="train a single-task model")
-    _add_data_flags(p)
+    _add_data_flags(p, grid_required=False)
     _add_train_flags(p)
     p.add_argument("--target", choices=tuple(_HEAD_FOR_TARGET),
                    default="delta_urban")

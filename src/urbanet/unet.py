@@ -40,14 +40,21 @@ forward and backward, runs in 64-bit when checked against finite differences.
 Activations use channel-last (N, H, W, C) layout.  Every convolution is an
 im2col GEMM, built and multiplied one block of a few images at a time
 (``_im2col_blocks``), so the patch matrix never exists whole and each block
-is still in cache when its GEMM reads it; the bias and the ReLU are applied
-to each output block right after its GEMM.  The backward builds one patch
-matrix, of the zero-padded output gradient: times the flipped kernel it
-is the input gradient (the transposed-kernel identity, no scatter-add),
+is still in cache when its GEMM reads it.  The patch rows end in a column
+of ones and the weight matrix in the bias, so the GEMM adds the bias, and
+the ReLU runs on each output block right after it (a 1x1 kernel, which
+copies no patches, adds its bias after the GEMM).  The backward builds one
+patch matrix, of the zero-padded output gradient: times the flipped kernel
+it is the input gradient (the transposed-kernel identity, no scatter-add),
 and the input's rows times it give the weight gradient, block by block.
-Row blocks change float32 rounding against a single whole-batch GEMM
-(BLAS picks its kernel by matrix size), by about float32 epsilon; a fixed
-thread count stays bit-reproducible.  Training and evaluation pass
+The bias gradient is one GEMV of ones with the gradient's rows.  Row
+blocks change float32 rounding against a single whole-batch GEMM (BLAS
+picks its kernel by matrix size), by about float32 epsilon; a fixed
+thread count stays bit-reproducible.  Beside the GEMMs the backward makes
+no whole-array pass it can avoid: the ReLU gate multiplies in place a
+gradient the backward itself allocated (the caller's output gradient
+reaches only un-gated layers), and a pool's gradient is written slot by
+slot, never zero-filled first.  Training and evaluation pass
 channel-last batches straight from the tile streams to ``_forward`` and
 ``loss_and_grads``.
 
@@ -256,7 +263,7 @@ def _parts(x) -> tuple:
     return x if isinstance(x, tuple) else (x,)
 
 
-def _im2col_blocks(x, k: int, pad: int):
+def _im2col_blocks(x, k: int, pad: int, ones: bool = False):
     """Yield (row slice, patch rows) of the (N*Ho*Wo, k*k*C) patch matrix of
     (N,H,W,C) ``x`` zero-padded by ``pad`` on every side, a few whole images
     per block; Ho = H + 2 * pad - k + 1 (likewise Wo), rows in (du, dv, c)
@@ -272,6 +279,11 @@ def _im2col_blocks(x, k: int, pad: int):
     patch row du of pixel (i, j) is the k*C contiguous values
     xp[i + du, j : j + k], so the copy moves runs of k*C values rather than
     C.  A 1x1 kernel needs no copy: its padded input is yielded as one block.
+
+    With ``ones`` and k > 1 the buffer has one more column, of ones, written
+    when it is allocated and never touched by the copies: each block is then
+    (rows, k*k*C + 1), and a weight matrix whose last row is the bias adds
+    the bias inside the GEMM.  A 1x1 kernel never gets the column.
     """
     parts = _parts(x)
     n, h, w, _ = parts[0].shape
@@ -291,11 +303,14 @@ def _im2col_blocks(x, k: int, pad: int):
     sn, sh, sw, sc = xp.strides
     win = as_strided(xp, (n, ho, wo, k, k * c), (sn, sh, sw, sh, sc), writeable=False)
     step = max(1, min(n, _BLOCK_BYTES // (ho * wo * k * k * c * xp.itemsize)))
-    buf = np.empty((step, ho, wo, k, k * c), xp.dtype)
+    buf = np.empty((step * ho * wo, k * k * c + ones), xp.dtype)
+    if ones:
+        buf[:, -1] = 1.0
+    patches = buf[:, : k * k * c].reshape(step, ho, wo, k, k * c)  # a view
     for i in range(0, n, step):
         m = min(step, n - i)
-        np.copyto(buf[:m], win[i : i + m])
-        yield slice(i * ho * wo, (i + m) * ho * wo), buf[:m].reshape(m * ho * wo, k * k * c)
+        np.copyto(patches[:m], win[i : i + m])
+        yield slice(i * ho * wo, (i + m) * ho * wo), buf[: m * ho * wo]
 
 
 def _conv_forward(x, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False) -> np.ndarray:
@@ -303,18 +318,23 @@ def _conv_forward(x, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False)
     at a time: (N, H + 2 * pad - k + 1, W + 2 * pad - k + 1, F).
 
     ``x`` may be a tuple of parts, convolved as their channel concatenation
-    (``_im2col_blocks``).  Each block gets its bias, and with ``relu`` its
-    ReLU, while it is still in cache.
+    (``_im2col_blocks``).  For k > 1 the bias is the last row of the weight
+    matrix, which meets the patch rows' column of ones, so each block is one
+    GEMM and, with ``relu``, one ReLU while it is still in cache.  A 1x1
+    kernel, which makes no patch copy, adds its bias after the GEMM.
     """
     f, c, k, _ = w.shape
     x0 = _parts(x)[0]
     n, h, wd, _ = x0.shape
     wm = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
+    if k > 1:
+        wm = np.concatenate([wm, b.reshape(1, f)], dtype=wm.dtype)
     y = np.empty((n, h + 2 * pad - k + 1, wd + 2 * pad - k + 1, f), np.result_type(x0, w))
     y2 = y.reshape(-1, f)
-    for rows, cols in _im2col_blocks(x, k, pad):
+    for rows, cols in _im2col_blocks(x, k, pad, ones=True):
         yb = np.matmul(cols, wm, out=y2[rows])
-        yb += b
+        if k == 1:
+            yb += b
         if relu:
             np.maximum(yb, 0.0, out=yb)
     return y
@@ -323,15 +343,18 @@ def _conv_forward(x, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False)
 def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = True):
     """Gradients of ``_conv_forward(x, w, b, pad)``: (d_input, d_weight, d_bias).
 
-    Only the output gradient is lowered to patches.  Zero-padded by
-    k - 1 - pad, its patch row at input pixel (i, j) and tap (k-1-du, k-1-dv)
-    is the output gradient that input pixel meets through weight tap
-    (du, dv).  So d_input is that patch matrix times the spatially flipped,
-    in/out-swapped kernel (a convolution, not a scatter-add), and d_weight,
-    with its taps flipped back, sums x_rows.T @ cols over the same blocks.
+    Only the output gradient is lowered to patches (with no column of
+    ones).  Zero-padded by k - 1 - pad, its patch row at input pixel (i, j)
+    and tap (k-1-du, k-1-dv) is the output gradient that input pixel meets
+    through weight tap (du, dv).  So d_input is that patch matrix times the
+    spatially flipped, in/out-swapped kernel (a convolution, not a
+    scatter-add), and d_weight, with its taps flipped back, sums
+    x_rows.T @ cols over the same blocks.
     For a tuple of parts, d_weight takes one such product per part, and
     d_input is a tuple of one gradient per part, channel views of one array.
-    Without ``need_dx`` d_input is skipped (None).
+    Without ``need_dx`` d_input is skipped (None).  d_bias is one GEMV, a
+    vector of ones times the gradient's (N*H*W, F) rows, which BLAS sums
+    faster and closer to the exact sum than a reduction over the rows.
     """
     f, c, k, _ = w.shape
     parts = _parts(x)
@@ -350,7 +373,8 @@ def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = Tr
         for xr, c0, c1 in zip(x_rows, bounds[:-1], bounds[1:]):
             dwt[c0:c1] += xr[rows].T @ cols
     dw = dwt.reshape(c, k, k, f)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
-    db = g.reshape(-1, f).sum(axis=0)
+    g2 = g.reshape(-1, f)
+    db = np.ones(len(g2), g2.dtype) @ g2  # one GEMV, not a strided reduction
     if not need_dx:
         return None, dw, db
     if isinstance(x, tuple):
@@ -477,16 +501,20 @@ def _pool_backward(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of ``y = _pool_forward(x)``: each window's output gradient
     goes to its first maximum in row-major window order, the pixel that
     equals ``y`` first (the last pixel when none does, as for NaN).  Every
-    other pixel gets +0.0."""
-    dx = np.zeros(x.shape, g.dtype)
+    other pixel gets +0.0.
+
+    Each of the four window slots is written once, by a select of the
+    gradient or +0.0, so ``dx`` is never zero-filled first.  It is a new
+    array, which the ReLU gate of the layer below may write in place."""
+    dx = np.empty(x.shape, g.dtype)
     dst = _pool_views(dx)
     taken = np.zeros(y.shape, bool)  # windows already routed
     for pos, src in enumerate(_pool_views(x)[:3]):
         hit = src == y
         np.greater(hit, taken, out=hit)  # hit and not taken
-        np.copyto(dst[pos], g, where=hit)
+        np.copyto(dst[pos], np.where(hit, g, 0.0))
         taken |= hit
-    np.copyto(dst[3], g, where=~taken)
+    np.copyto(dst[3], np.where(taken, 0.0, g))
     return dx
 
 
@@ -626,8 +654,11 @@ def _backward(
         elif kind == "cat":  # each input takes back its own channels
             g_in = np.split(g, np.cumsum([a.shape[-1] for a in inputs[:-1]]), axis=-1)
         else:  # conv or upconv
-            if extra:  # the ReLU passes gradient only where it was open
-                g = g * (out > 0)
+            if extra:  # the ReLU passes gradient only where it was open.
+                # In place: a gated g is the backward's own (a dx, a channel
+                # view of one, a pool gradient or a pending sum); the
+                # caller's g_out reaches only the heads and the cat.
+                np.multiply(g, out > 0, out=g)
             need_dx = any(id(a) in fed for a in inputs)
             w = arrays[f"{name}.w"]
             if kind == "conv":

@@ -167,15 +167,22 @@ class TestTrain:
         assert list(tmp_path.iterdir()) == []
 
     def test_print_config_defaults(self, capsys):
-        assert main(["train", "--grid", "unused.wgrd", "--print-config"]) == 0
+        assert main(["train", "--print-config"]) == 0
         out = capsys.readouterr().out
         assert "batch_size=64" in out
         assert "optimizer=adam" in out
 
+    def test_grid_required_without_print_config(self, capsys):
+        # --print-config reads no grid; anything else still needs --grid
+        assert main(["train", "--max-epochs", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: the following arguments are required: --grid" in err
+
     def test_flags_parse_like_file_values(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("max_epochs=7\nsamples_per_epoch=50\n")
-        assert main(["train", "--grid", "unused.wgrd", "--config", str(cfg),
+        assert main(["train", "--config", str(cfg),
                      "--batch-size", "16", "--learning-rate", "5e-4", "--optimizer", "sgd",
                      "--momentum", "0.5", "--shuffle", "false", "--samples-per-epoch", "none",
                      "--print-config"]) == 0
@@ -191,14 +198,14 @@ class TestTrain:
         ("--shuffle", "maybe", "error: shuffle must be true or false, got 'maybe'"),
     ])
     def test_bad_flag_value_exits_1(self, capsys, flag, value, message):
-        assert main(["train", "--grid", "unused.wgrd", flag, value, "--print-config"]) == 1
+        assert main(["train", flag, value, "--print-config"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("learning_rate=0.5\nbatch_size=16\n")
-        assert main(["train", "--grid", "unused.wgrd", "--config", str(cfg),
+        assert main(["train", "--config", str(cfg),
                      "--learning-rate", "0.25", "--print-config"]) == 0
         out = capsys.readouterr().out
         assert "learning_rate=0.25" in out
@@ -209,7 +216,7 @@ class TestTrain:
     def test_non_finite_config_exits_1(self, tmp_path, capsys, line):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(line + "\n")
-        assert main(["train", "--grid", "unused.wgrd", "--config", str(cfg),
+        assert main(["train", "--config", str(cfg),
                      "--print-config"]) == 1
         assert "finite" in capsys.readouterr().err
 
@@ -529,6 +536,43 @@ class TestMultitask:
         if line is not None:
             assert f"error: {bad}, line {line}: " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, seed", [([], 7), (["--seed", "3"], 3)],
+                             ids=["phase-file", "flag"])
+    def test_phase1_seed_draws_head_and_regions(self, world_file, run_dir, tmp_path,
+                                                monkeypatch, flags, seed):
+        # phase 1's seed, as its file or --seed sets it, initialises the new
+        # head and picks the validation regions
+        class Stop(Exception):
+            pass
+
+        seen = {}
+        honest_build, honest_streams = trainer.build_multitask, trainer.build_streams
+
+        def build_spy(pre, **kwargs):
+            seen["head"] = kwargs["seed"]
+            return honest_build(pre, **kwargs)
+
+        def streams_spy(*args, **kwargs):
+            seen["streams"] = kwargs["seed"]
+            return honest_streams(*args, **kwargs)
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(trainer, "build_multitask", build_spy)
+        monkeypatch.setattr(trainer, "build_streams", streams_spy)
+        monkeypatch.setattr(trainer, "train_multitask", stop)
+        cfg1, cfg2 = tmp_path / "phase1.cfg", tmp_path / "phase2.cfg"
+        cfg1.write_text("max_epochs=1\nseed=7\n")
+        cfg2.write_text("max_epochs=1\nlearning_rate=0.0001\n")
+        with pytest.raises(Stop):
+            main(["multitask", "--grid", str(world_file), "--window", "16",
+                  "--pad", "8", "--test-regions", "R03",
+                  "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
+                  "--phase1-config", str(cfg1), "--phase2-config", str(cfg2),
+                  "--out-dir", str(tmp_path / "out"), *flags])
+        assert seen == {"head": seed, "streams": seed}
 
     def test_schedule_violation_is_usage_error(self, world_file, run_dir, tmp_path):
         cfg = tmp_path / "same.cfg"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 import tracemalloc
 
@@ -473,8 +474,9 @@ class TestBlockedConv:
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_matches_whole_matrix_reference(self, monkeypatch, k, dtype, rtol):
         # 2-image blocks over 5 images: three blocks, the last one uneven.
-        # Row blocks and the per-block d_weight sum change rounding only,
-        # so the tolerance is relative to each array's largest magnitude.
+        # Row blocks, the per-block d_weight sum and the d_bias GEMV change
+        # rounding only, so the tolerance is relative to each array's
+        # largest magnitude.
         rng = np.random.default_rng(k)
         x = rng.normal(size=(5, 9, 8, 6)).astype(dtype)
         w = rng.normal(size=(4, 6, k, k)).astype(dtype)
@@ -485,10 +487,59 @@ class TestBlockedConv:
         y = unet._conv_forward(x, w, b, k // 2)
         dx, dw, db = _conv_backward(x, w, g, k // 2)
         ry, rdx, rdw = whole_conv(x, w, b, g)
-        for got, ref in ((y, ry), (dx, rdx), (dw, rdw)):
+        for got, ref in ((y, ry), (dx, rdx), (dw, rdw), (db, g.reshape(-1, 4).sum(axis=0))):
             assert got.dtype == dtype and got.shape == ref.shape
             np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
-        np.testing.assert_array_equal(db, g.reshape(-1, 4).sum(axis=0))
+
+    @pytest.mark.parametrize("two_parts", [False, True], ids=["plain", "two-part"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_bias_folded_into_the_gemm(self, monkeypatch, k, two_parts, dtype, rtol):
+        # for k > 1 the bias is the weight matrix's last row, against a
+        # column of ones that the block copies never overwrite: 2-image
+        # blocks over 5 images, the last one partial, all keep the column
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(5, 9, 8, 2)).astype(dtype)
+        s = rng.normal(size=(5, 9, 8, 4)).astype(dtype)
+        xc = np.concatenate([a, s], axis=-1)
+        x = (a, s) if two_parts else xc
+        w = rng.normal(size=(4, 6, k, k)).astype(dtype)
+        b = (10 * rng.normal(size=4)).astype(dtype)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(xc, k))
+        want = whole_im2col(xc, k)
+        blocks = 0
+        for rows, cols in _im2col_blocks(x, k, k // 2, ones=True):
+            if k > 1:
+                assert cols.shape[1] == want.shape[1] + 1 and (cols[:, -1] == 1).all()
+                cols = cols[:, :-1]
+            assert cols.tobytes() == want[rows].tobytes()
+            blocks += 1
+        assert blocks == (1 if k == 1 else 3)
+        y = unet._conv_forward(x, w, b, k // 2)
+        ref = want @ w.transpose(2, 3, 1, 0).reshape(-1, 4) + b
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y.reshape(-1, 4), ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_gradient_matches_exact_sum(self, dtype):
+        # d_bias is one GEMV over the gradient's R rows.  Against each
+        # channel's correctly rounded sum (math.fsum of the float64 values)
+        # its error is bounded by eps * sqrt(R) times the channel's sum of
+        # magnitudes, the scale of random rounding in a running sum
+        # (measured: up to 0.19 of the bound; numpy's row-wise sum reaches
+        # 0.32, both dtypes, gradients of mean 0 to 3)
+        eps = np.finfo(dtype).eps
+        for shape in [(5, 9, 8, 4), (64, 28, 28, 8)]:
+            rng = np.random.default_rng(shape[0])
+            x = rng.normal(size=shape[:3] + (3,)).astype(dtype)
+            w = rng.normal(size=(shape[-1], 3, 3, 3)).astype(dtype)
+            g = (rng.normal(size=shape) + 1.0).astype(dtype)
+            _, _, db = _conv_backward(x, w, g, 1, need_dx=False)
+            assert db.dtype == dtype and db.shape == (shape[-1],)
+            cols = g.reshape(-1, shape[-1]).astype(np.float64).T
+            bound = eps * math.sqrt(cols.shape[1])
+            for got, col in zip(db, cols):
+                assert abs(float(got) - math.fsum(col)) <= bound * math.fsum(np.abs(col))
 
     def test_patch_matrix_is_never_whole(self):
         # one 16 -> 8 conv at batch 256, S = 28: the whole patch matrix
@@ -834,6 +885,29 @@ class TestBackward:
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
+    @pytest.mark.parametrize("heads, size", [
+        ((("urban", 1),), 12),
+        ((("urban", 1),), 10),
+        ((("urban", 1), ("pop", 2)), 12),
+    ], ids=["one-head", "cropped", "two-heads"])
+    def test_relu_gate_in_place_matches_out_of_place(self, heads, size):
+        # the ReLU gate writes into gradients the backward owns; the
+        # caller's g_out, read-only here, reaches only un-gated layers (the
+        # head and the concatenation), through the crop's padding or not
+        spec = UNetSpec(3, 2, 2, heads=heads)
+        params = init_params(spec, 7)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, size, size, 3)).astype(np.float32)
+        g = rng.normal(size=(3, size, size, spec.out_channels)).astype(np.float32)
+        g.setflags(write=False)
+        _, cache = _forward(params, x, keep_cache=True)
+        got = _backward(params, cache, g)
+        _, cache = _forward(params, x, keep_cache=True)
+        want = out_of_place_backward(params, cache, g)
+        assert sorted(got) == sorted(want) == sorted(params.arrays)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
     def test_non_finite_loss_raises(self):
         params = init_params(TINY, 5, dtype=np.float64)
         params.arrays["head.urban.b"] = np.array([np.inf])
@@ -854,6 +928,35 @@ class TestBackward:
             loss_and_grads(params, x, y, m[:1])
         with pytest.raises(IntegrityError):
             loss_and_grads(params, x, y, m + 1)
+
+
+def out_of_place_backward(params, cache, g_out):
+    """Every parameter's gradient by replaying the tape as ``_backward``
+    does, except that each ReLU gate allocates ``g * (out > 0)`` and every
+    input gradient is computed."""
+    tape = cache["tape"]
+    pt, pb, pl, pr = cache["pads"]
+    pending = {id(tape[-1][3]): np.pad(g_out, ((0, 0), (pt, pb), (pl, pr), (0, 0)))}
+    grads = {}
+    for kind, name, inputs, out, relu in reversed(tape):
+        g = pending.pop(id(out))
+        if kind == "pool":
+            g_in = [_pool_backward(g, inputs[0], out)]
+        elif kind == "cat":
+            g_in = np.split(g, np.cumsum([a.shape[-1] for a in inputs[:-1]]), axis=-1)
+        else:
+            if relu:
+                g = g * (out > 0)
+            w = params.arrays[f"{name}.w"]
+            if kind == "conv":
+                g_in, dw, db = _conv_backward(inputs, w, g, w.shape[-1] // 2)
+            else:
+                dx, dw, db = unet._upconv_backward(inputs[0], w, g)
+                g_in = (dx,)
+            grads[f"{name}.w"], grads[f"{name}.b"] = dw, db
+        for a, ga in zip(inputs, g_in):
+            pending[id(a)] = pending[id(a)] + ga if id(a) in pending else ga
+    return grads
 
 
 def first_max_routing(g, x):
@@ -893,6 +996,18 @@ class TestPoolBackward:
         got = _pool_backward(g, x, y)
         assert got.dtype == dtype and got.shape == x.shape
         assert got.tobytes() == first_max_routing(g, x).tobytes()
+
+    def test_gradient_is_a_fresh_array(self):
+        # dx is never a view of g, x or y, so the ReLU gate of the layer
+        # below may write it in place
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 6, 4, 3)).astype(np.float32)
+        y = _pool_forward(x)
+        g = rng.normal(size=y.shape).astype(np.float32)
+        dx = _pool_backward(g, x, y)
+        for a in (g, x, y):
+            assert not np.shares_memory(dx, a)
+        assert dx.flags.writeable and dx.flags.c_contiguous
 
     def test_backward_reads_only_the_tape(self):
         # the routing comes from the taped input and output: nothing else
