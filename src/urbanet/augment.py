@@ -35,21 +35,18 @@ TRANSFORMS: tuple[Transform, ...] = tuple(Transform)
 _TURNS = {Transform.IDENTITY: 0, Transform.ROT90: 1, Transform.ROT180: 2, Transform.ROT270: 3}
 
 
-def transform_plane(
-    plane: np.ndarray, t: Transform, axes: tuple[int, int] = (-2, -1)
-) -> np.ndarray:
-    """Apply ``t`` to the two spatial axes of ``plane`` (any leading axes kept)."""
-    rows, cols = axes
-    if plane.shape[rows] != plane.shape[cols]:
+def transform_plane(plane: np.ndarray, t: Transform) -> np.ndarray:
+    """Apply ``t`` to the last two axes of ``plane`` (any leading axes kept)."""
+    if plane.shape[-2] != plane.shape[-1]:
         raise ShapeError(
-            f"spatial axes must be square, got {plane.shape[rows]}x{plane.shape[cols]}"
+            f"spatial axes must be square, got {plane.shape[-2]}x{plane.shape[-1]}"
         )
     if t is Transform.HFLIP:
-        out = np.flip(plane, axis=cols)
+        out = np.flip(plane, axis=-1)
     elif t is Transform.VFLIP:
-        out = np.flip(plane, axis=rows)
+        out = np.flip(plane, axis=-2)
     else:
-        out = np.rot90(plane, _TURNS[t], axes=axes)
+        out = np.rot90(plane, _TURNS[t], axes=(-2, -1))
     return np.ascontiguousarray(out)
 
 

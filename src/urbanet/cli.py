@@ -402,8 +402,7 @@ def _cmd_gradcheck(args) -> int:
     _check_spec(spec, args.tile_size, "--tile-size")
     worst = 0.0
     for seed in range(args.seed, args.seed + args.seeds):
-        report = grad_check(spec, seed=seed, tolerance=args.tolerance,
-                            tile_size=args.tile_size)
+        report = grad_check(spec, seed=seed, tile_size=args.tile_size)
         worst = max(worst, report.max_rel_err)
         _log(f"seed {seed}: max rel err {report.max_rel_err:.3e} "
              f"({report.n_checked} coords, worst {report.worst_param})")

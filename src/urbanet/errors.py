@@ -44,8 +44,8 @@ class NumericError(UrbanetError):
 
 
 class DivergenceError(UrbanetError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss; the message names the epoch."""
 
-    def __init__(self, message: str, epoch: int | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, epoch: int):
+        super().__init__(f"epoch {epoch}: {message}")
         self.epoch = epoch

@@ -62,7 +62,6 @@ class PredictionGrid:
 
     planes: dict[str, np.ndarray]  # (H, W) float64 per model head
     count: np.ndarray              # (H, W) int64 contributing-tile count
-    mask: np.ndarray               # (H, W) uint8 land mask
     tiles: int                     # tiles predicted
 
 
@@ -187,7 +186,6 @@ def predict_world(
     return PredictionGrid(
         planes={name: planes[h] for h, (name, _) in enumerate(spec.heads)},
         count=count,
-        mask=np.asarray(grid.mask)[pad : hp - pad, pad : wp - pad],
         tiles=n,
     )
 

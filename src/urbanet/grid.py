@@ -59,10 +59,6 @@ class WorldGrid:
     def width(self) -> int:
         return int(self.mask.shape[1])
 
-    @property
-    def channel_names(self) -> tuple[str, ...]:
-        return tuple(self.channels)
-
     def stacked(self, names: Iterable[str] | None = None) -> np.ndarray:
         """Stack channels into an (H, W, C) array in the given (or directory) order."""
         picked = list(self.channels) if names is None else list(names)
@@ -85,7 +81,6 @@ class NormStats:
 class SplitAssignment:
     """Per-pixel train/test/water labels derived from region membership."""
 
-    test_regions: frozenset[str]
     labels: np.ndarray  # (H, W) uint8 in {WATER, TRAIN, TEST}
 
     @property
@@ -103,10 +98,6 @@ class SplitAssignment:
     @property
     def n_test(self) -> int:
         return int(np.count_nonzero(self.labels == TEST))
-
-    @property
-    def n_water(self) -> int:
-        return int(np.count_nonzero(self.labels == WATER))
 
 
 def validate_grid(grid: WorldGrid) -> None:
@@ -308,5 +299,5 @@ def assign_split(grid: WorldGrid, test_regions: Iterable[str]) -> SplitAssignmen
     labels = np.where(land, TRAIN, WATER).astype(np.uint8)
     if test_codes:
         labels[land & np.isin(grid.regions, test_codes)] = TEST
-    return SplitAssignment(test_regions=wanted, labels=labels)
+    return SplitAssignment(labels=labels)
 

@@ -247,25 +247,3 @@ def gen_world(config: SynthConfig) -> WorldGrid:
     world = WorldGrid(mask=mask, regions=regions, channels=channels, region_table=region_table)
     validate_grid(world)
     return world
-
-
-def oracle_metrics(grid: WorldGrid, predictor: str, target: str = TARGET_URBAN):
-    """Closed-form baseline metrics over all land cells.
-
-    predictor: "zero" and "persistence" both predict no change;
-    "true-function" predicts the noise-free target formula.
-    """
-    from .evaluate import residual_metrics
-
-    if target not in TARGET_CHANNELS:
-        raise ConfigError(f"unknown target channel: {target!r}")
-    if predictor in ("zero", "persistence"):
-        pred = np.zeros((grid.height, grid.width))
-    elif predictor == "true-function":
-        pred = clean_targets(grid)[target]
-    else:
-        raise ConfigError(f"unknown predictor: {predictor!r}")
-    stratum = grid.mask.astype(bool)
-    return residual_metrics(
-        pred, grid.channels[target], stratum, scope="global", stratum="all_cells"
-    )

@@ -30,7 +30,6 @@ from .unet import (
     _forward,
     _live_heads,
     _masked_loss_grad,
-    expected_shapes,
     head_names,
     init_params,
     loss_and_grads,
@@ -286,10 +285,9 @@ def train(
 # ---------------------------------------------------------------------------
 # validation split and stream assembly
 
-def choose_validation_regions(
-    codes: Iterable[int], *, fraction: float = 0.1, seed: int = 0
-) -> frozenset[int]:
-    """Hold out ~``fraction`` of region codes (at least one, never all).
+def choose_validation_regions(codes: Iterable[int], *, seed: int = 0) -> frozenset[int]:
+    """Hold out a tenth of the region codes, rounded, and at least one; of
+    two or more codes that is never all.
 
     Validation is split by region, not by random pixels, so spatially
     correlated neighbors never straddle the train/validation boundary.
@@ -297,8 +295,7 @@ def choose_validation_regions(
     unique = sorted(set(int(c) for c in codes))
     if len(unique) < 2:
         raise DataError("need at least two regions to hold one out for validation")
-    n_val = max(1, round(len(unique) * fraction))
-    n_val = min(n_val, len(unique) - 1)
+    n_val = max(1, round(len(unique) * 0.1))
     order = np.random.default_rng(seed).permutation(len(unique))
     return frozenset(unique[i] for i in order[:n_val])
 
@@ -311,15 +308,17 @@ def build_streams(
     input_names: Iterable[str],
     target_names: Iterable[str],
     split: SplitAssignment | None = None,
-    val_regions: Iterable[int] | None = None,
     seed: int = 0,
 ) -> tuple[Subset, Subset, frozenset[int]]:
-    """Augmented training stream and unaugmented validation stream.
+    """Augmented training stream, unaugmented validation stream, and the
+    validation regions.
 
-    Training tiles are the train-split tiles outside the held-out
-    validation regions, augmented 6x and ordered so consecutive samples
-    rotate through the transforms.  One epoch of ``len(train)/6`` samples
-    visits every base tile exactly once.
+    ``choose_validation_regions`` draws the validation regions from
+    ``seed`` among the regions of the train-split tiles, so each holds at
+    least one tile and at least one region is left for training.
+    Training tiles are the train-split tiles outside them, augmented 6x
+    and ordered so consecutive samples rotate through the transforms.  One
+    epoch of ``len(train)/6`` samples visits every base tile exactly once.
     """
     base = TileDataset(
         grid, window, pad=pad, input_names=tuple(input_names),
@@ -327,15 +326,8 @@ def build_streams(
     )
     if len(base) == 0:
         raise DataError("no training tiles in the grid")
-    if val_regions is None:
-        val_regions = choose_validation_regions(np.unique(base.regions), seed=seed)
-    val_regions = frozenset(int(c) for c in val_regions)
+    val_regions = choose_validation_regions(np.unique(base.regions), seed=seed)
     is_val = np.isin(base.regions, sorted(val_regions))
-    if not is_val.any():
-        raise DataError(f"validation regions {sorted(val_regions)} have no tiles")
-    if is_val.all():
-        raise DataError("validation regions would swallow every training tile")
-
     keep = np.flatnonzero(~is_val)
     n = len(base)
     ks = (np.arange(len(TRANSFORMS))[:, None] * n + keep[None, :]).ravel()
@@ -378,10 +370,6 @@ def build_multitask(pretrained: UNetParams, *, head: str = "pop", seed: int = 0)
 def phase1_trainable(spec) -> set[str]:
     """Task-2 decoder and head parameters — everything trained in phase 1."""
     return set(head_names(spec, spec.heads[-1][0]))
-
-
-def phase1_frozen(spec) -> set[str]:
-    return set(expected_shapes(spec)) - phase1_trainable(spec)
 
 
 def train_multitask(
@@ -484,10 +472,10 @@ def config_from_pairs(pairs: Iterable[tuple[str, str]], base: TrainConfig | None
     return config
 
 
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    """``base`` overridden by the key=value lines of ``path``.  An error
-    names the file and the line."""
-    config = base if base is not None else TrainConfig()
+def load_config(path) -> TrainConfig:
+    """The defaults overridden by the key=value lines of ``path``.  An
+    error names the file and the line."""
+    config = TrainConfig()
     raw = Path(path).read_bytes()
     try:
         lines = raw.decode("utf-8").splitlines()

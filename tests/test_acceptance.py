@@ -19,10 +19,10 @@ from urbanet.synth import (INPUT_CHANNELS, TARGET_POP, TARGET_URBAN,
                            SynthConfig, gen_world)
 from urbanet.tiler import TileDataset, WindowSpec, coverage_count
 from urbanet.trainer import (MultiTaskSchedule, TrainConfig, build_multitask,
-                             build_streams, phase1_frozen, train,
+                             build_streams, phase1_trainable, train,
                              train_multitask)
-from urbanet.unet import (UNetSpec, _masked_loss_grad, grad_check, init_params,
-                          load_params)
+from urbanet.unet import (UNetSpec, _masked_loss_grad, expected_shapes, grad_check,
+                          init_params, load_params)
 
 DESK = dict(base_features=8, depth=2)
 BIG_TEST_REGIONS = ("R02", "R07")
@@ -160,9 +160,10 @@ def seed_study(tmp_path_factory):
 # criteria
 
 def test_gradient_correctness():
-    # default check spec is the depth-1, base-4 network
+    # the depth-1, base-4 network on the nine standard input channels
+    spec = UNetSpec(input_channels=9, base_features=4, depth=1)
     t0 = time.perf_counter()
-    worst = max(grad_check(seed=s, tile_size=8).max_rel_err
+    worst = max(grad_check(spec, seed=s, tile_size=8).max_rel_err
                 for s in range(10))
     wall = time.perf_counter() - t0
     _flag("gradient-correctness",
@@ -327,7 +328,7 @@ def test_multitask_contract(seed_study):
     phase1 = load_params(ckpt / "phase1_final.unpk")
     frozen_ok = all(
         np.array_equal(phase1.arrays[name], first["multi_init"].arrays[name])
-        for name in phase1_frozen(first["spec"])
+        for name in set(expected_shapes(first["spec"])) - phase1_trainable(first["spec"])
     )
     designated_ok = first["multi_r2"] >= first["single_r2"] - 0.005
     wins = sum(r["multi_r2"] > r["single_r2"] for r in results)

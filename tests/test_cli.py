@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,7 +229,7 @@ class TestTrain:
         assert len(history) == 3  # two epochs
         assert (run_dir / "config_urban_sz16.cfg").exists()
 
-    def test_divergence_exit_code(self, world_file, tmp_path):
+    def test_divergence_exit_code(self, world_file, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["train", "--grid", str(world_file), "--window", "16",
                        "--pad", "8", "--test-regions", "R03",
@@ -236,6 +237,7 @@ class TestTrain:
                        "--base-features", "4", "--max-epochs", "2",
                        "--learning-rate", "1e30"])
         assert rc == 3
+        assert re.search(r"^error: epoch [12]: ", capsys.readouterr().err, re.M)
 
 
 class TestEvalReport:
@@ -611,6 +613,12 @@ class TestGradcheck:
     def test_passes_on_tiny_model(self, capsys):
         assert main(["gradcheck", "--seeds", "1", "--tile-size", "6"]) == 0
         assert "gradients ok" in capsys.readouterr().err
+
+    def test_failure_exits_3(self, capsys):
+        # the command owns the verdict: grad_check reports, it judges
+        assert main(["gradcheck", "--seeds", "1", "--tolerance", "1e-30"]) == 3
+        err = capsys.readouterr().err
+        assert "gradient check failed" in err and "gradients ok" not in err
 
     @pytest.mark.parametrize("flags, message", [
         (["--seeds", "0"], "--seeds"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from urbanet.errors import ConfigError
+from urbanet.evaluate import residual_metrics
 from urbanet.grid import load_grid, save_grid, validate_grid
 from urbanet.synth import (
     INPUT_CHANNELS,
@@ -14,10 +15,29 @@ from urbanet.synth import (
     clean_targets,
     gen_world,
     masked_box_mean,
-    oracle_metrics,
 )
 
 SMALL = SynthConfig(seed=7, height=16, width=16, land_fraction=0.7, n_regions=4)
+
+
+def oracle_metrics(grid, predictor, target=TARGET_URBAN):
+    """Closed-form baseline metrics over all land cells.
+
+    predictor: "zero" and "persistence" both predict no change;
+    "true-function" predicts the noise-free target formula.
+    """
+    if target not in TARGET_CHANNELS:
+        raise ConfigError(f"unknown target channel: {target!r}")
+    if predictor in ("zero", "persistence"):
+        pred = np.zeros((grid.height, grid.width))
+    elif predictor == "true-function":
+        pred = clean_targets(grid)[target]
+    else:
+        raise ConfigError(f"unknown predictor: {predictor!r}")
+    stratum = grid.mask.astype(bool)
+    return residual_metrics(
+        pred, grid.channels[target], stratum, scope="global", stratum="all_cells"
+    )
 
 
 def box_mean_loop(plane, land, size):

@@ -25,7 +25,7 @@ def make_world(mask, n_inputs=2, seed=0, value_fn=None):
 
 def dataset(world, size, pad, **kw):
     padded = pad_grid(world, pad)
-    names = [n for n in world.channel_names if n != "target"]
+    names = [n for n in world.channels if n != "target"]
     return TileDataset(
         padded, WindowSpec(size), pad=pad,
         input_names=names, target_names=["target"], **kw,

@@ -21,17 +21,26 @@ from urbanet.trainer import (
     epoch_size,
     evaluate_loss,
     load_config,
-    phase1_frozen,
     phase1_trainable,
     save_config,
     save_history,
     train,
     train_multitask,
 )
-from urbanet.unet import UNetSpec, _forward, init_params, load_params, loss_and_grads
+from urbanet.unet import (UNetSpec, _forward, expected_shapes, init_params, load_params,
+                          loss_and_grads)
 
 TINY = UNetSpec(input_channels=9, base_features=4, depth=1)
 PAD = 8
+
+
+def phase1_frozen(spec):
+    """Every parameter that phase 1 must leave alone."""
+    return set(expected_shapes(spec)) - phase1_trainable(spec)
+
+
+def n_parameters(params):
+    return sum(a.size for a in params.arrays.values())
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +162,7 @@ class TestValidationRegions:
         assert len(picks) > 1
 
     def test_never_all_regions(self):
-        assert len(choose_validation_regions([1, 2], fraction=0.9)) == 1
+        assert len(choose_validation_regions([1, 2])) == 1
 
     def test_single_region_rejected(self):
         with pytest.raises(DataError):
@@ -182,24 +191,6 @@ class TestStreams:
         x, y, m = val_stream.batch(np.arange(min(4, len(val_stream))))
         wx, wy, wm = base.batch(want_idx[: min(4, len(val_stream))])
         assert np.array_equal(x, wx) and np.array_equal(y, wy) and np.array_equal(m, wm)
-
-    def test_explicit_val_regions(self, world_setup):
-        _, norm, split = world_setup
-        _, val_stream, val_regions = build_streams(
-            norm, WindowSpec(8), pad=PAD, input_names=INPUT_CHANNELS,
-            target_names=(TARGET_URBAN,), split=split, val_regions=[5],
-        )
-        assert val_regions == frozenset([5])
-        assert len(val_stream) > 0
-        assert (val_stream.data.regions[val_stream.indices] == 5).all()
-
-    def test_absent_val_region_rejected(self, world_setup):
-        _, norm, split = world_setup
-        with pytest.raises(DataError):
-            build_streams(
-                norm, WindowSpec(8), pad=PAD, input_names=INPUT_CHANNELS,
-                target_names=(TARGET_URBAN,), split=split, val_regions=[999],
-            )
 
 
 class TestTrain:
@@ -301,7 +292,8 @@ class TestTrain:
             with pytest.raises(DivergenceError) as exc:
                 train(params, train_stream, val_stream,
                       quick_config(max_epochs=5, learning_rate=1e30))
-        assert exc.value.epoch is not None and exc.value.epoch >= 1
+        assert exc.value.epoch >= 1
+        assert str(exc.value).startswith(f"epoch {exc.value.epoch}: ")
 
     def test_empty_streams_rejected(self, streams):
         train_stream, val_stream, _ = streams
@@ -347,7 +339,7 @@ class TestMultiTask:
         assert np.array_equal(out_multi[..., :1], out_single)
 
     def test_build_parameter_count(self):
-        from urbanet.unet import expected_shapes, head_names
+        from urbanet.unet import head_names
 
         pre = init_params(TINY, seed=7)
         multi = build_multitask(pre, head="pop", seed=1)
@@ -355,7 +347,7 @@ class TestMultiTask:
         added = sum(
             int(np.prod(shapes[name])) for name in head_names(multi.spec, "pop")
         )
-        assert multi.n_parameters == pre.n_parameters + added
+        assert n_parameters(multi) == n_parameters(pre) + added
 
     def test_fresh_decoder_varies_with_seed(self):
         pre = init_params(TINY, seed=7)

@@ -223,6 +223,18 @@ class TestSpecAndInit:
         )
         assert count == expect
 
+    def test_full_scale_spec_builds(self):
+        # nothing in the package builds this spec yet; the benchmark will
+        from urbanet import cli
+
+        spec = UNetSpec.full_scale()
+        validate_spec(spec)
+        params = init_params(spec, 0)
+        assert sum(a.size for a in params.arrays.values()) == 2_142_369
+        assert cli.WINDOW_CHOICES == (16, 22, 28)
+        for window in cli.WINDOW_CHOICES:  # 2**depth fits every window
+            cli._check_spec(spec, window, "--window")
+
 
 class TestForward:
     def test_output_shape_28(self):
@@ -1181,33 +1193,36 @@ class TestDeadHeads:
 
 
 class TestGradCheck:
+    # the verdict is the caller's; this is the CLI's default tolerance
+    TOLERANCE = 1e-4
+
     def test_tiny_net_matches_finite_differences(self):
         report = grad_check(TINY, seed=0)
-        assert report.passed, str(report)
-        assert report.max_rel_err < 1e-4
+        assert report.max_rel_err < self.TOLERANCE, report
 
     def test_default_spec_passes(self):
-        report = grad_check(seed=1)
-        assert report.passed, str(report)
+        # the depth-1, base-4 network on the nine standard input channels
+        report = grad_check(UNetSpec(input_channels=9, base_features=4, depth=1), seed=1)
+        assert report.max_rel_err < self.TOLERANCE, report
         assert report.n_checked >= 500
 
     def test_multi_head_gradients_check_out(self):
         spec = UNetSpec(3, 2, 1, heads=(("urban", 1), ("pop", 1)))
         report = grad_check(spec, seed=2)
-        assert report.passed, str(report)
+        assert report.max_rel_err < self.TOLERANCE, report
 
     def test_unequal_width_heads_check_out(self):
         # the output concatenation hands each head back its own channels:
         # split by the wrong widths, the 1- and 2-channel heads would swap
         spec = UNetSpec(3, 2, 1, heads=(("urban", 1), ("pop", 2)))
         report = grad_check(spec, seed=2)
-        assert report.passed, str(report)
+        assert report.max_rel_err < self.TOLERANCE, report
 
     @pytest.mark.parametrize("heads", [(("urban", 1),), (("urban", 1), ("pop", 1))])
     def test_five_by_five_kernel_checks_out(self, heads):
         # k = 5 up-convs reduce to 3x3 phase kernels
         report = grad_check(UNetSpec(3, 2, 1, kernel_size=5, heads=heads), seed=4)
-        assert report.passed, str(report)
+        assert report.max_rel_err < self.TOLERANCE, report
 
     def test_corrupted_gradient_detected(self, monkeypatch):
         honest = unet.loss_and_grads
@@ -1219,9 +1234,8 @@ class TestGradCheck:
 
         monkeypatch.setattr(unet, "loss_and_grads", corrupted)
         report = grad_check(TINY, seed=3)
-        assert not report.passed
-        assert report.max_rel_err > 1e-4
-        assert report.per_array["enc0.conv1.w"] > 1e-4
+        assert report.max_rel_err > self.TOLERANCE
+        assert report.worst_param == "enc0.conv1.w"
 
 
 class TestCheckpoints:
