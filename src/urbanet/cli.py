@@ -231,7 +231,7 @@ def _cmd_train(args) -> int:
     head = _HEAD_FOR_TARGET[args.target]
     spec = UNetSpec(input_channels=len(INPUT_CHANNELS),
                     base_features=args.base_features, depth=args.depth,
-                    heads=((head, 1),))
+                    heads=(head,))
     _check_spec(spec, args.window, "--window")
     tr, va = _streams(args, (args.target,), cfg.seed)
     cfg = _with_epoch_default(cfg, tr)
@@ -283,7 +283,7 @@ def _cmd_eval(args) -> int:
     label = multitask_label(args.window) if multi else unet_label(args.window)
     target_for_head = {head: target for target, head in _HEAD_FOR_TARGET.items()}
     targets = {}
-    for head, _ in params.spec.heads:
+    for head in params.spec.heads:
         if head not in target_for_head:
             raise DataError(f"{args.checkpoint}: head {head!r} has no known target "
                             f"(known heads: {', '.join(target_for_head)})")

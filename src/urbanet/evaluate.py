@@ -109,7 +109,8 @@ def predict_world(
     split_filter: str = "all",
     batch_size: int = 256,
 ) -> PredictionGrid:
-    """Aggregate tile predictions into world planes by per-pixel median.
+    """Aggregate tile predictions into world planes by per-pixel median,
+    one plane per model head, keyed by the head's name.
 
     ``grid`` is the padded world; the returned planes are cropped back to
     unpadded coordinates.  Only unaugmented tiles are evaluated — every
@@ -123,10 +124,6 @@ def predict_world(
             f"model expects {spec.input_channels} input channels, "
             f"got {len(input_names)}"
         )
-    for name, out_ch in spec.heads:
-        if out_ch != 1:
-            raise ShapeError(f"head {name!r} has {out_ch} channels; "
-                             "world prediction expects single-plane heads")
     if grid.height <= 2 * pad or grid.width <= 2 * pad:
         raise ShapeError(f"padding {pad} leaves no unpadded interior")
 
@@ -184,7 +181,7 @@ def predict_world(
     close_rows(hp)
 
     return PredictionGrid(
-        planes={name: planes[h] for h, (name, _) in enumerate(spec.heads)},
+        planes=dict(zip(spec.heads, planes)),
         count=count,
         tiles=n,
     )

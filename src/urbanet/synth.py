@@ -72,10 +72,10 @@ class SynthConfig:
             raise ConfigError(f"grid too small: {self.height}x{self.width}")
         if not 0.0 < self.land_fraction <= 1.0:
             raise ConfigError(f"land_fraction must be in (0, 1], got {self.land_fraction}")
-        if self.n_regions < 1:
-            raise ConfigError(f"n_regions must be >= 1, got {self.n_regions}")
-        if self.noise_std < 0.0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 1 <= self.n_regions <= 0xFFFF:  # region codes are 16-bit
+            raise ConfigError(f"n_regions must be in 1..65535, got {self.n_regions}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.height * self.width * self.land_fraction < 100:
             raise ConfigError(
                 "config yields fewer than 100 land pixels; "

@@ -186,7 +186,7 @@ def evaluate_loss(
 ) -> float:
     """Sample-weighted masked MSE over a tile stream (no updates).
 
-    A head whose channels all have weight 0 is not computed."""
+    A head whose weight is 0 is not computed."""
     if len(tiles) == 0:
         raise DataError("cannot evaluate an empty tile stream")
     heads = _live_heads(params.spec, channel_weights)
@@ -349,17 +349,17 @@ def epoch_size(train_stream) -> int:
 # multi-task assembly and schedule
 
 def build_multitask(pretrained: UNetParams, *, head: str = "pop", seed: int = 0) -> UNetParams:
-    """Extend a single-task model with a freshly initialized second decoder
-    and its one-channel head.
+    """Extend a model with a freshly initialized decoder and head, appended
+    as its last head.
 
     The shared encoder and the task-1 decoder are copied bitwise; only
     the new head's decoder and output projection are drawn from ``seed``.
     """
     validate_params(pretrained)
     spec = pretrained.spec
-    if any(name == head for name, _ in spec.heads):
+    if head in spec.heads:
         raise SpecError(f"model already has a head named {head!r}")
-    new_spec = replace(spec, heads=spec.heads + ((head, 1),))
+    new_spec = replace(spec, heads=spec.heads + (head,))
     fresh = init_params(new_spec, seed=seed, dtype=pretrained.dtype)
     for name, arr in pretrained.arrays.items():
         fresh.arrays[name] = arr.copy()
@@ -369,7 +369,7 @@ def build_multitask(pretrained: UNetParams, *, head: str = "pop", seed: int = 0)
 
 def phase1_trainable(spec) -> set[str]:
     """Task-2 decoder and head parameters — everything trained in phase 1."""
-    return set(head_names(spec, spec.heads[-1][0]))
+    return set(head_names(spec, spec.heads[-1]))
 
 
 def train_multitask(
@@ -381,18 +381,16 @@ def train_multitask(
     checkpoint_dir=None,
 ) -> tuple[UNetParams, TrainHistory]:
     """Run the frozen phase then joint fine-tuning; tiles must carry one
-    target channel per output channel, in head order.
+    target plane per head, in head order.
 
     Phase 1 optimizes the last head's loss only and never touches the
     frozen parameters (bitwise).  Phase 2 minimizes the equal-weight mean
-    of the output channels' masked MSEs.  Each phase early-stops
-    independently.
+    of the heads' masked MSEs.  Each phase early-stops independently.
     """
     spec = params.spec
     if len(spec.heads) < 2:
         raise SpecError("multi-task training needs at least two heads")
-    last = spec.heads[-1][1]
-    w1 = [0.0] * (spec.out_channels - last) + [1.0] * last
+    w1 = [0.0] * (len(spec.heads) - 1) + [1.0]
     m1, h1 = train(
         params, train_tiles, val_tiles, schedule.phase1,
         channel_weights=w1, trainable=phase1_trainable(spec),

@@ -9,8 +9,10 @@ Architecture (fixed by this artifact, not tunable per call):
 * Each head owns a full decoder: nearest-neighbor 2x upsampling, a ``k x k``
   convolution (+ReLU), concatenation with the same-level encoder output
   (up-path channels first, skip channels second), then the two-convolution
-  block.  The head itself is a single 1x1 convolution with *no* nonlinearity
-  — outputs are unbounded regression values.
+  block.  The head itself is a single 1x1 convolution to one output plane
+  with *no* nonlinearity — outputs are unbounded regression values.  The
+  network's output stacks the heads' planes in head order, so output
+  channel i is head i.
 * No batch normalization, no dropout: gradients stay exactly checkable.
 
 Neither the upsampled nor the concatenated tensor is ever built.  A conv
@@ -66,7 +68,7 @@ records no tape and frees each activation once it is dead, so its memory is
 a few layers' worth rather than the whole network's.
 
 The forward mirrors the backward's liveness rule.  A loss evaluation runs a
-head only when a channel of it has nonzero loss weight or a trainable
+head only when its plane has nonzero loss weight or a trainable
 parameter feeds it (``_live_heads``): the frozen multi-task phase never
 runs the first head's decoder, in training or in validation.  The tape
 keeps only what the backward replays: a pool stores no argmax, and its
@@ -105,13 +107,18 @@ _CHECKPOINT_SCHEMA = {"spec": {"input_channels": int, "base_features": int, "dep
 
 @dataclass(frozen=True)
 class UNetSpec:
-    """Network shape: channel widths, depth, kernel, and named output heads."""
+    """Network shape: channel widths, depth, kernel, and named output heads.
+
+    Each head predicts one output plane (one target variable), so
+    ``heads`` is a tuple of names and the network emits ``len(heads)``
+    channels, in that order.
+    """
 
     input_channels: int
     base_features: int
     depth: int
     kernel_size: int = 3
-    heads: tuple[tuple[str, int], ...] = (("urban", 1),)
+    heads: tuple[str, ...] = ("urban",)
 
     @classmethod
     def desk(cls) -> "UNetSpec":
@@ -125,10 +132,6 @@ class UNetSpec:
         real multi-decade grid stacks."""
         return cls(input_channels=9, base_features=32, depth=3)
 
-    @property
-    def out_channels(self) -> int:
-        return sum(c for _, c in self.heads)
-
 
 def validate_spec(spec: UNetSpec) -> None:
     # sizes and counts are bounded to 1..65535, far beyond any trainable network
@@ -139,14 +142,11 @@ def validate_spec(spec: UNetSpec) -> None:
         raise SpecError(f"kernel_size must be odd, got {spec.kernel_size}")
     if not 1 <= len(spec.heads) <= 0xFFFF:
         raise SpecError(f"a spec needs 1..65535 heads, got {len(spec.heads)}")
-    names = [h for h, _ in spec.heads]
-    if len(set(names)) != len(names):
-        raise SpecError(f"duplicate head names in {names}")
-    for name, out_ch in spec.heads:
+    if len(set(spec.heads)) != len(spec.heads):
+        raise SpecError(f"duplicate head names in {list(spec.heads)}")
+    for name in spec.heads:
         if not name or not name.isascii():
             raise SpecError(f"head name {name!r} must be non-empty ASCII")
-        if not 1 <= out_ch <= 0xFFFF:
-            raise SpecError(f"head {name!r} must emit 1..65535 channels, got {out_ch}")
 
 
 def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
@@ -169,7 +169,7 @@ def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
         conv(f"enc{lvl}.conv1", cin, width)
         conv(f"enc{lvl}.conv2", width, width)
         cin = width
-    for head, out_ch in spec.heads:
+    for head in spec.heads:
         upper = spec.base_features << spec.depth
         for lvl in range(spec.depth - 1, -1, -1):
             width = spec.base_features << lvl
@@ -177,7 +177,7 @@ def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
             conv(f"dec.{head}.{lvl}.conv1", 2 * width, width)
             conv(f"dec.{head}.{lvl}.conv2", width, width)
             upper = width
-        conv(f"head.{head}", spec.base_features, out_ch, 1)
+        conv(f"head.{head}", spec.base_features, 1, 1)
     for name in shapes:  # names are bounded like grid channel names
         if len(name) > 255:
             raise SpecError(f"parameter name {name!r} is longer than 255 bytes")
@@ -186,7 +186,7 @@ def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
 
 def head_names(spec: UNetSpec, head: str) -> tuple[str, ...]:
     """Parameters owned by one task: its decoder path plus its 1x1 head."""
-    if head not in {h for h, _ in spec.heads}:
+    if head not in spec.heads:
         raise SpecError(f"spec has no head named {head!r}")
     return tuple(
         n for n in expected_shapes(spec)
@@ -542,7 +542,7 @@ def _forward(
 
     ``heads`` names the heads to run (all when None, see ``_live_heads``);
     a head left out runs no layer, is not taped, and reads as zeros in its
-    output channels.  The other channels are the bytes of a full pass.
+    output plane.  The other planes are the bytes of a full pass.
     ``x`` is cast to the parameters' dtype, so callers pass tiles as gathered.
     """
     spec = params.spec
@@ -585,9 +585,9 @@ def _forward(
             x = layer("pool", None, (skips[-1],), _pool_forward(skips[-1]))
 
     head_outs: list[np.ndarray] = []
-    for head, out_ch in spec.heads:
+    for head in spec.heads:
         if heads is not None and head not in heads:
-            head_outs.append(np.zeros(skips[0].shape[:3] + (out_ch,), skips[0].dtype))
+            head_outs.append(np.zeros(skips[0].shape[:3] + (1,), skips[0].dtype))
             continue
         d = skips[-1]  # the bottleneck feeds every decoder
         for lvl in range(spec.depth - 1, -1, -1):
@@ -647,8 +647,8 @@ def _backward(
         g = pending.pop(id(out))
         if kind == "pool":
             g_in = [_pool_backward(g, inputs[0], out)]
-        elif kind == "cat":  # each input takes back its own channels
-            g_in = np.split(g, np.cumsum([a.shape[-1] for a in inputs[:-1]]), axis=-1)
+        elif kind == "cat":  # each head takes back its own plane
+            g_in = np.split(g, len(inputs), axis=-1)
         else:  # conv or upconv
             if extra:  # the ReLU passes gradient only where it was open.
                 # In place: a gated g is the backward's own (a dx, a channel
@@ -691,25 +691,21 @@ def _live_heads(
 ) -> frozenset[str] | None:
     """The heads a loss evaluation must run, for ``_forward``'s ``heads``.
 
-    A head is dead when every one of its channels has weight 0, unless a
-    trainable parameter feeds it (an encoder one or its own; None: every
-    parameter is trainable): then its backward runs and it stays live, so
-    the gradients keep their bytes.  A dead head changes neither the loss
-    nor any returned gradient.  Returns None when every head is live, and
-    also when none is: the weights are then invalid and the loss refuses
-    them.
+    Loss weight i belongs to head i.  A head is dead when its weight is
+    0, unless a trainable parameter feeds it (an encoder one or its own;
+    None: every parameter is trainable): then its backward runs and it
+    stays live, so the gradients keep their bytes.  A dead head changes
+    neither the loss nor any returned gradient.  Returns None when every
+    head is live, and also when none is: the weights are then invalid and
+    the loss refuses them.
     """
     if channel_weights is None or trainable is None:
         return None
-    wts = _weight_vector(channel_weights, spec.out_channels)
+    wts = _weight_vector(channel_weights, len(spec.heads))
     shared = any(n.startswith("enc") for n in trainable)
-    live, c0 = [], 0
-    for head, out_ch in spec.heads:
-        own = (f"dec.{head}.", f"head.{head}.")
-        if (shared or (wts[c0 : c0 + out_ch] != 0).any()
-                or any(n.startswith(own) for n in trainable)):
-            live.append(head)
-        c0 += out_ch
+    live = [head for head, wt in zip(spec.heads, wts)
+            if shared or wt != 0
+            or any(n.startswith((f"dec.{head}.", f"head.{head}.")) for n in trainable)]
     return frozenset(live) if 0 < len(live) < len(spec.heads) else None
 
 
@@ -768,7 +764,7 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Fused forward + masked loss + backward on channel-last arrays.
 
-    A head whose loss weights are all zero and that no trainable parameter
+    A head whose loss weight is zero and that no trainable parameter
     feeds is not computed (``_live_heads``).
     """
     heads = _live_heads(params.spec, channel_weights, trainable)
@@ -845,7 +841,7 @@ def _well_conditioned_batch(
             if not m[k].any():
                 m[k, size // 2, size // 2] = 1.0
         x = rng.normal(size=(n, size, size, spec.input_channels))
-        y = rng.normal(size=(n, size, size, spec.out_channels))
+        y = rng.normal(size=(n, size, size, len(spec.heads)))
         _, cache = _forward(params, x, keep_cache=True)
         if min(_margins(params, cache)) > _KINK_MARGIN:
             return x, y, m
@@ -918,21 +914,27 @@ def grad_check(spec: UNetSpec, seed: int = 0, *, tile_size: int = 8) -> GradChec
 def save_params(params: UNetParams, path: str | Path) -> None:
     """Write a UNPK checkpoint: a :mod:`urbanet.files` container, magic
     ``UNPK``, version 2, whose meta is ``{"spec": {...}}`` (the spec's
-    fields, heads as [name, channels] pairs) and whose arrays are the
-    parameters as ``<f4`` in ``expected_shapes`` order."""
+    fields, heads as [name, 1] pairs: version 2 stores each head's plane
+    count, which is always 1) and whose arrays are the parameters as
+    ``<f4`` in ``expected_shapes`` order."""
     validate_params(params)
     arrays = {name: np.asarray(params.arrays[name], np.float32)
               for name in expected_shapes(params.spec)}
-    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                    {"spec": asdict(params.spec)}, arrays)
+    spec = {**asdict(params.spec), "heads": [[name, 1] for name in params.spec.heads]}
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, {"spec": spec}, arrays)
 
 
 def load_params(path: str | Path) -> UNetParams:
     """Read a UNPK checkpoint, validating its arrays against its spec and
-    refusing non-finite values.  Returns writable float32 copies."""
+    refusing non-finite values and any head whose plane count is not 1.
+    Returns writable float32 copies."""
     meta, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                   _CHECKPOINT_SCHEMA)
-    spec = UNetSpec(**{**meta["spec"], "heads": tuple(map(tuple, meta["spec"]["heads"]))})
+    for name, planes in meta["spec"]["heads"]:
+        if planes != 1:
+            raise IntegrityError(f"{path}: head {name!r} has {planes} output planes; "
+                                 "every head has one")
+    spec = UNetSpec(**{**meta["spec"], "heads": tuple(h for h, _ in meta["spec"]["heads"])})
     # the array count is checked before any name is built, so a header that
     # asks for a huge depth costs no more work than the file's size: each
     # encoder level has 2 convs, each decoder level 3, each head one more,

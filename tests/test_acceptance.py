@@ -130,15 +130,15 @@ def _seed_study_once(seed: int, checkpoint_dir=None):
                              input_names=INPUT_CHANNELS, split=split,
                              split_filter="test")
         tmask = split.test_mask[pad:-pad, pad:-pad].astype(bool)
-        head = params.spec.heads[-1][0]
+        head = params.spec.heads[-1]
         return residual_metrics(pred.planes[head], world.channels[TARGET_POP],
                                 tmask, scope="test", stratum="all_cells").r2
 
     urban, _ = train(init_params(UNetSpec(input_channels=9, **DESK,
-                                          heads=(("urban", 1),)), seed=seed),
+                                          heads=("urban",)), seed=seed),
                      tru, vau, cfg(10))
     single, _ = train(init_params(UNetSpec(input_channels=9, **DESK,
-                                           heads=(("pop", 1),)), seed=seed),
+                                           heads=("pop",)), seed=seed),
                       trp, vap, cfg(6))
     multi = build_multitask(urban, head="pop", seed=seed + 1000)
     schedule = MultiTaskSchedule(phase1=cfg(4), phase2=cfg(2, 3e-4))

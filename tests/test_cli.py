@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import urbanet
-from urbanet import evaluate, grid, trainer, unet
+from urbanet import evaluate, grid, synth, trainer, unet
 from urbanet.cli import main
 from urbanet.grid import WorldGrid, load_grid, pad_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
@@ -115,6 +115,19 @@ class TestSynth:
     def test_bad_config_is_usage_error(self, tmp_path):
         rc = main(["synth", "--out", str(tmp_path / "x.wgrd"), "--height", "2"])
         assert rc == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-std", "nan"), ("--noise-std", "inf"), ("--regions", "70000")])
+    def test_unbuildable_config_exits_1_before_work(self, tmp_path, capsys, monkeypatch,
+                                                    flag, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("generated a world from a bad config")
+
+        monkeypatch.setattr(synth, "gen_world", no_work)
+        out = tmp_path / "x.wgrd"
+        assert main(["synth", "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_logs_go_to_stderr(self, tmp_path, capsys):
         main(["synth", "--out", str(tmp_path / "w.wgrd"), "--height", "16",
@@ -223,7 +236,7 @@ class TestTrain:
 
     def test_artifacts_written(self, run_dir):
         params = load_params(run_dir / "unet_urban_sz16.unpk")
-        assert params.spec.heads == (("urban", 1),)
+        assert params.spec.heads == ("urban",)
         history = (run_dir / "history_urban_sz16.csv").read_text().splitlines()
         assert history[0] == "epoch,phase,train_loss,val_loss,seconds"
         assert len(history) == 3  # two epochs
@@ -344,7 +357,7 @@ class TestEvalReport:
         assert "pred_pop" in load_grid(tmp_path / "pred.wgrd").channels
 
     def test_eval_unknown_head_exits_2(self, world_file, tmp_path, capsys):
-        spec = UNetSpec(len(INPUT_CHANNELS), 4, 1, heads=(("water", 1),))
+        spec = UNetSpec(len(INPUT_CHANNELS), 4, 1, heads=("water",))
         save_params(init_params(spec, 0), tmp_path / "water.unpk")
         rc = main(["eval", "--grid", str(world_file), "--window", "16",
                    "--pad", "8", "--test-regions", "R03",
@@ -376,6 +389,29 @@ class TestEvalReport:
                    "--checkpoint", str(path), "--report", str(tmp_path / "r.csv")])
         assert rc == 2
         assert f"error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_eval_multi_plane_head_fails_before_work(self, world_file, tmp_path, capsys,
+                                                     reseal, monkeypatch):
+        # a head is one plane; a checkpoint that claims two is refused on
+        # load, before the grid is read
+        def no_work(*args, **kwargs):
+            raise AssertionError("read the grid for a two-plane head")
+
+        monkeypatch.setattr(grid, "load_grid", no_work)
+        path = tmp_path / "wide.unpk"
+        save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 4, 1), 0), path)
+
+        def widen(header, arrays):
+            header["meta"]["spec"]["heads"][0][1] = 2
+
+        reseal(path, widen)
+        rc = main(["eval", "--grid", str(world_file), "--window", "16",
+                   "--pad", "8", "--test-regions", "R03",
+                   "--checkpoint", str(path), "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert (f"error: {path}: head 'urban' has 2 output planes"
+                in capsys.readouterr().err)
         assert not (tmp_path / "r.csv").exists()
 
     def test_eval_never_mutates_inputs(self, world_file, run_dir, tmp_path):
@@ -506,7 +542,7 @@ class TestMultitask:
                    "--out-dir", str(tmp_path), "--seed", "1"])
         assert rc == 0
         params = load_params(tmp_path / "multitask_sz16.unpk")
-        assert [h for h, _ in params.spec.heads] == ["urban", "pop"]
+        assert list(params.spec.heads) == ["urban", "pop"]
         history = (tmp_path / "history_multitask_sz16.csv").read_text().splitlines()
         phases = [ln.split(",")[1] for ln in history[1:]]
         assert phases == ["phase1", "phase2"]
@@ -575,6 +611,24 @@ class TestMultitask:
                   "--phase1-config", str(cfg1), "--phase2-config", str(cfg2),
                   "--out-dir", str(tmp_path / "out"), *flags])
         assert seen == {"head": seed, "streams": seed}
+
+    def test_checkpoint_with_pop_head_fails_before_work(self, world_file, tmp_path,
+                                                        monkeypatch, capsys):
+        # multitask appends a "pop" head; a model that has one is refused
+        # before the grid is read
+        def no_work(*args, **kwargs):
+            raise AssertionError("read the grid for a model that has a pop head")
+
+        monkeypatch.setattr(grid, "load_grid", no_work)
+        path = tmp_path / "multi.unpk"
+        spec = UNetSpec(len(INPUT_CHANNELS), 4, 1, heads=("urban", "pop"))
+        save_params(init_params(spec, 0), path)
+        out = tmp_path / "out"
+        assert main(["multitask", "--grid", str(world_file), "--window", "16",
+                     "--pad", "8", "--test-regions", "R03", "--checkpoint", str(path),
+                     "--out-dir", str(out)]) == 1
+        assert "error: model already has a head named 'pop'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schedule_violation_is_usage_error(self, world_file, run_dir, tmp_path):
         cfg = tmp_path / "same.cfg"

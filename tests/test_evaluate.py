@@ -90,7 +90,7 @@ def global_sort_reference(params, grid, window, *, pad, split=None,
     hp, wp = grid.height, grid.width
     tls = ds.centers_padded - np.asarray(window.center_offset)
     ar = np.arange(s)
-    heads = [name for name, _ in params.spec.heads]
+    heads = params.spec.heads
     pix_chunks, val_chunks = [], {name: [] for name in heads}
     for start in range(0, len(ds), batch_size):
         idx = np.arange(start, min(start + batch_size, len(ds)))
@@ -232,7 +232,7 @@ class TestPredictWorld:
                                       n_regions=4))
         padded = pad_grid(world, 2)
         spec = UNetSpec(input_channels=9, base_features=4, depth=1,
-                        heads=(("urban", 1), ("pop", 1)))
+                        heads=("urban", "pop"))
         params = init_params(spec, seed=3)
         got = predict_world(params, padded, WindowSpec(4), pad=2,
                             input_names=INPUT_CHANNELS)
@@ -249,7 +249,7 @@ class TestPredictWorld:
         padded = pad_grid(world, 2)
         split = assign_split(padded, ["R01"])
         spec = UNetSpec(input_channels=9, base_features=4, depth=1,
-                        heads=(("urban", 1), ("pop", 1)))
+                        heads=("urban", "pop"))
         params = init_params(spec, seed=0)
         monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
         n = len(TileDataset(padded, win, pad=2, input_names=INPUT_CHANNELS,

@@ -81,6 +81,9 @@ class TestConfig:
             dict(noise_std=-0.1),
             dict(height=3),
             dict(height=8, width=8),  # < 100 land pixels
+            dict(noise_std=float("nan")),  # would silently add no noise
+            dict(noise_std=float("inf")),
+            dict(n_regions=0x10000),  # region codes are 16-bit
         ],
     )
     def test_invalid(self, kwargs):

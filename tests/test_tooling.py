@@ -2,8 +2,8 @@
 used, every private function or class has a caller, every public one has
 a user outside the tests, README's library sketch imports only names that
 exist, one module owns the binary file format, the command line parses
-its flags before numpy loads, and its training flags are the fields of
-``TrainConfig``."""
+its flags before numpy loads, its training flags are the fields of
+``TrainConfig``, and every command of README's CLI walkthrough parses."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import importlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +149,50 @@ def test_training_flags_are_the_config_fields():
     typed = [(command, a.dest) for command, actions in flags.items() for a in actions
              if a.type is not None or a.choices is not None]
     assert typed == []
+
+
+def walkthrough_commands(readme: str) -> list[list[str]]:
+    """The arguments of each ``urbanet`` command in the shell block under
+    README's "CLI walkthrough" heading, with ``\\`` continuations joined
+    and comments dropped."""
+    section = readme.split("\n## CLI walkthrough\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("\n```", 1)[0]
+    lines = (shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines())
+    return [words[1:] for words in lines if words[:1] == ["urbanet"]]
+
+
+def unparsable_commands(commands: list[list[str]]) -> list[str]:
+    """Each command that ``cli.build_parser()`` refuses, with the reason."""
+    from urbanet import cli
+
+    found = []
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except cli._UsageError as err:
+            found.append(f"urbanet {shlex.join(argv)}: {err}")
+    return found
+
+
+def test_readme_walkthrough_parses():
+    # the walkthrough is the CLI's user guide: a renamed or removed flag
+    # must take the README with it
+    sample = ("# Title\n\n## CLI walkthrough\n\n"
+              "```bash\n"
+              "# 1. a comment line\n"
+              "urbanet split --grid world.wgrd \\\n"
+              "    --test-regions R02,R07  # a trailing comment\n"
+              "urbanet train --grid world.wgrd --no-such-flag 3\n"
+              "```\n")
+    commands = walkthrough_commands(sample)
+    assert commands == [["split", "--grid", "world.wgrd", "--test-regions", "R02,R07"],
+                        ["train", "--grid", "world.wgrd", "--no-such-flag", "3"]]
+    assert unparsable_commands(commands) == [
+        "urbanet train --grid world.wgrd --no-such-flag 3: "
+        "unrecognized arguments: --no-such-flag 3"]
+    commands = walkthrough_commands((ROOT / "README.md").read_text())
+    assert commands and unparsable_commands(commands) == []
 
 
 def binary_format_uses(source: str) -> list[tuple[int, str]]:

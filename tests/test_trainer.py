@@ -27,8 +27,7 @@ from urbanet.trainer import (
     train,
     train_multitask,
 )
-from urbanet.unet import (UNetSpec, _forward, expected_shapes, init_params, load_params,
-                          loss_and_grads)
+from urbanet.unet import UNetSpec, _forward, expected_shapes, init_params, loss_and_grads
 
 TINY = UNetSpec(input_channels=9, base_features=4, depth=1)
 PAD = 8
@@ -394,32 +393,6 @@ class TestMultiTask:
         assert any(
             not np.array_equal(model.arrays[n], multi.arrays[n])
             for n in phase1_frozen(multi.spec)
-        )
-
-    def test_multi_channel_head_phase1(self, world_setup, tmp_path):
-        # phase-1 weights are per output channel: a 2-channel first head
-        # extended by a 1-channel one takes three weights, not two
-        _, norm, split = world_setup
-        train_stream, val_stream, _ = build_streams(
-            norm, WindowSpec(8), pad=PAD, input_names=INPUT_CHANNELS,
-            target_names=(TARGET_URBAN, TARGET_POP, TARGET_POP), split=split, seed=0,
-        )
-        pre = init_params(UNetSpec(9, 4, 1, heads=(("urban", 2),)), seed=7)
-        multi = build_multitask(pre, head="pop", seed=1)
-        assert multi.spec.out_channels == 3
-        schedule = MultiTaskSchedule(
-            phase1=quick_config(batch_size=64, max_epochs=1),
-            phase2=quick_config(batch_size=64, max_epochs=1, learning_rate=1e-4),
-        )
-        _, hist = train_multitask(multi, train_stream, val_stream, schedule,
-                                  checkpoint_dir=tmp_path)
-        assert [r.phase for r in hist.rows] == ["phase1", "phase2"]
-        phase1 = load_params(tmp_path / "phase1_final.unpk")
-        for name in phase1_frozen(multi.spec):
-            assert phase1.arrays[name].tobytes() == multi.arrays[name].tobytes(), name
-        assert any(
-            not np.array_equal(phase1.arrays[n], multi.arrays[n])
-            for n in phase1_trainable(multi.spec)
         )
 
     def test_needs_two_heads(self, streams):

@@ -125,7 +125,7 @@ def reference_forward(params, x):
             idx = windows.argmax(axis=-1)
             a = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
     outs = []
-    for head, _ in spec.heads:
+    for head in spec.heads:
         d = skips[-1]
         for lvl in range(spec.depth - 1, -1, -1):
             name = f"dec.{head}.{lvl}"
@@ -167,7 +167,7 @@ class TestSpecAndInit:
         with pytest.raises(SpecError):
             expected_shapes(UNetSpec(3, 2, 0))
         with pytest.raises(SpecError):
-            expected_shapes(UNetSpec(3, 2, 1, heads=(("a", 1), ("a", 1))))
+            expected_shapes(UNetSpec(3, 2, 1, heads=("a", "a")))
         with pytest.raises(SpecError):
             expected_shapes(UNetSpec(3, 2, 1, heads=()))
 
@@ -176,10 +176,10 @@ class TestSpecAndInit:
         # bytes; the longest is "dec.<head>.0.conv1.w"
         longest = 255 - len("dec..0.conv1.w")
         with pytest.raises(SpecError, match="255"):
-            init_params(UNetSpec(3, 2, 1, heads=(("a" * (longest + 1), 1),)), 0)
+            init_params(UNetSpec(3, 2, 1, heads=("a" * (longest + 1),)), 0)
         with pytest.raises(SpecError, match="255"):
-            init_params(UNetSpec(3, 2, 1, heads=(("a" * 256, 1),)), 0)
-        spec = UNetSpec(3, 2, 1, heads=(("a" * longest, 1),))
+            init_params(UNetSpec(3, 2, 1, heads=("a" * 256,)), 0)
+        spec = UNetSpec(3, 2, 1, heads=("a" * longest,))
         save_params(init_params(spec, 0), tmp_path / "model.unpk")
         assert load_params(tmp_path / "model.unpk").spec == spec
 
@@ -192,18 +192,28 @@ class TestSpecAndInit:
             validate_spec(dataclasses.replace(TINY, **{field: 70001}))
         validate_spec(dataclasses.replace(TINY, **{field: 0xFFFF}))
 
-    def test_head_count_and_channels_bounded(self, tmp_path):
-        # 70000 channels are refused before any checkpoint is written
-        with pytest.raises(SpecError, match="65535"):
-            save_params(init_params(UNetSpec(3, 2, 1, heads=(("urban", 70000),)), 0),
-                        tmp_path / "model.unpk")
-        validate_spec(UNetSpec(3, 2, 1, heads=(("urban", 0xFFFF),)))
-        heads = tuple((f"h{i}", 1) for i in range(0x10000))
+    def test_head_count_and_channels_bounded(self, tmp_path, reseal):
+        # a head is one plane: version 2 stores each head as a [name, planes]
+        # pair, and any other plane count is refused on load, naming the
+        # file and the head
+        path = tmp_path / "model.unpk"
+        for planes in (0, 2, 70000):
+            save_params(init_params(UNetSpec(3, 2, 1, heads=("urban", "pop")), 0), path)
+
+            def claim(header, arrays):
+                header["meta"]["spec"]["heads"][1][1] = planes
+
+            reseal(path, claim)
+            with pytest.raises(IntegrityError) as exc:
+                load_params(path)
+            assert str(exc.value) == (f"{path}: head 'pop' has {planes} output planes; "
+                                      "every head has one")
+        heads = tuple(f"h{i}" for i in range(0x10000))
         with pytest.raises(SpecError, match="65535"):
             validate_spec(UNetSpec(3, 2, 1, heads=heads))
 
     def test_name_groups_partition_parameters(self):
-        spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, 2, heads=("urban", "pop"))
         all_names = set(expected_shapes(spec))
         enc = {n for n in all_names if n.startswith("enc")}
         urban = set(head_names(spec, "urban"))
@@ -273,7 +283,7 @@ class TestForward:
         assert predict(params, x).shape == (1, 7, 7, 1)
 
     def test_multi_head_output_stacks_in_order(self):
-        spec = UNetSpec(3, 2, 1, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, 1, heads=("urban", "pop"))
         params = init_params(spec, 0, dtype=np.float64)
         x = np.random.default_rng(5).normal(size=(2, 8, 8, 3))
         out = predict(params, x)
@@ -310,7 +320,7 @@ class TestForward:
         # pass.  The unfused pass upsamples before each up-conv, which sums
         # the taps in another order: it agrees to rounding.
         monkeypatch.setattr(unet, "_BLOCK_BYTES", 1)
-        spec = UNetSpec(9, 4, depth, heads=(("urban", 1), ("pop", 1))[:heads])
+        spec = UNetSpec(9, 4, depth, heads=("urban", "pop")[:heads])
         params = init_params(spec, depth, dtype=dtype)
         rng = np.random.default_rng(size)
         for name, arr in params.arrays.items():
@@ -740,7 +750,7 @@ class TestFloat32Tolerance:
         # on a batch clear of every ReLU kink and pooling tie, a float32
         # step's loss and gradients match the float64 step from the same
         # rounded parameters and inputs (measured: <= 1.4e-8 and 2.1e-6)
-        spec = UNetSpec(3, 2, depth, kernel_size=k, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, depth, kernel_size=k, heads=("urban", "pop"))
         p64 = init_params(spec, 1, dtype=np.float64)
         rng = np.random.default_rng(1)
         for name, arr in p64.arrays.items():  # off the kinks, as grad_check does
@@ -804,7 +814,7 @@ class TestBackward:
     def test_trainable_filter_matches_full_run(self, subset, weights):
         # every gradient a subset asks for is the byte-for-byte gradient of
         # the run that differentiates every layer
-        spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, 2, heads=("urban", "pop"))
         params = init_params(spec, 3, dtype=np.float64)
         rng = np.random.default_rng(3)
         x, y, m = random_batch(rng, ct=2)
@@ -820,7 +830,7 @@ class TestBackward:
     def test_frozen_phase_runs_only_the_new_decoder(self, monkeypatch, depth):
         # phase 1 of multi-task training: only the task-2 decoder and head
         # are trainable, so no encoder or task-1 layer is differentiated
-        spec = UNetSpec(3, 2, depth, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, depth, heads=("urban", "pop"))
         params = init_params(spec, 5)
         names = {id(a): n for n, a in params.arrays.items()}
         seen = []
@@ -852,7 +862,7 @@ class TestBackward:
     def test_frozen_phase_shortcut_is_exact(self):
         # encoder + task-1 decoder frozen, task-2 loss only: the skipped
         # branches must not change the gradients that are still computed
-        spec = UNetSpec(3, 2, 1, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, 1, heads=("urban", "pop"))
         params = init_params(spec, 4, dtype=np.float64)
         rng = np.random.default_rng(4)
         x, y, m = random_batch(rng, ct=2)
@@ -878,7 +888,7 @@ class TestBackward:
         # the data gradient of enc0.conv1, and with a frozen encoder the
         # deepest up-conv's input gradient, are never computed: every
         # parameter gradient must equal the run that computes them all
-        spec = UNetSpec(9, 4, 2, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(9, 4, 2, heads=("urban", "pop"))
         params = init_params(spec, 9)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(3, 12, 12, 9)).astype(np.float32)
@@ -898,9 +908,9 @@ class TestBackward:
             assert got[name].tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("heads, size", [
-        ((("urban", 1),), 12),
-        ((("urban", 1),), 10),
-        ((("urban", 1), ("pop", 2)), 12),
+        (("urban",), 12),
+        (("urban",), 10),
+        (("urban", "pop"), 12),
     ], ids=["one-head", "cropped", "two-heads"])
     def test_relu_gate_in_place_matches_out_of_place(self, heads, size):
         # the ReLU gate writes into gradients the backward owns; the
@@ -910,7 +920,7 @@ class TestBackward:
         params = init_params(spec, 7)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, size, size, 3)).astype(np.float32)
-        g = rng.normal(size=(3, size, size, spec.out_channels)).astype(np.float32)
+        g = rng.normal(size=(3, size, size, len(spec.heads))).astype(np.float32)
         g.setflags(write=False)
         _, cache = _forward(params, x, keep_cache=True)
         got = _backward(params, cache, g)
@@ -1064,31 +1074,29 @@ class ArrayTiles:
         return self.x[idx], self.y[idx], self.m[idx]
 
 
-def phase1_weights(spec):
-    """Zero for every channel but the last head's, as in multi-task phase 1."""
-    last = spec.heads[-1][1]
-    return np.array([0.0] * (spec.out_channels - last) + [1.0] * last)
-
-
 class TestDeadHeads:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("depth", [1, 2])
-    @pytest.mark.parametrize("heads", [
-        (("urban", 1), ("pop", 1)),
-        (("urban", 1), ("pop", 1), ("third", 1)),
-        (("urban", 2), ("pop", 1)),
-        (("urban", 1), ("pop", 2)),
+    @pytest.mark.parametrize("heads, live", [
+        (("urban", "pop"), ("pop",)),
+        (("urban", "pop", "third"), ("third",)),
+        (("urban", "extra", "pop"), ("pop",)),
+        (("urban", "pop", "extra"), ("pop", "extra")),
     ], ids=["two-heads", "three-heads", "two-channel-first", "two-channel-last"])
-    def test_phase1_bytes_equal_full_forward(self, heads, depth, dtype):
+    def test_phase1_bytes_equal_full_forward(self, heads, live, depth, dtype):
         # the frozen phase skips every dead head: its loss, its gradients
         # and the validation loss are the bytes of the run that computes
-        # every head
+        # every head.  Phase 1 trains and weights the live heads only; the
+        # two-channel cases put a pair of dead planes first or a pair of
+        # live planes last.
         spec = UNetSpec(9, 4, depth, heads=heads)
         params = init_params(spec, 11, dtype=dtype)
         rng = np.random.default_rng(depth)
-        x, y, m = random_batch(rng, n=5, s=14, cin=9, ct=spec.out_channels)
-        w = phase1_weights(spec)
-        trainable = trainer.phase1_trainable(spec)
+        x, y, m = random_batch(rng, n=5, s=14, cin=9, ct=len(spec.heads))
+        w = np.array([float(head in live) for head in heads])
+        trainable = set().union(*(head_names(spec, head) for head in live))
+        if live == heads[-1:]:
+            assert trainable == trainer.phase1_trainable(spec)
         loss, grads = loss_and_grads(params, x, y, m, w, trainable)
         ref_loss, ref_grads = full_loss_and_grads(params, x, y, m, w, trainable)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
@@ -1102,7 +1110,7 @@ class TestDeadHeads:
     def test_phase1_never_touches_the_dead_head(self, monkeypatch):
         # a spy on every forward convolution: the phase-1 step and the
         # phase-1 validation loss run no urban decoder or head layer
-        spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, 2, heads=("urban", "pop"))
         params = init_params(spec, 5)
         names = {id(a): n for n, a in params.arrays.items()}
         seen = []
@@ -1143,7 +1151,7 @@ class TestDeadHeads:
         # a trainable parameter that feeds the zero-weighted head (an
         # encoder one, or its own) keeps it live, so those gradients are
         # the bytes of the full run
-        spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, 2, heads=("urban", "pop"))
         w = np.array([0.0, 1.0])
         every = set(expected_shapes(spec))
         assert unet._live_heads(spec, w) == frozenset({"pop"})
@@ -1153,11 +1161,6 @@ class TestDeadHeads:
         assert unet._live_heads(spec, None, set()) is None
         assert unet._live_heads(spec, w, None) is None  # every parameter trainable
         assert unet._live_heads(spec, np.zeros(2), set()) is None  # the loss refuses it
-        # weights map to heads by channel: a 2-channel head owns two
-        wide = UNetSpec(3, 2, 1, heads=(("urban", 2), ("pop", 1), ("third", 1)))
-        assert unet._live_heads(wide, [0.0, 0.0, 1.0, 0.0]) == frozenset({"pop"})
-        assert unet._live_heads(wide, [0.0, 2.0, 0.0, 0.0]) == frozenset({"urban"})
-        assert unet._live_heads(wide, [0.0, 0.0, 0.0, 1.0]) == frozenset({"third"})
         params = init_params(spec, 6, dtype=np.float64)
         x, y, m = random_batch(np.random.default_rng(6), ct=2)
         for trainable in ({"enc1.conv2.w", "enc1.conv2.b"}, {"head.urban.w"}, every):
@@ -1169,7 +1172,7 @@ class TestDeadHeads:
 
     def test_weight_shape_checked_before_head_mapping(self):
         # a wrong-length weight vector is a shape error, not a silent map
-        spec = UNetSpec(3, 2, 1, heads=(("urban", 2), ("pop", 1)))
+        spec = UNetSpec(3, 2, 1, heads=("urban", "extra", "pop"))
         params = init_params(spec, 7, dtype=np.float64)
         x, y, m = random_batch(np.random.default_rng(7), ct=3)
         trainable = set(head_names(spec, "pop"))
@@ -1182,7 +1185,7 @@ class TestDeadHeads:
             loss_and_grads(params, x, y, m, np.zeros(3), trainable)
 
     def test_dead_head_reads_as_zeros(self):
-        spec = UNetSpec(3, 2, 2, heads=(("urban", 2), ("pop", 1)))
+        spec = UNetSpec(3, 2, 2, heads=("urban", "extra", "pop"))
         params = init_params(spec, 8)
         x = np.random.default_rng(8).normal(size=(2, 10, 10, 3)).astype(np.float32)
         full, _ = _forward(params, x)
@@ -1207,18 +1210,11 @@ class TestGradCheck:
         assert report.n_checked >= 500
 
     def test_multi_head_gradients_check_out(self):
-        spec = UNetSpec(3, 2, 1, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, 1, heads=("urban", "pop"))
         report = grad_check(spec, seed=2)
         assert report.max_rel_err < self.TOLERANCE, report
 
-    def test_unequal_width_heads_check_out(self):
-        # the output concatenation hands each head back its own channels:
-        # split by the wrong widths, the 1- and 2-channel heads would swap
-        spec = UNetSpec(3, 2, 1, heads=(("urban", 1), ("pop", 2)))
-        report = grad_check(spec, seed=2)
-        assert report.max_rel_err < self.TOLERANCE, report
-
-    @pytest.mark.parametrize("heads", [(("urban", 1),), (("urban", 1), ("pop", 1))])
+    @pytest.mark.parametrize("heads", [("urban",), ("urban", "pop")])
     def test_five_by_five_kernel_checks_out(self, heads):
         # k = 5 up-convs reduce to 3x3 phase kernels
         report = grad_check(UNetSpec(3, 2, 1, kernel_size=5, heads=heads), seed=4)
@@ -1240,7 +1236,7 @@ class TestGradCheck:
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        spec = UNetSpec(3, 2, 2, heads=(("urban", 1), ("pop", 1)))
+        spec = UNetSpec(3, 2, 2, heads=("urban", "pop"))
         params = init_params(spec, 9)
         path = tmp_path / "model.unpk"
         save_params(params, path)
@@ -1350,6 +1346,14 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="not ASCII") as exc:
             load_params(path)
         assert str(path) in str(exc.value)
+
+    def test_heads_written_as_one_plane_pairs(self, tmp_path):
+        # the bytes of every checkpoint written before heads lost their width
+        path = tmp_path / "model.unpk"
+        save_params(init_params(TINY, 0), path)
+        assert b'"heads":[["urban",1]]' in path.read_bytes()
+        save_params(init_params(UNetSpec(3, 2, 1, heads=("urban", "pop")), 0), path)
+        assert b'"heads":[["urban",1],["pop",1]]' in path.read_bytes()
 
     @pytest.mark.parametrize("field, value", [("depth", 0), ("kernel_size", 2)],
                              ids=["depth-0", "even-kernel"])
