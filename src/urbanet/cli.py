@@ -42,6 +42,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # a flag is spelled out in full: a prefix that parsed today would change
+    # meaning, or stop parsing, once a new flag shares it
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on bad flags; the contract here is exit 1
     def error(self, message):
         raise _UsageError(message)

@@ -28,7 +28,7 @@ from .errors import DataError, NumericError, ShapeError
 from .files import atomic_write
 from .grid import SplitAssignment, WorldGrid
 from .tiler import TileDataset, WindowSpec
-from .unet import UNetParams, _forward
+from .unet import UNetParams, _forward, _predict_tiles
 
 STRATUM_ALL = "all_cells"
 STRATUM_BUILTUP = "builtup_positive"
@@ -107,7 +107,7 @@ def predict_world(
     input_names: Iterable[str],
     split: SplitAssignment | None = None,
     split_filter: str = "all",
-    batch_size: int = 256,
+    batch_size: int | None = None,
 ) -> PredictionGrid:
     """Aggregate tile predictions into world planes by per-pixel median,
     one plane per model head, keyed by the head's name.
@@ -116,6 +116,14 @@ def predict_world(
     unpadded coordinates.  Only unaugmented tiles are evaluated — every
     land pixel matching ``split_filter`` contributes exactly one tile.
     A non-finite prediction raises ``NumericError``.
+
+    Tiles run through the network ``batch_size`` at a time.  None sizes the
+    micro-batches by bytes: as many tiles as keep the forward's arrays
+    within ``unet._PREDICT_BYTES`` for this spec and window
+    (``unet._predict_tiles``; 60 desk tiles at S = 28, 10 ``full_scale``
+    ones).  BLAS picks its kernel by matrix size, so the planes depend on
+    the partition at float32 epsilon, within the convolution bound of
+    README's numeric policy; a fixed partition gives fixed bytes.
     """
     input_names = tuple(input_names)
     spec = params.spec
@@ -136,6 +144,8 @@ def predict_world(
         raise DataError(f"no tiles match split filter {split_filter!r}")
 
     s = window.size
+    if batch_size is None:
+        batch_size = _predict_tiles(spec, s, params.dtype.itemsize)
     hp, wp = grid.height, grid.width
     tls = ds.centers_padded - np.asarray(window.center_offset)  # row-major
     ar = np.arange(s)

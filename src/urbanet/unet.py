@@ -65,7 +65,8 @@ tape, one entry per ``conv``, ``upconv``, ``pool`` and ``cat`` layer, which
 ``_backward`` replays in reverse without knowing the network's shape and
 ``_margins`` reads to place the gradient checker's probe points.  Inference
 records no tape and frees each activation once it is dead, so its memory is
-a few layers' worth rather than the whole network's.
+a few layers' worth rather than the whole network's, and world prediction
+sizes its micro-batches so that this stays within ``_PREDICT_BYTES``.
 
 The forward mirrors the backward's liveness rule.  A loss evaluation runs a
 head only when its plane has nonzero loss weight or a trainable
@@ -252,6 +253,12 @@ def init_params(spec: UNetSpec, seed: int, dtype=np.float32) -> UNetParams:
 # GEMM.  Desk-spec train steps and forwards at S = 28 ran equally fast from
 # 128 to 512 KiB and 10-25 % slower from 1 to 4 MiB (sweep in CHANGES.md).
 _BLOCK_BYTES = 256 << 10
+# Bytes of arrays one inference forward may hold: world prediction sizes
+# its micro-batches by it (``_predict_tiles``), 60 desk tiles at S = 28.
+# On the eval-128 bench 64-tile batches ran faster than 32- or 128-tile
+# ones, and 60-tile ones than 256-tile ones, at 31 % less peak RSS
+# (CHANGES.md).
+_PREDICT_BYTES = 11 << 20
 
 
 def _parts(x) -> tuple:
@@ -499,18 +506,22 @@ def _pool_backward(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     equals ``y`` first (the last pixel when none does, as for NaN).  Every
     other pixel gets +0.0.
 
-    Each of the four window slots is written once, by a select of the
-    gradient or +0.0, so ``dx`` is never zero-filled first.  It is a new
-    array, which the ReLU gate of the layer below may write in place."""
+    Each of the four window slots is written once, as the gradient's bits
+    (an unsigned-integer view) times the slot's 0/1 routing mask: g's exact
+    bits where the slot is routed, -0.0 included, and +0.0 where it is not.
+    So ``dx`` is never zero-filled first and no select is built.  It is a
+    new array, which the ReLU gate of the layer below may write in place."""
+    bits = np.dtype(f"u{g.itemsize}")
+    gb = g.view(bits)
     dx = np.empty(x.shape, g.dtype)
-    dst = _pool_views(dx)
+    dst = _pool_views(dx.view(bits))
     taken = np.zeros(y.shape, bool)  # windows already routed
     for pos, src in enumerate(_pool_views(x)[:3]):
         hit = src == y
         np.greater(hit, taken, out=hit)  # hit and not taken
-        np.copyto(dst[pos], np.where(hit, g, 0.0))
+        np.multiply(gb, hit, out=dst[pos])
         taken |= hit
-    np.copyto(dst[3], np.where(taken, 0.0, g))
+    np.multiply(gb, np.logical_not(taken, out=taken), out=dst[3])
     return dx
 
 
@@ -521,6 +532,31 @@ def _pool_backward(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _pad_amounts(size: int, multiple: int) -> tuple[int, int]:
     total = (-size) % multiple
     return total // 2, total - total // 2
+
+
+def _predict_tiles(spec: UNetSpec, size: int, itemsize: int) -> int:
+    """Tiles per inference forward of ``spec`` on ``size``-pixel tiles of
+    ``itemsize``-byte values, so that the forward holds at most
+    ``_PREDICT_BYTES`` of arrays (at least one tile).
+
+    The forward peaks at the level-0 decoder ``conv1``, or, on a wide
+    input and narrow features, at the first encoder conv.  Per tile, at
+    the padded size P: the input tile; for the decoder conv its two parts,
+    its padded input, its output, the coarser levels' skips and the head
+    planes; for the encoder conv the padded tile, its padded input and its
+    output.  Beside them one patch block (``_im2col_blocks``) and the
+    weight matrix are held, whatever the tile count.
+    """
+    p = size + sum(_pad_amounts(size, 1 << spec.depth))
+    pp = (p + spec.kernel_size // 2 * 2) ** 2  # pixels of a padded conv input
+    f, c, kk = spec.base_features, spec.input_channels, spec.kernel_size ** 2
+    decoder = (3 * p * p * f + pp * 2 * f + p * p * len(spec.heads)
+               + sum((p >> lvl) ** 2 * (f << lvl) for lvl in range(1, spec.depth + 1)))
+    encoder = p * p * c + pp * c + p * p * f
+    per_tile = itemsize * (size * size * c + max(decoder, encoder))
+    rows = kk * max(2 * f, c) + 1  # of the widest level-0 patch matrix
+    fixed = max(_BLOCK_BYTES, p * p * rows * itemsize) + 2 * rows * f * itemsize
+    return max(1, (_PREDICT_BYTES - fixed) // per_tile)
 
 
 def _forward(

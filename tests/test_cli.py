@@ -54,6 +54,17 @@ class TestUsage:
                    "--checkpoint", "x", "--report", "r.csv"])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--grid", "w", "--max-epoch", "3"], "--max-epoch 3"),
+        (["train", "--grid", "w", "--test", "R02"], "--test R02"),
+        (["--thread=1", "synth", "--out", "x.wgrd"], "--thread=1"),
+    ])
+    def test_abbreviated_flag_exits_1(self, capsys, argv, named):
+        # argparse would read a unique prefix as the whole flag (--max-epochs,
+        # --test-regions, --threads)
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {named}" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

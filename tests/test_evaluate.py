@@ -30,14 +30,16 @@ from urbanet.evaluate import (
 from urbanet.grid import WorldGrid, assign_split, pad_grid
 from urbanet.synth import INPUT_CHANNELS, TARGET_URBAN, SynthConfig, gen_world
 from urbanet.tiler import TileDataset, WindowSpec, coverage_count
-from urbanet.unet import UNetSpec, _forward, init_params
+from urbanet.unet import UNetSpec, _forward, _predict_tiles, init_params
 
 
-def brute_force_predict(params, grid, window, *, pad, split=None, split_filter="all",
-                        batch_size=256):
-    """Materialize every per-pixel prediction list and take medians by sorting."""
+def brute_force_predict(params, grid, window, *, pad, split=None, split_filter="all"):
+    """Materialize every per-pixel prediction list and take medians by
+    sorting.  The tiles run in predict_world's default micro-batches: the
+    float32 predictions depend on the partition."""
     ds = TileDataset(grid, window, pad=pad, input_names=INPUT_CHANNELS,
                      target_names=(), split=split, split_filter=split_filter)
+    batch_size = _predict_tiles(params.spec, window.size, params.dtype.itemsize)
     s = window.size
     off_r, off_c = window.center_offset
     buckets: dict[tuple[int, int], list[float]] = {}
@@ -263,6 +265,26 @@ class TestPredictWorld:
         assert np.array_equal(got.count, want_count)
         for name in ("urban", "pop"):
             assert got.planes[name].tobytes() == want_planes[name].tobytes()
+
+    def test_byte_rule_within_float32_bound_of_single_tiles(self):
+        # micro-batches change the GEMM shapes, so BLAS may round otherwise:
+        # the planes stay within README's convolution bound, 6e-7 of the
+        # largest magnitude, of one-tile forwards, and a median moves no
+        # further than the values it is taken from (measured: 1.6e-7)
+        world = gen_world(SynthConfig(seed=4, height=32, width=32, land_fraction=0.8,
+                                      n_regions=4))
+        win = WindowSpec(16)
+        padded = pad_grid(world, win.max_reach)
+        params = init_params(UNetSpec.desk(), seed=0)
+        batch = _predict_tiles(params.spec, win.size, 4)
+        got = predict_world(params, padded, win, pad=win.max_reach,
+                            input_names=INPUT_CHANNELS)
+        assert 1 < batch < got.tiles  # several micro-batches, none of one tile
+        want = predict_world(params, padded, win, pad=win.max_reach,
+                             input_names=INPUT_CHANNELS, batch_size=1)
+        assert np.array_equal(got.count, want.count)
+        scale = np.abs(want.planes["urban"]).max()
+        assert np.abs(got.planes["urban"] - want.planes["urban"]).max() <= 6e-7 * scale
 
     def test_non_finite_prediction_raises(self):
         world = gen_world(SynthConfig(seed=2, height=12, width=12, land_fraction=0.8,

@@ -3,7 +3,8 @@ used, every private function or class has a caller, every public one has
 a user outside the tests, README's library sketch imports only names that
 exist, one module owns the binary file format, the command line parses
 its flags before numpy loads, its training flags are the fields of
-``TrainConfig``, and every command of README's CLI walkthrough parses."""
+``TrainConfig``, and every command of README's CLI walkthrough parses and
+reads only config files that an earlier line wrote."""
 
 from __future__ import annotations
 
@@ -151,15 +152,38 @@ def test_training_flags_are_the_config_fields():
     assert typed == []
 
 
-def walkthrough_commands(readme: str) -> list[list[str]]:
-    """The arguments of each ``urbanet`` command in the shell block under
-    README's "CLI walkthrough" heading, with ``\\`` continuations joined
-    and comments dropped."""
+def walkthrough_lines(readme: str) -> list[list[str]]:
+    """The words of each command line in the shell block under README's
+    "CLI walkthrough" heading, with ``\\`` continuations joined and
+    comments dropped."""
     section = readme.split("\n## CLI walkthrough\n", 1)[1]
     block = section.split("```bash\n", 1)[1].split("\n```", 1)[0]
     lines = (shlex.split(line, comments=True)
              for line in block.replace("\\\n", " ").splitlines())
-    return [words[1:] for words in lines if words[:1] == ["urbanet"]]
+    return [words for words in lines if words]
+
+
+def walkthrough_commands(readme: str) -> list[list[str]]:
+    """The arguments of each ``urbanet`` command of the walkthrough, up to
+    a ``>`` redirection."""
+    return [words[1:words.index(">") if ">" in words else None]
+            for words in walkthrough_lines(readme) if words[0] == "urbanet"]
+
+
+CONFIG_FLAGS = ("--config", "--phase1-config", "--phase2-config")
+
+
+def unwritten_configs(lines: list[list[str]]) -> list[str]:
+    """Each config file that a line reads through a config flag and no
+    earlier line writes through a ``>`` redirection."""
+    written, found = set(), []
+    for words in lines:
+        for flag, path in zip(words, words[1:]):
+            if flag in CONFIG_FLAGS and path not in written:
+                found.append(f"{shlex.join(words)}: {flag} {path} is not written before")
+        if ">" in words[:-1]:
+            written.add(words[words.index(">") + 1])
+    return found
 
 
 def unparsable_commands(commands: list[list[str]]) -> list[str]:
@@ -193,6 +217,26 @@ def test_readme_walkthrough_parses():
         "unrecognized arguments: --no-such-flag 3"]
     commands = walkthrough_commands((ROOT / "README.md").read_text())
     assert commands and unparsable_commands(commands) == []
+
+
+def test_readme_walkthrough_writes_its_configs():
+    # a command that reads a config file the walkthrough never wrote stops
+    # a reader who runs it line by line
+    sample = ("# Title\n\n## CLI walkthrough\n\n"
+              "```bash\n"
+              "urbanet train --print-config --max-epochs 2 > a.cfg\n"
+              "urbanet multitask --phase1-config a.cfg --phase2-config b.cfg\n"
+              "urbanet train --print-config --learning-rate 1e-4 > b.cfg\n"
+              "urbanet train --config b.cfg\n"
+              "```\n")
+    lines = walkthrough_lines(sample)
+    assert walkthrough_commands(sample)[0] == ["train", "--print-config", "--max-epochs", "2"]
+    assert unwritten_configs(lines) == [
+        "urbanet multitask --phase1-config a.cfg --phase2-config b.cfg: "
+        "--phase2-config b.cfg is not written before"]
+    lines = walkthrough_lines((ROOT / "README.md").read_text())
+    assert any(set(words) & set(CONFIG_FLAGS) for words in lines)
+    assert unwritten_configs(lines) == []
 
 
 def binary_format_uses(source: str) -> list[tuple[int, str]]:
