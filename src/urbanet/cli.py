@@ -273,7 +273,7 @@ def _cmd_eval(args) -> int:
     import numpy as np
 
     from .errors import DataError
-    from .evaluate import (EvalReport, load_report, multitask_label,
+    from .evaluate import (STRATUM_ALL, EvalReport, load_report, multitask_label,
                            predict_world, residual_metrics, save_report,
                            stratify, unet_label)
     from .grid import WorldGrid, save_grid
@@ -322,11 +322,11 @@ def _cmd_eval(args) -> int:
         input_names=INPUT_CHANNELS, split=split, split_filter=args.split,
     )
     elapsed = time.perf_counter() - t0
-    cover = pred.count[np.asarray(world.mask) == 1]
+    cover = pred.count[strata[STRATUM_ALL]]  # the land of the evaluated split
     _log(f"predicted {pred.tiles} tiles in {elapsed:.1f} s "
-         f"({pred.tiles / elapsed:.0f} tiles/s); coverage on land: "
+         f"({pred.tiles / elapsed:.0f} tiles/s); coverage on {args.split}-split land: "
          f"min {cover.min()}, median {np.median(cover):g}; "
-         f"{np.count_nonzero(cover == 0)} land pixels never covered")
+         f"{np.count_nonzero(cover == 0)} {args.split}-split land pixels never covered")
 
     for head, (target, model_label) in targets.items():
         for stratum_name, stratum_mask in strata.items():

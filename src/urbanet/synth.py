@@ -5,6 +5,15 @@ Worlds carry the nine standard input channels plus two change targets
 functions of the inputs (documented below) plus optional Gaussian noise,
 so an evaluator can compare a trained model against a closed-form
 ceiling.  Everything is a pure function of the config seed.
+
+The module needs numpy alone.  Its two image kernels give the bytes of
+the scipy.ndimage calls they stand for: ``_gaussian_smooth`` is
+``gaussian_filter(a, sigma, mode="reflect")``, with scipy's weights,
+padding and summation order, and ``_taxicab_to`` is
+``distance_transform_cdt(~targets, metric="taxicab")``, exact in int64.
+Land counts over a window come from an integer summed-area table, so
+they are exact in any order, and the top-k land selection partitions
+where it used to sort, keeping the stable sort's tie-break.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import distance_transform_cdt, gaussian_filter
 
 from .errors import ConfigError, DataError
 from .grid import WorldGrid, validate_grid
@@ -83,9 +91,41 @@ class SynthConfig:
             )
 
 
+def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing of a float64 plane, mirrored at the edges.
+
+    This is scipy.ndimage's ``gaussian_filter(a, sigma, mode="reflect")``
+    byte for byte: the same normalized weights out to ``4 * sigma``, the
+    edge copied into a mirror that repeats when the radius is wider than
+    the plane, and each axis filtered in turn with the symmetric loop of
+    scipy's ``NI_Correlate1D``: centre tap first, then each mirrored pair
+    summed before it is weighted, the outermost pair first.  Axis 1 is
+    filtered as axis 0 of the transpose, so every tap is one contiguous
+    run of the mirrored rows.
+    """
+    r = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-r, r + 1)
+    wts = np.exp(-0.5 / (sigma * sigma) * x**2)
+    wts = wts / wts.sum()
+    out = a
+    for _ in range(2):
+        n, m = out.shape
+        k = np.arange(-r, n + r) % (2 * n)  # the mirror repeats with period 2n
+        rows = out[np.where(k < n, k, 2 * n - 1 - k)].ravel()
+        acc = rows[r * m : (r + n) * m] * wts[r]
+        pair = np.empty_like(acc)
+        for j in range(r, 0, -1):
+            np.add(rows[(r - j) * m : (r - j + n) * m], rows[(r + j) * m : (r + j + n) * m],
+                   out=pair)
+            pair *= wts[r - j]
+            acc += pair
+        out = acc.reshape(n, m).T
+    return np.ascontiguousarray(out)
+
+
 def _smooth_unit(rng: np.random.Generator, shape: tuple[int, int], sigma: float) -> np.ndarray:
     """Gaussian-smoothed white noise rescaled to [0, 1]."""
-    f = gaussian_filter(rng.standard_normal(shape), sigma=sigma, mode="reflect")
+    f = _gaussian_smooth(rng.standard_normal(shape), sigma)
     lo, hi = f.min(), f.max()
     if hi == lo:  # conceivable only on degenerate tiny grids
         raise DataError("smoothed noise field collapsed to a constant")
@@ -93,10 +133,14 @@ def _smooth_unit(rng: np.random.Generator, shape: tuple[int, int], sigma: float)
 
 
 def _top_k_mask(field: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask selecting the k largest entries (stable order tie-break)."""
-    order = np.argsort(field, axis=None, kind="stable")
-    out = np.zeros(field.size, dtype=bool)
-    out[order[field.size - k :]] = True
+    """Boolean mask selecting the k largest entries (1 <= k <= size); among
+    entries equal to the k-th largest, the last ones in row-major order,
+    as the last k of a stable ascending sort."""
+    flat = field.ravel()
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    out = flat > kth
+    ties = np.flatnonzero(flat == kth)
+    out[ties[ties.size - (k - np.count_nonzero(out)) :]] = True
     return out.reshape(field.shape)
 
 
@@ -130,10 +174,31 @@ def _site_cities(land: np.ndarray, regions: np.ndarray, field: np.ndarray, n_lan
 
 
 def _taxicab_to(targets: np.ndarray) -> np.ndarray:
-    """4-connected hop count to the nearest True pixel, as float64."""
+    """4-connected hop count to the nearest True pixel, as float64.
+
+    The taxicab distance separates by axis: a forward and a backward
+    running minimum of ``d[k] + |i - k|`` along each axis in turn.
+    """
     if not targets.any():
         raise DataError("distance transform needs at least one target pixel")
-    return distance_transform_cdt(~targets, metric="taxicab").astype(np.float64)
+    d = np.where(targets, 0, sum(targets.shape)).astype(np.int64)  # no hop count reaches h + w
+    for axis, n in enumerate(targets.shape):
+        i = np.arange(n).reshape([-1 if ax == axis else 1 for ax in range(d.ndim)])
+        ahead = np.minimum.accumulate(d - i, axis=axis) + i
+        behind = np.flip(np.minimum.accumulate(np.flip(d + i, axis), axis=axis), axis) - i
+        d = np.minimum(ahead, behind)
+    return d.astype(np.float64)
+
+
+def _box_count(mask: np.ndarray, size: int) -> np.ndarray:
+    """Sum of ``mask`` over the size x size window centred on each pixel
+    (odd size; nothing outside the grid), as int64 from one summed-area
+    table."""
+    pad = size // 2
+    sat = np.zeros((mask.shape[0] + 2 * pad + 1, mask.shape[1] + 2 * pad + 1), np.int64)
+    np.cumsum(np.pad(mask, pad), axis=0, dtype=np.int64, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    return sat[size:, size:] - sat[:-size, size:] - sat[size:, :-size] + sat[:-size, :-size]
 
 
 def masked_box_mean(plane: np.ndarray, land: np.ndarray, size: int) -> np.ndarray:
@@ -142,12 +207,10 @@ def masked_box_mean(plane: np.ndarray, land: np.ndarray, size: int) -> np.ndarra
     Pixels outside the grid contribute nothing; water neighbors are
     excluded from both numerator and denominator.  Water output is 0.
     """
-    pad = size // 2
     landf = land.astype(np.float64)
-    vp = np.pad(plane * landf, pad)
-    lp = np.pad(landf, pad)
+    vp = np.pad(plane * landf, size // 2)
     num = sliding_window_view(vp, (size, size)).sum(axis=(-2, -1))
-    den = sliding_window_view(lp, (size, size)).sum(axis=(-2, -1))
+    den = _box_count(land, size)
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0)
     return out * landf
@@ -183,9 +246,7 @@ def gen_world(config: SynthConfig) -> WorldGrid:
 
     n_land = max(1, round(h * w * config.land_fraction))
     n_land = min(n_land, h * w)
-    land_field = gaussian_filter(
-        rng.standard_normal((h, w)), sigma=max(1.0, min(h, w) / 12), mode="reflect"
-    )
+    land_field = _gaussian_smooth(rng.standard_normal((h, w)), max(1.0, min(h, w) / 12))
     land = _top_k_mask(land_field, n_land)
     if not land.any():
         raise DataError("generated world has no land")
@@ -195,9 +256,7 @@ def gen_world(config: SynthConfig) -> WorldGrid:
     regions = _region_plane(h, w, config.n_regions) * mask  # water carries no region
 
     # cities sit on the best-scoring land pixels of their own smooth field
-    city_field = gaussian_filter(
-        rng.standard_normal((h, w)), sigma=max(1.0, min(h, w) / 16), mode="reflect"
-    )
+    city_field = _gaussian_smooth(rng.standard_normal((h, w)), max(1.0, min(h, w) / 16))
     cities = _site_cities(land, regions, city_field, n_land)
 
     dist_city = _taxicab_to(cities) * landf
@@ -217,7 +276,7 @@ def gen_world(config: SynthConfig) -> WorldGrid:
     slope *= landf
 
     # interior cells are pure land; coastal cells lose area to water
-    area = sliding_window_view(np.pad(landf, 1), (3, 3)).sum(axis=(-2, -1)) / 9.0
+    area = _box_count(land, 3) / 9.0
     land_area = area * landf
 
     pop_field = _smooth_unit(rng, (h, w), max(1.0, min(h, w) / 8))

@@ -325,9 +325,32 @@ class TestEvalReport:
         line = next(ln for ln in capsys.readouterr().err.splitlines()
                     if ln.startswith("predicted "))
         assert line.startswith(f"predicted {int(land.sum())} tiles in ")
-        assert " tiles/s); coverage on land: " in line
+        assert " tiles/s); coverage on all-split land: " in line
         assert f"min {int(cover.min())}, median {np.median(cover):g}; " in line
-        assert line.endswith("; 0 land pixels never covered")
+        assert line.endswith("; 0 all-split land pixels never covered")
+
+    def test_eval_coverage_counts_only_the_evaluated_split(self, world_file, run_dir,
+                                                          tmp_path, capsys):
+        # a test-split run predicts no train-region tile, so counting over
+        # all land would report every train-region pixel as never covered
+        rc = main(["eval", "--grid", str(world_file), "--window", "16",
+                   "--pad", "8", "--test-regions", "R03", "--split", "test",
+                   "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
+                   "--report", str(tmp_path / "r.csv"),
+                   "--pred-out", str(tmp_path / "pred.wgrd")])
+        assert rc == 0
+        world = load_grid(world_file)
+        test_land = (world.mask == 1) & (world.regions == next(
+            code for code, iso in world.region_table.items() if iso == "R03"))
+        coverage = load_grid(tmp_path / "pred.wgrd").channels["coverage"]
+        assert (coverage[(world.mask == 1) & ~test_land] == 0).any()
+        cover = coverage[test_land]
+        line = next(ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("predicted "))
+        assert line.startswith(f"predicted {int(test_land.sum())} tiles in ")
+        assert " tiles/s); coverage on test-split land: " in line
+        assert f"min {int(cover.min())}, median {np.median(cover):g}; " in line
+        assert line.endswith("; 0 test-split land pixels never covered")
 
     def test_eval_without_padding(self, run_dir, tmp_path):
         # land sits 9 pixels from every edge, beyond the reach of a 16-pixel

@@ -1,7 +1,11 @@
-"""Synthetic world generator: determinism, distances, target formulas."""
+"""Synthetic world generator: determinism, distances, target formulas, and
+the numpy kernels that stand for scipy.ndimage byte for byte."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from urbanet.errors import ConfigError
 from urbanet.evaluate import residual_metrics
@@ -12,6 +16,10 @@ from urbanet.synth import (
     TARGET_POP,
     TARGET_URBAN,
     SynthConfig,
+    _box_count,
+    _gaussian_smooth,
+    _taxicab_to,
+    _top_k_mask,
     clean_targets,
     gen_world,
     masked_box_mean,
@@ -66,6 +74,14 @@ def taxicab_min(targets, h, w):
     rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     d = np.abs(rr[..., None] - pts[:, 0]) + np.abs(cc[..., None] - pts[:, 1])
     return d.min(axis=-1)
+
+
+def world_digest(world) -> str:
+    """sha256 over the mask, the regions and every channel in order."""
+    h = hashlib.sha256(world.mask.tobytes() + world.regions.tobytes())
+    for name in INPUT_CHANNELS + TARGET_CHANNELS:
+        h.update(name.encode() + np.ascontiguousarray(world.channels[name]).tobytes())
+    return h.hexdigest()
 
 
 class TestConfig:
@@ -247,3 +263,72 @@ class TestOracleMetrics:
         w = gen_world(SMALL)
         with pytest.raises(ConfigError):
             oracle_metrics(w, "nearest-neighbor")
+
+
+# (height, width): tiny planes whose 4-sigma radius is wider than a side
+# (the mirror repeats), non-square planes, and the bench's world sides
+KERNEL_SHAPES = [(4, 4), (4, 9), (7, 5), (12, 12), (16, 40), (96, 96), (128, 128)]
+
+
+class TestNumpyKernels:
+    """The kernels gen_world uses in place of scipy.ndimage must give its
+    bytes, or every world (and every result built on one) changes."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+    def test_gaussian_smooth_is_scipys_bytes(self, shape):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        # gen_world's five smoothings use side / 12, 16, 10, 8 and 16, at
+        # least 1; a sigma below 1 is added
+        for sigma in sorted({max(1.0, min(shape) / d) for d in (12, 16, 10, 8)} | {0.6}):
+            got = _gaussian_smooth(a, sigma)
+            want = ndimage.gaussian_filter(a, sigma=sigma, mode="reflect")
+            assert got.flags.c_contiguous
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), sigma
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+    def test_taxicab_is_scipys_distance(self, shape):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(sum(shape))
+        one = np.zeros(shape, bool)
+        one[rng.integers(shape[0]), rng.integers(shape[1])] = True
+        corner = np.zeros(shape, bool)
+        corner[-1, -1] = True
+        cases = {"one pixel": one, "corner": corner, "all": np.ones(shape, bool),
+                 **{f"density {p}": (rng.random(shape) < p) | one for p in (0.02, 0.3, 0.9)}}
+        for name, targets in cases.items():
+            want = ndimage.distance_transform_cdt(~targets, metric="taxicab").astype(np.float64)
+            assert _taxicab_to(targets).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+    def test_box_count_is_the_window_sum(self, shape):
+        mask = np.random.default_rng(sum(shape)).random(shape) < 0.6
+        for size in (1, 3, 5, 11):
+            got = _box_count(mask, size)
+            want = sliding_window_view(np.pad(mask.astype(np.float64), size // 2),
+                                       (size, size)).sum(axis=(-2, -1))
+            assert got.dtype == np.int64 and np.array_equal(got, want), size
+            assert np.array_equal(_box_count(mask.astype(np.uint8), size), got)
+
+    def test_top_k_takes_a_stable_sorts_last_k(self):
+        # ties at the k-th value are broken the way the last k entries of a
+        # stable ascending argsort break them: the later ones win
+        rng = np.random.default_rng(4)
+        for field in (rng.integers(0, 4, (6, 7)).astype(np.float64), rng.random((6, 7)),
+                      np.where(rng.random((6, 7)) < 0.5, -np.inf, 1.0)):
+            for k in range(1, field.size + 1):
+                want = np.zeros(field.size, bool)
+                want[np.argsort(field, axis=None, kind="stable")[field.size - k:]] = True
+                got = _top_k_mask(field, k)
+                assert got.sum() == k
+                assert np.array_equal(got, want.reshape(field.shape)), k
+
+    # two worlds' bytes, pinned so that they stay checked where scipy is absent
+    @pytest.mark.parametrize("config, digest", [
+        (SynthConfig(),
+         "092d1802350b14e7ddf393d553121ef8abaf89a933a4bcb7a32a1df41ed0ff91"),
+        (SynthConfig(seed=3, height=128, width=128),
+         "8271a85373352dce61d9e650dad77019e282bb72e88537f0b6ee8b3b19d3344c"),
+    ], ids=["default", "128x128"])
+    def test_world_bytes_are_pinned(self, config, digest):
+        assert world_digest(gen_world(config)) == digest

@@ -3,8 +3,9 @@ used, every private function or class has a caller, every public one has
 a user outside the tests, README's library sketch imports only names that
 exist, one module owns the binary file format, the command line parses
 its flags before numpy loads, its training flags are the fields of
-``TrainConfig``, and every command of README's CLI walkthrough parses and
-reads only config files that an earlier line wrote."""
+``TrainConfig``, every command of README's CLI walkthrough parses and
+reads only config files and prediction grids that an earlier line wrote,
+and nothing in the package or its commands loads scipy."""
 
 from __future__ import annotations
 
@@ -115,6 +116,17 @@ def test_private_defs_have_callers():
     assert uncalled_private_defs(sources) == []
 
 
+def run_python(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports the package
+    from ``src/``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_cli_parses_without_numpy():
     # --threads sets the BLAS thread variables, which only take effect if
     # numpy has not been imported yet when main() reads the flag
@@ -125,12 +137,47 @@ def test_cli_parses_without_numpy():
         "urbanet.cli.build_parser().parse_args(['--threads', '2', 'split', '--grid', 'g'])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
+
+
+def imports_of(source: str, packages: tuple[str, ...]) -> list[tuple[int, str]]:
+    """(line, module) of each import of one of ``packages`` or a module
+    inside one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] in packages]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in packages:
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_package_imports_no_scipy(tmp_path):
+    # numpy is the one runtime dependency: loading scipy.ndimage alone
+    # raised a process's peak RSS by about 27 MB
+    sample = (
+        "import os, scipy\n"
+        "from scipy.ndimage import gaussian_filter\n"
+        "def f():\n"
+        "    import scipy.signal as sig\n"
+        "    from . import scipy_like\n"
+    )
+    assert imports_of(sample, ("scipy",)) == [
+        (1, "scipy"), (2, "scipy.ndimage"), (4, "scipy.signal")]
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in imports_of(path.read_text(), ("scipy",))]
+    assert found == []
+    code = (
+        "import sys\n"
+        "import urbanet.cli, urbanet.synth, urbanet.trainer, urbanet.evaluate\n"
+        f"argv = ['synth', '--out', {str(tmp_path / 'world.wgrd')!r}, '--height', '24',"
+        " '--width', '24']\n"
+        "assert urbanet.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert run_python(code) == "[]"
 
 
 def test_training_flags_are_the_config_fields():
@@ -170,19 +217,24 @@ def walkthrough_commands(readme: str) -> list[list[str]]:
             for words in walkthrough_lines(readme) if words[0] == "urbanet"]
 
 
-CONFIG_FLAGS = ("--config", "--phase1-config", "--phase2-config")
+# each flag that reads a file, and the word before the path that writes
+# it: a ``>`` redirection for a config file, ``--pred-out`` for the
+# predicted planes that ``report --scatter`` reads
+INPUT_FLAGS = {"--config": ">", "--phase1-config": ">", "--phase2-config": ">",
+               "--pred": "--pred-out"}
 
 
-def unwritten_configs(lines: list[list[str]]) -> list[str]:
-    """Each config file that a line reads through a config flag and no
-    earlier line writes through a ``>`` redirection."""
+def unwritten_inputs(lines: list[list[str]]) -> list[str]:
+    """Each file that a line reads through an input flag and no earlier
+    line writes through that flag's writer."""
     written, found = set(), []
     for words in lines:
-        for flag, path in zip(words, words[1:]):
-            if flag in CONFIG_FLAGS and path not in written:
+        pairs = list(zip(words, words[1:]))
+        for flag, path in pairs:
+            if flag in INPUT_FLAGS and (INPUT_FLAGS[flag], path) not in written:
                 found.append(f"{shlex.join(words)}: {flag} {path} is not written before")
-        if ">" in words[:-1]:
-            written.add(words[words.index(">") + 1])
+        written.update((word, path) for word, path in pairs
+                       if word in INPUT_FLAGS.values())
     return found
 
 
@@ -220,37 +272,39 @@ def test_readme_walkthrough_parses():
 
 
 def test_readme_walkthrough_writes_its_configs():
-    # a command that reads a config file the walkthrough never wrote stops
-    # a reader who runs it line by line
+    # a command that reads a config file or a prediction grid that the
+    # walkthrough never wrote stops a reader who runs it line by line
     sample = ("# Title\n\n## CLI walkthrough\n\n"
               "```bash\n"
               "urbanet train --print-config --max-epochs 2 > a.cfg\n"
               "urbanet multitask --phase1-config a.cfg --phase2-config b.cfg\n"
               "urbanet train --print-config --learning-rate 1e-4 > b.cfg\n"
               "urbanet train --config b.cfg\n"
+              "urbanet report r.csv --out f.csv --scatter s.svg --pred p.wgrd\n"
+              "urbanet eval --report r.csv --pred-out p.wgrd > p.cfg\n"
+              "urbanet report r.csv --out f.csv --scatter s.svg --pred p.wgrd\n"
+              "urbanet train --config p.wgrd\n"
               "```\n")
     lines = walkthrough_lines(sample)
     assert walkthrough_commands(sample)[0] == ["train", "--print-config", "--max-epochs", "2"]
-    assert unwritten_configs(lines) == [
+    assert unwritten_inputs(lines) == [
         "urbanet multitask --phase1-config a.cfg --phase2-config b.cfg: "
-        "--phase2-config b.cfg is not written before"]
+        "--phase2-config b.cfg is not written before",
+        "urbanet report r.csv --out f.csv --scatter s.svg --pred p.wgrd: "
+        "--pred p.wgrd is not written before",
+        "urbanet train --config p.wgrd: --config p.wgrd is not written before"]
     lines = walkthrough_lines((ROOT / "README.md").read_text())
-    assert any(set(words) & set(CONFIG_FLAGS) for words in lines)
-    assert unwritten_configs(lines) == []
+    read = {word for words in lines for word in words if word in INPUT_FLAGS}
+    assert {"--phase1-config", "--phase2-config", "--pred"} <= read
+    assert unwritten_inputs(lines) == []
 
 
 def binary_format_uses(source: str) -> list[tuple[int, str]]:
     """(line, name) of each import of ``struct`` or ``zlib`` and each
     ``frombuffer`` or ``tobytes`` attribute in ``source``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, a.name) for a in node.names
-                      if a.name.split(".")[0] in ("struct", "zlib")]
-        elif isinstance(node, ast.ImportFrom) and node.module in ("struct", "zlib"):
-            found.append((node.lineno, node.module))
-        elif isinstance(node, ast.Attribute) and node.attr in ("frombuffer", "tobytes"):
-            found.append((node.lineno, node.attr))
+    found = imports_of(source, ("struct", "zlib"))
+    found += [(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Attribute) and node.attr in ("frombuffer", "tobytes")]
     return sorted(found)
 
 
