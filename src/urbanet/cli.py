@@ -27,8 +27,8 @@ _HEAD_FOR_TARGET = {"delta_urban": "urban", "delta_population": "pop"}
 # value goes, as a string, through the config-file parser.  They are
 # written out here because the parser is built before numpy, which
 # trainer imports, may load (--threads must reach the environment first).
-_TRAIN_OPTIONS = ("batch_size", "learning_rate", "optimizer", "momentum", "max_epochs",
-                  "patience", "min_delta", "seed", "shuffle", "samples_per_epoch")
+_TRAIN_OPTIONS = ("batch_size", "learning_rate", "max_epochs", "patience", "min_delta",
+                  "seed", "samples_per_epoch")
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -382,12 +382,9 @@ def _cmd_report(args) -> int:
     _log(f"wrote {args.out} ({len(merged.rows)} model rows + baseline)")
     if args.scatter:
         covered = (np.asarray(world.mask) == 1) & (pred_grid.channels["coverage"] > 0)
-        export_scatter(
-            pred_grid.channels[name], world.channels[args.target], covered,
-            args.scatter_csv or str(args.scatter) + ".csv",
-            svg_path=args.scatter, target_name=args.target,
-        )
-        _log(f"wrote {args.scatter}")
+        export_scatter(pred_grid.channels[name], world.channels[args.target], covered,
+                       args.scatter, target_name=args.target)
+        _log(f"wrote {args.scatter} and {args.scatter}.csv")
     return 0
 
 
@@ -398,6 +395,8 @@ def _cmd_gradcheck(args) -> int:
     # zero seeds would check nothing and report success
     if args.seeds < 1:
         raise _UsageError("--seeds must be >= 1")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     if args.tile_size < 1:
         raise _UsageError("--tile-size must be >= 1")
     if not args.tolerance > 0:
@@ -476,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="merge metrics CSVs into the final report")
     p.add_argument("inputs", nargs="+", help="metrics CSVs from eval runs")
     p.add_argument("--out", required=True)
-    p.add_argument("--scatter", help="write an observed-vs-predicted SVG here")
-    p.add_argument("--scatter-csv", help="pair CSV path (default: <svg>.csv)")
+    p.add_argument("--scatter",
+                   help="write an observed-vs-predicted SVG here, and its pairs to <svg>.csv")
     p.add_argument("--pred", help="WGRD of predicted planes from eval --pred-out")
     p.add_argument("--grid", help="world WGRD with observed targets")
     p.add_argument("--target", choices=tuple(_HEAD_FOR_TARGET),

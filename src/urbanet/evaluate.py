@@ -376,23 +376,21 @@ def export_scatter(
     pred: np.ndarray,
     truth: np.ndarray,
     stratum_mask: np.ndarray,
-    path,
+    svg_path,
     *,
-    svg_path=None,
-    target_name: str = "delta_urban",
+    target_name: str,
 ) -> None:
-    """observed,predicted CSV (one land cell per row) plus an SVG plot."""
+    """An observed-vs-predicted SVG plot at ``svg_path``, and its
+    observed,predicted CSV (one land cell per row) at ``<svg_path>.csv``."""
     sel = np.asarray(stratum_mask, bool)
     obs = np.asarray(truth, np.float64)[sel]
     est = np.asarray(pred, np.float64)[sel]
-    path = Path(path)
-    with atomic_write(path, newline="") as fh:
+    with atomic_write(f"{svg_path}.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["observed", "predicted"])
         for o, p in zip(obs, est):
             writer.writerow([repr(float(o)), repr(float(p))])
-    svg = Path(svg_path) if svg_path is not None else path.with_suffix(".svg")
-    with atomic_write(svg) as fh:
+    with atomic_write(svg_path) as fh:
         fh.write(_scatter_svg(obs, est, target_name))
 
 

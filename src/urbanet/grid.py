@@ -59,16 +59,6 @@ class WorldGrid:
     def width(self) -> int:
         return int(self.mask.shape[1])
 
-    def stacked(self, names: Iterable[str] | None = None) -> np.ndarray:
-        """Stack channels into an (H, W, C) array in the given (or directory) order."""
-        picked = list(self.channels) if names is None else list(names)
-        for name in picked:
-            if name not in self.channels:
-                raise DataError(f"unknown channel {name!r}")
-        if not picked:  # e.g. evaluation tiles carry no target planes
-            return np.empty((self.height, self.width, 0))
-        return np.stack([self.channels[n] for n in picked], axis=-1)
-
 
 @dataclass(frozen=True)
 class NormStats:

@@ -76,6 +76,8 @@ class SynthConfig:
     noise_std: float = 0.01
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy would refuse it only once generation starts
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.height < 4 or self.width < 4:
             raise ConfigError(f"grid too small: {self.height}x{self.width}")
         if not 0.0 < self.land_fraction <= 1.0:
@@ -206,7 +208,10 @@ def masked_box_mean(plane: np.ndarray, land: np.ndarray, size: int) -> np.ndarra
 
     Pixels outside the grid contribute nothing; water neighbors are
     excluded from both numerator and denominator.  Water output is 0.
+    ``size`` must be odd, so that the window has a centre pixel.
     """
+    if size < 1 or size % 2 == 0:
+        raise ConfigError(f"box size must be odd and >= 1, got {size}")
     landf = land.astype(np.float64)
     vp = np.pad(plane * landf, size // 2)
     num = sliding_window_view(vp, (size, size)).sum(axis=(-2, -1))

@@ -51,6 +51,17 @@ class WindowSpec:
         return self.size // 2
 
 
+def _pixel_table(grid: WorldGrid, names: tuple[str, ...], dtype) -> np.ndarray:
+    """The planes ``names`` of ``grid`` as one (H, W, C) ``dtype`` table,
+    written plane by plane; C may be 0 (evaluation tiles carry no targets)."""
+    table = np.empty((grid.height, grid.width, len(names)), dtype)
+    for c, name in enumerate(names):
+        if name not in grid.channels:
+            raise DataError(f"unknown channel {name!r}")
+        table[:, :, c] = grid.channels[name]
+    return table
+
+
 class TileDataset:
     """Deterministic random-access tile set, one tile per land pixel.
 
@@ -117,8 +128,8 @@ class TileDataset:
                 )
 
         h, w = grid.height, grid.width
-        self._inputs = grid.stacked(self.input_names).astype(np.float32).reshape(h * w, -1)
-        self._targets = grid.stacked(self.target_names).reshape(h * w, -1)
+        self._inputs = _pixel_table(grid, self.input_names, np.float32).reshape(h * w, -1)
+        self._targets = _pixel_table(grid, self.target_names, np.float64).reshape(h * w, -1)
         self._mask = np.asarray(grid.mask, np.uint8).reshape(h * w)
         self._top_left = (self._centers_p - off) @ np.array([w, 1])
         self.offsets = np.arange(s)[:, None] * w + np.arange(s)

@@ -37,8 +37,6 @@ from .unet import (
     validate_params,
 )
 
-OPTIMIZERS = ("adam", "sgd")
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -48,13 +46,10 @@ ADAM_EPS = 1e-8
 class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    momentum: float = 0.9  # sgd only
     max_epochs: int = 100
     patience: int = 10
     min_delta: float = 1e-7
     seed: int = 0
-    shuffle: bool = True
     # None: one full pass over the stream per epoch.  Set to the base tile
     # count when passing a 6x augmented stream (see module docstring).
     samples_per_epoch: int | None = None
@@ -67,16 +62,14 @@ class TrainConfig:
             raise ConfigError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}"
             )
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if not 0 <= self.min_delta < math.inf:
             raise ConfigError(f"min_delta must be finite and >= 0, got {self.min_delta}")
+        if self.seed < 0:  # numpy would refuse it only once the streams are built
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_epoch is not None and self.samples_per_epoch < 1:
             raise ConfigError("samples_per_epoch must be >= 1 when set")
 
@@ -128,7 +121,7 @@ class Subset:
 
 
 # ---------------------------------------------------------------------------
-# optimizers (state keyed by parameter name; update order is fixed)
+# Adam (state keyed by parameter name; update order is fixed)
 
 class _Adam:
     def __init__(self, lr: float):
@@ -151,28 +144,6 @@ class _Adam:
             m += (1.0 - ADAM_BETA1) * (g - m)
             v += (1.0 - ADAM_BETA2) * (g * g - v)
             p -= (self.lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
-
-
-class _SGD:
-    def __init__(self, lr: float, momentum: float):
-        self.lr = lr
-        self.momentum = momentum
-        self.vel: dict[str, np.ndarray] = {}
-
-    def step(self, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name in sorted(grads):
-            g = grads[name]
-            p = arrays[name]
-            v = self.vel.setdefault(name, np.zeros_like(p))
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
-
-
-def _make_optimizer(config: TrainConfig):
-    if config.optimizer == "adam":
-        return _Adam(config.learning_rate)
-    return _SGD(config.learning_rate, config.momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +200,7 @@ def train(
         None if channel_weights is None
         else np.asarray(list(channel_weights), np.float64)
     )
-    opt = _make_optimizer(config)
+    opt = _Adam(config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n_stream = len(train_tiles)
     spe = n_stream if config.samples_per_epoch is None else config.samples_per_epoch
@@ -244,8 +215,7 @@ def train(
         t0 = time.perf_counter()
         ks = (cursor + np.arange(spe)) % n_stream
         cursor = (cursor + spe) % n_stream
-        if config.shuffle:
-            rng.shuffle(ks)
+        rng.shuffle(ks)
         total, count = 0.0, 0
         for b0 in range(0, spe, config.batch_size):
             idx = ks[b0 : b0 + config.batch_size]
@@ -423,8 +393,6 @@ def format_config(config: TrainConfig) -> str:
         value = getattr(config, name)
         if value is None:
             text = "none"
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         else:
             text = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"{name}={text}")
@@ -457,10 +425,6 @@ def config_from_pairs(pairs: Iterable[tuple[str, str]], base: TrainConfig | None
         kinds = _CONFIG_FIELDS[key]
         if type(None) in kinds and value.lower() == "none":
             parsed = None
-        elif kinds[0] is bool:
-            if value.lower() not in ("true", "false"):
-                raise ConfigError(f"{key} must be true or false, got {value!r}")
-            parsed = value.lower() == "true"
         else:
             try:
                 parsed = kinds[0](value)

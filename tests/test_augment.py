@@ -46,14 +46,19 @@ def transform_tile(plane, t):
     return np.moveaxis(transform_plane(np.moveaxis(plane, -1, 0), t), 0, -1)
 
 
+def stacked(grid, names):
+    """The planes ``names`` of ``grid`` stacked channel-last, in float64."""
+    return np.stack([grid.channels[name] for name in names], axis=-1)
+
+
 def oracle(base, i, t):
     """Base tile ``i`` under ``t``: a direct slice of the stacked planes,
     with the inputs cast to the float32 the tiler stores them in."""
     s = base.window.size
     tr, tc = base.centers_padded[i] - base.window.center_offset
     window = np.s_[tr : tr + s, tc : tc + s]
-    planes = (base.grid.stacked(base.input_names)[window].astype(np.float32),
-              base.grid.stacked(base.target_names)[window],
+    planes = (stacked(base.grid, base.input_names)[window].astype(np.float32),
+              stacked(base.grid, base.target_names)[window],
               np.asarray(base.grid.mask)[window])
     return tuple(transform_tile(p, t) for p in planes)
 

@@ -128,7 +128,8 @@ class TestSynth:
         assert rc == 1
 
     @pytest.mark.parametrize("flag, value", [
-        ("--noise-std", "nan"), ("--noise-std", "inf"), ("--regions", "70000")])
+        ("--noise-std", "nan"), ("--noise-std", "inf"), ("--regions", "70000"),
+        ("--seed", "-1")])
     def test_unbuildable_config_exits_1_before_work(self, tmp_path, capsys, monkeypatch,
                                                     flag, value):
         def no_work(*args, **kwargs):
@@ -195,7 +196,7 @@ class TestTrain:
         assert main(["train", "--print-config"]) == 0
         out = capsys.readouterr().out
         assert "batch_size=64" in out
-        assert "optimizer=adam" in out
+        assert "samples_per_epoch=none" in out
 
     def test_grid_required_without_print_config(self, capsys):
         # --print-config reads no grid; anything else still needs --grid
@@ -208,24 +209,34 @@ class TestTrain:
         cfg = tmp_path / "t.cfg"
         cfg.write_text("max_epochs=7\nsamples_per_epoch=50\n")
         assert main(["train", "--config", str(cfg),
-                     "--batch-size", "16", "--learning-rate", "5e-4", "--optimizer", "sgd",
-                     "--momentum", "0.5", "--shuffle", "false", "--samples-per-epoch", "none",
+                     "--batch-size", "16", "--learning-rate", "5e-4", "--patience", "3",
+                     "--min-delta", "0.25", "--seed", "2", "--samples-per-epoch", "none",
                      "--print-config"]) == 0
         assert capsys.readouterr().out == (
-            "batch_size=16\nlearning_rate=0.0005\noptimizer=sgd\nmomentum=0.5\n"
-            "max_epochs=7\npatience=10\nmin_delta=1e-07\nseed=0\nshuffle=false\n"
-            "samples_per_epoch=none\n")
+            "batch_size=16\nlearning_rate=0.0005\nmax_epochs=7\npatience=3\n"
+            "min_delta=0.25\nseed=2\nsamples_per_epoch=none\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--batch-size", "x", "error: bad value for batch_size: 'x'"),
         ("--seed", "1.5", "error: bad value for seed: '1.5'"),
-        ("--optimizer", "rmsprop", "error: optimizer must be one of ('adam', 'sgd')"),
-        ("--shuffle", "maybe", "error: shuffle must be true or false, got 'maybe'"),
+        ("--seed", "-1", "error: seed must be >= 0, got -1"),
     ])
     def test_bad_flag_value_exits_1(self, capsys, flag, value, message):
         assert main(["train", flag, value, "--print-config"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+    @pytest.mark.parametrize("line", ["optimizer=adam", "momentum=0.9", "shuffle=true"])
+    def test_removed_option_in_config_exits_1(self, tmp_path, capsys, line):
+        # training is always Adam and always shuffled: a file that still sets
+        # either is refused, not read as if it had been obeyed
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"batch_size=64\n{line}\n")
+        assert main(["train", "--config", str(cfg), "--print-config"]) == 1
+        out, err = capsys.readouterr()
+        key = line.split("=")[0]
+        assert out == ""
+        assert f"error: {cfg}, line 2: unknown training option {key!r}" in err
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
@@ -456,7 +467,8 @@ class TestEvalReport:
               "--report", str(tmp_path / "r.csv")])
         assert hashlib.sha256(world_file.read_bytes()).hexdigest() == before
 
-    def test_report_merges_and_prepends_baseline(self, world_file, run_dir, tmp_path):
+    def test_report_merges_and_prepends_baseline(self, world_file, run_dir, tmp_path,
+                                                 capsys):
         rows = tmp_path / "rows.csv"
         main(["eval", "--grid", str(world_file), "--window", "16",
               "--pad", "8", "--test-regions", "R03",
@@ -475,6 +487,14 @@ class TestEvalReport:
         assert text.index("SELECT") < text.index("U-Net (sz16)")
         assert svg.exists() and "<svg" in svg.read_text()
         assert (tmp_path / "scatter.svg.csv").exists()
+        assert f"wrote {svg} and {svg}.csv" in capsys.readouterr().err
+
+    def test_report_scatter_csv_flag_is_gone(self, tmp_path, capsys):
+        # the pairs always go beside the SVG, at <svg>.csv
+        assert main(["report", "rows.csv", "--out", str(tmp_path / "f.csv"),
+                     "--scatter-csv", "x"]) == 1
+        assert "unrecognized arguments: --scatter-csv x" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_duplicate_rows_exit_2(self, world_file, run_dir, tmp_path):
         rows = tmp_path / "rows.csv"
@@ -584,8 +604,9 @@ class TestMultitask:
     @pytest.mark.parametrize("phase2, message, line", [
         ("max_epochs=1\nwarmup=5\n", "unknown training option 'warmup'", 2),
         ("# tuned\nlearning_rate=inf\n", "learning_rate must be finite", 2),
+        ("max_epochs=1\nseed=-1\n", "seed must be >= 0", 2),
         ("max_epochs=1\nlearning_rate=0.001\n", "fine-tuning rate must be smaller", None),
-    ], ids=["unknown-key", "non-finite-rate", "schedule-violation"])
+    ], ids=["unknown-key", "non-finite-rate", "negative-seed", "schedule-violation"])
     def test_bad_phase_config_fails_before_work(self, world_file, run_dir, tmp_path,
                                                 monkeypatch, capsys, phase2, message, line):
         def no_work(*args, **kwargs):
@@ -718,6 +739,7 @@ class TestGradcheck:
         (["--base-features", "0"], "base_features"),
         (["--depth", "4", "--tile-size", "8"], "--tile-size is 8"),
         (["--depth", "9"], "--tile-size is 8"),
+        (["--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_rejects_arguments_that_check_nothing(self, monkeypatch, capsys, flags, message):
         # refused before any gradient is checked: zero seeds used to print

@@ -489,9 +489,10 @@ class TestScatter:
         truth = rng.normal(size=(8, 8))
         pred = truth + rng.normal(0, 0.1, size=(8, 8))
         sel = rng.random((8, 8)) < 0.7
-        export_scatter(pred, truth, sel, tmp_path / "scatter.csv",
+        export_scatter(pred, truth, sel, tmp_path / "scatter.svg",
                        target_name="delta_urban")
-        lines = (tmp_path / "scatter.csv").read_text().strip().split("\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scatter.svg", "scatter.svg.csv"]
+        lines = (tmp_path / "scatter.svg.csv").read_text().strip().split("\n")
         assert lines[0] == "observed,predicted"
         assert len(lines) == 1 + sel.sum()
         svg = (tmp_path / "scatter.svg").read_text()

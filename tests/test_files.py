@@ -38,7 +38,8 @@ def history_of(n):
 
 def scatter(path, n):
     values = np.linspace(0.0, 1.0, 4 * n).reshape(2 * n, 2)
-    export_scatter(values, values[::-1], np.ones_like(values, bool), path)
+    export_scatter(values, values[::-1], np.ones_like(values, bool), path,
+                   target_name="delta_urban")
 
 
 # name -> (file name, write an old version, write a new one)
@@ -55,7 +56,7 @@ WRITERS = {
                lambda p: save_config(TrainConfig(batch_size=8), p)),
     "history": ("h.csv", lambda p: save_history(history_of(1), p),
                 lambda p: save_history(history_of(4), p)),
-    "scatter": ("s.csv", lambda p: scatter(p, 2), lambda p: scatter(p, 5)),
+    "scatter": ("s.svg", lambda p: scatter(p, 2), lambda p: scatter(p, 5)),
 }
 
 

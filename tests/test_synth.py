@@ -100,6 +100,7 @@ class TestConfig:
             dict(noise_std=float("nan")),  # would silently add no noise
             dict(noise_std=float("inf")),
             dict(n_regions=0x10000),  # region codes are 16-bit
+            dict(seed=-1),  # numpy's generators refuse it, but only mid-run
         ],
     )
     def test_invalid(self, kwargs):
@@ -214,6 +215,13 @@ class TestTargets:
             got = masked_box_mean(plane, land, size)
             want = box_mean_loop(plane, land, size)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [4, 0, -1])
+    def test_box_mean_refuses_uncentred_sizes(self, size):
+        # an even window has no centre pixel, and numpy's own errors for
+        # these sizes (a broadcast, a negative pad) do not name the size
+        with pytest.raises(ConfigError, match=f"odd and >= 1, got {size}"):
+            masked_box_mean(np.ones((8, 8)), np.ones((8, 8), bool), size)
 
     def test_noise_free_targets_match_formula_oracle(self):
         cfg = SynthConfig(seed=11, height=20, width=20, land_fraction=0.7,

@@ -41,14 +41,19 @@ def index_of(ds, center):
     return centers(ds).index(center)
 
 
+def stacked(grid, names):
+    """The planes ``names`` of ``grid`` stacked channel-last, in float64."""
+    return np.stack([grid.channels[name] for name in names], axis=-1)
+
+
 def oracle_tile(ds, i):
     """Tile ``i`` sliced straight from the stacked planes, channel-last,
     with the inputs cast to the float32 the tiler stores them in."""
     s = ds.window.size
     tr, tc = ds.centers_padded[i] - ds.window.center_offset
     window = np.s_[tr : tr + s, tc : tc + s]
-    return (ds.grid.stacked(ds.input_names)[window].astype(np.float32),
-            ds.grid.stacked(ds.target_names)[window],
+    return (stacked(ds.grid, ds.input_names)[window].astype(np.float32),
+            stacked(ds.grid, ds.target_names)[window],
             np.asarray(ds.grid.mask)[window])
 
 
@@ -203,6 +208,22 @@ class TestSampleAll:
         world = make_world(np.ones((2, 2), np.uint8))
         with pytest.raises(DataError, match="split_filter"):
             dataset(world, size=2, pad=2, split_filter="validation")
+
+    @pytest.mark.parametrize("field", ["input_names", "target_names"])
+    def test_unknown_channel(self, field):
+        world = pad_grid(make_world(np.ones((3, 3), np.uint8)), 2)
+        names = {"input_names": ["in0"], "target_names": ["target"], field: ["nope"]}
+        with pytest.raises(DataError, match="unknown channel 'nope'"):
+            TileDataset(world, WindowSpec(2), pad=2, **names)
+
+    def test_no_target_planes(self):
+        # evaluation tiles carry inputs only
+        world = pad_grid(make_world(np.ones((3, 3), np.uint8)), 2)
+        ds = TileDataset(world, WindowSpec(2), pad=2, input_names=["in0", "in1"],
+                         target_names=[])
+        x, y, m = ds.batch(np.arange(len(ds)))
+        assert x.shape == (9, 2, 2, 2) and y.shape == (9, 2, 2, 0) and m.shape == (9, 2, 2)
+        assert x.dtype == np.float32 and y.dtype == np.float64
 
 
 class TestCoverage:

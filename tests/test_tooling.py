@@ -3,9 +3,10 @@ used, every private function or class has a caller, every public one has
 a user outside the tests, README's library sketch imports only names that
 exist, one module owns the binary file format, the command line parses
 its flags before numpy loads, its training flags are the fields of
-``TrainConfig``, every command of README's CLI walkthrough parses and
-reads only config files and prediction grids that an earlier line wrote,
-and nothing in the package or its commands loads scipy."""
+``TrainConfig``, README names every other flag, every command of
+README's CLI walkthrough parses and reads only config files and
+prediction grids that an earlier line wrote, and nothing in the package
+or its commands loads scipy."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import ast
 import dataclasses
 import importlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -197,6 +199,42 @@ def test_training_flags_are_the_config_fields():
     typed = [(command, a.dest) for command, actions in flags.items() for a in actions
              if a.type is not None or a.choices is not None]
     assert typed == []
+
+
+def undocumented_flags(parser: argparse.ArgumentParser, readme: str,
+                       fields: tuple[str, ...]) -> list[str]:
+    """``urbanet [command] flag`` for each optional flag of ``parser`` or of
+    one of its subcommands that ``readme`` never names as that exact token
+    (``--out-dir`` does not name ``--out``) and that is not the flag of a
+    training option in ``fields``."""
+    named = set(re.findall(r"--[A-Za-z0-9][A-Za-z0-9-]*", readme))
+    named |= {"--" + field.replace("_", "-") for field in fields}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {"urbanet": parser, **{f"urbanet {name}": p for name, p in sub.choices.items()}}
+    return [f"{command} {flag}"
+            for command, p in commands.items()
+            for action in p._actions if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings if flag not in named]
+
+
+def test_every_flag_is_documented():
+    # a flag that README never names has no user who could know of it:
+    # document it, or delete it
+    from urbanet import cli
+
+    sample = cli._Parser(prog="urbanet")
+    sample.add_argument("--threads")
+    sub = sample.add_subparsers(parser_class=cli._Parser)
+    p = sub.add_parser("run")
+    p.add_argument("--out")
+    p.add_argument("--out-dir")
+    p.add_argument("--max-epochs")
+    p.add_argument("--hidden")
+    readme = "Use `--threads`, and --out-dir, or --hidden-flag.\n"
+    assert undocumented_flags(sample, readme, ("max_epochs",)) == [
+        "urbanet run --out", "urbanet run --hidden"]
+    assert undocumented_flags(cli.build_parser(), (ROOT / "README.md").read_text(),
+                              cli._TRAIN_OPTIONS) == []
 
 
 def walkthrough_lines(readme: str) -> list[list[str]]:
