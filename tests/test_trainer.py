@@ -96,6 +96,7 @@ class TestConfig:
             dict(learning_rate=math.inf),
             dict(min_delta=math.nan),
             dict(min_delta=math.inf),
+            dict(min_delta=-math.inf),
         ],
     )
     def test_invalid(self, kwargs):
