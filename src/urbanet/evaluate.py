@@ -7,10 +7,11 @@ count: mean of the two central values).  Medians are selected from the
 values in the prediction dtype and the central pair is averaged in
 float64.  Tiles arrive in row-major centre order, so a pixel row is
 final once the tiles have moved below it: its medians are taken then and
-its buffer reused, which bounds the aggregation memory by width * S^2
-whatever the height of the world.  Metrics are computed over two strata
-of land cells and exported as CSV rows alongside the published baseline
-numbers, which are bundled as data and never recomputed.
+its values dropped.  The buffer holds only values that an open row still
+needs, S(S+1)/2 * (width + S - 1) * S per head, whatever the height of the
+world.  Metrics are computed over two strata of land cells and exported as
+CSV rows alongside the published baseline numbers, which are bundled as
+data and never recomputed.
 """
 
 from __future__ import annotations
@@ -113,17 +114,20 @@ def predict_world(
     one plane per model head, keyed by the head's name.
 
     ``grid`` is the padded world; the returned planes are cropped back to
-    unpadded coordinates.  Only unaugmented tiles are evaluated — every
-    land pixel matching ``split_filter`` contributes exactly one tile.
-    A non-finite prediction raises ``NumericError``.
+    unpadded coordinates; land within the ``pad``-pixel border raises
+    ``ShapeError``.  Only unaugmented tiles are evaluated — every land
+    pixel matching ``split_filter`` contributes exactly one tile.  A
+    non-finite prediction raises ``NumericError``.
 
     Tiles run through the network ``batch_size`` at a time.  None sizes the
     micro-batches by bytes: as many tiles as keep the forward's arrays
     within ``unet._PREDICT_BYTES`` for this spec and window
     (``unet._predict_tiles``; 60 desk tiles at S = 28, 10 ``full_scale``
-    ones).  BLAS picks its kernel by matrix size, so the planes depend on
-    the partition at float32 epsilon, within the convolution bound of
-    README's numeric policy; a fixed partition gives fixed bytes.
+    ones).  That count includes the gathered input tiles, which the forward
+    frees after its first convolution, so it is conservative.  BLAS picks
+    its kernel by matrix size, so the planes depend on the partition at
+    float32 epsilon, within the convolution bound of README's numeric
+    policy; a fixed partition gives fixed bytes.
     """
     input_names = tuple(input_names)
     spec = params.spec
@@ -147,36 +151,46 @@ def predict_world(
     if batch_size is None:
         batch_size = _predict_tiles(spec, s, params.dtype.itemsize)
     hp, wp = grid.height, grid.width
+    w = wp - 2 * pad
+    inner = ds.centers_padded - pad
+    if inner.min() < 0 or (inner.max(axis=0) >= (hp - 2 * pad, w)).any():
+        raise ShapeError(f"grid has land within its {pad}-pixel padding")
     tls = ds.centers_padded - np.asarray(window.center_offset)  # row-major
     ar = np.arange(s)
     land = np.asarray(grid.mask)[:, pad : wp - pad] == 1
 
-    # Tile (tr, tc) stores its value for pixel (q, c) in slot
-    # (q - tr) * S + (c - tc) of row q.  Top rows never decrease, so before
-    # the tiles with top row t are stored every row above t is final, and
-    # the open rows fit a ring of S rows indexed by q % S.
-    ring = np.full((s, len(spec.heads), wp, s * s), np.nan, params.dtype)
-    slot = ar[:, None] * s + ar[None, :]
-    planes = np.zeros((len(spec.heads), hp - 2 * pad, wp - 2 * pad))
-    count = np.zeros((hp - 2 * pad, wp - 2 * pad), np.int64)
+    # Tile (tr, tc) gives pixel (tr + dr, c) its value in slot dr * S + dc,
+    # dc = c - tc.  Top rows never decrease, so before the tiles with top row
+    # t are stored every row above t is final.  Slice (t, dr), what tile row
+    # t gives pixel row t + dr, is live from then until row t + dr closes, so
+    # the live slices of one dr belong to at most dr + 1 consecutive tile
+    # rows, distinct mod dr + 1: slice (t, dr) is pool index
+    # dr(dr+1)/2 + t % (dr+1).  Tiles reach W + S - 1 columns, pixel column c
+    # at pool column c - (pad - S//2).  With the axes (heads, column, slice,
+    # dc), a closed row's slices gather as its (heads, W, S * S) slot rows.
+    pool = np.full((len(spec.heads), w + s - 1, s * (s + 1) // 2, s), np.nan,
+                   params.dtype)
+    first = ar * (ar + 1) // 2  # pool index of slice (0, dr)
+    planes = np.zeros((len(spec.heads), hp - 2 * pad, w))
+    count = np.zeros((hp - 2 * pad, w), np.int64)
     first_open = 0   # rows above it are final
     end_written = 0  # rows from it on hold no value yet
 
     def close_rows(stop: int) -> None:
         nonlocal first_open
         for q in range(first_open, min(stop, end_written)):
-            row = ring[q % s]
+            live = first + (q - ar) % (ar + 1)  # slices (q - dr, dr)
             if pad <= q < hp - pad:
-                med, cnt = _slot_medians(row[:, pad : wp - pad])
+                row = pool[:, s // 2 : s // 2 + w, live]  # (heads, W, dr, dc)
+                med, cnt = _slot_medians(row.reshape(len(spec.heads), w, s * s))
                 planes[:, q - pad] = med * land[q]
                 count[q - pad] = cnt * land[q]
-            row.fill(np.nan)
+            pool[:, :, live] = np.nan
         first_open = stop
 
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
-        x, _, _ = ds.batch(idx)
-        y, _ = _forward(params, x)  # (B,S,S,C)
+        y, _ = _forward(params, ds.batch(idx)[0])  # (B,S,S,C); _forward frees the tiles
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite prediction in batch {start // batch_size} "
                                f"(tiles {start}..{idx[-1]})")
@@ -184,9 +198,9 @@ def predict_world(
         for g in np.split(np.arange(len(idx)), np.flatnonzero(np.diff(tr)) + 1):
             top = int(tr[g[0]])
             close_rows(top)
-            rows = ((top + ar) % s)[None, :, None]
-            cols = tc[g, None, None] + ar[None, None, :]
-            ring[rows, :, cols, slot] = y[g]
+            slices = (first + top % (ar + 1))[None, :, None]
+            cols = tc[g, None, None] - (pad - s // 2) + ar[None, None, :]
+            pool[:, cols, slices, ar] = y[g].transpose(3, 0, 1, 2)
             end_written = top + s
     close_rows(hp)
 

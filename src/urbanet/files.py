@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import secrets
 import struct
 import zlib
 from contextlib import contextmanager
@@ -43,7 +42,7 @@ def atomic_write(path, mode: str = "w", **open_args):
     a killed process, not a power loss.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, mode.replace("w", "x"), **open_args) as fh:
             yield fh

@@ -266,6 +266,36 @@ class TestPredictWorld:
         for name in ("urban", "pop"):
             assert got.planes[name].tobytes() == want_planes[name].tobytes()
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 7])
+    @pytest.mark.parametrize("size,pad", [(5, 4), (4, 2), (6, 3), (6, 5)])
+    def test_pool_offsets_match_global_sort(self, monkeypatch, size, pad, batch_size):
+        # a pad wider than S//2 moves the pool's first column off the grid's
+        # (the column offset pad - S//2), an even S has its centre off the
+        # middle, tile rows split across micro-batches, and water bands skip
+        # rows, so slices of several tile rows share one dr at once
+        world = banded_world(26, 17, bands=[(3, 9), (13, 14), (18, 20)], seed=size)
+        win = WindowSpec(size)
+        padded = pad_grid(world, pad)
+        spec = UNetSpec(input_channels=9, base_features=4, depth=1,
+                        heads=("urban", "pop"))
+        params = init_params(spec, seed=0)
+        monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
+        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
+                            batch_size=batch_size)
+        want_planes, want_count = global_sort_reference(params, padded, win, pad=pad)
+        assert np.array_equal(got.count, want_count)
+        for name in ("urban", "pop"):
+            assert got.planes[name].tobytes() == want_planes[name].tobytes()
+
+    def test_land_in_the_padding_raises(self):
+        world = gen_world(SynthConfig(seed=1, height=16, width=16, land_fraction=1.0,
+                                      n_regions=4))
+        params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
+        padded = pad_grid(world, 3)
+        with pytest.raises(ShapeError, match="padding"):
+            predict_world(params, padded, WindowSpec(4), pad=4,
+                          input_names=INPUT_CHANNELS)
+
     def test_byte_rule_within_float32_bound_of_single_tiles(self):
         # micro-batches change the GEMM shapes, so BLAS may round otherwise:
         # the planes stay within README's convolution bound, 6e-7 of the
@@ -313,6 +343,27 @@ class TestPredictWorld:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
+
+    def test_median_pool_holds_about_half_a_ring(self, monkeypatch):
+        # the pool keeps S(S+1)/2 slices of W + S - 1 columns, (S + 1)/2S of
+        # a ring of S rows with S^2 slots per pixel (S * Wp * S^2 values per
+        # head).  A wide, short world makes the pool the largest array; the
+        # closing row's gathered and sorted copies add 2/S of the ring
+        monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
+        win = WindowSpec(28)
+        params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
+        world = gen_world(SynthConfig(seed=3, height=6, width=200, land_fraction=0.8,
+                                      n_regions=4))
+        padded = pad_grid(world, win.max_reach)
+        ring = win.size * len(params.spec.heads) * padded.width * win.size ** 2 * 4
+        tracemalloc.start()
+        try:
+            predict_world(params, padded, win, pad=win.max_reach,
+                          input_names=INPUT_CHANNELS, batch_size=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7 * ring, (peak, ring)
 
 
 class TestResidualMetrics:

@@ -5,8 +5,8 @@ exist, one module owns the binary file format, the command line parses
 its flags before numpy loads, its training flags are the fields of
 ``TrainConfig``, README names every other flag, every command of
 README's CLI walkthrough parses and reads only config files and
-prediction grids that an earlier line wrote, and nothing in the package
-or its commands loads scipy."""
+prediction grids that an earlier line wrote, nothing in the package or
+its commands loads scipy, and ``eval`` loads no OpenSSL."""
 
 from __future__ import annotations
 
@@ -180,6 +180,30 @@ def test_package_imports_no_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert run_python(code) == "[]"
+
+
+def test_eval_loads_no_openssl(tmp_path):
+    # hashlib's _hashlib loads libcrypto, about 3.6 MB of RSS, and secrets
+    # imports hashlib.  The world is written here, since gen_world loads
+    # numpy.random, which imports secrets
+    from urbanet.grid import save_grid
+    from urbanet.synth import SynthConfig, gen_world
+    from urbanet.unet import UNetSpec, init_params, save_params
+
+    save_grid(gen_world(SynthConfig(seed=0, height=20, width=20)), tmp_path / "w.wgrd")
+    save_params(init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0),
+                tmp_path / "m.unpk")
+    argv = ["eval", "--grid", str(tmp_path / "w.wgrd"), "--checkpoint",
+            str(tmp_path / "m.unpk"), "--window", "16", "--pad", "8", "--split", "all",
+            "--test-regions", "R01", "--report", str(tmp_path / "r.csv")]
+    code = (
+        "import sys\n"
+        "from urbanet.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in ('_hashlib', 'hashlib', 'secrets') if m in sys.modules))\n"
+    )
+    assert run_python(code) == "[]"
+    assert (tmp_path / "r.csv").exists()
 
 
 def test_training_flags_are_the_config_fields():
