@@ -300,10 +300,7 @@ def _cmd_eval(args) -> int:
         args.grid, args.test_regions, args.pad,
         (TARGET_URBAN, *(target for target, _ in targets.values())))
     pad = args.pad
-    scope_mask = {
-        "train": split.train_mask, "test": split.test_mask,
-        "all": np.asarray(norm.mask),
-    }[args.split][pad : norm.height - pad, pad : norm.width - pad].astype(bool)
+    scope_mask = split.select(args.split)[pad : norm.height - pad, pad : norm.width - pad]
     builtup = world.channels["urban_2000"] + world.channels[TARGET_URBAN]
     strata = stratify(world.mask, builtup, select=scope_mask)
 
@@ -467,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="predict a split and append metrics rows")
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
+    # SplitAssignment.SCOPES, spelled out: grid.py imports numpy
     p.add_argument("--split", choices=("train", "test", "all"), default="test")
     p.add_argument("--report", required=True, help="metrics CSV to append to")
     p.add_argument("--pred-out", help="optional WGRD file of predicted planes")

@@ -20,13 +20,12 @@ import csv
 import io
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .files import atomic_write
+from .files import atomic_write, read_text
 from .grid import SplitAssignment, WorldGrid
 from .tiler import TileDataset, WindowSpec
 from .unet import UNetParams, _forward, _predict_tiles
@@ -87,15 +86,15 @@ def _slot_medians(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel medians over the filled slots of one pixel row.
 
     ``slots`` is (heads, W, K) with NaN in every empty slot; all heads
-    fill the same slots.  Returns float64 medians (heads, W), 0 where a
-    pixel has no value, and the (W,) counts.  Even counts take the mean
-    of the two central values.
+    fill the same slots.  It is sorted in place along K.  Returns float64
+    medians (heads, W), 0 where a pixel has no value, and the (W,) counts.
+    Even counts take the mean of the two central values.
     """
     count = slots.shape[-1] - np.count_nonzero(np.isnan(slots[0]), axis=-1)
-    ordered = np.sort(slots, axis=-1)  # NaN sorts last
+    slots.sort(axis=-1)  # NaN sorts last
     cols = np.arange(slots.shape[1])
-    lo = ordered[:, cols, (count - 1) // 2].astype(np.float64)
-    hi = ordered[:, cols, count // 2].astype(np.float64)
+    lo = slots[:, cols, (count - 1) // 2].astype(np.float64)
+    hi = slots[:, cols, count // 2].astype(np.float64)
     return np.where(count > 0, 0.5 * (lo + hi), 0.0), count
 
 
@@ -108,7 +107,6 @@ def predict_world(
     input_names: Iterable[str],
     split: SplitAssignment | None = None,
     split_filter: str = "all",
-    batch_size: int | None = None,
 ) -> PredictionGrid:
     """Aggregate tile predictions into world planes by per-pixel median,
     one plane per model head, keyed by the head's name.
@@ -116,14 +114,15 @@ def predict_world(
     ``grid`` is the padded world; the returned planes are cropped back to
     unpadded coordinates; land within the ``pad``-pixel border raises
     ``ShapeError``.  Only unaugmented tiles are evaluated — every land
-    pixel matching ``split_filter`` contributes exactly one tile.  A
-    non-finite prediction raises ``NumericError``.
+    pixel of ``split.select(split_filter)`` contributes exactly one tile
+    (without a ``split``, every land pixel).  A non-finite prediction raises
+    ``NumericError``.
 
-    Tiles run through the network ``batch_size`` at a time.  None sizes the
-    micro-batches by bytes: as many tiles as keep the forward's arrays
-    within ``unet._PREDICT_BYTES`` for this spec and window
-    (``unet._predict_tiles``; 60 desk tiles at S = 28, 10 ``full_scale``
-    ones).  That count includes the gathered input tiles, which the forward
+    Tiles run through the network in micro-batches sized by bytes: as many
+    tiles as keep the forward's arrays within ``unet._PREDICT_BYTES`` for
+    this spec and window (``unet._predict_tiles``; 60 desk tiles at S = 28,
+    10 ``full_scale`` ones), each gathered by one ``TileDataset.batch``
+    call.  That count includes the gathered input tiles, which the forward
     frees after its first convolution, so it is conservative.  BLAS picks
     its kernel by matrix size, so the planes depend on the partition at
     float32 epsilon, within the convolution bound of README's numeric
@@ -148,8 +147,7 @@ def predict_world(
         raise DataError(f"no tiles match split filter {split_filter!r}")
 
     s = window.size
-    if batch_size is None:
-        batch_size = _predict_tiles(spec, s, params.dtype.itemsize)
+    batch_size = _predict_tiles(spec, s, params.dtype.itemsize)
     hp, wp = grid.height, grid.width
     w = wp - 2 * pad
     inner = ds.centers_padded - pad
@@ -181,7 +179,8 @@ def predict_world(
         for q in range(first_open, min(stop, end_written)):
             live = first + (q - ar) % (ar + 1)  # slices (q - dr, dr)
             if pad <= q < hp - pad:
-                row = pool[:, s // 2 : s // 2 + w, live]  # (heads, W, dr, dc)
+                # (heads, W, dr, dc) in C order, so the row is one copy, sorted in place
+                row = np.take(pool[:, s // 2 : s // 2 + w], live, axis=2)
                 med, cnt = _slot_medians(row.reshape(len(spec.heads), w, s * s))
                 planes[:, q - pad] = med * land[q]
                 count[q - pad] = cnt * land[q]
@@ -339,14 +338,8 @@ def load_report(path) -> EvalReport:
     """Rows of a report CSV.  A file that is not one raises DataError naming
     the file and the line."""
     label_to_key = {v: k for k, v in STRATUM_LABELS.items()}
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
-        raise DataError(f"{path}, line {line}: not a text report ({err.reason})") from None
     report = EvalReport()
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, DataError, "report"), newline=""))
     try:
         header = next(reader, None)
         if header != list(REPORT_COLUMNS):

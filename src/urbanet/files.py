@@ -1,5 +1,6 @@
-"""Atomic file replacement, and the checksummed container of both binary
-formats (``.wgrd`` worlds, ``.unpk`` checkpoints).  Container layout::
+"""Atomic file replacement, UTF-8 text files whose decoding errors name
+the line, and the checksummed container of both binary formats
+(``.wgrd`` worlds, ``.unpk`` checkpoints).  Container layout::
 
     magic (4 bytes) | version u16 | header length u32 | header CRC32 u32
     header: ASCII JSON {"meta": ..., "arrays": [[name, dtype, shape, crc32], ...]}
@@ -9,7 +10,8 @@ The header, and then each array, is zero-padded to the next multiple of 64
 bytes; each array starts where the one before it ends, so no offsets are
 stored.  Each CRC32 covers its section's padding, and the header's also the
 fields before it, so no byte of a file goes unchecked.  dtypes are ``<u1``,
-``<u2``, ``<f4`` or ``<f8``.
+``<u2``, ``<f4`` or ``<f8``.  A reader holds one section's bytes at a time,
+besides the arrays it has already read.
 """
 
 from __future__ import annotations
@@ -52,6 +54,17 @@ def atomic_write(path, mode: str = "w", **open_args):
         raise
 
 
+def read_text(path, error: type[Exception], noun: str) -> str:
+    """The UTF-8 text of ``path``.  Bytes that are not UTF-8 raise
+    ``error`` with "<path>, line N: not a text <noun> (<reason>)"."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"{path}, line {line}: not a text {noun} ({err.reason})") from None
+
+
 def _padded(n: int) -> int:
     """``n`` rounded up to a multiple of 64."""
     return n + -n % 64
@@ -79,47 +92,51 @@ def write_container(path, magic: bytes, version: int, meta, arrays) -> None:
 
 def read_container(path, magic: bytes, version: int, schema):
     """Read a :func:`write_container` file: ``(meta, arrays)``, each array a
-    read-only view of a copy of its bytes, ``meta`` of the shape of
-    ``schema`` (see :func:`_mismatch`).  Checks magic and version
-    (FormatError), header CRC (IntegrityError), header shape (FormatError),
-    then the size against the directory and each array's CRC (IntegrityError)."""
-    data = Path(path).read_bytes()
-    if data[:4] != magic or len(data) < _PREFIX:
-        raise FormatError(f"{path}: bad magic or prefix {data[:_PREFIX]!r}, expected {magic!r}")
-    got, length, crc = struct.unpack_from("<HII", data, 4)
-    if got != version:
-        raise FormatError(f"{path}: unsupported version {got}, expected {version}")
-    start = _padded(_PREFIX + length)
-    if zlib.crc32(data[_PREFIX:start], zlib.crc32(data[:_PREFIX - 4])) != crc:
-        raise IntegrityError(f"{path}: header checksum mismatch")
-    try:
-        header = json.loads(data[_PREFIX:_PREFIX + length])
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: header is not JSON: {exc}") from None
-    problem = _mismatch(header, {"meta": schema, "arrays": [[str, str, [int], int]]})
-    if problem is not None:
-        raise FormatError(f"{path}: {problem}")
-    seen = set()
-    for name, dtype, shape, _ in header["arrays"]:
-        if dtype not in _DTYPES.values():
-            raise FormatError(f"{path}: array {name!r} has unknown dtype {dtype!r}")
-        if min(shape, default=0) < 0:
-            raise FormatError(f"{path}: array {name!r} has a negative dimension in {shape}")
-        if name in seen:
-            raise FormatError(f"{path}: duplicate array name {name!r}")
-        seen.add(name)
-    ends = [start]
-    for _, dtype, shape, _ in header["arrays"]:
-        ends.append(ends[-1] + _padded(math.prod(shape) * np.dtype(dtype).itemsize))
-    if len(data) != ends[-1]:
-        raise IntegrityError(f"{path}: size mismatch (the directory needs {ends[-1]} "
-                             f"bytes, the file has {len(data)})")
-    arrays = {}
-    for (name, dtype, shape, crc), lo, hi in zip(header["arrays"], ends, ends[1:]):
-        raw = data[lo:hi]  # its own buffer: no array pins the whole file's
-        if zlib.crc32(raw) != crc:
-            raise IntegrityError(f"{path}: array {name!r} fails its checksum")
-        arrays[name] = np.frombuffer(raw, dtype, math.prod(shape)).reshape(tuple(shape))
+    read-only view of its own bytes, ``meta`` of the shape of ``schema``
+    (see :func:`_mismatch`).  Checks magic and version (FormatError), header
+    CRC (IntegrityError), header shape (FormatError), then the size against
+    the directory and each array's CRC (IntegrityError)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(_PREFIX)
+        if lead[:4] != magic or len(lead) < _PREFIX:
+            raise FormatError(f"{path}: bad magic or prefix {lead!r}, expected {magic!r}")
+        got, length, crc = struct.unpack_from("<HII", lead, 4)
+        if got != version:
+            raise FormatError(f"{path}: unsupported version {got}, expected {version}")
+        start = _padded(_PREFIX + length)
+        # a read allocates all it asks for, so a bad length asks no more than the file
+        text = fh.read(min(start, size) - _PREFIX)
+        if zlib.crc32(text, zlib.crc32(lead[:-4])) != crc:
+            raise IntegrityError(f"{path}: header checksum mismatch")
+        try:
+            header = json.loads(text[:length])
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: header is not JSON: {exc}") from None
+        problem = _mismatch(header, {"meta": schema, "arrays": [[str, str, [int], int]]})
+        if problem is not None:
+            raise FormatError(f"{path}: {problem}")
+        seen = set()
+        for name, dtype, shape, _ in header["arrays"]:
+            if dtype not in _DTYPES.values():
+                raise FormatError(f"{path}: array {name!r} has unknown dtype {dtype!r}")
+            if min(shape, default=0) < 0:
+                raise FormatError(f"{path}: array {name!r} has a negative dimension in {shape}")
+            if name in seen:
+                raise FormatError(f"{path}: duplicate array name {name!r}")
+            seen.add(name)
+        ends = [start]
+        for _, dtype, shape, _ in header["arrays"]:
+            ends.append(ends[-1] + _padded(math.prod(shape) * np.dtype(dtype).itemsize))
+        if size != ends[-1]:
+            raise IntegrityError(f"{path}: size mismatch (the directory needs {ends[-1]} "
+                                 f"bytes, the file has {size})")
+        arrays = {}
+        for (name, dtype, shape, crc), lo, hi in zip(header["arrays"], ends, ends[1:]):
+            raw = fh.read(hi - lo)
+            if zlib.crc32(raw) != crc:
+                raise IntegrityError(f"{path}: array {name!r} fails its checksum")
+            arrays[name] = np.frombuffer(raw, dtype, math.prod(shape)).reshape(tuple(shape))
     return header["meta"], arrays
 
 

@@ -20,7 +20,7 @@ import dataclasses
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -72,22 +72,28 @@ class SplitAssignment:
     """Per-pixel train/test/water labels derived from region membership."""
 
     labels: np.ndarray  # (H, W) uint8 in {WATER, TRAIN, TEST}
+    SCOPES: ClassVar[tuple[str, ...]] = ("train", "test", "all")  # what select takes
+
+    def select(self, scope: str) -> np.ndarray:
+        """(H, W) bool mask of the pixels ``scope`` names: the train or the
+        test pixels, or "all" of them, which is every land pixel."""
+        if scope not in self.SCOPES:
+            raise DataError(f"split_filter must be one of {self.SCOPES}, got {scope!r}")
+        if scope == "all":
+            return self.labels != WATER
+        return self.labels == (TRAIN if scope == "train" else TEST)
 
     @property
     def train_mask(self) -> np.ndarray:
-        return self.labels == TRAIN
-
-    @property
-    def test_mask(self) -> np.ndarray:
-        return self.labels == TEST
+        return self.select("train")
 
     @property
     def n_train(self) -> int:
-        return int(np.count_nonzero(self.labels == TRAIN))
+        return int(np.count_nonzero(self.select("train")))
 
     @property
     def n_test(self) -> int:
-        return int(np.count_nonzero(self.labels == TEST))
+        return int(np.count_nonzero(self.select("test")))
 
 
 def validate_grid(grid: WorldGrid) -> None:
@@ -196,6 +202,20 @@ def load_grid(path: str | Path) -> WorldGrid:
     except (FormatError, IntegrityError) as err:
         raise type(err)(f"{path}: {err}") from None
     return grid
+
+
+def box_sum(mask: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Sum of ``mask`` over rows ``r - before .. r + after`` and columns
+    ``c - before .. c + after`` of each pixel (r, c), nothing outside the
+    grid counted, as int64 from one summed-area table."""
+    h, w = mask.shape
+    sat = np.zeros((h + 1, w + 1), np.int64)
+    np.cumsum(mask, axis=0, dtype=np.int64, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    rows, cols = np.arange(h), np.arange(w)
+    r0, r1 = np.clip(rows - before, 0, h), np.clip(rows + after + 1, 0, h)
+    c0, c1 = np.clip(cols - before, 0, w), np.clip(cols + after + 1, 0, w)
+    return sat[np.ix_(r1, c1)] - sat[np.ix_(r0, c1)] - sat[np.ix_(r1, c0)] + sat[np.ix_(r0, c0)]
 
 
 def pad_grid(grid: WorldGrid, pad: int) -> WorldGrid:

@@ -11,9 +11,10 @@ the scipy.ndimage calls they stand for: ``_gaussian_smooth`` is
 ``gaussian_filter(a, sigma, mode="reflect")``, with scipy's weights,
 padding and summation order, and ``_taxicab_to`` is
 ``distance_transform_cdt(~targets, metric="taxicab")``, exact in int64.
-Land counts over a window come from an integer summed-area table, so
-they are exact in any order, and the top-k land selection partitions
-where it used to sort, keeping the stable sort's tie-break.
+Land counts over a window come from :func:`urbanet.grid.box_sum`, an
+integer summed-area table, so they are exact in any order, and the top-k
+land selection partitions where it used to sort, keeping the stable
+sort's tie-break.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
-from .grid import WorldGrid, validate_grid
+from .grid import WorldGrid, box_sum, validate_grid
 
 INPUT_CHANNELS = (
     "dist_water",
@@ -192,17 +193,6 @@ def _taxicab_to(targets: np.ndarray) -> np.ndarray:
     return d.astype(np.float64)
 
 
-def _box_count(mask: np.ndarray, size: int) -> np.ndarray:
-    """Sum of ``mask`` over the size x size window centred on each pixel
-    (odd size; nothing outside the grid), as int64 from one summed-area
-    table."""
-    pad = size // 2
-    sat = np.zeros((mask.shape[0] + 2 * pad + 1, mask.shape[1] + 2 * pad + 1), np.int64)
-    np.cumsum(np.pad(mask, pad), axis=0, dtype=np.int64, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    return sat[size:, size:] - sat[:-size, size:] - sat[size:, :-size] + sat[:-size, :-size]
-
-
 def masked_box_mean(plane: np.ndarray, land: np.ndarray, size: int) -> np.ndarray:
     """Mean of `plane` over the size x size land neighborhood of each pixel.
 
@@ -215,7 +205,7 @@ def masked_box_mean(plane: np.ndarray, land: np.ndarray, size: int) -> np.ndarra
     landf = land.astype(np.float64)
     vp = np.pad(plane * landf, size // 2)
     num = sliding_window_view(vp, (size, size)).sum(axis=(-2, -1))
-    den = _box_count(land, size)
+    den = box_sum(land, size // 2, size // 2)
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0)
     return out * landf
@@ -281,7 +271,7 @@ def gen_world(config: SynthConfig) -> WorldGrid:
     slope *= landf
 
     # interior cells are pure land; coastal cells lose area to water
-    area = _box_count(land, 3) / 9.0
+    area = box_sum(land, 1, 1) / 9.0
     land_area = area * landf
 
     pop_field = _smooth_unit(rng, (h, w), max(1.0, min(h, w) / 8))

@@ -25,9 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .grid import TEST, TRAIN, SplitAssignment, WorldGrid
-
-SPLIT_FILTERS = ("train", "test", "all")
+from .grid import TRAIN, WATER, SplitAssignment, WorldGrid, box_sum
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,10 @@ class TileDataset:
     """Deterministic random-access tile set, one tile per land pixel.
 
     Centers run in row-major order over the grid.  ``split_filter`` keeps
-    only tiles whose *center* pixel carries the matching label; window
-    contents are never filtered (the protocol assigns samples by center
-    alone).
+    only tiles whose *center* pixel is a land pixel of
+    ``split.select(split_filter)``; window contents are never filtered (the
+    protocol assigns samples by center alone).  Without a ``split`` every
+    land pixel is a train pixel.
     """
 
     def __init__(
@@ -82,8 +81,10 @@ class TileDataset:
         split: SplitAssignment | None = None,
         split_filter: str = "all",
     ):
-        if split_filter not in SPLIT_FILTERS:
-            raise DataError(f"split_filter must be one of {SPLIT_FILTERS}, got {split_filter!r}")
+        mask = np.asarray(grid.mask)
+        if split is None:
+            split = SplitAssignment(np.where(mask == 1, TRAIN, WATER).astype(np.uint8))
+        selected = split.select(split_filter)
         if pad < 0:
             raise ShapeError(f"pad must be >= 0, got {pad}")
         self.grid = grid
@@ -95,24 +96,12 @@ class TileDataset:
         if overlap:
             raise DataError(f"channels cannot be both input and target: {sorted(overlap)}")
 
-        mask = np.asarray(grid.mask)
-        centers_p = np.argwhere(mask == 1)  # row-major by construction
-        if split is None:
-            labels = np.full(len(centers_p), TRAIN, np.uint8)
-        else:
-            if split.labels.shape != mask.shape:
-                raise ShapeError(
-                    f"split labels shape {split.labels.shape} does not match "
-                    f"grid shape {mask.shape} (compute the split on the padded grid)"
-                )
-            labels = split.labels[centers_p[:, 0], centers_p[:, 1]]
-        if split_filter == "train":
-            keep = labels == TRAIN
-        elif split_filter == "test":
-            keep = labels == TEST
-        else:
-            keep = np.ones(len(centers_p), bool)
-        self._centers_p = centers_p[keep]
+        if split.labels.shape != mask.shape:
+            raise ShapeError(
+                f"split labels shape {split.labels.shape} does not match "
+                f"grid shape {mask.shape} (compute the split on the padded grid)"
+            )
+        self._centers_p = np.argwhere((mask == 1) & selected)  # row-major by construction
         self._regions = np.asarray(grid.regions)[
             self._centers_p[:, 0], self._centers_p[:, 1]
         ]
@@ -165,21 +154,9 @@ def coverage_count(grid: WorldGrid, window: WindowSpec) -> np.ndarray:
     """How many sampled tiles contain each pixel of the (padded) grid.
 
     Pixel q lies inside the tile centered at p exactly when p falls in the
-    S×S box ``[q + S//2 - S + 1, q + S//2]``, so the count is a box sum of the
-    land mask, computed with a summed-area table.
+    S×S box ``[q - (S - 1 - S//2), q + S//2]``, so the count is
+    :func:`urbanet.grid.box_sum` of the land mask over that box.  Every land
+    pixel counts, whatever split a dataset selects.
     """
-    land = (np.asarray(grid.mask) == 1).astype(np.int64)
-    h, w = land.shape
-    sat = np.zeros((h + 1, w + 1), np.int64)
-    np.cumsum(np.cumsum(land, axis=0), axis=1, out=sat[1:, 1:])
-    s, off = window.size, window.size // 2
-    r0 = np.clip(np.arange(h) + off - s + 1, 0, h)
-    r1 = np.clip(np.arange(h) + off + 1, 0, h)
-    c0 = np.clip(np.arange(w) + off - s + 1, 0, w)
-    c1 = np.clip(np.arange(w) + off + 1, 0, w)
-    return (
-        sat[np.ix_(r1, c1)]
-        - sat[np.ix_(r0, c1)]
-        - sat[np.ix_(r1, c0)]
-        + sat[np.ix_(r0, c0)]
-    )
+    s = window.size
+    return box_sum(np.asarray(grid.mask) == 1, s - 1 - s // 2, s // 2)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .augment import TRANSFORMS, AugmentedTiles
 from .errors import ConfigError, DataError, DivergenceError, NumericError, SpecError
-from .files import atomic_write
+from .files import atomic_write, read_text
 from .grid import WorldGrid, SplitAssignment
 from .tiler import TileDataset, WindowSpec
 from .unet import (
@@ -438,13 +438,7 @@ def load_config(path) -> TrainConfig:
     """The defaults overridden by the key=value lines of ``path``.  An
     error names the file and the line."""
     config = TrainConfig()
-    raw = Path(path).read_bytes()
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
-        raise ConfigError(f"{path}, line {line}: not a text config ({err.reason})") from None
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate(read_text(path, ConfigError, "config").splitlines(), 1):
         try:
             pair = parse_config_line(line)
             if pair is not None:

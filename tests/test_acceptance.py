@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from urbanet import evaluate
 from urbanet.augment import AugmentedTiles, Transform, transform_plane
 from urbanet.evaluate import (EvalReport, export_report, multitask_label,
                               predict_world, residual_metrics, stratify,
@@ -48,7 +49,7 @@ def big_setup():
 
 
 def _test_r2(pred_plane, world, split, stratum_mask=None):
-    tmask = split.test_mask[BIG_PAD:-BIG_PAD, BIG_PAD:-BIG_PAD].astype(bool)
+    tmask = split.select("test")[BIG_PAD:-BIG_PAD, BIG_PAD:-BIG_PAD]
     sel = tmask if stratum_mask is None else (tmask & stratum_mask)
     row = residual_metrics(pred_plane, world.channels[TARGET_URBAN], sel,
                            scope="test", stratum="all_cells")
@@ -129,7 +130,7 @@ def _seed_study_once(seed: int, checkpoint_dir=None):
         pred = predict_world(params, norm, WindowSpec(win), pad=pad,
                              input_names=INPUT_CHANNELS, split=split,
                              split_filter="test")
-        tmask = split.test_mask[pad:-pad, pad:-pad].astype(bool)
+        tmask = split.select("test")[pad:-pad, pad:-pad]
         head = params.spec.heads[-1]
         return residual_metrics(pred.planes[head], world.channels[TARGET_POP],
                                 tmask, scope="test", stratum="all_cells").r2
@@ -254,7 +255,7 @@ def test_tiler_bijection():
           + ", ".join(detail))
 
 
-def test_median_aggregation_oracle():
+def test_median_aggregation_oracle(monkeypatch):
     worst_exact = True
     for size in (10, 12, 16, 20):
         world = gen_world(SynthConfig(seed=size, height=size, width=size,
@@ -265,10 +266,11 @@ def test_median_aggregation_oracle():
         padded = pad_grid(world, pad)
         params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1),
                              seed=size)
-        # batch_size=1 on both sides: GEMM results vary at float32 epsilon
-        # with batch shape, and this oracle pins the aggregation, not BLAS
+        # one tile per batch on both sides: GEMM results vary at float32
+        # epsilon with batch shape, and this oracle pins the aggregation, not BLAS
+        monkeypatch.setattr(evaluate, "_predict_tiles", lambda spec, s, itemsize: 1)
         got = predict_world(params, padded, win, pad=pad,
-                            input_names=INPUT_CHANNELS, batch_size=1)
+                            input_names=INPUT_CHANNELS)
 
         # brute force: materialize every prediction a pixel receives
         from urbanet.unet import _forward
@@ -371,7 +373,7 @@ def test_metrics_oracle():
 
 def test_report_fidelity(big_setup, windows_run, multitask_run, tmp_path):
     world, padded, split, norm = big_setup
-    tmask = split.test_mask[BIG_PAD:-BIG_PAD, BIG_PAD:-BIG_PAD].astype(bool)
+    tmask = split.select("test")[BIG_PAD:-BIG_PAD, BIG_PAD:-BIG_PAD]
     builtup = world.channels["urban_2000"] + world.channels[TARGET_URBAN]
     strata = stratify(world.mask, builtup, select=tmask)
 

@@ -77,6 +77,11 @@ def metrics_loop(pred, truth, sel):
     return mean_abs, max_abs, std, r2
 
 
+def fix_micro_batch(monkeypatch, tiles):
+    """Make predict_world run its tiles ``tiles`` at a time."""
+    monkeypatch.setattr(evaluate, "_predict_tiles", lambda spec, size, itemsize: tiles)
+
+
 def stand_in_forward(params, x):
     """A forward pass whose output does not depend on the batch it is in."""
     return x[..., : len(params.spec.heads)] * 1.5 + 0.25, None
@@ -159,7 +164,7 @@ class TestSegmentMedians:
         slots = rng.normal(size=(2, 10, 9)).astype(np.float32)
         empty = rng.random((10, 9)) < rng.random()
         slots[:, empty] = np.nan
-        med, cnt = _slot_medians(slots)
+        med, cnt = _slot_medians(slots.copy())  # it sorts its argument in place
         for h in range(2):
             for c in range(10):
                 grp = slots[h, c, ~empty[c]].astype(np.float64)
@@ -256,9 +261,9 @@ class TestPredictWorld:
         monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
         n = len(TileDataset(padded, win, pad=2, input_names=INPUT_CHANNELS,
                             target_names=(), split=split, split_filter=split_filter))
+        fix_micro_batch(monkeypatch, batch_size or n)
         got = predict_world(params, padded, win, pad=2, input_names=INPUT_CHANNELS,
-                            split=split, split_filter=split_filter,
-                            batch_size=batch_size or n)
+                            split=split, split_filter=split_filter)
         want_planes, want_count = global_sort_reference(
             params, padded, win, pad=2, split=split, split_filter=split_filter)
         assert got.tiles == n
@@ -280,8 +285,8 @@ class TestPredictWorld:
                         heads=("urban", "pop"))
         params = init_params(spec, seed=0)
         monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
-        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
-                            batch_size=batch_size)
+        fix_micro_batch(monkeypatch, batch_size)
+        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS)
         want_planes, want_count = global_sort_reference(params, padded, win, pad=pad)
         assert np.array_equal(got.count, want_count)
         for name in ("urban", "pop"):
@@ -296,7 +301,7 @@ class TestPredictWorld:
             predict_world(params, padded, WindowSpec(4), pad=4,
                           input_names=INPUT_CHANNELS)
 
-    def test_byte_rule_within_float32_bound_of_single_tiles(self):
+    def test_byte_rule_within_float32_bound_of_single_tiles(self, monkeypatch):
         # micro-batches change the GEMM shapes, so BLAS may round otherwise:
         # the planes stay within README's convolution bound, 6e-7 of the
         # largest magnitude, of one-tile forwards, and a median moves no
@@ -310,8 +315,9 @@ class TestPredictWorld:
         got = predict_world(params, padded, win, pad=win.max_reach,
                             input_names=INPUT_CHANNELS)
         assert 1 < batch < got.tiles  # several micro-batches, none of one tile
+        fix_micro_batch(monkeypatch, 1)
         want = predict_world(params, padded, win, pad=win.max_reach,
-                             input_names=INPUT_CHANNELS, batch_size=1)
+                             input_names=INPUT_CHANNELS)
         assert np.array_equal(got.count, want.count)
         scale = np.abs(want.planes["urban"]).max()
         assert np.abs(got.planes["urban"] - want.planes["urban"]).max() <= 6e-7 * scale
@@ -348,7 +354,7 @@ class TestPredictWorld:
         # the pool keeps S(S+1)/2 slices of W + S - 1 columns, (S + 1)/2S of
         # a ring of S rows with S^2 slots per pixel (S * Wp * S^2 values per
         # head).  A wide, short world makes the pool the largest array; the
-        # closing row's gathered and sorted copies add 2/S of the ring
+        # closing row's copy, sorted in place, adds 1/S of the ring
         monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
         win = WindowSpec(28)
         params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
@@ -356,10 +362,11 @@ class TestPredictWorld:
                                       n_regions=4))
         padded = pad_grid(world, win.max_reach)
         ring = win.size * len(params.spec.heads) * padded.width * win.size ** 2 * 4
+        fix_micro_batch(monkeypatch, 16)
         tracemalloc.start()
         try:
             predict_world(params, padded, win, pad=win.max_reach,
-                          input_names=INPUT_CHANNELS, batch_size=16)
+                          input_names=INPUT_CHANNELS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

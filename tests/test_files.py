@@ -6,6 +6,7 @@ integrity error, and a header of the wrong shape as a format error."""
 from __future__ import annotations
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_container_round_trip(tmp_path):
         read_container(path, b"TEST", 8, dict)
     with pytest.raises(FormatError, match="header.meta must be an object with keys"):
         read_container(path, b"TEST", 7, {"name": str})
+
+
+def test_loading_holds_one_copy_of_the_file(tmp_path):
+    # one section is read at a time, and each array is a view of its own
+    # bytes; reading the whole file first peaked at 2.0 times its size
+    mask = np.ones((256, 256), np.uint8)
+    rng = np.random.default_rng(0)
+    save_grid(WorldGrid(mask=mask, regions=mask.astype(np.uint16),
+                        channels={f"ch{k}": rng.random(mask.shape) for k in range(11)},
+                        region_table={1: "R01"}), tmp_path / "w.wgrd")
+    size = (tmp_path / "w.wgrd").stat().st_size
+    tracemalloc.start()
+    try:
+        load_grid(tmp_path / "w.wgrd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * size, peak / size
 
 
 def small_world():

@@ -406,6 +406,24 @@ class TestSplit:
         np.testing.assert_array_equal(labels == TEST, [[False, False], [False, True]])
         np.testing.assert_array_equal(labels == TRAIN, [[True, False], [True, False]])
 
+    @pytest.mark.parametrize("scope, want", [
+        ("train", [[True, False], [True, False]]),
+        ("test", [[False, False], [False, True]]),
+        ("all", [[True, False], [True, True]]),
+    ], ids=["train", "test", "all"])
+    def test_select_names_its_pixels(self, scope, want):
+        grid = make_grid([[1, 0], [1, 1]], regions=[[3, 0], [3, 9]],
+                         region_table={3: "AAA", 9: "BBB"})
+        split = assign_split(grid, {"BBB"})
+        got = split.select(scope)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+
+    def test_select_refuses_an_unknown_name(self):
+        split = assign_split(make_grid([[1]]), set())
+        with pytest.raises(DataError, match=r"one of \('train', 'test', 'all'\), got 'valid'"):
+            split.select("valid")
+
     def test_unknown_region_warns(self):
         grid = make_grid([[1]])
         with pytest.warns(UserWarning, match="XXX"):

@@ -9,14 +9,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from urbanet.errors import ConfigError
 from urbanet.evaluate import residual_metrics
-from urbanet.grid import load_grid, save_grid, validate_grid
+from urbanet.grid import box_sum, load_grid, save_grid, validate_grid
 from urbanet.synth import (
     INPUT_CHANNELS,
     TARGET_CHANNELS,
     TARGET_POP,
     TARGET_URBAN,
     SynthConfig,
-    _box_count,
     _gaussian_smooth,
     _taxicab_to,
     _top_k_mask,
@@ -310,13 +309,18 @@ class TestNumpyKernels:
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
     def test_box_count_is_the_window_sum(self, shape):
+        # the centred odd boxes of synth, and the boxes of coverage_count,
+        # which reach S - 1 - S//2 before a pixel and S//2 after it
         mask = np.random.default_rng(sum(shape)).random(shape) < 0.6
-        for size in (1, 3, 5, 11):
-            got = _box_count(mask, size)
-            want = sliding_window_view(np.pad(mask.astype(np.float64), size // 2),
+        reaches = [(size // 2, size // 2) for size in (1, 3, 5, 11)]
+        reaches += [(s - 1 - s // 2, s // 2) for s in (1, 2, 4, 5, 6, 16, 22, 28)]
+        for before, after in reaches:
+            size = before + after + 1
+            got = box_sum(mask, before, after)
+            want = sliding_window_view(np.pad(mask.astype(np.float64), (before, after)),
                                        (size, size)).sum(axis=(-2, -1))
-            assert got.dtype == np.int64 and np.array_equal(got, want), size
-            assert np.array_equal(_box_count(mask.astype(np.uint8), size), got)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (before, after)
+            assert np.array_equal(box_sum(mask.astype(np.uint8), before, after), got)
 
     def test_top_k_takes_a_stable_sorts_last_k(self):
         # ties at the k-th value are broken the way the last k entries of a

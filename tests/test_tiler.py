@@ -190,6 +190,15 @@ class TestSampleAll:
             assert (split.labels[r, c] == label).all()
             assert (ds.regions == region).all()
 
+    def test_no_split_makes_every_land_pixel_a_train_pixel(self):
+        rng = np.random.default_rng(5)
+        mask = rng.integers(0, 2, size=(6, 6)).astype(np.uint8)
+        world = make_world(mask, seed=5)
+        land = sorted(map(tuple, np.argwhere(mask == 1).tolist()))
+        for f in ("all", "train"):
+            assert centers(dataset(world, size=4, pad=3, split_filter=f)) == land
+        assert len(dataset(world, size=4, pad=3, split_filter="test")) == 0
+
     def test_batch_matches_items(self):
         rng = np.random.default_rng(3)
         mask = rng.integers(0, 2, size=(6, 6)).astype(np.uint8)

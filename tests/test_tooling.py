@@ -1,9 +1,11 @@
 """Source hygiene checks that need no linter: every import in the package is
 used, every private function or class has a caller, every public one has
-a user outside the tests, README's library sketch imports only names that
-exist, one module owns the binary file format, the command line parses
-its flags before numpy loads, its training flags are the fields of
-``TrainConfig``, README names every other flag, every command of
+a user outside the tests and so has each of its parameters with a
+default, README's library sketch imports only names that exist, one
+module owns the binary file format, the command line parses its flags
+before numpy loads, its training flags are the fields of ``TrainConfig``,
+``eval --split`` offers the names ``SplitAssignment.select`` takes,
+README names every other flag, every command of
 README's CLI walkthrough parses and reads only config files and
 prediction grids that an earlier line wrote, nothing in the package or
 its commands loads scipy, and ``eval`` loads no OpenSSL."""
@@ -223,6 +225,32 @@ def test_training_flags_are_the_config_fields():
     typed = [(command, a.dest) for command, actions in flags.items() for a in actions
              if a.type is not None or a.choices is not None]
     assert typed == []
+
+
+def eval_split_choices(parser: argparse.ArgumentParser):
+    """The ``choices`` of the ``--split`` flag of ``parser``'s ``eval``."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices["eval"]._actions if a.dest == "split")
+
+
+def test_eval_split_choices_are_the_select_scopes():
+    # the parser is built before numpy loads, so it spells the names out
+    # instead of reading them from SplitAssignment
+    import numpy as np
+
+    from urbanet import cli
+    from urbanet.grid import SplitAssignment
+
+    sample = cli._Parser(prog="urbanet")
+    sub = sample.add_subparsers(parser_class=cli._Parser)
+    p = sub.add_parser("eval")
+    p.add_argument("--splits")
+    p.add_argument("--split", choices=("test", "all"))
+    assert eval_split_choices(sample) == ("test", "all")
+    choices = eval_split_choices(cli.build_parser())
+    assert choices == SplitAssignment.SCOPES
+    split = SplitAssignment(labels=np.ones((1, 1), np.uint8))
+    assert [split.select(scope).tolist() for scope in choices] == [[[True]], [[False]], [[True]]]
 
 
 def undocumented_flags(parser: argparse.ArgumentParser, readme: str,
@@ -485,6 +513,100 @@ def test_public_defs_have_users():
     users["README.md"] = library_sketch((ROOT / "README.md").read_text())
     assert [name for name in unused_public_defs(package, users)
             if name not in _UNUSED_ALLOWED] == []
+
+
+# parameters with a default that no call passes yet, each with its reason
+_UNPASSED_ALLOWED = {
+    "grid.py:normalize_channels(stats)":
+        "eval is to apply the statistics that a checkpoint stores (ROADMAP item 2)",
+    "trainer.py:train_multitask(checkpoint_dir)":
+        "the acceptance frozen-phase oracle reads phase 1's final weights through "
+        "it; ROADMAP item 7's per-epoch state file belongs there",
+}
+
+
+def unpassed_parameters(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """``file:Qualified.name(parameter)`` of each parameter with a default
+    of a public function or method of ``package`` that no call in
+    ``package`` or ``users`` passes.
+
+    Calls match defs by name: ``name(...)`` and ``x.name(...)`` call every
+    def called ``name``, and ``Class(...)`` calls ``Class.__init__``.  A
+    call passes a parameter by keyword or by position (a method's first
+    parameter is its receiver, unless it is a staticmethod); a call with
+    ``*`` or ``**`` passes them all.
+    """
+    positional, keywords, splat = {}, {}, set()
+    for source in {**package, **users}.values():
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                splat.add(name)
+            positional[name] = max(positional.get(name, 0), len(call.args))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+
+    def check(path: str, qualname: str, called: str, node: ast.AST, bound: int) -> list:
+        params = [*node.args.posonlyargs, *node.args.args][bound:]
+        defaulted = [(i, p.arg) for i, p in enumerate(params)
+                     if i >= len(params) - len(node.args.defaults)]
+        defaulted += [(None, p.arg) for p, d in zip(node.args.kwonlyargs,
+                                                    node.args.kw_defaults) if d is not None]
+        return [f"{path}:{qualname}({arg})" for i, arg in defaulted
+                if called not in splat and arg not in keywords.get(called, ())
+                and (i is None or i >= positional.get(called, 0))]
+
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, functions) and not node.name.startswith("_"):
+                found += check(path, node.name, node.name, node, 0)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for method in node.body:
+                    if not isinstance(method, functions) or (
+                            method.name.startswith("_") and method.name != "__init__"):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in method.decorator_list)
+                    called = node.name if method.name == "__init__" else method.name
+                    found += check(path, f"{node.name}.{method.name}", called, method,
+                                   0 if static else 1)
+    return sorted(found)
+
+
+def test_keyword_parameters_have_callers():
+    # a default that no caller outside the tests overrides is a setting
+    # nobody uses: it goes, or the tests reach their case another way
+    sample = {
+        "a.py": "def f(x, y=1, *, z=2, w=3): pass\n"
+                "def g(a=1, b=2): pass\n"
+                "def h(a=1): pass\n"
+                "def _private(a=1): pass\n"
+                "class C:\n"
+                "    def __init__(self, n=0, m=0): pass\n"
+                "    def run(self, k=1): pass\n"
+                "    @staticmethod\n"
+                "    def make(k=1): pass\n"
+                "    def _helper(self, k=1): pass\n",
+        "b.py": "f(0, 5, z=1)\n"
+                "g(*[])\n"
+                "C(1)\n"
+                "C().run()\n"
+                "C.make(2)\n"
+                "def unchecked(a=1): pass\n",
+    }
+    assert unpassed_parameters({"a.py": sample["a.py"]}, {"b.py": sample["b.py"]}) == [
+        "a.py:C.__init__(m)", "a.py:C.run(k)", "a.py:f(w)", "a.py:h(a)"]
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    users = {f"benchmarks/{path.name}": path.read_text()
+             for path in sorted((ROOT / "benchmarks").glob("*.py"))}
+    users["README.md"] = library_sketch((ROOT / "README.md").read_text())
+    found = unpassed_parameters(package, users)
+    assert [name for name in found if name not in _UNPASSED_ALLOWED] == []
+    assert sorted(_UNPASSED_ALLOWED) == [name for name in found if name in _UNPASSED_ALLOWED]
 
 
 def missing_imports(source: str) -> list[str]:
