@@ -87,8 +87,9 @@ def _require_channels(path, grid, names) -> None:
 
 
 def _load_split_normalize(grid_path, test_regions: str | None, pad: int, targets):
-    """Padded grid, split, and train-fitted normalized inputs.  The grid
-    must hold every input channel and every plane named in ``targets``."""
+    """The grid as read, its padded copy with train-fitted normalized
+    inputs, and the padded copy's split.  The grid must hold every input
+    channel and every plane named in ``targets``."""
     from .grid import load_grid, normalize_channels, pad_grid
     from .synth import INPUT_CHANNELS
 
@@ -96,10 +97,10 @@ def _load_split_normalize(grid_path, test_regions: str | None, pad: int, targets
     _require_channels(grid_path, world, INPUT_CHANNELS + tuple(targets))
     padded = pad_grid(world, pad)
     split = _split(padded, test_regions)
-    norm, stats = normalize_channels(
+    norm, _ = normalize_channels(
         padded, fit_mask=split.train_mask, channels=INPUT_CHANNELS
     )
-    return world, norm, split, stats
+    return world, norm, split
 
 
 def _check_spec(spec, size: int, flag: str, depth_from: str = "--depth") -> None:
@@ -179,7 +180,8 @@ def _cmd_split(args) -> int:
 
     grid = load_grid(args.grid)
     split = _split(grid, args.test_regions)
-    print(f"land={split.n_train + split.n_test} train={split.n_train} test={split.n_test}")
+    land, train, test = (int(split.select(scope).sum()) for scope in ("all", "train", "test"))
+    print(f"land={land} train={train} test={test}")
     return 0
 
 
@@ -189,8 +191,8 @@ def _streams(args, targets, seed):
     from .tiler import WindowSpec
     from .trainer import build_streams
 
-    _, norm, split, _ = _load_split_normalize(args.grid, args.test_regions, args.pad,
-                                              targets)
+    # the grid as read is not kept: it is freed before the tiles are built
+    norm, split = _load_split_normalize(args.grid, args.test_regions, args.pad, targets)[1:]
     tr, va, val_regions = build_streams(
         norm, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
         target_names=targets, split=split, seed=seed,
@@ -296,7 +298,7 @@ def _cmd_eval(args) -> int:
         targets[head] = (target, label if target == TARGET_URBAN else f"{label} on {target}")
 
     # the built-up stratum reads delta_urban whatever the model's heads
-    world, norm, split, _ = _load_split_normalize(
+    world, norm, split = _load_split_normalize(
         args.grid, args.test_regions, args.pad,
         (TARGET_URBAN, *(target for target, _ in targets.values())))
     pad = args.pad

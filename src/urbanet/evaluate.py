@@ -105,8 +105,8 @@ def predict_world(
     *,
     pad: int,
     input_names: Iterable[str],
-    split: SplitAssignment | None = None,
-    split_filter: str = "all",
+    split: SplitAssignment,
+    split_filter: str,
 ) -> PredictionGrid:
     """Aggregate tile predictions into world planes by per-pixel median,
     one plane per model head, keyed by the head's name.
@@ -114,9 +114,8 @@ def predict_world(
     ``grid`` is the padded world; the returned planes are cropped back to
     unpadded coordinates; land within the ``pad``-pixel border raises
     ``ShapeError``.  Only unaugmented tiles are evaluated — every land
-    pixel of ``split.select(split_filter)`` contributes exactly one tile
-    (without a ``split``, every land pixel).  A non-finite prediction raises
-    ``NumericError``.
+    pixel of ``split.select(split_filter)`` contributes exactly one tile.
+    A non-finite prediction raises ``NumericError``.
 
     Tiles run through the network in micro-batches sized by bytes: as many
     tiles as keep the forward's arrays within ``unet._PREDICT_BYTES`` for
@@ -259,18 +258,20 @@ def residual_metrics(
 def stratify(
     mask: np.ndarray,
     builtup_2010: np.ndarray,
-    select: np.ndarray | None = None,
+    select: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """The two evaluation strata as boolean masks.
 
-    all_cells is land intersected with ``select`` (e.g. the test-split
-    mask); builtup_positive further requires observed built-up land
-    fraction > 0 in 2010.
+    all_cells is land intersected with ``select``, the pixels of the
+    evaluated split; builtup_positive further requires observed built-up
+    land fraction > 0 in 2010.  Both planes must have the mask's shape.
     """
     land = np.asarray(mask) == 1
-    if np.asarray(builtup_2010).shape != land.shape:
-        raise ShapeError("builtup plane shape does not match mask")
-    all_cells = land if select is None else land & np.asarray(select, bool)
+    for what, plane in (("builtup plane", builtup_2010), ("select mask", select)):
+        if np.shape(plane) != land.shape:
+            raise ShapeError(f"{what} shape {np.shape(plane)} does not match "
+                             f"mask shape {land.shape}")
+    all_cells = land & np.asarray(select, bool)
     return {
         STRATUM_ALL: all_cells,
         STRATUM_BUILTUP: all_cells & (np.asarray(builtup_2010) > 0),

@@ -87,14 +87,6 @@ class SplitAssignment:
     def train_mask(self) -> np.ndarray:
         return self.select("train")
 
-    @property
-    def n_train(self) -> int:
-        return int(np.count_nonzero(self.select("train")))
-
-    @property
-    def n_test(self) -> int:
-        return int(np.count_nonzero(self.select("test")))
-
 
 def validate_grid(grid: WorldGrid) -> None:
     """Raise IntegrityError/FormatError if ``grid`` violates a type invariant."""
@@ -235,59 +227,46 @@ def pad_grid(grid: WorldGrid, pad: int) -> WorldGrid:
 
 def normalize_channels(
     grid: WorldGrid,
-    stats: NormStats | None = None,
     *,
-    fit_mask: np.ndarray | None = None,
-    channels: Iterable[str] | None = None,
+    fit_mask: np.ndarray,
+    channels: Iterable[str],
 ) -> tuple[WorldGrid, NormStats]:
-    """Min-max normalize channels to [0, 1] over the fitting pixels.
+    """Min-max normalize ``channels`` to [0, 1] and return the new grid with
+    the fitted statistics.
 
-    When ``stats`` is absent, per-channel (min, max) are computed over land
-    pixels selected by ``fit_mask`` (every land pixel when ``fit_mask`` is
-    None; pass a train-split mask so the test split reuses training
-    statistics).  When ``stats`` is present it is applied unchanged, and
-    values outside the fitted range are deliberately NOT clipped.  Water
-    pixels stay exactly 0 in the output.  ``channels`` restricts fitting to a
-    subset; channels outside it are copied through untouched.
+    Each channel's (min, max) is taken over the land pixels of ``fit_mask``,
+    the train split's, so the held-out pixels are scaled by training
+    statistics; their values outside the fitted range are deliberately NOT
+    clipped.  Water pixels stay exactly 0 in the output.  The other planes
+    pass through as the input's own arrays, and ``grid`` is not changed.
     """
     land = np.asarray(grid.mask) == 1
-    if stats is None:
-        fit = land if fit_mask is None else (land & np.asarray(fit_mask, dtype=bool))
-        if fit_mask is not None and np.asarray(fit_mask).shape != land.shape:
-            raise DataError(
-                f"fit_mask shape {np.asarray(fit_mask).shape} does not match "
-                f"grid shape {land.shape}"
+    fit_mask = np.asarray(fit_mask, dtype=bool)
+    if fit_mask.shape != land.shape:
+        raise DataError(
+            f"fit_mask shape {fit_mask.shape} does not match grid shape {land.shape}"
+        )
+    fit = land & fit_mask
+    if not fit.any():
+        raise DataError("no land pixels available to fit normalization statistics")
+    table: dict[str, tuple[float, float]] = {}
+    for name in channels:
+        if name not in grid.channels:
+            raise DataError(f"unknown channel {name!r}")
+        values = grid.channels[name][fit]
+        lo, hi = float(values.min()), float(values.max())
+        if hi == lo:
+            raise DegenerateChannelError(
+                f"channel {name!r} is constant ({lo!r}) on the fitting pixels"
             )
-        if not fit.any():
-            raise DataError("no land pixels available to fit normalization statistics")
-        picked = list(grid.channels) if channels is None else list(channels)
-        table: dict[str, tuple[float, float]] = {}
-        for name in picked:
-            if name not in grid.channels:
-                raise DataError(f"unknown channel {name!r}")
-            values = grid.channels[name][fit]
-            lo, hi = float(values.min()), float(values.max())
-            if hi == lo:
-                raise DegenerateChannelError(
-                    f"channel {name!r} is constant ({lo!r}) on the fitting pixels"
-                )
-            table[name] = (lo, hi)
-        stats = NormStats(channels=table)
-    else:
-        for name in stats.channels:
-            if name not in grid.channels:
-                raise DataError(f"stats cover channel {name!r} absent from the grid")
+        table[name] = (lo, hi)
 
-    new_channels: dict[str, np.ndarray] = {}
-    for name, plane in grid.channels.items():
-        if name in stats.channels:
-            lo, hi = stats.channels[name]
-            scaled = (plane - lo) / (hi - lo)
-            scaled[~land] = 0.0  # water pixels stay zero-filled
-            new_channels[name] = scaled
-        else:
-            new_channels[name] = plane.copy()
-    return dataclasses.replace(grid, channels=new_channels), stats
+    new_channels = dict(grid.channels)
+    for name, (lo, hi) in table.items():
+        scaled = (grid.channels[name] - lo) / (hi - lo)
+        scaled[~land] = 0.0  # water pixels stay zero-filled
+        new_channels[name] = scaled
+    return dataclasses.replace(grid, channels=new_channels), NormStats(channels=table)
 
 
 def assign_split(grid: WorldGrid, test_regions: Iterable[str]) -> SplitAssignment:

@@ -43,11 +43,6 @@ class WindowSpec:
         """Window index (row, col) of the center pixel."""
         return self.size // 2, self.size // 2
 
-    @property
-    def max_reach(self) -> int:
-        """Largest distance the window extends from its center, any direction."""
-        return self.size // 2
-
 
 def _pixel_table(grid: WorldGrid, names: tuple[str, ...], dtype) -> np.ndarray:
     """The planes ``names`` of ``grid`` as one (H, W, C) ``dtype`` table,
@@ -67,7 +62,8 @@ class TileDataset:
     only tiles whose *center* pixel is a land pixel of
     ``split.select(split_filter)``; window contents are never filtered (the
     protocol assigns samples by center alone).  Without a ``split`` every
-    land pixel is a train pixel.
+    land pixel is a train pixel.  The dataset keeps no reference to
+    ``grid``: it holds only its pixel tables, the centers and their regions.
     """
 
     def __init__(
@@ -87,12 +83,9 @@ class TileDataset:
         selected = split.select(split_filter)
         if pad < 0:
             raise ShapeError(f"pad must be >= 0, got {pad}")
-        self.grid = grid
         self.window = window
-        self.pad = int(pad)
-        self.input_names = tuple(input_names)
-        self.target_names = tuple(target_names)
-        overlap = set(self.input_names) & set(self.target_names)
+        input_names, target_names = tuple(input_names), tuple(target_names)
+        overlap = set(input_names) & set(target_names)
         if overlap:
             raise DataError(f"channels cannot be both input and target: {sorted(overlap)}")
 
@@ -113,12 +106,12 @@ class TileDataset:
             if top.min() < 0 or bot[0] > grid.height or bot[1] > grid.width:
                 raise ShapeError(
                     f"padding {pad} too small for window size {s}; "
-                    f"need at least {window.max_reach}"
+                    f"need at least {off}"
                 )
 
         h, w = grid.height, grid.width
-        self._inputs = _pixel_table(grid, self.input_names, np.float32).reshape(h * w, -1)
-        self._targets = _pixel_table(grid, self.target_names, np.float64).reshape(h * w, -1)
+        self._inputs = _pixel_table(grid, input_names, np.float32).reshape(h * w, -1)
+        self._targets = _pixel_table(grid, target_names, np.float64).reshape(h * w, -1)
         self._mask = np.asarray(grid.mask, np.uint8).reshape(h * w)
         self._top_left = (self._centers_p - off) @ np.array([w, 1])
         self.offsets = np.arange(s)[:, None] * w + np.arange(s)

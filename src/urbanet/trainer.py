@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, get_args, get_type_hints
 
 import numpy as np
@@ -33,7 +32,6 @@ from .unet import (
     head_names,
     init_params,
     loss_and_grads,
-    save_params,
     validate_params,
 )
 
@@ -152,8 +150,8 @@ class _Adam:
 def evaluate_loss(
     params: UNetParams,
     tiles,
-    batch_size: int = 256,
-    channel_weights: np.ndarray | None = None,
+    batch_size: int,
+    channel_weights: np.ndarray | None,
 ) -> float:
     """Sample-weighted masked MSE over a tile stream (no updates).
 
@@ -182,14 +180,13 @@ def train(
     trainable: set[str] | None = None,
     phase: str = "train",
     start_epoch: int = 1,
-    checkpoint_dir=None,
 ) -> tuple[UNetParams, TrainHistory]:
     """Minibatch-train a copy of ``params``; return the best-epoch weights.
 
     Stops at ``max_epochs`` or once the validation loss has not improved
     by ``min_delta`` for ``patience`` consecutive epochs.  A non-finite
     training or validation loss raises DivergenceError with the epoch.
-    The input params are never mutated.
+    The input params are never mutated, and nothing is written to disk.
     """
     if len(train_tiles) == 0:
         raise DataError("training stream is empty")
@@ -243,19 +240,13 @@ def train(
             break
 
     assert best is not None  # at least one finite epoch ran
-    history = TrainHistory(rows=tuple(rows), best_epoch=best_epoch, best_val_loss=best_val)
-    if checkpoint_dir is not None:
-        out = Path(checkpoint_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_params(best, out / f"{phase}_best.unpk")
-        save_params(params, out / f"{phase}_final.unpk")
-    return best, history
+    return best, TrainHistory(rows=tuple(rows), best_epoch=best_epoch, best_val_loss=best_val)
 
 
 # ---------------------------------------------------------------------------
 # validation split and stream assembly
 
-def choose_validation_regions(codes: Iterable[int], *, seed: int = 0) -> frozenset[int]:
+def choose_validation_regions(codes: Iterable[int], *, seed: int) -> frozenset[int]:
     """Hold out a tenth of the region codes, rounded, and at least one; of
     two or more codes that is never all.
 
@@ -277,8 +268,8 @@ def build_streams(
     pad: int,
     input_names: Iterable[str],
     target_names: Iterable[str],
-    split: SplitAssignment | None = None,
-    seed: int = 0,
+    split: SplitAssignment,
+    seed: int,
 ) -> tuple[Subset, Subset, frozenset[int]]:
     """Augmented training stream, unaugmented validation stream, and the
     validation regions.
@@ -318,7 +309,7 @@ def epoch_size(train_stream) -> int:
 # ---------------------------------------------------------------------------
 # multi-task assembly and schedule
 
-def build_multitask(pretrained: UNetParams, *, head: str = "pop", seed: int = 0) -> UNetParams:
+def build_multitask(pretrained: UNetParams, *, head: str, seed: int) -> UNetParams:
     """Extend a model with a freshly initialized decoder and head, appended
     as its last head.
 
@@ -347,15 +338,15 @@ def train_multitask(
     train_tiles,
     val_tiles,
     schedule: MultiTaskSchedule,
-    *,
-    checkpoint_dir=None,
 ) -> tuple[UNetParams, TrainHistory]:
     """Run the frozen phase then joint fine-tuning; tiles must carry one
     target plane per head, in head order.
 
-    Phase 1 optimizes the last head's loss only and never touches the
-    frozen parameters (bitwise).  Phase 2 minimizes the equal-weight mean
-    of the heads' masked MSEs.  Each phase early-stops independently.
+    Phase 1 optimizes the last head's loss only: only the last head's
+    parameters get gradients, so the frozen ones stay bitwise as they were.
+    Phase 2 minimizes the equal-weight mean of the heads' masked MSEs.  Each
+    phase early-stops independently; phase 2 starts from phase 1's best
+    weights, and its best weights are returned with both phases' history.
     """
     spec = params.spec
     if len(spec.heads) < 2:
@@ -364,12 +355,11 @@ def train_multitask(
     m1, h1 = train(
         params, train_tiles, val_tiles, schedule.phase1,
         channel_weights=w1, trainable=phase1_trainable(spec),
-        phase="phase1", checkpoint_dir=checkpoint_dir,
+        phase="phase1",
     )
     m2, h2 = train(
         m1, train_tiles, val_tiles, schedule.phase2,
         phase="phase2", start_epoch=h1.rows[-1].epoch + 1,
-        checkpoint_dir=checkpoint_dir,
     )
     history = TrainHistory(
         rows=h1.rows + h2.rows, best_epoch=h2.best_epoch, best_val_loss=h2.best_val_loss
@@ -415,10 +405,9 @@ def parse_config_line(line: str) -> tuple[str, str] | None:
     return key.strip(), value.strip()
 
 
-def config_from_pairs(pairs: Iterable[tuple[str, str]], base: TrainConfig | None = None) -> TrainConfig:
-    """``base`` (default: the defaults) with each string ``value`` parsed by
-    the type of its field and applied in turn."""
-    config = base if base is not None else TrainConfig()
+def config_from_pairs(pairs: Iterable[tuple[str, str]], base: TrainConfig) -> TrainConfig:
+    """``base`` with each string ``value`` parsed by the type of its field
+    and applied in turn."""
     for key, value in pairs:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown training option {key!r}")
@@ -430,8 +419,8 @@ def config_from_pairs(pairs: Iterable[tuple[str, str]], base: TrainConfig | None
                 parsed = kinds[0](value)
             except ValueError as err:
                 raise ConfigError(f"bad value for {key}: {value!r}") from err
-        config = replace(config, **{key: parsed})
-    return config
+        base = replace(base, **{key: parsed})
+    return base
 
 
 def load_config(path) -> TrainConfig:

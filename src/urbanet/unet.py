@@ -887,7 +887,7 @@ def _well_conditioned_batch(
     )
 
 
-def grad_check(spec: UNetSpec, seed: int = 0, *, tile_size: int = 8) -> GradCheckReport:
+def grad_check(spec: UNetSpec, seed: int, *, tile_size: int) -> GradCheckReport:
     """Compare analytic gradients of ``spec`` against central finite
     differences, and report the largest relative error; it sets no pass
     mark.

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from urbanet import evaluate
+from urbanet import evaluate, trainer
 from urbanet.augment import AugmentedTiles, Transform, transform_plane
 from urbanet.evaluate import (EvalReport, export_report, multitask_label,
                               predict_world, residual_metrics, stratify,
@@ -23,7 +23,7 @@ from urbanet.trainer import (MultiTaskSchedule, TrainConfig, build_multitask,
                              build_streams, phase1_trainable, train,
                              train_multitask)
 from urbanet.unet import (UNetSpec, _masked_loss_grad, expected_shapes, grad_check,
-                          init_params, load_params)
+                          init_params)
 
 DESK = dict(base_features=8, depth=2)
 BIG_TEST_REGIONS = ("R02", "R07")
@@ -101,8 +101,34 @@ def multitask_run(big_setup, windows_run):
     return dict(model=model, hist=hist, pred=pred)
 
 
-def _seed_study_once(seed: int, checkpoint_dir=None):
-    """One seed of the multi-task-vs-single comparison at equal budget."""
+def _watch_phase1(mp: pytest.MonkeyPatch, seen: dict) -> None:
+    """Wrap ``trainer.train`` and ``trainer.loss_and_grads`` so that
+    ``seen["grads"]`` collects the names of every gradient dict computed in
+    phase 1 and ``seen["weights"]`` holds the weights phase 1 returns."""
+    inner_train, inner_grads = trainer.train, trainer.loss_and_grads
+    phase = [None]
+
+    def train_watched(*args, **kwargs):
+        phase[0] = kwargs.get("phase")
+        params, history = inner_train(*args, **kwargs)
+        if phase[0] == "phase1":
+            seen["weights"] = params
+        return params, history
+
+    def loss_and_grads_watched(*args):
+        loss, grads = inner_grads(*args)
+        if phase[0] == "phase1":
+            seen["grads"].append(set(grads))
+        return loss, grads
+
+    seen["grads"] = []
+    mp.setattr(trainer, "train", train_watched)
+    mp.setattr(trainer, "loss_and_grads", loss_and_grads_watched)
+
+
+def _seed_study_once(seed: int, watch: dict | None = None):
+    """One seed of the multi-task-vs-single comparison at equal budget.
+    With ``watch``, phase 1 is watched into it (``_watch_phase1``)."""
     pad, win = 8, 16
     world = gen_world(SynthConfig(seed=seed, height=48, width=48))
     land_per_region = {c: int((world.regions == c).sum()) for c in world.region_table}
@@ -143,18 +169,20 @@ def _seed_study_once(seed: int, checkpoint_dir=None):
                       trp, vap, cfg(6))
     multi = build_multitask(urban, head="pop", seed=seed + 1000)
     schedule = MultiTaskSchedule(phase1=cfg(4), phase2=cfg(2, 3e-4))
-    mt, _ = train_multitask(multi, trm, vam, schedule,
-                            checkpoint_dir=checkpoint_dir)
+    with pytest.MonkeyPatch.context() as mp:
+        if watch is not None:
+            _watch_phase1(mp, watch)
+        mt, _ = train_multitask(multi, trm, vam, schedule)
     return dict(single_r2=pop_r2(single), multi_r2=pop_r2(mt),
                 multi_init=multi, spec=multi.spec)
 
 
 @pytest.fixture(scope="session")
-def seed_study(tmp_path_factory):
-    ckpt = tmp_path_factory.mktemp("mt-seed0")
-    results = [_seed_study_once(0, checkpoint_dir=ckpt)]
+def seed_study():
+    phase1 = {}
+    results = [_seed_study_once(0, watch=phase1)]
     results += [_seed_study_once(seed) for seed in range(1, 10)]
-    return results, ckpt
+    return results, phase1
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +298,8 @@ def test_median_aggregation_oracle(monkeypatch):
         # epsilon with batch shape, and this oracle pins the aggregation, not BLAS
         monkeypatch.setattr(evaluate, "_predict_tiles", lambda spec, s, itemsize: 1)
         got = predict_world(params, padded, win, pad=pad,
-                            input_names=INPUT_CHANNELS)
+                            input_names=INPUT_CHANNELS,
+                            split=assign_split(padded, ()), split_filter="all")
 
         # brute force: materialize every prediction a pixel receives
         from urbanet.unet import _forward
@@ -324,20 +353,25 @@ def test_window_size_ordering(windows_run):
 
 
 def test_multitask_contract(seed_study):
-    results, ckpt = seed_study
+    results, phase1 = seed_study
     first = results[0]
 
-    phase1 = load_params(ckpt / "phase1_final.unpk")
-    frozen_ok = all(
-        np.array_equal(phase1.arrays[name], first["multi_init"].arrays[name])
-        for name in set(expected_shapes(first["spec"])) - phase1_trainable(first["spec"])
+    # Adam steps only the arrays it gets gradients for, so phase 1 can step
+    # no frozen array if no phase-1 gradient dict names one
+    trainable = phase1_trainable(first["spec"])
+    grads_ok = bool(phase1["grads"]) and all(names <= trainable for names in phase1["grads"])
+    frozen_ok = grads_ok and all(
+        np.array_equal(phase1["weights"].arrays[name], first["multi_init"].arrays[name])
+        for name in set(expected_shapes(first["spec"])) - trainable
     )
     designated_ok = first["multi_r2"] >= first["single_r2"] - 0.005
     wins = sum(r["multi_r2"] > r["single_r2"] for r in results)
     diffs = [r["multi_r2"] - r["single_r2"] for r in results]
     _flag("multitask-contract",
           frozen_ok and designated_ok and wins >= 7,
-          f"phase-1 frozen params bitwise-identical: {frozen_ok}; seed-0 "
+          f"phase-1 gradients only for its {len(trainable)} trainable arrays "
+          f"({len(phase1['grads'])} steps) and frozen params bitwise-identical: "
+          f"{frozen_ok}; seed-0 "
           f"task-2 R2 {first['multi_r2']:.4f} >= single {first['single_r2']:.4f}"
           f" - 0.005; improved in {wins}/10 seeds "
           f"(diffs {min(diffs):+.4f}..{max(diffs):+.4f})")

@@ -27,13 +27,14 @@ def make_tile(s=4, seed=0):
 
 
 def make_dataset(mask, inputs, target, pad=3, size=4):
-    """Tiles of a world with input planes ``inputs`` and one target plane."""
+    """The padded grid of a world with input planes ``inputs`` and one
+    target plane, and its tiles."""
     mask = np.asarray(mask, np.uint8)
     channels = {f"in{k}": np.where(mask == 1, p, 0.0) for k, p in enumerate(inputs)}
     channels["target"] = np.where(mask == 1, target, 0.0)
-    world = WorldGrid(mask, mask.astype(np.uint16), channels, {1: "AAA"})
-    return TileDataset(
-        pad_grid(world, pad), WindowSpec(size), pad=pad,
+    padded = pad_grid(WorldGrid(mask, mask.astype(np.uint16), channels, {1: "AAA"}), pad)
+    return padded, TileDataset(
+        padded, WindowSpec(size), pad=pad,
         input_names=[f"in{k}" for k in range(len(inputs))], target_names=["target"],
     )
 
@@ -51,15 +52,17 @@ def stacked(grid, names):
     return np.stack([grid.channels[name] for name in names], axis=-1)
 
 
-def oracle(base, i, t):
-    """Base tile ``i`` under ``t``: a direct slice of the stacked planes,
-    with the inputs cast to the float32 the tiler stores them in."""
+def oracle(padded, base, i, t):
+    """Base tile ``i`` under ``t``: a direct slice of the stacked planes of
+    ``padded``, the grid ``make_dataset`` built ``base`` from, with the
+    inputs cast to the float32 the tiler stores them in."""
     s = base.window.size
     tr, tc = base.centers_padded[i] - base.window.center_offset
     window = np.s_[tr : tr + s, tc : tc + s]
-    planes = (stacked(base.grid, base.input_names)[window].astype(np.float32),
-              stacked(base.grid, base.target_names)[window],
-              np.asarray(base.grid.mask)[window])
+    inputs = [name for name in padded.channels if name != "target"]
+    planes = (stacked(padded, inputs)[window].astype(np.float32),
+              stacked(padded, ["target"])[window],
+              np.asarray(padded.mask)[window])
     return tuple(transform_tile(p, t) for p in planes)
 
 
@@ -151,7 +154,7 @@ class TestAugmentSet:
         mask = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
         mask[2, 2] = 1
         inputs = [rng.normal(size=(5, 5)) for _ in range(2)]
-        return AugmentedTiles(make_dataset(mask, inputs, rng.normal(size=(5, 5))))
+        return AugmentedTiles(make_dataset(mask, inputs, rng.normal(size=(5, 5)))[1])
 
     def test_six_tiles_first_is_original(self):
         aug = self.make_aug(0)
@@ -163,7 +166,7 @@ class TestAugmentSet:
     def test_asymmetric_marker_gives_distinct_planes(self):
         marker = np.zeros((3, 3))
         marker[0, 0], marker[0, 1] = 1.0, 2.0  # breaks every symmetry
-        base = make_dataset(np.ones((3, 3)), [marker], marker + 5.0, pad=1, size=3)
+        _, base = make_dataset(np.ones((3, 3)), [marker], marker + 5.0, pad=1, size=3)
         aug = AugmentedTiles(base)
         x, _, _ = variants(aug, 4)  # the center tile covers the whole world
         assert len({v.tobytes() for v in x}) == 6
@@ -182,7 +185,7 @@ class TestAugmentSet:
         # float32-representable inputs, so the float32 input tiles hold them
         # exactly and the relation can be recomputed in float64
         plane = rng.normal(size=(5, 5)).astype(np.float32).astype(np.float64)
-        aug = AugmentedTiles(make_dataset(mask, [plane], 2.0 * plane + 1.0))
+        aug = AugmentedTiles(make_dataset(mask, [plane], 2.0 * plane + 1.0)[1])
         x, y, m = aug.batch(np.arange(len(aug)))
         np.testing.assert_array_equal(
             y[..., 0], (2.0 * x[..., 0].astype(np.float64) + 1.0) * m)
@@ -195,35 +198,37 @@ class TestAugmentedTiles:
         mask[2, 2] = 1
         return make_dataset(mask, [rng.normal(size=(5, 5))], rng.normal(size=(5, 5)))
 
-    def pairs(self, aug, ks):
+    def pairs(self, padded, aug, ks):
         """The (base tile, transform) pair behind each sample of ``aug.batch``."""
         n = len(aug.base)
         key = {}
         for i in range(n):
             for t in TRANSFORMS:
-                key[b"".join(p.tobytes() for p in oracle(aug.base, i, t))] = (i, t)
+                key[b"".join(p.tobytes() for p in oracle(padded, aug.base, i, t))] = (i, t)
         assert len(key) == 6 * n  # every pair is told apart by its planes
         x, y, m = aug.batch(np.asarray(ks))
         return [key[x[b].tobytes() + y[b].tobytes() + m[b].tobytes()]
                 for b in range(len(ks))]
 
     def test_expansion_factor_is_six(self):
-        base = self.make_dataset()
+        _, base = self.make_dataset()
         assert len(AugmentedTiles(base)) == 6 * len(base)
 
     def test_each_pair_appears_exactly_once(self):
-        aug = AugmentedTiles(self.make_dataset())
-        seen = self.pairs(aug, range(len(aug)))
+        padded, base = self.make_dataset()
+        aug = AugmentedTiles(base)
+        seen = self.pairs(padded, aug, range(len(aug)))
         assert len(set(seen)) == len(aug)
         assert {t for _, t in seen} == set(TRANSFORMS)
 
     def test_consecutive_samples_change_transform(self):
-        aug = AugmentedTiles(self.make_dataset())
-        transforms = [t for _, t in self.pairs(aug, range(min(6, len(aug))))]
+        padded, base = self.make_dataset()
+        aug = AugmentedTiles(base)
+        transforms = [t for _, t in self.pairs(padded, aug, range(min(6, len(aug))))]
         assert len(set(transforms)) > 1
 
     def test_batch_matches_items(self):
-        base = self.make_dataset()
+        padded, base = self.make_dataset()
         aug = AugmentedTiles(base)
         n = len(base)
         idx = np.array([0, 1, len(aug) - 1, len(aug) // 2])
@@ -231,7 +236,7 @@ class TestAugmentedTiles:
         for b, k in enumerate(idx):
             # index k is base tile k % n under TRANSFORMS[(k % n + k // n) % 6]
             i = k % n
-            want_x, want_y, want_m = oracle(base, i, TRANSFORMS[(i + k // n) % 6])
+            want_x, want_y, want_m = oracle(padded, base, i, TRANSFORMS[(i + k // n) % 6])
             np.testing.assert_array_equal(x[b], want_x)
             np.testing.assert_array_equal(y[b], want_y)
             np.testing.assert_array_equal(m[b], want_m)
@@ -247,11 +252,12 @@ class TestGatherGeometry:
         mask = rng.integers(0, 2, size=(5, 9)).astype(np.uint8)
         mask[2, 4] = 1
         inputs = [rng.normal(size=(5, 9)) for _ in range(2)]
-        base = make_dataset(mask, inputs, rng.normal(size=(5, 9)), pad=size, size=size)
-        assert base.grid.height != base.grid.width
-        return AugmentedTiles(base)
+        padded, base = make_dataset(mask, inputs, rng.normal(size=(5, 9)), pad=size,
+                                    size=size)
+        assert padded.height != padded.width
+        return padded, AugmentedTiles(base)
 
-    def expected(self, stream, ks):
+    def expected(self, padded, stream, ks):
         """Oracle batch for ``ks``: plain tiles, or augmented samples."""
         if isinstance(stream, AugmentedTiles):
             n = len(stream.base)
@@ -259,28 +265,28 @@ class TestGatherGeometry:
             stream = stream.base
         else:
             pairs = [(k, Transform.IDENTITY) for k in ks]
-        tiles = [oracle(stream, i, t) for i, t in pairs]
+        tiles = [oracle(padded, stream, i, t) for i, t in pairs]
         return tuple(np.stack(planes) for planes in zip(*tiles))
 
     @pytest.mark.parametrize("size", [4, 5])
     def test_batches_match_slice_oracle(self, size):
-        aug = self.make_aug(size)
+        padded, aug = self.make_aug(size)
         n = len(aug.base)
         assert {TRANSFORMS[(k % n + k // n) % 6] for k in range(len(aug))} == set(TRANSFORMS)
         for stream in (aug.base, aug):
             ks = np.arange(len(stream))
-            for got, want in zip(stream.batch(ks), self.expected(stream, ks)):
+            for got, want in zip(stream.batch(ks), self.expected(padded, stream, ks)):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("size", [4, 5])
     def test_batches_are_fresh_contiguous_arrays(self, size):
-        aug = self.make_aug(size)
+        padded, aug = self.make_aug(size)
         for stream in (aug.base, aug):
             ks = np.array([len(stream) - 1, 0, len(stream) // 2, 0])
             first = stream.batch(ks)
             for arr, dtype in zip(first, (np.float32, np.float64, np.uint8)):
                 assert arr.dtype == dtype and arr.flags.c_contiguous
                 arr.fill(7)
-            for got, want in zip(stream.batch(ks), self.expected(stream, ks)):
+            for got, want in zip(stream.batch(ks), self.expected(padded, stream, ks)):
                 assert got.tobytes() == want.tobytes()

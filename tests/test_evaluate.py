@@ -82,6 +82,12 @@ def fix_micro_batch(monkeypatch, tiles):
     monkeypatch.setattr(evaluate, "_predict_tiles", lambda spec, size, itemsize: tiles)
 
 
+def on_all_land(grid):
+    """predict_world's split arguments that select every land pixel of
+    ``grid``: a split that names no test region, and its "all" scope."""
+    return dict(split=assign_split(grid, ()), split_filter="all")
+
+
 def stand_in_forward(params, x):
     """A forward pass whose output does not depend on the batch it is in."""
     return x[..., : len(params.spec.heads)] * 1.5 + 0.25, None
@@ -181,10 +187,11 @@ class TestPredictWorld:
                           land_fraction=land_fraction, n_regions=4)
         world = gen_world(cfg)
         win = WindowSpec(window)
-        pad = win.max_reach
+        pad = win.center_offset[0]
         padded = pad_grid(world, pad)
         params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
-        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS)
+        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
+                            **on_all_land(padded))
         want_plane, want_count = brute_force_predict(params, padded, win, pad=pad)
         assert np.array_equal(got.planes["urban"], want_plane)
         assert np.array_equal(got.count, want_count)
@@ -195,7 +202,8 @@ class TestPredictWorld:
         win = WindowSpec(5)
         padded = pad_grid(world, 2)
         params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
-        got = predict_world(params, padded, win, pad=2, input_names=INPUT_CHANNELS)
+        got = predict_world(params, padded, win, pad=2, input_names=INPUT_CHANNELS,
+                            **on_all_land(padded))
         land = world.mask == 1
         cov = coverage_count(padded, win)[2:-2, 2:-2] * land
         assert np.array_equal(got.count, cov)
@@ -232,7 +240,7 @@ class TestPredictWorld:
         params = init_params(UNetSpec(input_channels=3, base_features=4, depth=1), seed=0)
         with pytest.raises(ShapeError):
             predict_world(params, padded, WindowSpec(4), pad=2,
-                          input_names=INPUT_CHANNELS)
+                          input_names=INPUT_CHANNELS, **on_all_land(padded))
 
     def test_multi_head_planes(self):
         world = gen_world(SynthConfig(seed=2, height=12, width=12, land_fraction=0.8,
@@ -242,7 +250,7 @@ class TestPredictWorld:
                         heads=("urban", "pop"))
         params = init_params(spec, seed=3)
         got = predict_world(params, padded, WindowSpec(4), pad=2,
-                            input_names=INPUT_CHANNELS)
+                            input_names=INPUT_CHANNELS, **on_all_land(padded))
         assert set(got.planes) == {"urban", "pop"}
         assert not np.array_equal(got.planes["urban"], got.planes["pop"])
 
@@ -286,7 +294,8 @@ class TestPredictWorld:
         params = init_params(spec, seed=0)
         monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
         fix_micro_batch(monkeypatch, batch_size)
-        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS)
+        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
+                            **on_all_land(padded))
         want_planes, want_count = global_sort_reference(params, padded, win, pad=pad)
         assert np.array_equal(got.count, want_count)
         for name in ("urban", "pop"):
@@ -299,7 +308,7 @@ class TestPredictWorld:
         padded = pad_grid(world, 3)
         with pytest.raises(ShapeError, match="padding"):
             predict_world(params, padded, WindowSpec(4), pad=4,
-                          input_names=INPUT_CHANNELS)
+                          input_names=INPUT_CHANNELS, **on_all_land(padded))
 
     def test_byte_rule_within_float32_bound_of_single_tiles(self, monkeypatch):
         # micro-batches change the GEMM shapes, so BLAS may round otherwise:
@@ -309,15 +318,16 @@ class TestPredictWorld:
         world = gen_world(SynthConfig(seed=4, height=32, width=32, land_fraction=0.8,
                                       n_regions=4))
         win = WindowSpec(16)
-        padded = pad_grid(world, win.max_reach)
+        pad = win.center_offset[0]
+        padded = pad_grid(world, pad)
         params = init_params(UNetSpec.desk(), seed=0)
         batch = _predict_tiles(params.spec, win.size, 4)
-        got = predict_world(params, padded, win, pad=win.max_reach,
-                            input_names=INPUT_CHANNELS)
+        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
+                            **on_all_land(padded))
         assert 1 < batch < got.tiles  # several micro-batches, none of one tile
         fix_micro_batch(monkeypatch, 1)
-        want = predict_world(params, padded, win, pad=win.max_reach,
-                             input_names=INPUT_CHANNELS)
+        want = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
+                             **on_all_land(padded))
         assert np.array_equal(got.count, want.count)
         scale = np.abs(want.planes["urban"]).max()
         assert np.abs(got.planes["urban"] - want.planes["urban"]).max() <= 6e-7 * scale
@@ -330,21 +340,23 @@ class TestPredictWorld:
         params.arrays["head.urban.b"][:] = np.nan
         with pytest.raises(NumericError, match="batch 0"):
             predict_world(params, padded, WindowSpec(4), pad=2,
-                          input_names=INPUT_CHANNELS)
+                          input_names=INPUT_CHANNELS, **on_all_land(padded))
 
     def test_memory_does_not_grow_with_height(self, monkeypatch):
         monkeypatch.setattr(evaluate, "_forward", stand_in_forward)
         win = WindowSpec(16)
+        pad = win.center_offset[0]
         params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
         peaks = []
         for height in (64, 256):
             world = gen_world(SynthConfig(seed=3, height=height, width=48,
                                           land_fraction=0.8, n_regions=4))
-            padded = pad_grid(world, win.max_reach)
+            padded = pad_grid(world, pad)
+            split = on_all_land(padded)
             tracemalloc.start()
             try:
-                predict_world(params, padded, win, pad=win.max_reach,
-                              input_names=INPUT_CHANNELS)
+                predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
+                              **split)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -360,13 +372,15 @@ class TestPredictWorld:
         params = init_params(UNetSpec(input_channels=9, base_features=4, depth=1), seed=0)
         world = gen_world(SynthConfig(seed=3, height=6, width=200, land_fraction=0.8,
                                       n_regions=4))
-        padded = pad_grid(world, win.max_reach)
+        pad = win.center_offset[0]
+        padded = pad_grid(world, pad)
         ring = win.size * len(params.spec.heads) * padded.width * win.size ** 2 * 4
         fix_micro_batch(monkeypatch, 16)
+        split = on_all_land(padded)
         tracemalloc.start()
         try:
-            predict_world(params, padded, win, pad=win.max_reach,
-                          input_names=INPUT_CHANNELS)
+            predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
+                          **split)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,7 +470,7 @@ class TestStratify:
                                       n_regions=4))
         land = world.mask.astype(bool)
         u2010 = world.channels["urban_2000"] + world.channels[TARGET_URBAN]
-        strata = stratify(world.mask, u2010)
+        strata = stratify(world.mask, u2010, np.ones(world.mask.shape, bool))
         assert strata[STRATUM_ALL].sum() == land.sum()
         assert (strata[STRATUM_BUILTUP] <= strata[STRATUM_ALL]).all()
         # brute-force scan
@@ -465,7 +479,7 @@ class TestStratify:
 
     def test_no_builtup_land(self):
         mask = np.ones((4, 4), np.uint8)
-        strata = stratify(mask, np.zeros((4, 4)))
+        strata = stratify(mask, np.zeros((4, 4)), np.ones((4, 4), bool))
         assert strata[STRATUM_BUILTUP].sum() == 0
 
     def test_select_mask_intersects(self):
@@ -475,6 +489,17 @@ class TestStratify:
         strata = stratify(mask, np.ones((4, 4)), select)
         assert strata[STRATUM_ALL].sum() == 8
         assert strata[STRATUM_BUILTUP].sum() == 8
+
+    @pytest.mark.parametrize("name, shape", [("select mask", (1, 4)),
+                                             ("select mask", (3, 3)),
+                                             ("builtup plane", (3, 3))])
+    def test_mis_shaped_plane_rejected(self, name, shape):
+        # numpy would broadcast a select row of four without a word, and
+        # refuse a 3x3 select with its own error
+        planes = {"builtup plane": np.ones((4, 4)), "select mask": np.ones((4, 4), bool)}
+        planes[name] = np.resize(planes[name], shape)
+        with pytest.raises(ShapeError, match=rf"{name} shape \({shape[0]}, {shape[1]}\)"):
+            stratify(np.ones((4, 4), np.uint8), planes["builtup plane"], planes["select mask"])
 
 
 class TestReports:

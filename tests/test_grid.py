@@ -19,7 +19,6 @@ from urbanet.grid import (
     TEST,
     TRAIN,
     WATER,
-    NormStats,
     WorldGrid,
     assign_split,
     load_grid,
@@ -33,6 +32,18 @@ from urbanet.grid import (
 def n_water(split):
     """Water pixels of a split."""
     return int(np.count_nonzero(split.labels == WATER))
+
+
+def n_pixels(split, scope):
+    """Pixels that ``split.select(scope)`` names."""
+    return int(np.count_nonzero(split.select(scope)))
+
+
+def normalize_on_land(grid, **kw):
+    """``normalize_channels`` fitted on every land pixel, of every channel
+    unless ``channels`` is given."""
+    kw.setdefault("channels", list(grid.channels))
+    return normalize_channels(grid, fit_mask=np.ones(grid.mask.shape, bool), **kw)
 
 
 def make_grid(mask, *, n_channels=1, regions=None, region_table=None, seed=0):
@@ -304,7 +315,7 @@ class TestNormalize:
         grid = make_grid([[1, 1, 1, 0]])
         channels = {"ch0": np.array([[2.0, 4.0, 6.0, 0.0]])}
         grid = WorldGrid(grid.mask, grid.regions, channels, grid.region_table)
-        normed, stats = normalize_channels(grid)
+        normed, stats = normalize_on_land(grid)
         np.testing.assert_array_equal(normed.channels["ch0"], [[0.0, 0.5, 1.0, 0.0]])
         assert stats.channels["ch0"] == (2.0, 6.0)
 
@@ -312,21 +323,28 @@ class TestNormalize:
         grid = make_grid([[1, 1, 0]])
         channels = {"ch0": np.array([[5.0, 9.0, 0.0]])}
         grid = WorldGrid(grid.mask, grid.regions, channels, grid.region_table)
-        normed, _ = normalize_channels(grid)
+        normed, _ = normalize_on_land(grid)
         assert normed.channels["ch0"][0, 2] == 0.0
 
-    def test_applying_returned_stats_is_idempotent(self):
-        grid = make_grid([[1, 1], [1, 1]], seed=11)
-        first, stats = normalize_channels(grid)
-        second, _ = normalize_channels(grid, stats)
-        np.testing.assert_array_equal(first.channels["ch0"], second.channels["ch0"])
+    def test_returned_stats_are_the_ones_applied(self):
+        rng = np.random.default_rng(11)
+        mask = rng.integers(0, 2, size=(6, 7))
+        grid = make_grid(mask, n_channels=2, seed=11)
+        fit = rng.random((6, 7)) < 0.5
+        normed, stats = normalize_channels(grid, fit_mask=fit, channels=["ch1", "ch0"])
+        assert list(stats.channels) == ["ch1", "ch0"]
+        for name, (lo, hi) in stats.channels.items():
+            plane = grid.channels[name]
+            assert (lo, hi) == (plane[fit & (mask == 1)].min(), plane[fit & (mask == 1)].max())
+            want = np.where(mask == 1, (plane - lo) / (hi - lo), 0.0)
+            assert normed.channels[name].tobytes() == want.tobytes()
 
     def test_constant_channel_rejected(self):
         grid = make_grid([[1, 1, 1]])
         channels = {"flat": np.full((1, 3), 5.0)}
         grid = WorldGrid(grid.mask, grid.regions, channels, grid.region_table)
         with pytest.raises(DegenerateChannelError, match="'flat'"):
-            normalize_channels(grid)
+            normalize_on_land(grid)
 
     def test_out_of_range_values_not_clipped(self):
         # Fit on the left half only; the right half holds larger values.
@@ -335,7 +353,7 @@ class TestNormalize:
         channels = {"ch0": np.array([[1.0, 2.0, 3.0, 5.0]])}
         grid = WorldGrid(grid.mask, grid.regions, channels, grid.region_table)
         fit = np.array([[True, True, False, False]])
-        normed, stats = normalize_channels(grid, fit_mask=fit)
+        normed, stats = normalize_channels(grid, fit_mask=fit, channels=["ch0"])
         assert stats.channels["ch0"] == (1.0, 2.0)
         np.testing.assert_array_equal(normed.channels["ch0"], [[0.0, 1.0, 2.0, 4.0]])
 
@@ -344,26 +362,41 @@ class TestNormalize:
         grid = make_grid(np.ones((6, 6), np.uint8), n_channels=3, seed=5)
         fit = rng.random((6, 6)) < 0.5
         fit[0, 0] = fit[1, 1] = True
-        normed, _ = normalize_channels(grid, fit_mask=fit)
+        normed, _ = normalize_channels(grid, fit_mask=fit, channels=list(grid.channels))
         for plane in normed.channels.values():
             assert plane[fit].min() >= 0.0 and plane[fit].max() <= 1.0
 
     def test_channel_subset_passthrough(self):
-        grid = make_grid([[1, 1, 1]], n_channels=2, seed=7)
-        normed, stats = normalize_channels(grid, channels=["ch0"])
-        assert set(stats.channels) == {"ch0"}
-        np.testing.assert_array_equal(normed.channels["ch1"], grid.channels["ch1"])
+        # the planes left out pass through as the input's own arrays, and
+        # the input grid is not changed
+        grid = make_grid([[1, 0, 1], [1, 1, 0]], n_channels=3, seed=7)
+        before = {name: plane.copy() for name, plane in grid.channels.items()}
+        normed, stats = normalize_on_land(grid, channels=["ch1"])
+        assert set(stats.channels) == {"ch1"}
+        assert list(normed.channels) == ["ch0", "ch1", "ch2"]
+        assert normed.channels["ch0"] is grid.channels["ch0"]
+        assert normed.channels["ch2"] is grid.channels["ch2"]
+        assert not np.shares_memory(normed.channels["ch1"], grid.channels["ch1"])
+        for name, plane in grid.channels.items():
+            assert plane.tobytes() == before[name].tobytes()
 
-    def test_stats_for_missing_channel_rejected(self):
+    def test_unknown_channel_rejected(self):
         grid = make_grid([[1, 1]])
-        stats = NormStats(channels={"nope": (0.0, 1.0)})
-        with pytest.raises(DataError, match="'nope'"):
-            normalize_channels(grid, stats)
+        with pytest.raises(DataError, match="unknown channel 'nope'"):
+            normalize_on_land(grid, channels=["nope"])
 
     def test_all_water_fit_rejected(self):
         grid = make_grid([[1, 1]])
         with pytest.raises(DataError, match="no land pixels"):
-            normalize_channels(grid, fit_mask=np.zeros((1, 2), bool))
+            normalize_channels(grid, fit_mask=np.zeros((1, 2), bool), channels=["ch0"])
+
+    def test_mis_shaped_fit_mask_rejected(self):
+        # checked before the mask is combined with the land: numpy would
+        # raise its own broadcast error, or broadcast a row without a word
+        grid = make_grid(np.ones((4, 4), np.uint8))
+        for shape in ((3, 3), (1, 4)):
+            with pytest.raises(DataError, match=rf"fit_mask shape \({shape[0]}, {shape[1]}\)"):
+                normalize_channels(grid, fit_mask=np.ones(shape, bool), channels=["ch0"])
 
 
 class TestSplit:
@@ -384,15 +417,15 @@ class TestSplit:
             for c in range(10)
             if mask[r, c] == 1 and regions[r, c] == 1
         )
-        assert split.n_test == brute == 45
-        assert split.n_train == 45
+        assert n_pixels(split, "test") == brute == 45
+        assert n_pixels(split, "train") == 45
         assert n_water(split) == 10
 
     def test_empty_test_regions(self):
         grid = make_grid([[1, 0], [1, 1]])
         split = assign_split(grid, set())
-        assert split.n_test == 0
-        assert split.n_train == 3
+        assert n_pixels(split, "test") == 0
+        assert n_pixels(split, "train") == 3
 
     def test_label_invariants(self):
         grid = make_grid(
@@ -428,7 +461,7 @@ class TestSplit:
         grid = make_grid([[1]])
         with pytest.warns(UserWarning, match="XXX"):
             split = assign_split(grid, {"XXX"})
-        assert split.n_test == 0
+        assert n_pixels(split, "test") == 0
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16))
@@ -440,5 +473,5 @@ class TestSplit:
             mask, regions=regions, region_table={1: "AAA", 2: "BBB", 3: "CCC"}
         )
         split = assign_split(grid, {"BBB"})
-        assert split.n_train + split.n_test + n_water(split) == 35
-        assert split.n_test == int(np.count_nonzero((mask == 1) & (regions == 2)))
+        assert n_pixels(split, "train") + n_pixels(split, "test") + n_water(split) == 35
+        assert n_pixels(split, "test") == int(np.count_nonzero((mask == 1) & (regions == 2)))

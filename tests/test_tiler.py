@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -32,13 +35,14 @@ def dataset(world, size, pad, **kw):
     )
 
 
-def centers(ds):
-    """Tile centers in unpadded grid coordinates, in dataset order."""
-    return [(int(r), int(c)) for r, c in ds.centers_padded - ds.pad]
+def centers(ds, pad):
+    """Tile centers in the coordinates of the grid before its ``pad``, in
+    dataset order."""
+    return [(int(r), int(c)) for r, c in ds.centers_padded - pad]
 
 
-def index_of(ds, center):
-    return centers(ds).index(center)
+def index_of(ds, pad, center):
+    return centers(ds, pad).index(center)
 
 
 def stacked(grid, names):
@@ -46,15 +50,17 @@ def stacked(grid, names):
     return np.stack([grid.channels[name] for name in names], axis=-1)
 
 
-def oracle_tile(ds, i):
-    """Tile ``i`` sliced straight from the stacked planes, channel-last,
-    with the inputs cast to the float32 the tiler stores them in."""
+def oracle_tile(padded, ds, i):
+    """Tile ``i`` of ``ds``, built by :func:`dataset` from the grid
+    ``padded``, sliced straight from its stacked planes, channel-last, with
+    the inputs cast to the float32 the tiler stores them in."""
     s = ds.window.size
     tr, tc = ds.centers_padded[i] - ds.window.center_offset
     window = np.s_[tr : tr + s, tc : tc + s]
-    return (stacked(ds.grid, ds.input_names)[window].astype(np.float32),
-            stacked(ds.grid, ds.target_names)[window],
-            np.asarray(ds.grid.mask)[window])
+    inputs = [n for n in padded.channels if n != "target"]
+    return (stacked(padded, inputs)[window].astype(np.float32),
+            stacked(padded, ["target"])[window],
+            np.asarray(padded.mask)[window])
 
 
 class TestWindowSpec:
@@ -67,15 +73,12 @@ class TestWindowSpec:
         with pytest.raises(ShapeError):
             WindowSpec(0)
 
-    def test_max_reach(self):
-        assert WindowSpec(28).max_reach == 14
-
 
 class TestTileAt:
     def test_full_window_shapes(self):
         world = make_world(np.ones((30, 30), np.uint8), n_inputs=9)
         ds = dataset(world, size=28, pad=20)
-        i = index_of(ds, (15, 15))
+        i = index_of(ds, 20, (15, 15))
         x, y, m = ds.batch(np.array([i]))
         assert x.shape == (1, 28, 28, 9)
         assert y.shape == (1, 28, 28, 1)
@@ -101,7 +104,7 @@ class TestTileAt:
         pad, s = 3, 4
         off = s // 2
         ds = dataset(world, size=s, pad=pad)
-        x, _, _ = ds.batch(np.array([index_of(ds, (2, 3))]))
+        x, _, _ = ds.batch(np.array([index_of(ds, pad, (2, 3))]))
         for i in range(s):
             for j in range(s):
                 rr, cc = 2 - off + i, 3 - off + j  # unpadded coordinates
@@ -123,9 +126,9 @@ class TestTileAt:
         split = assign_split(pad_grid(world, 2), {"BBB"})
         test = dataset(world, size=2, pad=2, split=split, split_filter="test")
         train = dataset(world, size=2, pad=2, split=split, split_filter="train")
-        assert centers(test) == [(1, 1)]
+        assert centers(test, 2) == [(1, 1)]
         assert test.regions.tolist() == [9]
-        assert centers(train) == [(0, 0), (0, 1), (1, 0)]
+        assert centers(train, 2) == [(0, 0), (0, 1), (1, 0)]
         assert train.regions.tolist() == [5, 5, 5]
 
 
@@ -137,14 +140,14 @@ class TestSampleAll:
         mask = mask.reshape(8, 8)
         ds = dataset(make_world(mask), size=6, pad=4)
         assert len(ds) == 37
-        assert len(set(centers(ds))) == 37
+        assert len(set(centers(ds, 4))) == 37
         land = {(r, c) for r in range(8) for c in range(8) if mask[r, c] == 1}
-        assert set(centers(ds)) == land
+        assert set(centers(ds, 4)) == land
 
     def test_zero_land_gives_empty_sequence(self):
         ds = dataset(make_world(np.zeros((4, 4), np.uint8)), size=4, pad=4)
         assert len(ds) == 0
-        assert centers(ds) == []
+        assert centers(ds, 4) == []
         x, y, m = ds.batch(np.arange(0))
         assert x.shape == (0, 4, 4, 2) and y.shape == (0, 4, 4, 1)
         assert m.shape == (0, 4, 4)
@@ -155,8 +158,8 @@ class TestSampleAll:
         world = make_world(mask, seed=1)
         a = dataset(world, size=4, pad=4)
         b = dataset(world, size=4, pad=4)
-        assert centers(a) == sorted(centers(a))
-        assert centers(a) == centers(b)
+        assert centers(a, 4) == sorted(centers(a, 4))
+        assert centers(a, 4) == centers(b, 4)
         every = np.arange(len(a))
         for got, want in zip(a.batch(every), b.batch(every)):
             np.testing.assert_array_equal(got, want)
@@ -196,19 +199,20 @@ class TestSampleAll:
         world = make_world(mask, seed=5)
         land = sorted(map(tuple, np.argwhere(mask == 1).tolist()))
         for f in ("all", "train"):
-            assert centers(dataset(world, size=4, pad=3, split_filter=f)) == land
+            assert centers(dataset(world, size=4, pad=3, split_filter=f), 3) == land
         assert len(dataset(world, size=4, pad=3, split_filter="test")) == 0
 
     def test_batch_matches_items(self):
         rng = np.random.default_rng(3)
         mask = rng.integers(0, 2, size=(6, 6)).astype(np.uint8)
         mask[0, 0] = 1
-        ds = dataset(make_world(mask, seed=3), size=4, pad=4)
+        world = make_world(mask, seed=3)
+        ds = dataset(world, size=4, pad=4)
         idx = np.array([0, len(ds) - 1, len(ds) // 2])
         x, y, m = ds.batch(idx)
         assert x.shape == (3, 4, 4, 2) and y.shape == (3, 4, 4, 1)
         for b, i in enumerate(idx):
-            want_x, want_y, want_m = oracle_tile(ds, i)
+            want_x, want_y, want_m = oracle_tile(pad_grid(world, 4), ds, i)
             np.testing.assert_array_equal(x[b], want_x)
             np.testing.assert_array_equal(y[b], want_y)
             np.testing.assert_array_equal(m[b], want_m)
@@ -233,6 +237,17 @@ class TestSampleAll:
         x, y, m = ds.batch(np.arange(len(ds)))
         assert x.shape == (9, 2, 2, 2) and y.shape == (9, 2, 2, 0) and m.shape == (9, 2, 2)
         assert x.dtype == np.float32 and y.dtype == np.float64
+
+    def test_holds_no_reference_to_the_grid(self):
+        # the padded float64 grid is freed once its pixel tables are built
+        world = pad_grid(make_world(np.ones((3, 3), np.uint8)), 2)
+        ds = TileDataset(world, WindowSpec(2), pad=2, input_names=["in0"],
+                         target_names=["target"])
+        grid, plane = weakref.ref(world), weakref.ref(world.channels["in1"])
+        del world
+        gc.collect()
+        assert grid() is None and plane() is None
+        assert len(ds) == 9 and ds.batch(np.arange(9))[0].shape == (9, 2, 2, 1)
 
 
 class TestCoverage:

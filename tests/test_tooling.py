@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every import in the package is
 used, every private function or class has a caller, every public one has
-a user outside the tests and so has each of its parameters with a
-default, README's library sketch imports only names that exist, one
+a user outside the tests, each of its parameters with a default is
+passed by some call outside the tests and left out by another, README's
+library sketch imports only names that exist, one
 module owns the binary file format, the command line parses its flags
 before numpy loads, its training flags are the fields of ``TrainConfig``,
 ``eval --split`` offers the names ``SplitAssignment.select`` takes,
@@ -507,28 +508,15 @@ def test_public_defs_have_users():
     assert unused_public_defs({"a.py": sample["a.py"]}, {"b.py": sample["b.py"]}) == [
         "a.py:Lonely", "a.py:Lonely.make", "a.py:Used.dead", "a.py:orphan",
         "a.py:recursive"]
-    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    users = {f"benchmarks/{path.name}": path.read_text()
-             for path in sorted((ROOT / "benchmarks").glob("*.py"))}
-    users["README.md"] = library_sketch((ROOT / "README.md").read_text())
-    assert [name for name in unused_public_defs(package, users)
+    assert [name for name in unused_public_defs(*package_and_users())
             if name not in _UNUSED_ALLOWED] == []
 
 
-# parameters with a default that no call passes yet, each with its reason
-_UNPASSED_ALLOWED = {
-    "grid.py:normalize_channels(stats)":
-        "eval is to apply the statistics that a checkpoint stores (ROADMAP item 2)",
-    "trainer.py:train_multitask(checkpoint_dir)":
-        "the acceptance frozen-phase oracle reads phase 1's final weights through "
-        "it; ROADMAP item 7's per-epoch state file belongs there",
-}
-
-
-def unpassed_parameters(package: dict[str, str], users: dict[str, str]) -> list[str]:
-    """``file:Qualified.name(parameter)`` of each parameter with a default
-    of a public function or method of ``package`` that no call in
-    ``package`` or ``users`` passes.
+def parameter_uses(package: dict[str, str], users: dict[str, str]) -> dict[str, tuple[int, int]]:
+    """``file:Qualified.name(parameter)`` of each parameter with a default of
+    a public function or method of ``package``, mapped to the number of
+    calls in ``package`` or ``users`` that call its def, and the number of
+    those that pass it.
 
     Calls match defs by name: ``name(...)`` and ``x.name(...)`` call every
     def called ``name``, and ``Class(...)`` calls ``Class.__init__``.  A
@@ -536,34 +524,34 @@ def unpassed_parameters(package: dict[str, str], users: dict[str, str]) -> list[
     parameter is its receiver, unless it is a staticmethod); a call with
     ``*`` or ``**`` passes them all.
     """
-    positional, keywords, splat = {}, {}, set()
+    calls = {}  # called name -> [(positional count, keywords, splat), ...]
     for source in {**package, **users}.values():
         for call in ast.walk(ast.parse(source)):
-            if not isinstance(call, ast.Call):
-                continue
-            name = getattr(call.func, "id", getattr(call.func, "attr", None))
-            if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                    k.arg is None for k in call.keywords):
-                splat.add(name)
-            positional[name] = max(positional.get(name, 0), len(call.args))
-            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                keywords = {k.arg for k in call.keywords}
+                splat = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+                calls.setdefault(name, []).append((len(call.args), keywords, splat))
 
-    def check(path: str, qualname: str, called: str, node: ast.AST, bound: int) -> list:
+    uses = {}
+
+    def count(path: str, qualname: str, called: str, node: ast.AST, bound: int) -> None:
         params = [*node.args.posonlyargs, *node.args.args][bound:]
         defaulted = [(i, p.arg) for i, p in enumerate(params)
                      if i >= len(params) - len(node.args.defaults)]
         defaulted += [(None, p.arg) for p, d in zip(node.args.kwonlyargs,
                                                     node.args.kw_defaults) if d is not None]
-        return [f"{path}:{qualname}({arg})" for i, arg in defaulted
-                if called not in splat and arg not in keywords.get(called, ())
-                and (i is None or i >= positional.get(called, 0))]
+        sites = calls.get(called, [])
+        for i, arg in defaulted:
+            passing = sum(splat or arg in keywords or (i is not None and i < positional)
+                          for positional, keywords, splat in sites)
+            uses[f"{path}:{qualname}({arg})"] = (len(sites), passing)
 
-    found = []
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path, source in package.items():
         for node in ast.parse(source).body:
             if isinstance(node, functions) and not node.name.startswith("_"):
-                found += check(path, node.name, node.name, node, 0)
+                count(path, node.name, node.name, node, 0)
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for method in node.body:
                     if not isinstance(method, functions) or (
@@ -572,41 +560,70 @@ def unpassed_parameters(package: dict[str, str], users: dict[str, str]) -> list[
                     static = any(getattr(d, "id", None) == "staticmethod"
                                  for d in method.decorator_list)
                     called = node.name if method.name == "__init__" else method.name
-                    found += check(path, f"{node.name}.{method.name}", called, method,
-                                   0 if static else 1)
-    return sorted(found)
+                    count(path, f"{node.name}.{method.name}", called, method,
+                          0 if static else 1)
+    return uses
+
+
+def unpassed_parameters(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Each parameter with a default that no call passes."""
+    return sorted(name for name, (_, passing) in parameter_uses(package, users).items()
+                  if passing == 0)
+
+
+def overridden_defaults(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Each parameter with a default that every call of its def passes,
+    when there is such a call."""
+    return sorted(name for name, (sites, passing) in parameter_uses(package, users).items()
+                  if 0 < sites == passing)
+
+
+# (package, users) for the two parameter checks
+PARAMETER_SAMPLE = ({
+    "a.py": "def f(x, y=1, *, z=2, w=3): pass\n"
+            "def g(a=1, b=2): pass\n"
+            "def h(a=1): pass\n"
+            "def _private(a=1): pass\n"
+            "class C:\n"
+            "    def __init__(self, n=0, m=0): pass\n"
+            "    def run(self, k=1): pass\n"
+            "    @staticmethod\n"
+            "    def make(k=1): pass\n"
+            "    def _helper(self, k=1): pass\n"}, {
+    "b.py": "f(0, 5, z=1)\n"
+            "f(1, z=3)\n"
+            "g(*[])\n"
+            "C(1)\n"
+            "C().run()\n"
+            "C.make(2)\n"
+            "def unchecked(a=1): pass\n"})
+
+
+def package_and_users() -> tuple[dict[str, str], dict[str, str]]:
+    """The sources of ``src/urbanet``, and those of ``benchmarks/*.py`` and
+    README's library sketch, which count as uses."""
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    users = {f"benchmarks/{path.name}": path.read_text()
+             for path in sorted((ROOT / "benchmarks").glob("*.py"))}
+    users["README.md"] = library_sketch((ROOT / "README.md").read_text())
+    return package, users
 
 
 def test_keyword_parameters_have_callers():
     # a default that no caller outside the tests overrides is a setting
     # nobody uses: it goes, or the tests reach their case another way
-    sample = {
-        "a.py": "def f(x, y=1, *, z=2, w=3): pass\n"
-                "def g(a=1, b=2): pass\n"
-                "def h(a=1): pass\n"
-                "def _private(a=1): pass\n"
-                "class C:\n"
-                "    def __init__(self, n=0, m=0): pass\n"
-                "    def run(self, k=1): pass\n"
-                "    @staticmethod\n"
-                "    def make(k=1): pass\n"
-                "    def _helper(self, k=1): pass\n",
-        "b.py": "f(0, 5, z=1)\n"
-                "g(*[])\n"
-                "C(1)\n"
-                "C().run()\n"
-                "C.make(2)\n"
-                "def unchecked(a=1): pass\n",
-    }
-    assert unpassed_parameters({"a.py": sample["a.py"]}, {"b.py": sample["b.py"]}) == [
+    assert unpassed_parameters(*PARAMETER_SAMPLE) == [
         "a.py:C.__init__(m)", "a.py:C.run(k)", "a.py:f(w)", "a.py:h(a)"]
-    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    users = {f"benchmarks/{path.name}": path.read_text()
-             for path in sorted((ROOT / "benchmarks").glob("*.py"))}
-    users["README.md"] = library_sketch((ROOT / "README.md").read_text())
-    found = unpassed_parameters(package, users)
-    assert [name for name in found if name not in _UNPASSED_ALLOWED] == []
-    assert sorted(_UNPASSED_ALLOWED) == [name for name in found if name in _UNPASSED_ALLOWED]
+    assert unpassed_parameters(*package_and_users()) == []
+
+
+def test_defaults_are_relied_on():
+    # a default that every caller outside the tests overrides is a value
+    # only the tests use, and so is any branch behind it: the parameter
+    # loses its default, and the branch goes
+    assert overridden_defaults(*PARAMETER_SAMPLE) == [
+        "a.py:C.make(k)", "a.py:f(z)", "a.py:g(a)", "a.py:g(b)"]
+    assert overridden_defaults(*package_and_users()) == []
 
 
 def missing_imports(source: str) -> list[str]:

@@ -136,11 +136,11 @@ class TestConfig:
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
-            config_from_pairs([("warmup", "5")])
+            config_from_pairs([("warmup", "5")], TrainConfig())
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
-            config_from_pairs([("batch_size", "lots")])
+            config_from_pairs([("batch_size", "lots")], TrainConfig())
 
 
 class TestValidationRegions:
@@ -158,11 +158,11 @@ class TestValidationRegions:
         assert len(picks) > 1
 
     def test_never_all_regions(self):
-        assert len(choose_validation_regions([1, 2])) == 1
+        assert len(choose_validation_regions([1, 2], seed=0)) == 1
 
     def test_single_region_rejected(self):
         with pytest.raises(DataError):
-            choose_validation_regions([4])
+            choose_validation_regions([4], seed=0)
 
 
 class TestStreams:
@@ -242,7 +242,7 @@ class TestTrain:
         zero = init_params(spec, seed=0)
         for name in zero.arrays:
             zero.arrays[name] = np.zeros_like(zero.arrays[name])
-        zero_loss = evaluate_loss(zero, val_stream)
+        zero_loss = evaluate_loss(zero, val_stream, cfg.batch_size, None)
         assert hist.best_val_loss < 0.01 * zero_loss
 
     def test_best_epoch_restoration(self, streams):
@@ -250,7 +250,7 @@ class TestTrain:
         params = init_params(TINY, seed=2)
         model, hist = train(params, train_stream, val_stream,
                             quick_config(max_epochs=4, batch_size=64))
-        assert evaluate_loss(model, val_stream, 64) == hist.best_val_loss
+        assert evaluate_loss(model, val_stream, 64, None) == hist.best_val_loss
         assert hist.best_epoch == min(
             (r.val_loss, r.epoch) for r in hist.rows
         )[1]
@@ -311,14 +311,6 @@ class TestTrain:
         assert len(lines) == 1 + len(hist.rows)
         assert lines[1].startswith("1,train,")
 
-    def test_checkpoints_written(self, streams, tmp_path):
-        train_stream, val_stream, _ = streams
-        params = init_params(TINY, seed=0)
-        train(params, train_stream, val_stream, quick_config(),
-              checkpoint_dir=tmp_path)
-        assert (tmp_path / "train_best.unpk").exists()
-        assert (tmp_path / "train_final.unpk").exists()
-
 
 class TestMultiTask:
     def test_schedule_requires_smaller_phase2_rate(self):
@@ -358,7 +350,7 @@ class TestMultiTask:
     def test_duplicate_head_rejected(self):
         pre = init_params(TINY, seed=7)
         with pytest.raises(SpecError):
-            build_multitask(pre, head="urban")
+            build_multitask(pre, head="urban", seed=1)
 
     def test_phase1_freeze_is_bitwise(self, mt_streams):
         train_stream, val_stream, _ = mt_streams

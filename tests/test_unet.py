@@ -1221,24 +1221,26 @@ class TestGradCheck:
     TOLERANCE = 1e-4
 
     def test_tiny_net_matches_finite_differences(self):
-        report = grad_check(TINY, seed=0)
+        report = grad_check(TINY, seed=0, tile_size=8)
         assert report.max_rel_err < self.TOLERANCE, report
 
     def test_default_spec_passes(self):
         # the depth-1, base-4 network on the nine standard input channels
-        report = grad_check(UNetSpec(input_channels=9, base_features=4, depth=1), seed=1)
+        report = grad_check(UNetSpec(input_channels=9, base_features=4, depth=1), seed=1,
+                            tile_size=8)
         assert report.max_rel_err < self.TOLERANCE, report
         assert report.n_checked >= 500
 
     def test_multi_head_gradients_check_out(self):
         spec = UNetSpec(3, 2, 1, heads=("urban", "pop"))
-        report = grad_check(spec, seed=2)
+        report = grad_check(spec, seed=2, tile_size=8)
         assert report.max_rel_err < self.TOLERANCE, report
 
     @pytest.mark.parametrize("heads", [("urban",), ("urban", "pop")])
     def test_five_by_five_kernel_checks_out(self, heads):
         # k = 5 up-convs reduce to 3x3 phase kernels
-        report = grad_check(UNetSpec(3, 2, 1, kernel_size=5, heads=heads), seed=4)
+        report = grad_check(UNetSpec(3, 2, 1, kernel_size=5, heads=heads), seed=4,
+                            tile_size=8)
         assert report.max_rel_err < self.TOLERANCE, report
 
     def test_corrupted_gradient_detected(self, monkeypatch):
@@ -1250,7 +1252,7 @@ class TestGradCheck:
             return loss, grads
 
         monkeypatch.setattr(unet, "loss_and_grads", corrupted)
-        report = grad_check(TINY, seed=3)
+        report = grad_check(TINY, seed=3, tile_size=8)
         assert report.max_rel_err > self.TOLERANCE
         assert report.worst_param == "enc0.conv1.w"
 
