@@ -57,8 +57,10 @@ def _log(msg: str) -> None:
 
 
 def _split(grid, test_regions: str | None):
-    """Region split of ``grid``.  Without --test-regions the defaults apply,
-    and the grid must name one of them; a named unknown region only warns."""
+    """Region split of ``grid``, a WorldGrid or an open GridFile (only the
+    mask, the regions and the region table are read).  Without
+    --test-regions the defaults apply, and the grid must name one of them;
+    a named unknown region only warns."""
     from .grid import assign_split
 
     known = sorted(grid.region_table.values())
@@ -76,31 +78,36 @@ def _split(grid, test_regions: str | None):
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _require_channels(path, grid, names) -> None:
-    """Fail before any work when ``grid``, read from ``path``, lacks a plane."""
+def _require_channels(path, channels, names) -> None:
+    """Fail before any work when the ``channels`` of the grid at ``path``
+    lack one of ``names``."""
     from .errors import DataError
 
     for name in names:
-        if name not in grid.channels:
+        if name not in channels:
             raise DataError(f"{path}: no {name!r} channel "
-                            f"(channels: {', '.join(grid.channels)})")
+                            f"(channels: {', '.join(channels)})")
 
 
-def _load_split_normalize(grid_path, test_regions: str | None, pad: int, targets):
-    """The grid as read, its padded copy with train-fitted normalized
-    inputs, and the padded copy's split.  The grid must hold every input
-    channel and every plane named in ``targets``."""
-    from .grid import load_grid, normalize_channels, pad_grid
+def _load_split_normalize(src, test_regions: str | None, pad: int, targets):
+    """The grid of the open :class:`~urbanet.grid.GridFile` ``src``, padded,
+    with train-fitted normalized inputs and the ``targets`` planes, and its
+    split.  The channel list is checked first, from the header alone.  Then
+    every plane is read and checked once, the inputs as their statistics
+    are fitted, and none is kept: the padded grid reads its planes again
+    from the open file, one at each access."""
+    from .grid import NormStats, fit_normalization
     from .synth import INPUT_CHANNELS
 
-    world = load_grid(grid_path)
-    _require_channels(grid_path, world, INPUT_CHANNELS + tuple(targets))
-    padded = pad_grid(world, pad)
-    split = _split(padded, test_regions)
-    norm, _ = normalize_channels(
-        padded, fit_mask=split.train_mask, channels=INPUT_CHANNELS
-    )
-    return world, norm, split
+    names = INPUT_CHANNELS + tuple(targets)
+    _require_channels(src.path, src.channels, names)
+    raw = src.padded(pad, NormStats({}), INPUT_CHANNELS)
+    split = _split(raw, test_regions)
+    stats = fit_normalization(raw, fit_mask=split.train_mask, channels=INPUT_CHANNELS)
+    for name in src.channels:
+        if name not in stats.channels:
+            src.plane(name)  # checked, then dropped
+    return src.padded(pad, stats, names), split
 
 
 def _check_spec(spec, size: int, flag: str, depth_from: str = "--depth") -> None:
@@ -176,10 +183,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    from .grid import load_grid
+    from .grid import open_grid
 
-    grid = load_grid(args.grid)
-    split = _split(grid, args.test_regions)
+    with open_grid(args.grid) as src:
+        src.planes(())  # every plane is checked; the split needs none
+        split = _split(src, args.test_regions)
     land, train, test = (int(split.select(scope).sum()) for scope in ("all", "train", "test"))
     print(f"land={land} train={train} test={test}")
     return 0
@@ -187,16 +195,17 @@ def _cmd_split(args) -> int:
 
 def _streams(args, targets, seed):
     """Train and validation tile streams from ``--grid``."""
+    from .grid import open_grid
     from .synth import INPUT_CHANNELS
     from .tiler import WindowSpec
     from .trainer import build_streams
 
-    # the grid as read is not kept: it is freed before the tiles are built
-    norm, split = _load_split_normalize(args.grid, args.test_regions, args.pad, targets)[1:]
-    tr, va, val_regions = build_streams(
-        norm, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
-        target_names=targets, split=split, seed=seed,
-    )
+    with open_grid(args.grid) as src:
+        padded, split = _load_split_normalize(src, args.test_regions, args.pad, targets)
+        tr, va, val_regions = build_streams(
+            padded, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
+            target_names=targets, split=split, seed=seed,
+        )
     _log(f"streams: {len(tr)} train (augmented), {len(va)} val, "
          f"val regions {sorted(val_regions)}")
     return tr, va
@@ -278,7 +287,7 @@ def _cmd_eval(args) -> int:
     from .evaluate import (STRATUM_ALL, EvalReport, load_report, multitask_label,
                            predict_world, residual_metrics, save_report,
                            stratify, unet_label)
-    from .grid import WorldGrid, save_grid
+    from .grid import WorldGrid, open_grid, save_grid
     from .synth import INPUT_CHANNELS, TARGET_URBAN
     from .tiler import WindowSpec
     from .unet import load_params
@@ -297,58 +306,61 @@ def _cmd_eval(args) -> int:
         target = target_for_head[head]
         targets[head] = (target, label if target == TARGET_URBAN else f"{label} on {target}")
 
-    # the built-up stratum reads delta_urban whatever the model's heads
-    world, norm, split = _load_split_normalize(
-        args.grid, args.test_regions, args.pad,
-        (TARGET_URBAN, *(target for target, _ in targets.values())))
-    pad = args.pad
-    scope_mask = split.select(args.split)[pad : norm.height - pad, pad : norm.width - pad]
-    builtup = world.channels["urban_2000"] + world.channels[TARGET_URBAN]
-    strata = stratify(world.mask, builtup, select=scope_mask)
+    with open_grid(args.grid) as src:
+        # the built-up stratum reads delta_urban whatever the model's heads
+        padded, split = _load_split_normalize(
+            src, args.test_regions, args.pad,
+            (TARGET_URBAN, *(target for target, _ in targets.values())))
+        pad = args.pad
+        scope_mask = split.select(args.split)[pad : padded.height - pad,
+                                              pad : padded.width - pad]
+        strata = stratify(src.mask, src.plane("urban_2000") + src.plane(TARGET_URBAN),
+                          select=scope_mask)
 
-    # a rerun onto the same report fails before the world is predicted
-    report = load_report(args.report) if os.path.exists(args.report) else EvalReport()
-    taken = {row.key for row in report.rows}
-    for _, model_label in targets.values():
-        for stratum_name in strata:
-            key = (model_label, args.window, args.split, stratum_name)  # MetricsRow.key
-            if key in taken:
-                raise DataError(f"{args.report}: duplicate report row key {key}")
+        # a rerun onto the same report fails before the world is predicted
+        report = load_report(args.report) if os.path.exists(args.report) else EvalReport()
+        taken = {row.key for row in report.rows}
+        for _, model_label in targets.values():
+            for stratum_name in strata:
+                key = (model_label, args.window, args.split, stratum_name)  # MetricsRow.key
+                if key in taken:
+                    raise DataError(f"{args.report}: duplicate report row key {key}")
 
-    t0 = time.perf_counter()
-    pred = predict_world(
-        params, norm, WindowSpec(args.window), pad=args.pad,
-        input_names=INPUT_CHANNELS, split=split, split_filter=args.split,
-    )
-    elapsed = time.perf_counter() - t0
-    cover = pred.count[strata[STRATUM_ALL]]  # the land of the evaluated split
-    _log(f"predicted {pred.tiles} tiles in {elapsed:.1f} s "
-         f"({pred.tiles / elapsed:.0f} tiles/s); coverage on {args.split}-split land: "
-         f"min {cover.min()}, median {np.median(cover):g}; "
-         f"{np.count_nonzero(cover == 0)} {args.split}-split land pixels never covered")
-
-    for head, (target, model_label) in targets.items():
-        for stratum_name, stratum_mask in strata.items():
-            row = residual_metrics(
-                pred.planes[head], world.channels[target], stratum_mask,
-                scope=args.split, stratum=stratum_name,
-                model=model_label, window=args.window,
-            )
-            report.add(row)
-            _log(f"{model_label} [{stratum_name}] n={row.n_cells} "
-                 f"mean|e|={row.mean_abs} r2={row.r2}")
-    save_report(report, args.report)
-    _log(f"wrote {args.report}")
-
-    if args.pred_out:
-        planes = {f"pred_{h}": p for h, p in pred.planes.items()}
-        planes["coverage"] = pred.count.astype(np.float64)
-        save_grid(
-            WorldGrid(mask=world.mask, regions=world.regions, channels=planes,
-                      region_table=world.region_table),
-            args.pred_out,
+        t0 = time.perf_counter()
+        pred = predict_world(
+            params, padded, WindowSpec(args.window), pad=args.pad,
+            input_names=INPUT_CHANNELS, split=split, split_filter=args.split,
         )
-        _log(f"wrote {args.pred_out}")
+        elapsed = time.perf_counter() - t0
+        cover = pred.count[strata[STRATUM_ALL]]  # the land of the evaluated split
+        _log(f"predicted {pred.tiles} tiles in {elapsed:.1f} s "
+             f"({pred.tiles / elapsed:.0f} tiles/s); coverage on {args.split}-split land: "
+             f"min {cover.min()}, median {np.median(cover):g}; "
+             f"{np.count_nonzero(cover == 0)} {args.split}-split land pixels never covered")
+
+        for head, (target, model_label) in targets.items():
+            truth = src.plane(target)
+            for stratum_name, stratum_mask in strata.items():
+                row = residual_metrics(
+                    pred.planes[head], truth, stratum_mask,
+                    scope=args.split, stratum=stratum_name,
+                    model=model_label, window=args.window,
+                )
+                report.add(row)
+                _log(f"{model_label} [{stratum_name}] n={row.n_cells} "
+                     f"mean|e|={row.mean_abs} r2={row.r2}")
+        save_report(report, args.report)
+        _log(f"wrote {args.report}")
+
+        if args.pred_out:
+            planes = {f"pred_{h}": p for h, p in pred.planes.items()}
+            planes["coverage"] = pred.count.astype(np.float64)
+            save_grid(
+                WorldGrid(mask=src.mask, regions=src.regions, channels=planes,
+                          region_table=src.region_table),
+                args.pred_out,
+            )
+            _log(f"wrote {args.pred_out}")
     return 0
 
 
@@ -363,26 +375,25 @@ def _cmd_report(args) -> int:
     if args.scatter:  # every scatter input is checked before anything is written
         if not (args.pred and args.grid):
             raise _UsageError("--scatter needs --pred and --grid")
-        import numpy as np
-
         from .errors import DataError
-        from .grid import load_grid
+        from .grid import open_grid
 
-        pred_grid = load_grid(args.pred)
-        world = load_grid(args.grid)
         name = f"pred_{_HEAD_FOR_TARGET[args.target]}"
-        _require_channels(args.pred, pred_grid, ("coverage", name))
-        _require_channels(args.grid, world, (args.target,))
-        if pred_grid.mask.shape != world.mask.shape:
-            raise DataError(f"{args.pred}: planes of shape {pred_grid.mask.shape} do not "
-                            f"match the {world.mask.shape} grid {args.grid}")
+        with open_grid(args.pred) as pred_src, open_grid(args.grid) as world_src:
+            _require_channels(args.pred, pred_src.channels, ("coverage", name))
+            _require_channels(args.grid, world_src.channels, (args.target,))
+            if pred_src.mask.shape != world_src.mask.shape:
+                raise DataError(f"{args.pred}: planes of shape {pred_src.mask.shape} do not "
+                                f"match the {world_src.mask.shape} grid {args.grid}")
+            predicted = pred_src.planes((name, "coverage"))
+            covered = (world_src.mask == 1) & (predicted["coverage"] > 0)
+            observed = world_src.planes((args.target,))[args.target]
 
     export_report(merged, args.out)
     _log(f"wrote {args.out} ({len(merged.rows)} model rows + baseline)")
     if args.scatter:
-        covered = (np.asarray(world.mask) == 1) & (pred_grid.channels["coverage"] > 0)
-        export_scatter(pred_grid.channels[name], world.channels[args.target], covered,
-                       args.scatter, target_name=args.target)
+        export_scatter(predicted[name], observed, covered, args.scatter,
+                       target_name=args.target)
         _log(f"wrote {args.scatter} and {args.scatter}.csv")
     return 0
 

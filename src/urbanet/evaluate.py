@@ -149,10 +149,10 @@ def predict_world(
     batch_size = _predict_tiles(spec, s, params.dtype.itemsize)
     hp, wp = grid.height, grid.width
     w = wp - 2 * pad
-    inner = ds.centers_padded - pad
-    if inner.min() < 0 or (inner.max(axis=0) >= (hp - 2 * pad, w)).any():
+    centers = ds.centers_padded  # row-major
+    lo, hi = centers.min(axis=0), centers.max(axis=0)
+    if (lo < pad).any() or (hi >= (hp - pad, wp - pad)).any():
         raise ShapeError(f"grid has land within its {pad}-pixel padding")
-    tls = ds.centers_padded - np.asarray(window.center_offset)  # row-major
     ar = np.arange(s)
     land = np.asarray(grid.mask)[:, pad : wp - pad] == 1
 
@@ -192,7 +192,7 @@ def predict_world(
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite prediction in batch {start // batch_size} "
                                f"(tiles {start}..{idx[-1]})")
-        tr, tc = tls[idx, 0], tls[idx, 1]
+        tr, tc = centers[idx, 0] - s // 2, centers[idx, 1] - s // 2  # top-left pixels
         for g in np.split(np.arange(len(idx)), np.flatnonzero(np.diff(tr)) + 1):
             top = int(tr[g[0]])
             close_rows(top)

@@ -10,8 +10,9 @@ The header, and then each array, is zero-padded to the next multiple of 64
 bytes; each array starts where the one before it ends, so no offsets are
 stored.  Each CRC32 covers its section's padding, and the header's also the
 fields before it, so no byte of a file goes unchecked.  dtypes are ``<u1``,
-``<u2``, ``<f4`` or ``<f8``.  A reader holds one section's bytes at a time,
-besides the arrays it has already read.
+``<u2``, ``<f4`` or ``<f8``.  A reader reads one section at a time, each
+array when it is asked for, so it holds no array that its caller does not
+keep.
 """
 
 from __future__ import annotations
@@ -90,12 +91,39 @@ def write_container(path, magic: bytes, version: int, meta, arrays) -> None:
             fh.write(blob)
 
 
-def read_container(path, magic: bytes, version: int, schema):
-    """Read a :func:`write_container` file: ``(meta, arrays)``, each array a
-    read-only view of its own bytes, ``meta`` of the shape of ``schema``
-    (see :func:`_mismatch`).  Checks magic and version (FormatError), header
-    CRC (IntegrityError), header shape (FormatError), then the size against
-    the directory and each array's CRC (IntegrityError)."""
+class Container:
+    """An open :func:`write_container` file whose prefix, header and size
+    have been checked; see :func:`open_container`.  ``meta`` is the
+    header's meta and ``arrays`` maps each array's name, in file order, to
+    its (dtype, shape)."""
+
+    def __init__(self, path, fh, meta, sections):
+        self.path = path
+        self.meta = meta
+        self.arrays = {name: (dtype, shape) for name, (dtype, shape, *_) in sections.items()}
+        self._fh = fh
+        self._sections = sections
+
+    def read(self, name: str) -> np.ndarray:
+        """Array ``name``, read from the file and checked against its CRC at
+        every call (IntegrityError): a read-only view of its own bytes."""
+        dtype, shape, crc, lo, hi = self._sections[name]
+        self._fh.seek(lo)
+        raw = self._fh.read(hi - lo)
+        if zlib.crc32(raw) != crc:
+            raise IntegrityError(f"{self.path}: array {name!r} fails its checksum")
+        return np.frombuffer(raw, dtype, math.prod(shape)).reshape(shape)
+
+
+@contextmanager
+def open_container(path, magic: bytes, version: int, schema):
+    """Open a :func:`write_container` file for :meth:`Container.read`, with
+    ``meta`` of the shape of ``schema`` (see :func:`_mismatch`).  Checks
+    magic and version (FormatError), header CRC (IntegrityError), header
+    shape (FormatError), then the size against the directory
+    (IntegrityError); each array's CRC is checked as it is read.  The file
+    stays open until the block ends, so one that :func:`atomic_write`
+    replaces meanwhile is still read as it was."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         lead = fh.read(_PREFIX)
@@ -116,28 +144,28 @@ def read_container(path, magic: bytes, version: int, schema):
         problem = _mismatch(header, {"meta": schema, "arrays": [[str, str, [int], int]]})
         if problem is not None:
             raise FormatError(f"{path}: {problem}")
-        seen = set()
-        for name, dtype, shape, _ in header["arrays"]:
+        sections, end = {}, start
+        for name, dtype, shape, crc in header["arrays"]:
             if dtype not in _DTYPES.values():
                 raise FormatError(f"{path}: array {name!r} has unknown dtype {dtype!r}")
             if min(shape, default=0) < 0:
                 raise FormatError(f"{path}: array {name!r} has a negative dimension in {shape}")
-            if name in seen:
+            if name in sections:
                 raise FormatError(f"{path}: duplicate array name {name!r}")
-            seen.add(name)
-        ends = [start]
-        for _, dtype, shape, _ in header["arrays"]:
-            ends.append(ends[-1] + _padded(math.prod(shape) * np.dtype(dtype).itemsize))
-        if size != ends[-1]:
-            raise IntegrityError(f"{path}: size mismatch (the directory needs {ends[-1]} "
+            lo, end = end, end + _padded(math.prod(shape) * np.dtype(dtype).itemsize)
+            sections[name] = (dtype, tuple(shape), crc, lo, end)
+        if size != end:
+            raise IntegrityError(f"{path}: size mismatch (the directory needs {end} "
                                  f"bytes, the file has {size})")
-        arrays = {}
-        for (name, dtype, shape, crc), lo, hi in zip(header["arrays"], ends, ends[1:]):
-            raw = fh.read(hi - lo)
-            if zlib.crc32(raw) != crc:
-                raise IntegrityError(f"{path}: array {name!r} fails its checksum")
-            arrays[name] = np.frombuffer(raw, dtype, math.prod(shape)).reshape(tuple(shape))
-    return header["meta"], arrays
+        yield Container(path, fh, header["meta"], sections)
+
+
+def read_container(path, magic: bytes, version: int, schema):
+    """Read a whole :func:`write_container` file: ``(meta, arrays)``, each
+    array a read-only view of its own bytes, checked as
+    :func:`open_container` and :meth:`Container.read` check them."""
+    with open_container(path, magic, version, schema) as src:
+        return src.meta, {name: src.read(name) for name in src.arrays}
 
 
 def _mismatch(value, schema, where: str = "header"):

@@ -8,7 +8,9 @@ is enforced on load and save so downstream code never has to re-check it.
 On disk a grid is a :mod:`urbanet.files` container, magic ``WGRD``,
 version 2: meta ``{"regions": [[code, ISO text], ...], "channels": [name, ...]}``
 and (H, W) arrays ``mask`` ``<u1``, ``regions`` ``<u2``, then ``channel.<i>``
-``<f8`` for the i-th name.
+``<f8`` for the i-th name.  :func:`load_grid` reads all of it;
+:func:`open_grid` reads one plane at a time, so a reader holds only the
+planes it keeps.
 
 All grid-layer arithmetic stays in float64.  The tiler keeps the network
 inputs it gathers in float32 (see :mod:`urbanet.tiler`); targets stay float64.
@@ -18,7 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Iterable
 
@@ -30,7 +35,7 @@ from .errors import (
     FormatError,
     IntegrityError,
 )
-from .files import read_container, write_container
+from .files import Container, open_container, write_container
 
 MAGIC = b"WGRD"
 VERSION = 2
@@ -48,7 +53,7 @@ class WorldGrid:
 
     mask: np.ndarray                      # (H, W) {0,1}
     regions: np.ndarray                   # (H, W) region codes, 0 = water/none
-    channels: dict[str, np.ndarray]       # name -> (H, W) float64, order matters
+    channels: Mapping[str, np.ndarray]    # name -> (H, W) float64, order matters
     region_table: dict[int, str]          # code -> ISO text
 
     @property
@@ -92,7 +97,15 @@ def validate_grid(grid: WorldGrid) -> None:
     """Raise IntegrityError/FormatError if ``grid`` violates a type invariant."""
     if not grid.channels:
         raise FormatError("a WorldGrid needs at least one channel")
-    mask = np.asarray(grid.mask)
+    water = _check_sides(grid.mask, grid.regions, grid.region_table)
+    for name, plane in grid.channels.items():
+        _check_channel(name, plane, water)
+
+
+def _check_sides(mask, regions, region_table: dict[int, str]) -> np.ndarray:
+    """Check the mask, the region codes and the region table; return the
+    (H, W) bool plane of water pixels."""
+    mask = np.asarray(mask)
     if mask.ndim != 2 or mask.shape[0] < 1 or mask.shape[1] < 1:
         raise IntegrityError(f"mask must be a non-empty 2-D array, got shape {mask.shape}")
     shape = mask.shape
@@ -103,7 +116,7 @@ def validate_grid(grid: WorldGrid) -> None:
         r, c = np.argwhere(bad)[0]
         raise IntegrityError(f"mask value at ({r}, {c}) is {mask[r, c]}, expected 0 or 1")
 
-    regions = np.asarray(grid.regions)
+    regions = np.asarray(regions)
     if regions.shape != shape:
         raise IntegrityError(
             f"regions plane shape {regions.shape} does not match mask shape {shape}"
@@ -121,34 +134,38 @@ def validate_grid(grid: WorldGrid) -> None:
             f"water pixel ({r}, {c}) has region code {regions[r, c]}, expected 0"
         )
 
-    for name, plane in grid.channels.items():
-        if not name:
-            raise IntegrityError("channel names must be non-empty")
-        _check_name(name, f"channel name {name!r}")
-        plane = np.asarray(plane)
-        if plane.shape != shape:
-            raise IntegrityError(
-                f"channel {name!r} shape {plane.shape} does not match mask shape {shape}"
-            )
-        if plane.dtype != np.float64:
-            raise IntegrityError(f"channel {name!r} must be float64, got {plane.dtype}")
-        if not np.isfinite(plane).all():
-            r, c = np.argwhere(~np.isfinite(plane))[0]
-            raise IntegrityError(f"channel {name!r} has a non-finite value at ({r}, {c})")
-        bad = water & (plane != 0.0)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise IntegrityError(
-                f"water pixel ({r}, {c}) has nonzero value {plane[r, c]!r} "
-                f"in channel {name!r}"
-            )
-
-    for code, iso in grid.region_table.items():
+    for code, iso in region_table.items():
         if code == 0:
             raise IntegrityError("region code 0 is reserved for water and cannot be named")
         if not (0 < code <= 0xFFFF):
             raise IntegrityError(f"region code {code} does not fit in 16 bits")
         _check_name(iso, f"region name for code {code}")
+    return water
+
+
+def _check_channel(name: str, plane, water: np.ndarray) -> None:
+    """Check channel ``name``: its name, and a finite float64 ``plane`` of
+    the mask's shape that holds 0 on every ``water`` pixel."""
+    if not name:
+        raise IntegrityError("channel names must be non-empty")
+    _check_name(name, f"channel name {name!r}")
+    plane = np.asarray(plane)
+    if plane.shape != water.shape:
+        raise IntegrityError(
+            f"channel {name!r} shape {plane.shape} does not match mask shape {water.shape}"
+        )
+    if plane.dtype != np.float64:
+        raise IntegrityError(f"channel {name!r} must be float64, got {plane.dtype}")
+    if not np.isfinite(plane).all():
+        r, c = np.argwhere(~np.isfinite(plane))[0]
+        raise IntegrityError(f"channel {name!r} has a non-finite value at ({r}, {c})")
+    bad = water & (plane != 0.0)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise IntegrityError(
+            f"water pixel ({r}, {c}) has nonzero value {plane[r, c]!r} "
+            f"in channel {name!r}"
+        )
 
 
 def _check_name(text: str, what: str) -> None:
@@ -174,26 +191,120 @@ def save_grid(grid: WorldGrid, path: str | Path) -> None:
         raise OSError(f"cannot write grid to {path}: {exc}") from exc
 
 
+class GridFile:
+    """An open WGRD file; see :func:`open_grid`.  ``channels`` are the
+    channel names in file order, from the header.  ``mask`` and
+    ``regions`` are read and checked when first used; :meth:`plane` reads
+    one channel plane at each call."""
+
+    def __init__(self, src: Container):
+        path, meta = src.path, src.meta
+        codes, names = [code for code, _ in meta["regions"]], meta["channels"]
+        for what, keys in (("region code", codes), ("channel name", names)):
+            if len(set(keys)) != len(keys):
+                dup = next(key for i, key in enumerate(keys) if key in keys[:i])
+                raise IntegrityError(f"{path}: duplicate {what} {dup!r}")
+        expected = ["mask", "regions", *(f"channel.{i}" for i in range(len(names)))]
+        if list(src.arrays) != expected:
+            raise IntegrityError(f"{path}: arrays {list(src.arrays)}, expected {expected}")
+        if not names:
+            raise FormatError(f"{path}: a WorldGrid needs at least one channel")
+        self.path = path
+        self.channels = tuple(names)
+        self.region_table = dict(meta["regions"])
+        self._src = src
+
+    @cached_property
+    def _sides(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        mask, regions = self._src.read("mask"), self._src.read("regions")
+        try:
+            return mask, regions, _check_sides(mask, regions, self.region_table)
+        except (FormatError, IntegrityError) as err:
+            raise type(err)(f"{self.path}: {err}") from None
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self._sides[0]
+
+    @property
+    def regions(self) -> np.ndarray:
+        return self._sides[1]
+
+    def plane(self, name: str) -> np.ndarray:
+        """Channel ``name`` as the file holds it, read-only, its checksum and
+        invariants checked at every call."""
+        plane = self._src.read(f"channel.{self.channels.index(name)}")
+        try:
+            _check_channel(name, plane, self._sides[2])
+        except (FormatError, IntegrityError) as err:
+            raise type(err)(f"{self.path}: {err}") from None
+        return plane
+
+    def planes(self, keep: Iterable[str]) -> dict[str, np.ndarray]:
+        """Read and check every plane once, in file order, and return those
+        named in ``keep``; the others are dropped as they are checked."""
+        keep, kept = frozenset(keep), {}
+        for name in self.channels:
+            if name in keep:
+                kept[name] = self.plane(name)
+            else:
+                self.plane(name)  # checked, then dropped
+        return kept
+
+    def padded(self, pad: int, stats: NormStats, names: Iterable[str]) -> WorldGrid:
+        """The grid that :func:`pad_grid` makes, with planes ``names``, and
+        those in ``stats`` scaled as :func:`normalize_channels` scales them.
+        It holds no plane: each is read, checked, scaled and padded at
+        every access, so only the planes a reader keeps stay in memory."""
+        land = self.mask == 1
+
+        def make(name: str) -> np.ndarray:
+            plane = self.plane(name)
+            if name in stats.channels:
+                plane = normalize_plane(plane, land, stats.channels[name])
+            return np.pad(plane, pad)
+
+        return WorldGrid(mask=np.pad(self.mask, pad), regions=np.pad(self.regions, pad),
+                         channels=_Planes(names, make), region_table=dict(self.region_table))
+
+
+class _Planes(Mapping):
+    """Named planes, each made by ``make(name)`` when it is looked up."""
+
+    def __init__(self, names: Iterable[str], make):
+        self._names = tuple(names)
+        self._make = make
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._names:
+            raise KeyError(name)
+        return self._make(name)
+
+    def __contains__(self, name) -> bool:
+        return name in self._names
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+@contextmanager
+def open_grid(path: str | Path):
+    """Open a WGRD file as a :class:`GridFile` for the ``with`` block.  The
+    header is checked here; each array is checked when it is read, and a
+    file replaced meanwhile by an atomic write is still read as it was."""
+    with open_container(path, MAGIC, VERSION, _SCHEMA) as src:
+        yield GridFile(src)
+
+
 def load_grid(path: str | Path) -> WorldGrid:
     """Read a WGRD file; validates every type invariant before returning.
     Its planes are read-only views of the file's bytes."""
-    meta, arrays = read_container(path, MAGIC, VERSION, _SCHEMA)
-    codes, names = [code for code, _ in meta["regions"]], meta["channels"]
-    for what, keys in (("region code", codes), ("channel name", names)):
-        if len(set(keys)) != len(keys):
-            dup = next(key for i, key in enumerate(keys) if key in keys[:i])
-            raise IntegrityError(f"{path}: duplicate {what} {dup!r}")
-    expected = ["mask", "regions", *(f"channel.{i}" for i in range(len(names)))]
-    if list(arrays) != expected:
-        raise IntegrityError(f"{path}: arrays {list(arrays)}, expected {expected}")
-    grid = WorldGrid(mask=arrays["mask"], regions=arrays["regions"],
-                     channels={name: arrays[f"channel.{i}"] for i, name in enumerate(names)},
-                     region_table=dict(meta["regions"]))
-    try:
-        validate_grid(grid)
-    except (FormatError, IntegrityError) as err:
-        raise type(err)(f"{path}: {err}") from None
-    return grid
+    with open_grid(path) as src:
+        return WorldGrid(mask=src.mask, regions=src.regions,
+                         channels=src.planes(src.channels), region_table=src.region_table)
 
 
 def box_sum(mask: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -232,14 +343,29 @@ def normalize_channels(
     channels: Iterable[str],
 ) -> tuple[WorldGrid, NormStats]:
     """Min-max normalize ``channels`` to [0, 1] and return the new grid with
-    the fitted statistics.
-
-    Each channel's (min, max) is taken over the land pixels of ``fit_mask``,
-    the train split's, so the held-out pixels are scaled by training
-    statistics; their values outside the fitted range are deliberately NOT
-    clipped.  Water pixels stay exactly 0 in the output.  The other planes
-    pass through as the input's own arrays, and ``grid`` is not changed.
+    the fitted statistics: :func:`fit_normalization` on the land pixels of
+    ``fit_mask``, then :func:`normalize_plane` on each of ``channels``, so
+    held-out values outside the fitted range are not clipped.  The other
+    planes pass through as the input's own arrays, and ``grid`` is not
+    changed.
     """
+    stats = fit_normalization(grid, fit_mask=fit_mask, channels=channels)
+    land = np.asarray(grid.mask) == 1
+    new_channels = dict(grid.channels)
+    for name, span in stats.channels.items():
+        new_channels[name] = normalize_plane(grid.channels[name], land, span)
+    return dataclasses.replace(grid, channels=new_channels), stats
+
+
+def fit_normalization(
+    grid: WorldGrid,
+    *,
+    fit_mask: np.ndarray,
+    channels: Iterable[str],
+) -> NormStats:
+    """Each of ``channels``' (min, max) over the land pixels of ``fit_mask``,
+    the train split's, so that the held-out pixels are scaled by training
+    statistics.  Reads each plane of ``grid`` once, in ``channels`` order."""
     land = np.asarray(grid.mask) == 1
     fit_mask = np.asarray(fit_mask, dtype=bool)
     if fit_mask.shape != land.shape:
@@ -260,13 +386,20 @@ def normalize_channels(
                 f"channel {name!r} is constant ({lo!r}) on the fitting pixels"
             )
         table[name] = (lo, hi)
+    return NormStats(channels=table)
 
-    new_channels = dict(grid.channels)
-    for name, (lo, hi) in table.items():
-        scaled = (grid.channels[name] - lo) / (hi - lo)
-        scaled[~land] = 0.0  # water pixels stay zero-filled
-        new_channels[name] = scaled
-    return dataclasses.replace(grid, channels=new_channels), NormStats(channels=table)
+
+def normalize_plane(plane: np.ndarray, land: np.ndarray,
+                    span: tuple[float, float]) -> np.ndarray:
+    """``(plane - lo) / (hi - lo)`` in float64 for ``span`` (lo, hi), as a
+    new array, with every pixel off ``land`` set to 0.  Values outside the
+    span are deliberately NOT clipped: held-out pixels may fall outside the
+    range fitted on the train split."""
+    lo, hi = span
+    scaled = plane - lo
+    scaled /= hi - lo
+    scaled[~land] = 0.0  # water pixels stay zero-filled
+    return scaled
 
 
 def assign_split(grid: WorldGrid, test_regions: Iterable[str]) -> SplitAssignment:

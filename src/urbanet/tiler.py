@@ -63,7 +63,10 @@ class TileDataset:
     ``split.select(split_filter)``; window contents are never filtered (the
     protocol assigns samples by center alone).  Without a ``split`` every
     land pixel is a train pixel.  The dataset keeps no reference to
-    ``grid``: it holds only its pixel tables, the centers and their regions.
+    ``grid``: it holds only its pixel tables, each tile's top-left pixel and
+    its center's region.  The tables are written one plane of ``grid`` at
+    a time, so a grid whose planes are made on access (see
+    :meth:`urbanet.grid.GridFile.padded`) never holds them all at once.
     """
 
     def __init__(
@@ -94,15 +97,13 @@ class TileDataset:
                 f"split labels shape {split.labels.shape} does not match "
                 f"grid shape {mask.shape} (compute the split on the padded grid)"
             )
-        self._centers_p = np.argwhere((mask == 1) & selected)  # row-major by construction
-        self._regions = np.asarray(grid.regions)[
-            self._centers_p[:, 0], self._centers_p[:, 1]
-        ]
+        centers = np.argwhere((mask == 1) & selected)  # row-major by construction
+        self._regions = np.asarray(grid.regions)[centers[:, 0], centers[:, 1]]
 
         s, off = window.size, window.size // 2
-        if len(self._centers_p):
-            top = self._centers_p.min(axis=0) - off
-            bot = self._centers_p.max(axis=0) - off + s
+        if len(centers):
+            top = centers.min(axis=0) - off
+            bot = centers.max(axis=0) - off + s
             if top.min() < 0 or bot[0] > grid.height or bot[1] > grid.width:
                 raise ShapeError(
                     f"padding {pad} too small for window size {s}; "
@@ -110,18 +111,22 @@ class TileDataset:
                 )
 
         h, w = grid.height, grid.width
+        self._width = w
+        self._top_left = (centers - off) @ np.array([w, 1])
+        del centers  # centers_padded makes them again from the top-left pixels
         self._inputs = _pixel_table(grid, input_names, np.float32).reshape(h * w, -1)
         self._targets = _pixel_table(grid, target_names, np.float64).reshape(h * w, -1)
         self._mask = np.asarray(grid.mask, np.uint8).reshape(h * w)
-        self._top_left = (self._centers_p - off) @ np.array([w, 1])
         self.offsets = np.arange(s)[:, None] * w + np.arange(s)
 
     def __len__(self) -> int:
-        return len(self._centers_p)
+        return len(self._top_left)
 
     @property
     def centers_padded(self) -> np.ndarray:
-        return self._centers_p
+        """(N, 2) tile centers in padded coordinates, a new array at each use."""
+        rows, cols = np.divmod(self._top_left, self._width)
+        return np.stack([rows, cols], axis=1) + self.window.center_offset
 
     @property
     def regions(self) -> np.ndarray:

@@ -3,8 +3,10 @@
 import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from urbanet import evaluate, grid, synth, trainer, unet
 from urbanet.cli import main
 from urbanet.grid import WorldGrid, load_grid, pad_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
+from urbanet.tiler import TileDataset
 from urbanet.unet import UNetSpec, init_params, load_params, save_params
 
 
@@ -25,6 +28,26 @@ def world_file(tmp_path_factory):
                "--width", "24", "--noise-std", "0.005"])
     assert rc == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def world_256(tmp_path_factory):
+    """A 256x256 world of 40 regions: a 6.0 MB file."""
+    path = tmp_path_factory.mktemp("cli-256") / "world.wgrd"
+    save_grid(gen_world(SynthConfig(seed=0, height=256, width=256, n_regions=40)), path)
+    return path
+
+
+def traced_peak(run) -> int:
+    """``tracemalloc``'s peak over a second call of ``run``: the first call
+    makes the imports and caches that any later one reuses."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +184,14 @@ class TestSplit:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["split", "--grid", str(tmp_path / "nope.wgrd")]) == 2
 
+    def test_keeps_only_the_mask_and_regions(self, world_256, capsys):
+        # every plane is read and checked, one at a time, and dropped;
+        # loading the whole grid peaked at 1.05 times the file
+        peak = traced_peak(lambda: main(["split", "--grid", str(world_256),
+                                         "--test-regions", "R02"]))
+        assert capsys.readouterr().out.startswith("land=")
+        assert peak < 0.25 * world_256.stat().st_size, peak / world_256.stat().st_size
+
     def test_unknown_region_warns_and_empties_test(self, world_file, capsys):
         # unknown codes warn (module contract); the command still reports
         with pytest.warns(UserWarning, match="ATLANTIS"):
@@ -183,7 +214,7 @@ class TestTrain:
         def no_work(*args, **kwargs):
             raise AssertionError("ran with a bad network")
 
-        for module, name in ((grid, "load_grid"), (trainer, "build_streams"),
+        for module, name in ((grid, "open_grid"), (trainer, "build_streams"),
                              (trainer, "train")):
             monkeypatch.setattr(module, name, no_work)
         assert main(["train", "--grid", str(world_file), "--window", "16", "--pad", "8",
@@ -443,7 +474,7 @@ class TestEvalReport:
         def no_work(*args, **kwargs):
             raise AssertionError("read the grid for a two-plane head")
 
-        monkeypatch.setattr(grid, "load_grid", no_work)
+        monkeypatch.setattr(grid, "open_grid", no_work)
         path = tmp_path / "wide.unpk"
         save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 4, 1), 0), path)
 
@@ -458,6 +489,32 @@ class TestEvalReport:
         assert (f"error: {path}: head 'urban' has 2 output planes"
                 in capsys.readouterr().err)
         assert not (tmp_path / "r.csv").exists()
+
+    def test_world_replaced_mid_run_is_read_as_it_was(self, world_file, run_dir, tmp_path,
+                                                      monkeypatch):
+        # eval reads its planes again after the first pass; a world that an
+        # atomic write replaces meanwhile is read from the file it opened
+        world = tmp_path / "world.wgrd"
+        shutil.copy(world_file, world)
+
+        def run(tag):
+            assert main(["eval", "--grid", str(world), "--window", "16", "--pad", "8",
+                         "--test-regions", "R03", "--split", "all",
+                         "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
+                         "--report", str(tmp_path / f"{tag}.csv"),
+                         "--pred-out", str(tmp_path / f"{tag}.wgrd")]) == 0
+            return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("csv", "wgrd")]
+
+        honest = evaluate.predict_world
+
+        def replace_then_predict(*args, **kwargs):
+            save_grid(gen_world(SynthConfig(seed=6, height=24, width=24)), world)
+            return honest(*args, **kwargs)
+
+        before = run("before")
+        monkeypatch.setattr(evaluate, "predict_world", replace_then_predict)
+        assert run("replaced") == before
+        assert world.read_bytes() != world_file.read_bytes()
 
     def test_eval_never_mutates_inputs(self, world_file, run_dir, tmp_path):
         before = hashlib.sha256(world_file.read_bytes()).hexdigest()
@@ -564,6 +621,25 @@ class TestBadInputsExit2:
         assert want in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.wgrd", "rows.csv"]
 
+    def test_missing_plane_refused_from_the_header(self, world_file, run_dir, tmp_path,
+                                                   capsys):
+        # the channel list is checked before any array is read, so a later
+        # corrupt array does not hide the missing plane
+        world = load_grid(world_file)
+        inputs = planes_file(tmp_path / "inputs.wgrd", world,
+                             **{n: world.channels[n] for n in INPUT_CHANNELS})
+        raw = bytearray(inputs.read_bytes())
+        raw[-64] ^= 0x01  # inside the last array
+        inputs.write_bytes(bytes(raw))
+        report = tmp_path / "r.csv"
+        rc = main(["eval", "--grid", str(inputs), "--window", "16", "--pad", "8",
+                   "--test-regions", "R03",
+                   "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"),
+                   "--report", str(report)])
+        assert rc == 2
+        assert f"error: {inputs}: no 'delta_urban' channel" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_eval_grid_without_target_fails_before_predicting(
             self, world_file, run_dir, tmp_path, monkeypatch, capsys):
         def no_prediction(*args, **kwargs):
@@ -581,6 +657,48 @@ class TestBadInputsExit2:
         assert rc == 2
         assert f"error: {grid}: no 'delta_urban' channel" in capsys.readouterr().err
         assert not report.exists()
+
+
+class TestLoaderMemory:
+    """The CLI moves each plane from the file into the tiler's pixel table
+    on its own: the whole file, the padded grid and the normalized grid
+    never exist at once.  Each command peaked at 3.54 times the file when
+    it read the whole grid, padded it and normalized it."""
+
+    class Built(Exception):
+        pass
+
+    def test_eval_tiles_peak_near_one_copy(self, world_256, tmp_path, monkeypatch):
+        def tiles_only(params, grid, window, *, pad, input_names, split, split_filter):
+            TileDataset(grid, window, pad=pad, input_names=input_names, target_names=(),
+                        split=split, split_filter=split_filter)
+            raise self.Built
+
+        monkeypatch.setattr(evaluate, "predict_world", tiles_only)
+        save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 4, 1), 0), tmp_path / "m.unpk")
+
+        def run():
+            with pytest.raises(self.Built):
+                main(["eval", "--grid", str(world_256), "--test-regions", "R02",
+                      "--window", "28", "--checkpoint", str(tmp_path / "m.unpk"),
+                      "--report", str(tmp_path / "r.csv")])
+
+        peak = traced_peak(run)
+        assert peak < 1.2 * world_256.stat().st_size, peak / world_256.stat().st_size
+
+    def test_train_streams_peak_near_one_copy(self, world_256, tmp_path, monkeypatch):
+        def stop(*args, **kwargs):
+            raise self.Built
+
+        monkeypatch.setattr(trainer, "train", stop)
+
+        def run():
+            with pytest.raises(self.Built):
+                main(["train", "--grid", str(world_256), "--test-regions", "R02",
+                      "--window", "28", "--max-epochs", "1", "--out-dir", str(tmp_path)])
+
+        peak = traced_peak(run)
+        assert peak < 1.2 * world_256.stat().st_size, peak / world_256.stat().st_size
 
 
 class TestMultitask:
@@ -612,7 +730,7 @@ class TestMultitask:
         def no_work(*args, **kwargs):
             raise AssertionError("ran with a bad phase config")
 
-        for module, name in ((grid, "load_grid"), (trainer, "build_streams"),
+        for module, name in ((grid, "open_grid"), (trainer, "build_streams"),
                              (trainer, "train_multitask")):
             monkeypatch.setattr(module, name, no_work)
         good, bad = tmp_path / "phase1.cfg", tmp_path / "phase2.cfg"
@@ -674,7 +792,7 @@ class TestMultitask:
         def no_work(*args, **kwargs):
             raise AssertionError("read the grid for a model that has a pop head")
 
-        monkeypatch.setattr(grid, "load_grid", no_work)
+        monkeypatch.setattr(grid, "open_grid", no_work)
         path = tmp_path / "multi.unpk"
         spec = UNetSpec(len(INPUT_CHANNELS), 4, 1, heads=("urban", "pop"))
         save_params(init_params(spec, 0), path)
@@ -704,7 +822,7 @@ class TestCheckpointDepth:
         def no_work(*args, **kwargs):
             raise AssertionError("read the grid for a too-deep checkpoint")
 
-        monkeypatch.setattr(grid, "load_grid", no_work)
+        monkeypatch.setattr(grid, "open_grid", no_work)
         path = tmp_path / "deep.unpk"
         save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 2, 5), 0), path)
         out = tmp_path / "out"

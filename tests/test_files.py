@@ -1,11 +1,16 @@
 """Atomic writes: a writer that fails midway leaves the old file as it was
 and no temporary file behind.  The checksummed container: every changed,
 cut or appended byte of a world or a checkpoint is refused as a format or
-integrity error, and a header of the wrong shape as a format error."""
+integrity error, and a header of the wrong shape as a format error.  The
+commands that read a world one plane at a time refuse it too, with exit 2,
+bytes of a plane they never keep included."""
 
 from __future__ import annotations
 
 import copy
+import json
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,11 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from urbanet.cli import main
 from urbanet.errors import FormatError, IntegrityError
 from urbanet.evaluate import EvalReport, MetricsRow, export_scatter, save_report
 from urbanet.files import atomic_write, read_container, write_container
 from urbanet.grid import WorldGrid, load_grid, save_grid
-from urbanet.synth import SynthConfig, gen_world
+from urbanet.synth import INPUT_CHANNELS, TARGET_CHANNELS, SynthConfig, gen_world
 from urbanet.trainer import EpochStats, TrainConfig, TrainHistory, save_config, save_history
 from urbanet.unet import UNetSpec, init_params, load_params, save_params
 
@@ -309,3 +315,102 @@ def test_reseal_alone_keeps_a_file_loadable(sealed, reseal):
         reseal(path, lambda header, arrays: None)
         assert path.read_bytes() == good
         load(path)
+
+
+def section(raw: bytes, name: str) -> range:
+    """The byte positions of array ``name``'s section, padding included,
+    in the container bytes ``raw``."""
+    length = struct.unpack_from("<I", raw, 6)[0]
+    start = 14 + length + -(14 + length) % 64
+    for entry, dtype, shape, _ in json.loads(raw[14:14 + length])["arrays"]:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        end = start + size + -size % 64
+        if entry == name:
+            return range(start, end)
+        start = end
+    raise KeyError(name)
+
+
+def command_world():
+    """A 4x4 world of two regions with every input channel and both targets."""
+    rng = np.random.default_rng(0)
+    mask = np.ones((4, 4), np.uint8)
+    regions = np.repeat(np.array([1, 2], np.uint16), 8).reshape(4, 4)
+    return WorldGrid(mask=mask, regions=regions,
+                     channels={name: rng.random((4, 4))
+                               for name in INPUT_CHANNELS + TARGET_CHANNELS},
+                     region_table={1: "R01", 2: "R02"})
+
+
+# command -> (its arguments besides --grid, the array it reads and never keeps)
+COMMANDS = {
+    # a single-head eval scores delta_urban only
+    "eval": (["eval", "--window", "16", "--pad", "8", "--test-regions", "R02",
+              "--split", "all", "--checkpoint", "CKPT", "--report", "OUT/r.csv",
+              "--pred-out", "OUT/pred.wgrd"],
+             f"channel.{len(INPUT_CHANNELS) + 1}"),
+    # split keeps the mask and the regions only
+    "split": (["split", "--test-regions", "R02"], "channel.0"),
+}
+
+
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory):
+    """command -> (its argv, the world file it reads, the world's bytes,
+    the directory its outputs go to).  Each runs on the intact world first."""
+    base = tmp_path_factory.mktemp("commands")
+    ckpt = base / "m.unpk"
+    save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 2, 1), 0), ckpt)
+    out = {}
+    for name, (args, _) in COMMANDS.items():
+        world, outputs = base / f"{name}.wgrd", base / f"{name}-out"
+        save_grid(command_world(), world)
+        outputs.mkdir()
+        argv = [a.replace("CKPT", str(ckpt)).replace("OUT", str(outputs)) for a in args]
+        argv += ["--grid", str(world)]
+        assert main(argv) == 0
+        for path in outputs.iterdir():
+            path.unlink()
+        out[name] = (argv, world, world.read_bytes(), outputs)
+    return out
+
+
+def command_refuses(commands, name, data) -> None:
+    argv, world, _, outputs = commands[name]
+    world.write_bytes(bytes(data))
+    assert main(argv) == 2
+    assert list(outputs.iterdir()) == []  # no report, no predicted planes
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_commands_refuse_any_changed_byte(commands, name, data):
+    good = commands[name][2]
+    kept_out = section(good, COMMANDS[name][1])
+    at = data.draw(st.integers(0, len(good) - 1)
+                   | st.integers(kept_out.start, kept_out.stop - 1), label="position")
+    bad = bytearray(good)
+    bad[at] ^= data.draw(st.integers(1, 255), label="xor")
+    command_refuses(commands, name, bad)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_commands_refuse_any_truncation_or_append(commands, name, data):
+    good = commands[name][2]
+    if data.draw(st.booleans(), label="append"):
+        command_refuses(commands, name, good + data.draw(st.binary(min_size=1), label="tail"))
+    else:
+        command_refuses(commands, name,
+                        good[:data.draw(st.integers(0, len(good) - 1), label="cut")])
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_commands_refuse_a_bit_flip_in_a_plane_they_never_keep(commands, name):
+    good = commands[name][2]
+    for at in section(good, COMMANDS[name][1]):
+        bad = bytearray(good)
+        bad[at] ^= 0x80 if at % 2 else 0x01
+        command_refuses(commands, name, bad)

@@ -19,10 +19,13 @@ from urbanet.grid import (
     TEST,
     TRAIN,
     WATER,
+    NormStats,
     WorldGrid,
     assign_split,
+    fit_normalization,
     load_grid,
     normalize_channels,
+    open_grid,
     pad_grid,
     save_grid,
     validate_grid,
@@ -176,6 +179,20 @@ class TestFormatErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError, match="'channel.0' fails its checksum"):
             load_grid(path)
+
+    def test_open_file_checks_every_read_again(self, tmp_path):
+        # a plane read again after the file changed in place is refused; the
+        # plane is larger than a read buffer, so the bytes come from the file
+        path = tmp_path / "g.wgrd"
+        save_grid(make_grid(np.ones((48, 48))), path)
+        with open_grid(path) as src:
+            src.plane("ch0")
+            raw = bytearray(path.read_bytes())
+            raw[-8] ^= 0x01  # in the last value of ch0, the last array
+            with open(path, "r+b") as fh:
+                fh.write(raw)
+            with pytest.raises(IntegrityError, match="'channel.0' fails its checksum"):
+                src.plane("ch0")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "g.wgrd"
@@ -379,6 +396,34 @@ class TestNormalize:
         assert not np.shares_memory(normed.channels["ch1"], grid.channels["ch1"])
         for name, plane in grid.channels.items():
             assert plane.tobytes() == before[name].tobytes()
+
+    @pytest.mark.parametrize("pad", [0, 3])
+    def test_planes_from_the_file_match_pad_and_normalize(self, tmp_path, pad):
+        # the CLI's path: fit on planes read one at a time, then scale each
+        # plane as it is read again; the bytes are those of pad_grid and
+        # normalize_channels on the grid as loaded
+        rng = np.random.default_rng(5)
+        mask = rng.integers(0, 2, size=(7, 9))
+        regions = mask * rng.integers(1, 3, size=mask.shape)
+        grid = make_grid(mask, n_channels=3, regions=regions,
+                         region_table={1: "AAA", 2: "BBB"}, seed=5)
+        save_grid(grid, tmp_path / "g.wgrd")
+        padded = pad_grid(load_grid(tmp_path / "g.wgrd"), pad)
+        split = assign_split(padded, ["BBB"])
+        want, stats = normalize_channels(padded, fit_mask=split.train_mask,
+                                         channels=["ch2", "ch0"])
+        with open_grid(tmp_path / "g.wgrd") as src:
+            raw = src.padded(pad, NormStats({}), ["ch2", "ch0"])
+            assert fit_normalization(raw, fit_mask=split.train_mask,
+                                     channels=["ch2", "ch0"]) == stats
+            view = src.padded(pad, stats, src.channels)
+            assert list(view.channels) == list(want.channels)
+            for name, plane in want.channels.items():
+                got = view.channels[name]
+                assert got.dtype == plane.dtype and got.tobytes() == plane.tobytes()
+            for side in ("mask", "regions"):
+                got, plane = getattr(view, side), getattr(padded, side)
+                assert got.dtype == plane.dtype and got.tobytes() == plane.tobytes()
 
     def test_unknown_channel_rejected(self):
         grid = make_grid([[1, 1]])

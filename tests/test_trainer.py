@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from urbanet.augment import AugmentedTiles
 from urbanet.errors import ConfigError, DataError, DivergenceError, SpecError
 from urbanet.grid import assign_split, normalize_channels, pad_grid
 from urbanet.synth import INPUT_CHANNELS, TARGET_POP, TARGET_URBAN, SynthConfig, gen_world
@@ -187,6 +188,22 @@ class TestStreams:
         x, y, m = val_stream.batch(np.arange(min(4, len(val_stream))))
         wx, wy, wm = base.batch(want_idx[: min(4, len(val_stream))])
         assert np.array_equal(x, wx) and np.array_equal(y, wy) and np.array_equal(m, wm)
+
+
+    def test_train_stream_is_six_passes_over_the_kept_tiles(self, world_setup, streams):
+        # the reference is the stored index the stream replaced: pass t of
+        # the augmented base tiles at every tile outside the validation regions
+        _, norm, split = world_setup
+        train_stream, _, val_regions = streams
+        base = TileDataset(norm, WindowSpec(8), pad=PAD, input_names=INPUT_CHANNELS,
+                           target_names=(TARGET_URBAN,), split=split,
+                           split_filter="train")
+        keep = np.flatnonzero(~np.isin(base.regions, sorted(val_regions)))
+        ks = (np.arange(6)[:, None] * len(base) + keep[None, :]).ravel()
+        reference = Subset(AugmentedTiles(base), ks)
+        idx = np.random.default_rng(0).permutation(len(ks))
+        for got, want in zip(train_stream.batch(idx), reference.batch(idx)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTrain:
