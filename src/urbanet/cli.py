@@ -91,23 +91,23 @@ def _require_channels(path, channels, names) -> None:
 
 def _load_split_normalize(src, test_regions: str | None, pad: int, targets):
     """The grid of the open :class:`~urbanet.grid.GridFile` ``src``, padded,
-    with train-fitted normalized inputs and the ``targets`` planes, and its
-    split.  The channel list is checked first, from the header alone.  Then
-    every plane is read and checked once, the inputs as their statistics
-    are fitted, and none is kept: the padded grid reads its planes again
-    from the open file, one at each access."""
-    from .grid import NormStats, fit_normalization
+    with train-fitted normalized inputs, and its split.  The channel list
+    is checked first, from the header alone, for the inputs and
+    ``targets``.  Then every plane is read and checked once, the inputs as
+    their statistics are fitted, and none is kept: the returned grid reads,
+    pads and scales its planes again from the open file, one at each
+    lookup."""
+    from .grid import normalize_channels, pad_grid
     from .synth import INPUT_CHANNELS
 
-    names = INPUT_CHANNELS + tuple(targets)
-    _require_channels(src.path, src.channels, names)
-    raw = src.padded(pad, NormStats({}), INPUT_CHANNELS)
-    split = _split(raw, test_regions)
-    stats = fit_normalization(raw, fit_mask=split.train_mask, channels=INPUT_CHANNELS)
+    _require_channels(src.path, src.channels, INPUT_CHANNELS + tuple(targets))
+    padded = pad_grid(src, pad)
+    split = _split(padded, test_regions)
+    norm, _ = normalize_channels(padded, fit_mask=split.train_mask, channels=INPUT_CHANNELS)
     for name in src.channels:
-        if name not in stats.channels:
-            src.plane(name)  # checked, then dropped
-    return src.padded(pad, stats, names), split
+        if name not in INPUT_CHANNELS:
+            src.channels[name]  # checked, then dropped
+    return norm, split
 
 
 def _check_spec(spec, size: int, flag: str, depth_from: str = "--depth") -> None:
@@ -314,7 +314,7 @@ def _cmd_eval(args) -> int:
         pad = args.pad
         scope_mask = split.select(args.split)[pad : padded.height - pad,
                                               pad : padded.width - pad]
-        strata = stratify(src.mask, src.plane("urban_2000") + src.plane(TARGET_URBAN),
+        strata = stratify(src.mask, src.channels["urban_2000"] + src.channels[TARGET_URBAN],
                           select=scope_mask)
 
         # a rerun onto the same report fails before the world is predicted
@@ -339,7 +339,7 @@ def _cmd_eval(args) -> int:
              f"{np.count_nonzero(cover == 0)} {args.split}-split land pixels never covered")
 
         for head, (target, model_label) in targets.items():
-            truth = src.plane(target)
+            truth = src.channels[target]
             for stratum_name, stratum_mask in strata.items():
                 row = residual_metrics(
                     pred.planes[head], truth, stratum_mask,

@@ -61,7 +61,7 @@ class PredictionGrid:
     """
 
     planes: dict[str, np.ndarray]  # (H, W) float64 per model head
-    count: np.ndarray              # (H, W) int64 contributing-tile count
+    count: np.ndarray              # (H, W) int32 contributing-tile count
     tiles: int                     # tiles predicted
 
 
@@ -169,7 +169,7 @@ def predict_world(
                    params.dtype)
     first = ar * (ar + 1) // 2  # pool index of slice (0, dr)
     planes = np.zeros((len(spec.heads), hp - 2 * pad, w))
-    count = np.zeros((hp - 2 * pad, w), np.int64)
+    count = np.zeros((hp - 2 * pad, w), np.int32)
     first_open = 0   # rows above it are final
     end_written = 0  # rows from it on hold no value yet
 

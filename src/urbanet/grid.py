@@ -9,8 +9,14 @@ On disk a grid is a :mod:`urbanet.files` container, magic ``WGRD``,
 version 2: meta ``{"regions": [[code, ISO text], ...], "channels": [name, ...]}``
 and (H, W) arrays ``mask`` ``<u1``, ``regions`` ``<u2``, then ``channel.<i>``
 ``<f8`` for the i-th name.  :func:`load_grid` reads all of it;
-:func:`open_grid` reads one plane at a time, so a reader holds only the
-planes it keeps.
+:func:`open_grid` reads one plane at each lookup, so a reader holds only
+the planes it keeps.
+
+A grid goes to tiles through :func:`pad_grid`, :func:`assign_split` and
+:func:`normalize_channels`, whether it was generated, loaded or opened.
+Their grids make each plane at every lookup, padded and scaled from the
+plane underneath, so that the tiler, which reads one plane at a time,
+never holds a padded or normalized grid.
 
 All grid-layer arithmetic stays in float64.  The tiler keeps the network
 inputs it gathers in float32 (see :mod:`urbanet.tiler`); targets stay float64.
@@ -192,10 +198,10 @@ def save_grid(grid: WorldGrid, path: str | Path) -> None:
 
 
 class GridFile:
-    """An open WGRD file; see :func:`open_grid`.  ``channels`` are the
-    channel names in file order, from the header.  ``mask`` and
-    ``regions`` are read and checked when first used; :meth:`plane` reads
-    one channel plane at each call."""
+    """An open WGRD file; see :func:`open_grid`.  ``channels`` maps each
+    channel name, in file order from the header, to its plane, which is
+    read and checked at every lookup; ``mask`` and ``regions`` are read and
+    checked when first used."""
 
     def __init__(self, src: Container):
         path, meta = src.path, src.meta
@@ -210,7 +216,7 @@ class GridFile:
         if not names:
             raise FormatError(f"{path}: a WorldGrid needs at least one channel")
         self.path = path
-        self.channels = tuple(names)
+        self.channels = _Planes(names, self._read)
         self.region_table = dict(meta["regions"])
         self._src = src
 
@@ -230,10 +236,10 @@ class GridFile:
     def regions(self) -> np.ndarray:
         return self._sides[1]
 
-    def plane(self, name: str) -> np.ndarray:
-        """Channel ``name`` as the file holds it, read-only, its checksum and
-        invariants checked at every call."""
-        plane = self._src.read(f"channel.{self.channels.index(name)}")
+    def _read(self, name: str) -> np.ndarray:
+        """Channel ``name`` as the file holds it, read-only, its checksum
+        and invariants checked."""
+        plane = self._src.read(f"channel.{list(self.channels).index(name)}")
         try:
             _check_channel(name, plane, self._sides[2])
         except (FormatError, IntegrityError) as err:
@@ -246,26 +252,10 @@ class GridFile:
         keep, kept = frozenset(keep), {}
         for name in self.channels:
             if name in keep:
-                kept[name] = self.plane(name)
+                kept[name] = self.channels[name]
             else:
-                self.plane(name)  # checked, then dropped
+                self.channels[name]  # checked, then dropped
         return kept
-
-    def padded(self, pad: int, stats: NormStats, names: Iterable[str]) -> WorldGrid:
-        """The grid that :func:`pad_grid` makes, with planes ``names``, and
-        those in ``stats`` scaled as :func:`normalize_channels` scales them.
-        It holds no plane: each is read, checked, scaled and padded at
-        every access, so only the planes a reader keeps stay in memory."""
-        land = self.mask == 1
-
-        def make(name: str) -> np.ndarray:
-            plane = self.plane(name)
-            if name in stats.channels:
-                plane = normalize_plane(plane, land, stats.channels[name])
-            return np.pad(plane, pad)
-
-        return WorldGrid(mask=np.pad(self.mask, pad), regions=np.pad(self.regions, pad),
-                         channels=_Planes(names, make), region_table=dict(self.region_table))
 
 
 class _Planes(Mapping):
@@ -321,17 +311,18 @@ def box_sum(mask: np.ndarray, before: int, after: int) -> np.ndarray:
     return sat[np.ix_(r1, c1)] - sat[np.ix_(r0, c1)] - sat[np.ix_(r1, c0)] + sat[np.ix_(r0, c0)]
 
 
-def pad_grid(grid: WorldGrid, pad: int) -> WorldGrid:
-    """Surround the grid with a ``pad``-wide ring of water (mask 0, values 0)."""
+def pad_grid(grid: WorldGrid | GridFile, pad: int) -> WorldGrid:
+    """Surround ``grid``, a WorldGrid or an open :class:`GridFile`, with a
+    ``pad``-wide ring of water (mask 0, values 0).  The mask and regions
+    are padded here; each channel plane is padded at every lookup, so the
+    result holds none of them."""
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
-    if pad == 0:
-        return dataclasses.replace(grid)
-    width = ((pad, pad), (pad, pad))
+    planes = grid.channels
     return WorldGrid(
-        mask=np.pad(grid.mask, width),
-        regions=np.pad(grid.regions, width),
-        channels={n: np.pad(p, width) for n, p in grid.channels.items()},
+        mask=np.pad(grid.mask, pad),
+        regions=np.pad(grid.regions, pad),
+        channels=_Planes(planes, lambda name: np.pad(planes[name], pad)),
         region_table=dict(grid.region_table),
     )
 
@@ -343,63 +334,49 @@ def normalize_channels(
     channels: Iterable[str],
 ) -> tuple[WorldGrid, NormStats]:
     """Min-max normalize ``channels`` to [0, 1] and return the new grid with
-    the fitted statistics: :func:`fit_normalization` on the land pixels of
-    ``fit_mask``, then :func:`normalize_plane` on each of ``channels``, so
-    held-out values outside the fitted range are not clipped.  The other
-    planes pass through as the input's own arrays, and ``grid`` is not
-    changed.
+    the fitted statistics.
+
+    Each of ``channels``' (min, max) is fitted over the land pixels of
+    ``fit_mask``, the train split's, so that held-out pixels are scaled by
+    training statistics; each plane of ``grid`` is read once for it, in
+    ``channels`` order.  The new grid scales a plane at every lookup, as
+    ``(plane - lo) / (hi - lo)`` in float64 with every water pixel set to 0;
+    values outside the fitted range are deliberately NOT clipped.  The
+    other planes pass through as the input's own objects, and ``grid`` is
+    not changed.
     """
-    stats = fit_normalization(grid, fit_mask=fit_mask, channels=channels)
-    land = np.asarray(grid.mask) == 1
-    new_channels = dict(grid.channels)
-    for name, span in stats.channels.items():
-        new_channels[name] = normalize_plane(grid.channels[name], land, span)
-    return dataclasses.replace(grid, channels=new_channels), stats
-
-
-def fit_normalization(
-    grid: WorldGrid,
-    *,
-    fit_mask: np.ndarray,
-    channels: Iterable[str],
-) -> NormStats:
-    """Each of ``channels``' (min, max) over the land pixels of ``fit_mask``,
-    the train split's, so that the held-out pixels are scaled by training
-    statistics.  Reads each plane of ``grid`` once, in ``channels`` order."""
-    land = np.asarray(grid.mask) == 1
+    mask, planes = np.asarray(grid.mask), grid.channels
     fit_mask = np.asarray(fit_mask, dtype=bool)
-    if fit_mask.shape != land.shape:
+    if fit_mask.shape != mask.shape:
         raise DataError(
-            f"fit_mask shape {fit_mask.shape} does not match grid shape {land.shape}"
+            f"fit_mask shape {fit_mask.shape} does not match grid shape {mask.shape}"
         )
-    fit = land & fit_mask
+    fit = (mask == 1) & fit_mask
     if not fit.any():
         raise DataError("no land pixels available to fit normalization statistics")
     table: dict[str, tuple[float, float]] = {}
     for name in channels:
-        if name not in grid.channels:
+        if name not in planes:
             raise DataError(f"unknown channel {name!r}")
-        values = grid.channels[name][fit]
+        values = planes[name][fit]
         lo, hi = float(values.min()), float(values.max())
         if hi == lo:
             raise DegenerateChannelError(
                 f"channel {name!r} is constant ({lo!r}) on the fitting pixels"
             )
         table[name] = (lo, hi)
-    return NormStats(channels=table)
 
+    def scaled(name: str) -> np.ndarray:
+        if name not in table:
+            return planes[name]
+        lo, hi = table[name]
+        plane = planes[name] - lo
+        plane /= hi - lo
+        plane[mask != 1] = 0.0  # water pixels stay zero-filled
+        return plane
 
-def normalize_plane(plane: np.ndarray, land: np.ndarray,
-                    span: tuple[float, float]) -> np.ndarray:
-    """``(plane - lo) / (hi - lo)`` in float64 for ``span`` (lo, hi), as a
-    new array, with every pixel off ``land`` set to 0.  Values outside the
-    span are deliberately NOT clipped: held-out pixels may fall outside the
-    range fitted on the train split."""
-    lo, hi = span
-    scaled = plane - lo
-    scaled /= hi - lo
-    scaled[~land] = 0.0  # water pixels stay zero-filled
-    return scaled
+    return (dataclasses.replace(grid, channels=_Planes(planes, scaled)),
+            NormStats(channels=table))
 
 
 def assign_split(grid: WorldGrid, test_regions: Iterable[str]) -> SplitAssignment:
@@ -416,10 +393,10 @@ def assign_split(grid: WorldGrid, test_regions: Iterable[str]) -> SplitAssignmen
             f"test regions not present in region table: {', '.join(missing)}",
             stacklevel=2,
         )
-    test_codes = [code for code, iso in grid.region_table.items() if iso in wanted]
-    land = np.asarray(grid.mask) == 1
-    labels = np.where(land, TRAIN, WATER).astype(np.uint8)
-    if test_codes:
-        labels[land & np.isin(grid.regions, test_codes)] = TEST
+    labels = np.where(np.asarray(grid.mask) == 1, np.uint8(TRAIN), np.uint8(WATER))
+    regions = np.asarray(grid.regions)
+    for code, iso in grid.region_table.items():
+        if iso in wanted:  # water has no region code, so a coded pixel is land
+            labels[regions == code] = TEST
     return SplitAssignment(labels=labels)
 

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .grid import TRAIN, WATER, SplitAssignment, WorldGrid, box_sum
+from .grid import SplitAssignment, WorldGrid, assign_split, box_sum
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,9 @@ class TileDataset:
     land pixel is a train pixel.  The dataset keeps no reference to
     ``grid``: it holds only its pixel tables, each tile's top-left pixel and
     its center's region.  The tables are written one plane of ``grid`` at
-    a time, so a grid whose planes are made on access (see
-    :meth:`urbanet.grid.GridFile.padded`) never holds them all at once.
+    a time, so a grid whose planes are made on access, as those of
+    :func:`urbanet.grid.pad_grid` and :func:`urbanet.grid.normalize_channels`
+    are, never holds them all at once.
     """
 
     def __init__(
@@ -82,7 +83,7 @@ class TileDataset:
     ):
         mask = np.asarray(grid.mask)
         if split is None:
-            split = SplitAssignment(np.where(mask == 1, TRAIN, WATER).astype(np.uint8))
+            split = assign_split(grid, ())
         selected = split.select(split_filter)
         if pad < 0:
             raise ShapeError(f"pad must be >= 0, got {pad}")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import urbanet
-from urbanet import evaluate, grid, synth, trainer, unet
+from urbanet import evaluate, files, grid, synth, trainer, unet
 from urbanet.cli import main
 from urbanet.grid import WorldGrid, load_grid, pad_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, SynthConfig, gen_world
@@ -699,6 +699,76 @@ class TestLoaderMemory:
 
         peak = traced_peak(run)
         assert peak < 1.2 * world_256.stat().st_size, peak / world_256.stat().st_size
+
+
+class TestOnePath:
+    """``train``, ``multitask`` and ``eval`` go from the file to the tiles
+    through ``pad_grid``, ``assign_split`` and ``normalize_channels``, the
+    path of README's library sketch, and read each section of the world a
+    fixed number of times."""
+
+    class Built(Exception):
+        pass
+
+    def commands(self, world_file, run_dir, tmp_path, monkeypatch):
+        """Each command's arguments; ``train`` and ``multitask`` stop once
+        their streams are built."""
+        def stop(*args, **kwargs):
+            raise self.Built
+
+        monkeypatch.setattr(trainer, "train", stop)
+        monkeypatch.setattr(trainer, "train_multitask", stop)
+        data = ["--grid", str(world_file), "--window", "16", "--pad", "8",
+                "--test-regions", "R03"]
+        checkpoint = ["--checkpoint", str(run_dir / "unet_urban_sz16.unpk")]
+        return {"train": ["train", *data, "--depth", "1", "--base-features", "4",
+                          "--out-dir", str(tmp_path)],
+                "multitask": ["multitask", *data, *checkpoint, "--out-dir", str(tmp_path)],
+                "eval": ["eval", *data, *checkpoint, "--report", str(tmp_path / "r.csv")]}
+
+    def run(self, argv):
+        if argv[0] == "eval":
+            assert main(argv) == 0
+        else:
+            with pytest.raises(self.Built):
+                main(argv)
+
+    @pytest.mark.parametrize("command", ["train", "multitask", "eval"])
+    def test_pads_and_normalizes_once(self, world_file, run_dir, tmp_path, monkeypatch,
+                                      command):
+        calls = {"pad_grid": 0, "normalize_channels": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(grid, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(grid, name, counted)
+        self.run(self.commands(world_file, run_dir, tmp_path, monkeypatch)[command])
+        assert calls == {"pad_grid": 1, "normalize_channels": 1}
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_reads_each_section_as_often_as_before(self, world_file, run_dir, tmp_path,
+                                                   monkeypatch, command):
+        # each input is read to fit its statistics and again into the pixel
+        # table; eval reads urban_2000 and delta_urban again for its strata
+        # and delta_urban for the metrics; every plane is read and checked
+        names, reads = list(load_grid(world_file).channels), {}
+        real = files.Container.read
+
+        def counted(src, name):
+            if src.path == str(world_file):
+                reads[name] = reads.get(name, 0) + 1
+            return real(src, name)
+
+        monkeypatch.setattr(files.Container, "read", counted)
+        self.run(self.commands(world_file, run_dir, tmp_path, monkeypatch)[command])
+        got = {names[int(key[8:])] if key.startswith("channel.") else key: n
+               for key, n in reads.items()}
+        want = {"mask": 1, "regions": 1, **{name: 2 for name in INPUT_CHANNELS},
+                synth.TARGET_URBAN: 2, synth.TARGET_POP: 1}
+        if command == "eval":
+            want.update({"urban_2000": 3, synth.TARGET_URBAN: 3})
+        assert got == want
 
 
 class TestMultitask:

@@ -206,6 +206,7 @@ class TestPredictWorld:
                             **on_all_land(padded))
         land = world.mask == 1
         cov = coverage_count(padded, win)[2:-2, 2:-2] * land
+        assert got.count.dtype == np.int32  # counts reach S * S at most
         assert np.array_equal(got.count, cov)
         assert (got.count[~land] == 0).all()
 

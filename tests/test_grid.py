@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,8 @@ from urbanet.grid import (
     TEST,
     TRAIN,
     WATER,
-    NormStats,
     WorldGrid,
     assign_split,
-    fit_normalization,
     load_grid,
     normalize_channels,
     open_grid,
@@ -186,13 +185,13 @@ class TestFormatErrors:
         path = tmp_path / "g.wgrd"
         save_grid(make_grid(np.ones((48, 48))), path)
         with open_grid(path) as src:
-            src.plane("ch0")
+            src.channels["ch0"]
             raw = bytearray(path.read_bytes())
             raw[-8] ^= 0x01  # in the last value of ch0, the last array
             with open(path, "r+b") as fh:
                 fh.write(raw)
             with pytest.raises(IntegrityError, match="'channel.0' fails its checksum"):
-                src.plane("ch0")
+                src.channels["ch0"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "g.wgrd"
@@ -399,31 +398,36 @@ class TestNormalize:
 
     @pytest.mark.parametrize("pad", [0, 3])
     def test_planes_from_the_file_match_pad_and_normalize(self, tmp_path, pad):
-        # the CLI's path: fit on planes read one at a time, then scale each
-        # plane as it is read again; the bytes are those of pad_grid and
-        # normalize_channels on the grid as loaded
+        # the CLI's path: pad and normalize the open file, whose planes are
+        # read one at a time, to the bytes of an eager np.pad and the
+        # min-max formula on the grid as generated
         rng = np.random.default_rng(5)
         mask = rng.integers(0, 2, size=(7, 9))
         regions = mask * rng.integers(1, 3, size=mask.shape)
         grid = make_grid(mask, n_channels=3, regions=regions,
                          region_table={1: "AAA", 2: "BBB"}, seed=5)
         save_grid(grid, tmp_path / "g.wgrd")
-        padded = pad_grid(load_grid(tmp_path / "g.wgrd"), pad)
-        split = assign_split(padded, ["BBB"])
-        want, stats = normalize_channels(padded, fit_mask=split.train_mask,
-                                         channels=["ch2", "ch0"])
+        land = np.pad(mask, pad) == 1
+        fit = land & np.pad(np.isin(regions, [1]), pad)  # the train split: AAA
         with open_grid(tmp_path / "g.wgrd") as src:
-            raw = src.padded(pad, NormStats({}), ["ch2", "ch0"])
-            assert fit_normalization(raw, fit_mask=split.train_mask,
-                                     channels=["ch2", "ch0"]) == stats
-            view = src.padded(pad, stats, src.channels)
-            assert list(view.channels) == list(want.channels)
-            for name, plane in want.channels.items():
-                got = view.channels[name]
-                assert got.dtype == plane.dtype and got.tobytes() == plane.tobytes()
+            padded = pad_grid(src, pad)
+            split = assign_split(padded, ["BBB"])
+            assert split.train_mask.tobytes() == fit.tobytes()
+            got, stats = normalize_channels(padded, fit_mask=split.train_mask,
+                                            channels=["ch2", "ch0"])
+            assert list(got.channels) == ["ch0", "ch1", "ch2"]
+            for name, raw in grid.channels.items():
+                want = np.pad(raw, pad)
+                if name in ("ch2", "ch0"):
+                    lo, hi = want[fit].min(), want[fit].max()
+                    assert stats.channels[name] == (lo, hi)
+                    want = np.where(land, (want - lo) / (hi - lo), 0.0)
+                plane = got.channels[name]
+                assert plane.dtype == want.dtype and plane.tobytes() == want.tobytes()
+            assert list(stats.channels) == ["ch2", "ch0"]
             for side in ("mask", "regions"):
-                got, plane = getattr(view, side), getattr(padded, side)
-                assert got.dtype == plane.dtype and got.tobytes() == plane.tobytes()
+                plane, want = getattr(got, side), np.pad(getattr(grid, side), pad)
+                assert plane.dtype == want.dtype and plane.tobytes() == want.tobytes()
 
     def test_unknown_channel_rejected(self):
         grid = make_grid([[1, 1]])
@@ -520,3 +524,27 @@ class TestSplit:
         split = assign_split(grid, {"BBB"})
         assert n_pixels(split, "train") + n_pixels(split, "test") + n_water(split) == 35
         assert n_pixels(split, "test") == int(np.count_nonzero((mask == 1) & (regions == 2)))
+
+    def test_labels_peak_at_their_size_and_one_bool_plane(self):
+        # the labels are uint8 from the start; built through an int64
+        # temporary, and test pixels found by np.isin, they peaked at 10
+        # times their size on this world
+        rng = np.random.default_rng(2)
+        mask = (rng.random((256, 256)) < 0.7).astype(np.uint8)
+        regions = mask * rng.integers(1, 41, size=mask.shape)
+        grid = pad_grid(make_grid(mask, regions=regions,
+                                  region_table={c: f"R{c:02d}" for c in range(1, 41)}), 20)
+        wanted = ["R02", "R07", "R11"]
+        assign_split(grid, wanted)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            split = assign_split(grid, wanted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = split.labels.nbytes
+        assert split.labels.dtype == np.uint8 and size == 296 * 296
+        assert peak < 2 * size + 8192, peak / size
+        test = np.isin(grid.regions, [2, 7, 11]) & (grid.mask == 1)
+        np.testing.assert_array_equal(split.labels,
+                                      np.where(test, TEST, np.where(grid.mask == 1, TRAIN, WATER)))
