@@ -8,10 +8,11 @@ values in the prediction dtype and the central pair is averaged in
 float64.  Tiles arrive in row-major centre order, so a pixel row is
 final once the tiles have moved below it: its medians are taken then and
 its values dropped.  The buffer holds only values that an open row still
-needs, S(S+1)/2 * (width + S - 1) * S per head, whatever the height of the
-world.  Metrics are computed over two strata of land cells and exported as
-CSV rows alongside the published baseline numbers, which are bundled as
-data and never recomputed.
+needs, S(S+1)/2 * (width + 1) * S per head, whatever the height of the
+world: one column per unpadded pixel column and one that takes, unread,
+the values tiles give the padding ring.  Metrics are computed over two
+strata of land cells and exported as CSV rows alongside the published
+baseline numbers, which are bundled as data and never recomputed.
 """
 
 from __future__ import annotations
@@ -122,10 +123,12 @@ def predict_world(
     this spec and window (``unet._predict_tiles``; 60 desk tiles at S = 28,
     10 ``full_scale`` ones), each gathered by one ``TileDataset.batch``
     call.  That count includes the gathered input tiles, which the forward
-    frees after its first convolution, so it is conservative.  BLAS picks
-    its kernel by matrix size, so the planes depend on the partition at
-    float32 epsilon, within the convolution bound of README's numeric
-    policy; a fixed partition gives fixed bytes.
+    frees after its first convolution, so it is conservative.  Beside the
+    forward, the median pool holds S(S+1)/2 * (W + 1) * S values per head
+    for a W-column interior.  BLAS picks its kernel by matrix size, so the
+    planes depend on the partition at float32 epsilon, within the
+    convolution bound of README's numeric policy; a fixed partition gives
+    fixed bytes.
     """
     input_names = tuple(input_names)
     spec = params.spec
@@ -162,11 +165,11 @@ def predict_world(
     # t gives pixel row t + dr, is live from then until row t + dr closes, so
     # the live slices of one dr belong to at most dr + 1 consecutive tile
     # rows, distinct mod dr + 1: slice (t, dr) is pool index
-    # dr(dr+1)/2 + t % (dr+1).  Tiles reach W + S - 1 columns, pixel column c
-    # at pool column c - (pad - S//2).  With the axes (heads, column, slice,
-    # dc), a closed row's slices gather as its (heads, W, S * S) slot rows.
-    pool = np.full((len(spec.heads), w + s - 1, s * (s + 1) // 2, s), np.nan,
-                   params.dtype)
+    # dr(dr+1)/2 + t % (dr+1).  Pixel column c is pool column c - pad; the
+    # values that tiles give the padding ring all land in pool column W,
+    # which is never read.  With the axes (heads, column, slice, dc), a
+    # closed row's slices gather as its (heads, W, S * S) slot rows.
+    pool = np.full((len(spec.heads), w + 1, s * (s + 1) // 2, s), np.nan, params.dtype)
     first = ar * (ar + 1) // 2  # pool index of slice (0, dr)
     planes = np.zeros((len(spec.heads), hp - 2 * pad, w))
     count = np.zeros((hp - 2 * pad, w), np.int32)
@@ -179,7 +182,7 @@ def predict_world(
             live = first + (q - ar) % (ar + 1)  # slices (q - dr, dr)
             if pad <= q < hp - pad:
                 # (heads, W, dr, dc) in C order, so the row is one copy, sorted in place
-                row = np.take(pool[:, s // 2 : s // 2 + w], live, axis=2)
+                row = np.take(pool[:, :w], live, axis=2)
                 med, cnt = _slot_medians(row.reshape(len(spec.heads), w, s * s))
                 planes[:, q - pad] = med * land[q]
                 count[q - pad] = cnt * land[q]
@@ -197,7 +200,8 @@ def predict_world(
             top = int(tr[g[0]])
             close_rows(top)
             slices = (first + top % (ar + 1))[None, :, None]
-            cols = tc[g, None, None] - (pad - s // 2) + ar[None, None, :]
+            cols = tc[g, None, None] - pad + ar[None, None, :]
+            cols[(cols < 0) | (cols >= w)] = w  # the padding ring
             pool[:, cols, slices, ar] = y[g].transpose(3, 0, 1, 2)
             end_written = top + s
     close_rows(hp)

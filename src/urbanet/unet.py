@@ -26,9 +26,11 @@ k//2 the phases' windows are offset by one pixel, and the phase conv runs
 on one extra row and column that each phase reads shifted
 (``_tap_sum_map``).  Its float32 result differs from upsample-then-conv
 by about 1e-6 of the largest value, as the taps are summed before the
-products.  Each decoder ``conv1`` writes its two inputs side by side into
-the padded input its im2col builds anyway, which gives the same bytes as
-concatenating them first.
+products.  Each decoder level allocates its ``conv1``'s zero-bordered
+input, writes the skip into its second half and interleaves the
+up-conv's phases straight into its first half (``_join``); ``conv1`` then
+runs as a valid convolution on it.  The patch rows are those of the
+concatenation, so the bytes are the same.
 
 Tile sizes that ``2^depth`` does not divide are zero-padded internally to the
 next multiple (e.g. 28 -> 32 at depth 3, two pixels on each side) and the
@@ -64,9 +66,13 @@ The wiring is written once, in ``_forward``.  For backprop it records a
 tape, one entry per ``conv``, ``upconv``, ``pool`` and ``cat`` layer, which
 ``_backward`` replays in reverse without knowing the network's shape and
 ``_margins`` reads to place the gradient checker's probe points.  Inference
-records no tape and frees each activation once it is dead, so its memory is
-a few layers' worth rather than the whole network's, and world prediction
-sizes its micro-batches so that this stays within ``_PREDICT_BYTES``.
+records no tape and frees each activation once it is dead: the bottleneck
+goes once the last live decoder's first up-conv has read it, and a skip
+once that decoder has copied it into its ``conv1`` input.  So its memory
+is a few layers' worth rather than the whole network's, and world
+prediction sizes its micro-batches so that this stays within
+``_PREDICT_BYTES``.  A taped forward keeps a contiguous copy of each
+up-conv output, which ``_backward`` reads.
 
 The forward mirrors the backward's liveness rule.  A loss evaluation runs a
 head only when its plane has nonzero loss weight or a trainable
@@ -258,7 +264,7 @@ _BLOCK_BYTES = 256 << 10
 # On the eval-128 bench 64-tile batches ran faster than 32- or 128-tile
 # ones, and 60-tile ones than 256-tile ones, at 31 % less peak RSS
 # (CHANGES.md).
-_PREDICT_BYTES = 11 << 20
+_PREDICT_BYTES = 17 << 19  # 8.5 MiB
 
 
 def _parts(x) -> tuple:
@@ -329,9 +335,10 @@ def _conv_forward(x, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False)
     f, c, k, _ = w.shape
     x0 = _parts(x)[0]
     n, h, wd, _ = x0.shape
-    wm = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
+    wm = np.empty((k * k * c + (k > 1), f), w.dtype)  # the weight matrix, built in place
+    wm[: k * k * c].reshape(k, k, c, f)[...] = w.transpose(2, 3, 1, 0)
     if k > 1:
-        wm = np.concatenate([wm, b.reshape(1, f)], dtype=wm.dtype)
+        wm[-1] = b
     y = np.empty((n, h + 2 * pad - k + 1, wd + 2 * pad - k + 1, f), np.result_type(x0, w))
     y2 = y.reshape(-1, f)
     for rows, cols in _im2col_blocks(x, k, pad, ones=True):
@@ -442,21 +449,36 @@ def _phase_view(y4: np.ndarray, s: int) -> np.ndarray:
                       (sn, sh, s * sh + 2 * f * sc, sw, s * sw + f * sc, sc))
 
 
+def _upconv_phases(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
+) -> np.ndarray:
+    """The four output phases of ``_upconv_forward(x, w, b, relu)`` as one
+    (N, H+s, W+s, 4F) array: one valid convolution of ``x`` padded by
+    ceil(p / 2) with the phase kernel (``_tap_sum_map``)."""
+    p = w.shape[-1] // 2
+    return _conv_forward(x, _phase_weight(w), np.tile(b, 4), (p + 1) // 2, relu)
+
+
+def _depth_to_space(y4: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Interleave the up-conv phases ``y4`` into (N, 2H, 2W, F) ``out``,
+    which may be a strided view, and return ``out``."""
+    n, h2, w2, f = out.shape
+    sn, sh, sw, sc = out.strides
+    dst = as_strided(out, (n, h2 // 2, 2, w2 // 2, 2, f), (sn, 2 * sh, sh, 2 * sw, sw, sc))
+    np.copyto(dst, _phase_view(y4, y4.shape[1] - h2 // 2))
+    return out
+
+
 def _upconv_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
 ) -> np.ndarray:
     """Nearest-neighbor 2x upsampling of (N,H,W,C) ``x``, then a same-padded
-    convolution, computed at low resolution (sub-pixel layout).
-
-    One valid convolution of ``x`` padded by ceil(p / 2) with the phase
-    kernel yields the four output phases as 4F channels at (H+s) x (W+s)
-    positions (``_tap_sum_map``); a depth-to-space copy interleaves them.
+    convolution, computed at low resolution (sub-pixel layout): the four
+    output phases (``_upconv_phases``), interleaved by a depth-to-space copy.
     """
     n, h, wd, _ = x.shape
-    f, _, k, _ = w.shape
-    p = k // 2
-    y4 = _conv_forward(x, _phase_weight(w), np.tile(b, 4), (p + 1) // 2, relu)
-    return _phase_view(y4, p % 2).reshape(n, 2 * h, 2 * wd, f)
+    y4 = _upconv_phases(x, w, b, relu)
+    return _depth_to_space(y4, np.empty((n, 2 * h, 2 * wd, w.shape[0]), y4.dtype))
 
 
 def _upconv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool = True):
@@ -474,6 +496,19 @@ def _upconv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool 
     np.copyto(_phase_view(g4, p % 2), g.reshape(n, h, 2, wd, 2, f))
     dx, dwp, dbp = _conv_backward(x, _phase_weight(w), g4, (p + 1) // 2, need_dx)
     return dx, _phase_weight_grad(dwp, k), dbp.reshape(4, f).sum(axis=0)
+
+
+def _join(y4: np.ndarray, skip: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """A decoder ``conv1``'s input, zero-padded by ``pad``: the up path,
+    interleaved from the up-conv phases ``y4``, in its first half and
+    ``skip`` in its second.  Returns it and the view of its up path.  A
+    valid convolution of it has the patch rows of the same-padded
+    convolution of the two parts (``_im2col_blocks``)."""
+    n, h, w, f = skip.shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, 2 * f), skip.dtype)
+    inner = xp[:, pad : pad + h, pad : pad + w]
+    inner[..., f:] = skip
+    return xp, _depth_to_space(y4, inner[..., :f])
 
 
 def _pool_views(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -539,24 +574,44 @@ def _predict_tiles(spec: UNetSpec, size: int, itemsize: int) -> int:
     ``itemsize``-byte values, so that the forward holds at most
     ``_PREDICT_BYTES`` of arrays (at least one tile).
 
-    The forward peaks at the level-0 decoder ``conv1``, or, on a wide
-    input and narrow features, at the first encoder conv.  Per tile, at
-    the padded size P: the input tile; for the decoder conv its two parts,
-    its padded input, its output, the coarser levels' skips and the head
-    planes; for the encoder conv the padded tile, its padded input and its
-    output.  Beside them one patch block (``_im2col_blocks``) and the
-    weight matrix are held, whatever the tile count.
+    The forward peaks at one of two moments, and the count keeps both
+    within the budget.  Per tile, at the padded size P, each holds the
+    input tile and:
+
+    * at level 0, the decoder join (``_join``): the up-conv's phases,
+      ``conv1``'s padded input and the level-0 skip; or, on a wide input
+      and narrow features, the first encoder conv: the padded tile, its
+      padded input and its output.  Beside them one patch block
+      (``_im2col_blocks``) and the weight matrix are held, whatever the
+      tile count;
+    * at the deepest up-conv: the finer skips, the bottleneck, its padded
+      copy and the phases.  Beside them its phase kernel is held twice,
+      as built and as its weight matrix, with one patch block.  At
+      ``full_scale`` this is the larger moment.
+
+    With more than one head, the skips a later head reads and the other
+    heads' planes are held too.  16 KiB more covers the small arrays.
     """
     p = size + sum(_pad_amounts(size, 1 << spec.depth))
-    pp = (p + spec.kernel_size // 2 * 2) ** 2  # pixels of a padded conv input
+    r = spec.kernel_size // 2
     f, c, kk = spec.base_features, spec.input_channels, spec.kernel_size ** 2
-    decoder = (3 * p * p * f + pp * 2 * f + p * p * len(spec.heads)
-               + sum((p >> lvl) ** 2 * (f << lvl) for lvl in range(1, spec.depth + 1)))
+    top, low = f << spec.depth, p >> spec.depth  # the bottleneck's width and side
+    finer = sum((p >> lvl) ** 2 * (f << lvl) for lvl in range(spec.depth))  # skips
+    planes = p * p * (len(spec.heads) - 1)
+    later = 0 if len(spec.heads) == 1 else planes + finer - p * p * f + low * low * top
+    pp = (p + 2 * r) ** 2  # pixels of a padded level-0 conv input
+    join = (p // 2 + r % 2) ** 2 * 4 * f + pp * 2 * f + p * p * f + later
     encoder = p * p * c + pp * c + p * p * f
-    per_tile = itemsize * (size * size * c + max(decoder, encoder))
     rows = kk * max(2 * f, c) + 1  # of the widest level-0 patch matrix
-    fixed = max(_BLOCK_BYTES, p * p * rows * itemsize) + 2 * rows * f * itemsize
-    return max(1, (_PREDICT_BYTES - fixed) // per_tile)
+    level0 = (max(join, encoder),
+              max(_BLOCK_BYTES, p * p * rows * itemsize) + rows * f * itemsize)
+    q = (r + 1) // 2  # the phase conv's padding
+    deepest = (finer + planes + (low * low + (low + 2 * q) ** 2) * top
+               + (low + r % 2) ** 2 * 2 * top,
+               _BLOCK_BYTES + itemsize * 2 * (2 * top * top * (r + 1) ** 2 + 2 * top))
+    small = 16 << 10  # biases, tap maps and Python objects
+    return max(1, min((_PREDICT_BYTES - small - fixed) // (itemsize * (size * size * c + tile))
+                      for tile, fixed in (level0, deepest)))
 
 
 def _forward(
@@ -607,10 +662,7 @@ def _forward(
         y = _conv_forward(parts, w, arrays[f"{name}.b"], w.shape[-1] // 2, relu)
         return layer("conv", name, parts, y, relu)
 
-    def upconv(name: str, a: np.ndarray) -> np.ndarray:
-        y = _upconv_forward(a, arrays[f"{name}.w"], arrays[f"{name}.b"], relu=True)
-        return layer("upconv", name, (a,), y, True)
-
+    plane = x.shape[:3] + (1,)  # of one head's output
     skips: list[np.ndarray] = []  # every level's output; the last is the bottleneck
     for lvl in range(spec.depth + 1):
         y1 = conv(f"enc{lvl}.conv1", x)
@@ -620,18 +672,38 @@ def _forward(
         if lvl < spec.depth:
             x = layer("pool", None, (skips[-1],), _pool_forward(skips[-1]))
 
+    live = [head for head in spec.heads if heads is None or head in heads]
+    last = None if keep_cache or not live else live[-1]  # the skips' last reader
     head_outs: list[np.ndarray] = []
     for head in spec.heads:
-        if heads is not None and head not in heads:
-            head_outs.append(np.zeros(skips[0].shape[:3] + (1,), skips[0].dtype))
+        if head not in live:
+            head_outs.append(np.zeros(plane, params.dtype))
             continue
         d = skips[-1]  # the bottleneck feeds every decoder
+        if head == last:
+            skips[-1] = None
         for lvl in range(spec.depth - 1, -1, -1):
-            yu = upconv(f"dec.{head}.{lvl}.up", d)
+            name = f"dec.{head}.{lvl}"
+            y4 = _upconv_phases(d, arrays[f"{name}.up.w"], arrays[f"{name}.up.b"], relu=True)
+            up_in = (d,) if keep_cache else ()
             del d
-            y1 = conv(f"dec.{head}.{lvl}.conv1", yu, skips[lvl])
+            # The tape keeps a contiguous copy of the up path, as _backward
+            # reads it.  Allocated before conv1's input, it leaves a desk
+            # training loop's peak RSS 2.6 MB lower than when allocated after.
+            taped = np.empty(skips[lvl].shape, y4.dtype) if keep_cache else None
+            w1 = arrays[f"{name}.conv1.w"]
+            xp, yu = _join(y4, skips[lvl], w1.shape[-1] // 2)
+            del y4
+            if head == last:  # no later head reads this skip
+                skips[lvl] = None
+            if keep_cache:
+                np.copyto(taped, yu)
+                yu = layer("upconv", f"{name}.up", up_in, taped, True)
+            y1 = _conv_forward(xp, w1, arrays[f"{name}.conv1.b"], 0, relu=True)
+            del xp
+            layer("conv", f"{name}.conv1", (yu, skips[lvl]), y1, True)
             del yu
-            d = conv(f"dec.{head}.{lvl}.conv2", y1)
+            d = conv(f"{name}.conv2", y1)
             del y1
         head_outs.append(conv(f"head.{head}", d, relu=False))
         del d

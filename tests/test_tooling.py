@@ -8,8 +8,9 @@ before numpy loads, its training flags are the fields of ``TrainConfig``,
 ``eval --split`` offers the names ``SplitAssignment.select`` takes,
 README names every other flag, every command of
 README's CLI walkthrough parses and reads only config files and
-prediction grids that an earlier line wrote, nothing in the package or
-its commands loads scipy, and ``eval`` loads no OpenSSL."""
+prediction grids that an earlier line wrote, the micro-batch tile counts
+README quotes are the ones world prediction runs, nothing in the package
+or its commands loads scipy, and ``eval`` loads no OpenSSL."""
 
 from __future__ import annotations
 
@@ -388,6 +389,31 @@ def test_readme_walkthrough_writes_its_configs():
     read = {word for words in lines for word in words if word in INPUT_FLAGS}
     assert {"--phase1-config", "--phase2-config", "--pred"} <= read
     assert unwritten_inputs(lines) == []
+
+
+def quoted_tile_counts(readme: str) -> dict[tuple[str, int], int]:
+    """The micro-batch tile counts README's numeric policy quotes, keyed
+    (spec, window); empty when it quotes none in its usual sentence."""
+    m = re.search(r"(\d+), (\d+) and (\d+) desk tiles at S = (\d+), (\d+) and (\d+), "
+                  r"and (\d+), (\d+) and (\d+) full-scale ones", " ".join(readme.split()))
+    if m is None:
+        return {}
+    n = [int(v) for v in m.groups()]
+    return {(spec, window): tiles for spec, counts in (("desk", n[:3]), ("full_scale", n[6:]))
+            for window, tiles in zip(n[3:6], counts)}
+
+
+def test_readme_tile_counts_are_the_rule():
+    # the counts move whenever the byte budget or the forward's peak does
+    from urbanet.unet import UNetSpec, _predict_tiles
+
+    sample = "That is 9, 8 and\n7 desk tiles at S = 16, 22 and 28, and 3, 2 and 1 full-scale ones."
+    assert quoted_tile_counts(sample) == {
+        ("desk", 16): 9, ("desk", 22): 8, ("desk", 28): 7,
+        ("full_scale", 16): 3, ("full_scale", 22): 2, ("full_scale", 28): 1}
+    want = {(spec, window): _predict_tiles(getattr(UNetSpec, spec)(), window, 4)
+            for spec in ("desk", "full_scale") for window in (16, 22, 28)}
+    assert quoted_tile_counts((ROOT / "README.md").read_text()) == want
 
 
 def binary_format_uses(source: str) -> list[tuple[int, str]]:
