@@ -47,20 +47,27 @@ im2col GEMM, built and multiplied one block of a few images at a time
 is still in cache when its GEMM reads it.  The patch rows end in a column
 of ones and the weight matrix in the bias, so the GEMM adds the bias, and
 the ReLU runs on each output block right after it (a 1x1 kernel, which
-copies no patches, adds its bias after the GEMM).  The backward builds one
+copies no patches, adds its bias after the GEMM).  A GEMM narrower than
+16 columns runs far below BLAS's wider speed, so such a convolution
+(desk's 8-feature layers) lowers two horizontally adjacent output pixels
+per patch row when the width is even (``_pixels_per_row``): the row is a
+k x (k+1) window and the weight matrix has each pixel's taps in its own
+column half, zero at the other window column, so the GEMM is 2F wide and
+its output is the activation in memory.  The backward builds one
 patch matrix, of the zero-padded output gradient: times the flipped kernel
 it is the input gradient (the transposed-kernel identity, no scatter-add),
 and the input's rows times it give the weight gradient, block by block.
+It pairs pixels by the same rule, on the input gradient's C columns.
 The bias gradient is one GEMV of ones with the gradient's rows.  Row
-blocks change float32 rounding against a single whole-batch GEMM (BLAS
-picks its kernel by matrix size), by about float32 epsilon; a fixed
-thread count stays bit-reproducible.  Beside the GEMMs the backward makes
-no whole-array pass it can avoid: the ReLU gate multiplies in place a
-gradient the backward itself allocated (the caller's output gradient
-reaches only un-gated layers), and a pool's gradient is written slot by
-slot, never zero-filled first.  Training and evaluation pass
-channel-last batches straight from the tile streams to ``_forward`` and
-``loss_and_grads``.
+blocks and pixel pairs change float32 rounding against a single
+whole-batch GEMM (BLAS picks its kernel by matrix size), by about
+float32 epsilon; a fixed thread count stays bit-reproducible.  Beside
+the GEMMs the backward makes no whole-array pass it can avoid: the ReLU
+gate multiplies in place a gradient the backward itself allocated (the
+caller's output gradient reaches only un-gated layers), and a pool's
+gradient is written slot by slot, never zero-filled first.  Training and
+evaluation pass channel-last batches straight from the tile streams to
+``_forward`` and ``loss_and_grads``.
 
 The wiring is written once, in ``_forward``.  For backprop it records a
 tape, one entry per ``conv``, ``upconv``, ``pool`` and ``cat`` layer, which
@@ -272,11 +279,51 @@ def _parts(x) -> tuple:
     return x if isinstance(x, tuple) else (x,)
 
 
-def _im2col_blocks(x, k: int, pad: int, ones: bool = False):
-    """Yield (row slice, patch rows) of the (N*Ho*Wo, k*k*C) patch matrix of
-    (N,H,W,C) ``x`` zero-padded by ``pad`` on every side, a few whole images
-    per block; Ho = H + 2 * pad - k + 1 (likewise Wo), rows in (du, dv, c)
-    layout.  A same-padded conv has ``pad = k // 2`` and Ho = H.
+def _pixels_per_row(k: int, width: int, cols: int) -> int:
+    """Output pixels per patch row of a k x k convolution's lowering whose
+    output rows are ``width`` pixels wide and whose GEMM has ``cols``
+    columns: two horizontally adjacent pixels when that GEMM would be
+    narrower than 16 columns (and the width is even), else one.
+
+    A narrow GEMM runs far below BLAS's speed at 16 columns and up, and
+    its patch rows copy in runs of only k*C values.  Two pixels per row
+    give the GEMM 2 * cols columns and the copy runs of (k+1)*C values
+    for half as many rows; a quarter of the paired weight matrix is zero
+    (``_tap_matrix``).  A 1x1 kernel copies no patches and never pairs.
+    """
+    return 2 if k > 1 and cols < 16 and width % 2 == 0 else 1
+
+
+def _tap_matrix(taps: np.ndarray, px: int, bias: np.ndarray | None = None) -> np.ndarray:
+    """The GEMM matrix of (k, k, C, F) ``taps`` for patch rows of ``px``
+    pixels (``_im2col_blocks``): (k*(k+px-1)*C, px*F), rows in (du, dv, c)
+    layout over the rows' k x (k+px-1) window.  Pixel h's column half holds
+    the taps at window columns h .. h+k-1 and zeros elsewhere, so the GEMM
+    output row is the px pixels' features side by side.  With ``bias`` one
+    more row holds it, tiled px times, to meet the patch rows' ones.
+    With px = 1 it is the taps reshaped, in the same order."""
+    k, _, c, f = taps.shape
+    kw = k + px - 1
+    wm = np.zeros((k * kw * c + (bias is not None), px * f), taps.dtype)
+    grid = wm[: k * kw * c].reshape(k, kw, c, px, f)  # a view
+    for h in range(px):
+        grid[:, h : h + k, :, h] = taps
+    if bias is not None:
+        wm[-1] = np.tile(bias, px)
+    return wm
+
+
+def _im2col_blocks(x, k: int, pad: int, ones: bool = False, px: int = 1):
+    """Yield (row slice, patch rows) of the (N*Ho*Wo/px, k*(k+px-1)*C)
+    patch matrix of (N,H,W,C) ``x`` zero-padded by ``pad`` on every side,
+    a few whole images per block; Ho = H + 2 * pad - k + 1 (likewise Wo).
+    A same-padded conv has ``pad = k // 2`` and Ho = H.
+
+    Each row covers ``px`` horizontally adjacent output pixels, which must
+    divide Wo (``_pixels_per_row``): row (n, i, j) holds the k x (k+px-1)
+    window at padded pixel (i, px*j) in (du, dv, c) layout.  With px = 1
+    that is pixel (i, j)'s k x k patch; a weight matrix from ``_tap_matrix``
+    turns a row into the px pixels' outputs.
 
     ``x`` may also be a tuple of (N,H,W,C_i) parts: they are written side by
     side, in order, into the padded input, so the patch matrix is that of
@@ -284,15 +331,16 @@ def _im2col_blocks(x, k: int, pad: int, ones: bool = False):
     The input is padded once (with no padding and one part, only made
     contiguous).  Each block is copied into one reused buffer of about
     ``_BLOCK_BYTES`` (at least one image), so a consumer must finish with
-    a block before asking for the next.  Channel-last, the
-    patch row du of pixel (i, j) is the k*C contiguous values
-    xp[i + du, j : j + k], so the copy moves runs of k*C values rather than
-    C.  A 1x1 kernel needs no copy: its padded input is yielded as one block.
+    a block before asking for the next.  Channel-last, window row du of
+    patch row (n, i, j) is the (k+px-1)*C contiguous values
+    xp[n, i + du, px*j : px*j + k + px - 1], so the copy moves runs of
+    (k+px-1)*C values rather than C.  A 1x1 kernel needs no copy: its
+    padded input is yielded as one block.
 
     With ``ones`` and k > 1 the buffer has one more column, of ones, written
     when it is allocated and never touched by the copies: each block is then
-    (rows, k*k*C + 1), and a weight matrix whose last row is the bias adds
-    the bias inside the GEMM.  A 1x1 kernel never gets the column.
+    (rows, k*(k+px-1)*C + 1), and a weight matrix whose last row is the bias
+    adds the bias inside the GEMM.  A 1x1 kernel never gets the column.
     """
     parts = _parts(x)
     n, h, w, _ = parts[0].shape
@@ -305,17 +353,18 @@ def _im2col_blocks(x, k: int, pad: int, ones: bool = False):
         for part in parts:
             xp[:, pad : pad + h, pad : pad + w, c0 : c0 + part.shape[-1]] = part
             c0 += part.shape[-1]
-    ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
+    ho, wo = xp.shape[1] - k + 1, (xp.shape[2] - k + 1) // px
     if k == 1:
         yield slice(0, n * ho * wo), xp.reshape(-1, c)
         return
+    run = (k + px - 1) * c  # values per window row
     sn, sh, sw, sc = xp.strides
-    win = as_strided(xp, (n, ho, wo, k, k * c), (sn, sh, sw, sh, sc), writeable=False)
-    step = max(1, min(n, _BLOCK_BYTES // (ho * wo * k * k * c * xp.itemsize)))
-    buf = np.empty((step * ho * wo, k * k * c + ones), xp.dtype)
+    win = as_strided(xp, (n, ho, wo, k, run), (sn, sh, px * sw, sh, sc), writeable=False)
+    step = max(1, min(n, _BLOCK_BYTES // (ho * wo * k * run * xp.itemsize)))
+    buf = np.empty((step * ho * wo, k * run + ones), xp.dtype)
     if ones:
         buf[:, -1] = 1.0
-    patches = buf[:, : k * k * c].reshape(step, ho, wo, k, k * c)  # a view
+    patches = buf[:, : k * run].reshape(step, ho, wo, k, run)  # a view
     for i in range(0, n, step):
         m = min(step, n - i)
         np.copyto(patches[:m], win[i : i + m])
@@ -331,23 +380,36 @@ def _conv_forward(x, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False)
     matrix, which meets the patch rows' column of ones, so each block is one
     GEMM and, with ``relu``, one ReLU while it is still in cache.  A 1x1
     kernel, which makes no patch copy, adds its bias after the GEMM.
+    With fewer than 16 features and an even output width each patch row
+    covers two adjacent output pixels (``_pixels_per_row``): the GEMM's
+    (rows, 2F) output is then the (N, Ho, Wo, F) output in memory.
     """
     f, c, k, _ = w.shape
     x0 = _parts(x)[0]
     n, h, wd, _ = x0.shape
-    wm = np.empty((k * k * c + (k > 1), f), w.dtype)  # the weight matrix, built in place
-    wm[: k * k * c].reshape(k, k, c, f)[...] = w.transpose(2, 3, 1, 0)
-    if k > 1:
-        wm[-1] = b
-    y = np.empty((n, h + 2 * pad - k + 1, wd + 2 * pad - k + 1, f), np.result_type(x0, w))
-    y2 = y.reshape(-1, f)
-    for rows, cols in _im2col_blocks(x, k, pad, ones=True):
+    ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
+    px = _pixels_per_row(k, wo, f)
+    wm = _tap_matrix(w.transpose(2, 3, 1, 0), px, b if k > 1 else None)
+    y = np.empty((n, ho, wo, f), np.result_type(x0, w))
+    y2 = y.reshape(-1, px * f)
+    for rows, cols in _im2col_blocks(x, k, pad, True, px):
         yb = np.matmul(cols, wm, out=y2[rows])
         if k == 1:
             yb += b
         if relu:
             np.maximum(yb, 0.0, out=yb)
     return y
+
+
+def _fold_pixels(dwp: np.ndarray) -> np.ndarray:
+    """The (C, k, k, F) tap gradient from the per-pixel products
+    (px, C, k, k+px-1, F) of a lowering with ``px`` pixels per row: pixel
+    h's taps sit at window columns h .. h+k-1.  With px = 1 it is a view."""
+    k = dwp.shape[2]
+    dwt = dwp[0, :, :, :k]
+    for h in range(1, len(dwp)):
+        dwt = dwt + dwp[h, :, :, h : h + k]
+    return dwt
 
 
 def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = True):
@@ -360,6 +422,13 @@ def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = Tr
     spatially flipped, in/out-swapped kernel (a convolution, not a
     scatter-add), and d_weight, with its taps flipped back, sums
     x_rows.T @ cols over the same blocks.
+    With fewer than 16 input channels and an even width each patch row
+    covers two adjacent input pixels (``_pixels_per_row``), as in the
+    forward: d_input's GEMM has 2C columns against the paired flipped
+    kernel, and d_weight takes the input's rows two pixels at a time (a
+    free reshape to 2C columns), whose product with the patch rows holds
+    each pixel's taps in its own half, shifted by one window column; the
+    halves are summed back once, after the last block.
     For a tuple of parts, d_weight takes one such product per part, and
     d_input is a tuple of one gradient per part, channel views of one array.
     Without ``need_dx`` d_input is skipped (None).  d_bias is one GEMV, a
@@ -369,20 +438,23 @@ def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = Tr
     f, c, k, _ = w.shape
     parts = _parts(x)
     n, h, wd, _ = parts[0].shape
-    x_rows = [part.reshape(-1, part.shape[-1]) for part in parts]
+    px = _pixels_per_row(k, wd, c)
+    x_rows = [part.reshape(-1, px * part.shape[-1]) for part in parts]
     bounds = np.cumsum([0] + [part.shape[-1] for part in parts])
     dt = np.result_type(g, w)
     if need_dx:
-        wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * f, c)
+        wflip = _tap_matrix(w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1), px)
         dx = np.empty((n, h, wd, c), dt)
-        dx2 = dx.reshape(-1, c)
-    dwt = np.zeros((c, k * k * f), dt)  # rows c, columns (flipped du, dv, f)
-    for rows, cols in _im2col_blocks(g, k, k - 1 - pad):
+        dx2 = dx.reshape(-1, px * c)
+    # rows (pixel of the row, c), columns (flipped du, window column, f)
+    dwp = np.zeros((px, c, k * (k + px - 1) * f), dt)
+    for rows, cols in _im2col_blocks(g, k, k - 1 - pad, px=px):
         if need_dx:
             np.matmul(cols, wflip, out=dx2[rows])
         for xr, c0, c1 in zip(x_rows, bounds[:-1], bounds[1:]):
-            dwt[c0:c1] += xr[rows].T @ cols
-    dw = dwt.reshape(c, k, k, f)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+            dwp[:, c0:c1] += (xr[rows].T @ cols).reshape(px, c1 - c0, -1)
+    dw = _fold_pixels(dwp.reshape(px, c, k, k + px - 1, f))
+    dw = dw[:, ::-1, ::-1].transpose(3, 0, 1, 2)
     g2 = g.reshape(-1, f)
     db = np.ones(len(g2), g2.dtype) @ g2  # one GEMV, not a strided reduction
     if not need_dx:
@@ -583,7 +655,10 @@ def _predict_tiles(spec: UNetSpec, size: int, itemsize: int) -> int:
       and narrow features, the first encoder conv: the padded tile, its
       padded input and its output.  Beside them one patch block
       (``_im2col_blocks``) and the weight matrix are held, whatever the
-      tile count;
+      tile count.  The term is that of one pixel per patch row, an upper
+      bound when the layer pairs pixels (``_pixels_per_row``): desk's
+      ``dec0.conv1`` block at S = 28 is 303 KB paired, of the 455 KB
+      reserved, and its weight matrix 12 KB, of 5 KB (315 of 459 KB);
     * at the deepest up-conv: the finer skips, the bottleneck, its padded
       copy and the phases.  Beside them its phase kernel is held twice,
       as built and as its weight matrix, with one patch block.  At

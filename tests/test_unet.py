@@ -741,9 +741,9 @@ class TestOnePatchMatrix:
         lowered = []
         honest = unet._im2col_blocks
 
-        def spy(x, k, pad):
+        def spy(x, k, pad, *args, **kwargs):
             lowered.append(x)
-            return honest(x, k, pad)
+            return honest(x, k, pad, *args, **kwargs)
 
         monkeypatch.setattr(unet, "_im2col_blocks", spy)
         return lowered
@@ -774,6 +774,146 @@ class TestOnePatchMatrix:
         unet._upconv_backward(x, w, g, need_dx)
         s = (k // 2) % 2
         assert len(lowered) == 1 and lowered[0].shape == (2, 4 + s, 3 + s, 12)
+
+
+def pair_im2col(x, k):
+    """Patch rows of two horizontally adjacent output pixels each, straight
+    from a (k, k+1) sliding window at every other column: (du, dv, c) rows
+    over the k x (k+1) window of a same-padded conv."""
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = sliding_window_view(xp, (k, k + 1), axis=(1, 2))[:, :, ::2]  # (N,H,W/2,C,k,k+1)
+    n, h, w2, c = win.shape[:4]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w2, k * (k + 1) * c)
+
+
+class TestPixelPairs:
+    """A convolution whose GEMM would be narrower than 16 columns lowers two
+    adjacent pixels per patch row when the width is even."""
+
+    @pytest.mark.parametrize("two_parts", [False, True], ids=["plain", "two-part"])
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_sliding_window_pair_layout(self, monkeypatch, k, two_parts, dtype):
+        # 2-image blocks over 5 images, the last one partial; every block
+        # keeps its column of ones after the window rows
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(5, 6, 8, 3)).astype(dtype)
+        s = rng.normal(size=(5, 6, 8, 4)).astype(dtype)
+        xc = np.concatenate([a, s], axis=-1)
+        want = pair_im2col(xc, k)
+        per = 6 * 4 * k * (k + 1) * 7 * xc.itemsize  # one image's paired rows
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * per)
+        blocks, end = [], 0
+        for rows, cols in _im2col_blocks((a, s) if two_parts else xc, k, k // 2,
+                                         ones=True, px=2):
+            assert rows.start == end and cols.shape == (rows.stop - end, want.shape[1] + 1)
+            assert (cols[:, -1] == 1).all()
+            assert cols[:, :-1].tobytes() == want[rows].tobytes()
+            blocks.append(cols.shape[0])
+            end = rows.stop
+        assert blocks == [48, 48, 24] and end == len(want)
+
+    @pytest.mark.parametrize("shape, c, f, k, split, need_dx, pxs", [
+        ((3, 6, 8), 6, 4, 3, 0, True, (2, 2)),
+        ((3, 5, 6), 6, 4, 5, 0, True, (2, 2)),
+        ((2, 7, 8), 5, 3, 7, 0, True, (2, 2)),
+        ((3, 6, 8), 7, 4, 3, 3, True, (2, 2)),
+        ((3, 6, 8), 6, 4, 3, 0, False, (2, 2)),
+        ((3, 6, 8), 18, 8, 3, 8, True, (2, 1)),
+        ((3, 6, 8), 9, 20, 3, 0, False, (1, 2)),
+        ((3, 6, 7), 6, 4, 3, 0, True, (1, 1)),
+        ((3, 6, 8), 16, 16, 3, 0, True, (1, 1)),
+    ], ids=["k3", "k5", "k7", "two-part", "no-dx", "wide-input", "wide-features",
+            "odd-width", "wide-both"])
+    def test_matches_whole_matrix_reference(self, monkeypatch, shape, c, f, k, split,
+                                            need_dx, pxs):
+        # float64 at 1e-12 of each array's largest value against single
+        # whole-batch GEMMs; pxs is the pixels per row of the forward's
+        # lowering (of x, F columns) and the backward's (of g, C columns)
+        rng = np.random.default_rng(k + c)
+        x = rng.normal(size=shape + (c,))
+        w = rng.normal(size=(f, c, k, k))
+        b = rng.normal(size=f)
+        g = rng.normal(size=shape + (f,))
+        xin = (x[..., :split].copy(), x[..., split:].copy()) if split else x
+        seen = []
+        honest = unet._im2col_blocks
+
+        def spy(x, k, pad, ones=False, px=1):
+            seen.append(px)
+            return honest(x, k, pad, ones, px)
+
+        monkeypatch.setattr(unet, "_im2col_blocks", spy)
+        y = unet._conv_forward(xin, w, b, k // 2)
+        dx, dw, db = _conv_backward(xin, w, g, k // 2, need_dx)
+        assert tuple(seen) == pxs
+        ry, rdx, rdw = whole_conv(x, w, b, g)
+        got = [(y, ry), (dw, rdw), (db, g.sum(axis=(0, 1, 2)))]
+        if need_dx:
+            got.append((np.concatenate(dx, axis=-1) if split else dx, rdx))
+        else:
+            assert dx is None
+        for a, ref in got:
+            assert a.shape == ref.shape
+            np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @staticmethod
+    def by_layer(mp, params, outer, inner, record):
+        """Spy on ``outer`` (a conv forward or backward) to learn which
+        layer runs, by its weights' name ("phase" for an up-conv's phase
+        kernel), and on ``inner``, whose calls within it ``record(args,
+        kwargs)`` describes.  Returns layer name -> set of descriptions."""
+        names = {id(a): n[: -len(".w")] for n, a in params.arrays.items()}
+        seen, current = {}, []
+        honest_outer, honest_inner = getattr(unet, outer), getattr(*inner)
+
+        def outer_spy(x, w, *args, **kwargs):
+            current.append(names.get(id(w), "phase"))
+            try:
+                return honest_outer(x, w, *args, **kwargs)
+            finally:
+                current.pop()
+
+        def inner_spy(*args, **kwargs):
+            if current:
+                seen.setdefault(current[-1], set()).add(record(args, kwargs))
+            return honest_inner(*args, **kwargs)
+
+        mp.setattr(unet, outer, outer_spy)
+        mp.setattr(*inner, inner_spy)
+        return seen
+
+    def test_desk_level0_runs_16_wide_and_full_scale_keeps_its_gemms(self):
+        # the columns of every forward GEMM: 2F at desk's four 8-feature
+        # convolutions, F elsewhere; no up-conv's 4F phase GEMM pairs
+        x = np.random.default_rng(0).normal(size=(2, 28, 28, 9)).astype(np.float32)
+        level0 = {"enc0.conv1", "enc0.conv2", "dec.urban.0.conv1", "dec.urban.0.conv2"}
+        for spec, paired in ((UNetSpec.desk(), level0), (UNetSpec.full_scale(), set())):
+            params = init_params(spec, 0)
+            shapes = expected_shapes(spec)
+            with pytest.MonkeyPatch.context() as mp:
+                widths = self.by_layer(mp, params, "_conv_forward", (np, "matmul"),
+                                       lambda args, kwargs: args[1].shape[1])
+                _forward(params, x)
+            phase = widths.pop("phase")
+            assert widths == {n[:-2]: {(1 + (n[:-2] in paired)) * shape[0]}
+                              for n, shape in shapes.items()
+                              if n.endswith(".w") and ".up." not in n}
+            assert min(phase) == 4 * spec.base_features
+
+    def test_desk_backward_pairs_the_narrow_inputs(self):
+        # the output gradient's lowering pairs where the input gradient's
+        # GEMM has fewer than 16 columns: level 0 but dec0.conv1, whose
+        # input is 16 wide, and enc1.conv1
+        params = init_params(UNetSpec.desk(), 0)
+        with pytest.MonkeyPatch.context() as mp:
+            pixels = self.by_layer(mp, params, "_conv_backward", (unet, "_im2col_blocks"),
+                                   lambda args, kwargs: kwargs["px"])
+            loss_and_grads(params, *random_batch(np.random.default_rng(0), s=28, cin=9))
+        assert {n for n, px in pixels.items() if px == {2}} == {
+            "enc0.conv1", "enc0.conv2", "dec.urban.0.conv2", "enc1.conv1"}
+        assert set().union(*pixels.values()) == {1, 2}
 
 
 class TestTapSumMap:
