@@ -5,7 +5,9 @@ rotation by 90/180/270 degrees}, applied identically to input channels,
 target channels, and mask.  Rot90 is 90 degrees counterclockwise, pinned by
 the index map (i, j) -> (S-1-j, i); all other conventions follow from it.
 Augmented tiles are gathered through the tiler's window offset table as
-rearranged by :func:`transform_plane`.  Evaluation never augments.
+rearranged by :func:`transform_plane`.  :class:`AugmentedTiles` expands a
+subset of a dataset's tiles: training keeps the train-split tiles outside
+the validation regions.  Evaluation never augments.
 """
 
 from __future__ import annotations
@@ -51,24 +53,29 @@ def transform_plane(plane: np.ndarray, t: Transform) -> np.ndarray:
 
 
 class AugmentedTiles:
-    """Lazy 6x expansion of a tile dataset.
+    """Lazy 6x expansion of the tiles ``keep`` of a tile dataset, in six
+    passes over ``keep``.
 
-    Index ``k`` maps to base tile ``i = k % n`` under transform
-    ``TRANSFORMS[(i + k // n) % 6]``: a diagonal enumeration, so consecutive
-    samples differ in both base tile and transform rather than replaying one
-    tile six times in a row.  A batch is one gather of the base dataset.
+    With K = len(keep), sample ``j`` is base tile ``i = keep[j % K]`` under
+    transform ``TRANSFORMS[(i + j // K) % 6]``: a diagonal enumeration, so
+    consecutive samples differ in both base tile and transform rather than
+    replaying one tile six times in a row, and a tile meets every
+    transform once in the six passes.  ``keep = arange(len(base))``
+    expands the whole dataset.  Each batch works its tiles out, so no
+    6K-long index is stored (it would take 48 bytes per kept tile), and
+    is one gather of the base dataset.
     """
 
-    def __init__(self, base: TileDataset):
+    def __init__(self, base: TileDataset, keep: np.ndarray):
         self.base = base
+        self.keep = np.asarray(keep, np.int64)
         self.offsets = np.stack([transform_plane(base.offsets, t) for t in TRANSFORMS])
 
     def __len__(self) -> int:
-        return 6 * len(self.base)
+        return len(TRANSFORMS) * len(self.keep)
 
     def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gather NHWC arrays like TileDataset.batch, each under its transform."""
-        idx = np.asarray(indices)
-        n = len(self.base)
-        base_idx = idx % n
-        return self.base.gather(base_idx, self.offsets[(base_idx + idx // n) % 6])
+        passes, at = np.divmod(np.asarray(indices), len(self.keep))
+        tiles = self.keep[at]
+        return self.base.gather(tiles, self.offsets[(tiles + passes) % 6])

@@ -160,14 +160,6 @@ def open_container(path, magic: bytes, version: int, schema):
         yield Container(path, fh, header["meta"], sections)
 
 
-def read_container(path, magic: bytes, version: int, schema):
-    """Read a whole :func:`write_container` file: ``(meta, arrays)``, each
-    array a read-only view of its own bytes, checked as
-    :func:`open_container` and :meth:`Container.read` check them."""
-    with open_container(path, magic, version, schema) as src:
-        return src.meta, {name: src.read(name) for name in src.arrays}
-
-
 def _mismatch(value, schema, where: str = "header"):
     """Why the decoded JSON ``value`` does not have the shape of ``schema``,
     or None.  A type matches its instances (a bool is no int, a str must be

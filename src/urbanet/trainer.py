@@ -3,11 +3,12 @@ schedule: train the fresh task-2 decoder against a frozen encoder and
 task-1 decoder, then fine-tune everything jointly at a smaller rate.
 
 A "tile stream" here is anything with ``__len__`` and ``batch(indices)``
-returning channel-last (x, y, m) arrays — TileDataset, AugmentedTiles,
-AugmentedSubset, or a Subset view of any of them.  Training walks a
-cursor window over the stream each epoch, so passing an augmented stream
-with ``samples_per_epoch`` set to the unaugmented tile count sees every
-tile once per epoch while the paired transform rotates epoch to epoch.
+returning channel-last (x, y, m) arrays — TileDataset, AugmentedTiles
+(of all of a dataset's tiles or of a subset), or a Subset view of either.
+Training walks a cursor window over the stream each epoch, so passing an
+augmented stream with ``samples_per_epoch`` set to the unaugmented tile
+count sees every tile once per epoch while the paired transform rotates
+epoch to epoch.
 """
 
 from __future__ import annotations
@@ -116,26 +117,6 @@ class Subset:
 
     def batch(self, indices):
         return self.data.batch(self.indices[np.asarray(indices)])
-
-
-class AugmentedSubset:
-    """Base tiles ``keep`` of ``base`` under all six transforms, in six
-    passes over ``keep``: sample j is sample (j // K) * len(base) +
-    keep[j % K] of ``AugmentedTiles(base)``, K = len(keep).  Each batch
-    works these indices out, so none is stored: a 6K-long index would take
-    48 bytes per kept tile.
-    """
-
-    def __init__(self, base: TileDataset, keep: np.ndarray):
-        self.tiles = AugmentedTiles(base)
-        self.keep = np.asarray(keep, np.int64)
-
-    def __len__(self) -> int:
-        return len(TRANSFORMS) * len(self.keep)
-
-    def batch(self, indices):
-        passes, at = np.divmod(np.asarray(indices), len(self.keep))
-        return self.tiles.batch(passes * len(self.tiles.base) + self.keep[at])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +271,7 @@ def build_streams(
     target_names: Iterable[str],
     split: SplitAssignment,
     seed: int,
-) -> tuple[AugmentedSubset, Subset, frozenset[int]]:
+) -> tuple[AugmentedTiles, Subset, frozenset[int]]:
     """Augmented training stream, unaugmented validation stream, and the
     validation regions.
 
@@ -309,7 +290,7 @@ def build_streams(
         raise DataError("no training tiles in the grid")
     val_regions = choose_validation_regions(np.unique(base.regions), seed=seed)
     is_val = np.isin(base.regions, sorted(val_regions))
-    train_stream = AugmentedSubset(base, np.flatnonzero(~is_val))
+    train_stream = AugmentedTiles(base, np.flatnonzero(~is_val))
     val_stream = Subset(base, np.flatnonzero(is_val))
     return train_stream, val_stream, val_regions
 

@@ -15,7 +15,7 @@ Architecture (fixed by this artifact, not tunable per call):
   channel i is head i.
 * No batch normalization, no dropout: gradients stay exactly checkable.
 
-Neither the upsampled nor the concatenated tensor is ever built.  A conv
+The forward builds neither the upsampled nor the concatenated tensor.  A conv
 after nearest 2x upsampling equals one conv on the low-resolution input
 with four output phases, whose taps are sums of the stored taps (the
 resize-convolution identity, in the sub-pixel layout): the up-conv runs
@@ -72,14 +72,17 @@ evaluation pass channel-last batches straight from the tile streams to
 The wiring is written once, in ``_forward``.  For backprop it records a
 tape, one entry per ``conv``, ``upconv``, ``pool`` and ``cat`` layer, which
 ``_backward`` replays in reverse without knowing the network's shape and
-``_margins`` reads to place the gradient checker's probe points.  Inference
-records no tape and frees each activation once it is dead: the bottleneck
-goes once the last live decoder's first up-conv has read it, and a skip
-once that decoder has copied it into its ``conv1`` input.  So its memory
-is a few layers' worth rather than the whole network's, and world
-prediction sizes its micro-batches so that this stays within
-``_PREDICT_BYTES``.  A taped forward keeps a contiguous copy of each
-up-conv output, which ``_backward`` reads.
+``_margins`` reads, through the functions the forward runs, to place the
+gradient checker's probe points.  A decoder ``conv1`` is taped with two
+inputs, the up path and the skip, and its backward takes them as two
+parts, so training builds no concatenated copy.  Inference records no
+tape and frees each activation once it is dead: the bottleneck goes once
+the last live decoder's first up-conv has read it, and a skip once that
+decoder has copied it into its ``conv1`` input.  So its memory is a few
+layers' worth rather than the whole network's, and world prediction
+sizes its micro-batches so that this stays within ``_PREDICT_BYTES``.  A
+taped forward keeps a contiguous copy of each up-conv output, which
+``_backward`` reads.
 
 The forward mirrors the backward's liveness rule.  A loss evaluation runs a
 head only when its plane has nonzero loss weight or a trainable
@@ -107,7 +110,7 @@ from .errors import (
     ShapeError,
     SpecError,
 )
-from .files import read_container, write_container
+from .files import open_container, write_container
 
 CHECKPOINT_MAGIC = b"UNPK"
 CHECKPOINT_VERSION = 2
@@ -274,11 +277,6 @@ _BLOCK_BYTES = 256 << 10
 _PREDICT_BYTES = 17 << 19  # 8.5 MiB
 
 
-def _parts(x) -> tuple:
-    """A convolution input as a tuple of parts (one part for a plain array)."""
-    return x if isinstance(x, tuple) else (x,)
-
-
 def _pixels_per_row(k: int, width: int, cols: int) -> int:
     """Output pixels per patch row of a k x k convolution's lowering whose
     output rows are ``width`` pixels wide and whose GEMM has ``cols``
@@ -313,11 +311,12 @@ def _tap_matrix(taps: np.ndarray, px: int, bias: np.ndarray | None = None) -> np
     return wm
 
 
-def _im2col_blocks(x, k: int, pad: int, ones: bool = False, px: int = 1):
+def _im2col_blocks(x: np.ndarray, k: int, pad: int, px: int, ones: bool = False):
     """Yield (row slice, patch rows) of the (N*Ho*Wo/px, k*(k+px-1)*C)
     patch matrix of (N,H,W,C) ``x`` zero-padded by ``pad`` on every side,
     a few whole images per block; Ho = H + 2 * pad - k + 1 (likewise Wo).
-    A same-padded conv has ``pad = k // 2`` and Ho = H.
+    A same-padded conv has ``pad = k // 2`` and Ho = H; a decoder
+    ``conv1`` runs valid (``pad = 0``) on the input ``_join`` padded.
 
     Each row covers ``px`` horizontally adjacent output pixels, which must
     divide Wo (``_pixels_per_row``): row (n, i, j) holds the k x (k+px-1)
@@ -325,11 +324,8 @@ def _im2col_blocks(x, k: int, pad: int, ones: bool = False, px: int = 1):
     that is pixel (i, j)'s k x k patch; a weight matrix from ``_tap_matrix``
     turns a row into the px pixels' outputs.
 
-    ``x`` may also be a tuple of (N,H,W,C_i) parts: they are written side by
-    side, in order, into the padded input, so the patch matrix is that of
-    their channel concatenation without the concatenation being built.
-    The input is padded once (with no padding and one part, only made
-    contiguous).  Each block is copied into one reused buffer of about
+    The input is padded once (with no padding, only made contiguous).
+    Each block is copied into one reused buffer of about
     ``_BLOCK_BYTES`` (at least one image), so a consumer must finish with
     a block before asking for the next.  Channel-last, window row du of
     patch row (n, i, j) is the (k+px-1)*C contiguous values
@@ -342,17 +338,12 @@ def _im2col_blocks(x, k: int, pad: int, ones: bool = False, px: int = 1):
     (rows, k*(k+px-1)*C + 1), and a weight matrix whose last row is the bias
     adds the bias inside the GEMM.  A 1x1 kernel never gets the column.
     """
-    parts = _parts(x)
-    n, h, w, _ = parts[0].shape
-    c = sum(part.shape[-1] for part in parts)
-    if pad == 0 and len(parts) == 1:
-        xp = np.ascontiguousarray(parts[0])
+    n, h, w, c = x.shape
+    if pad == 0:
+        xp = np.ascontiguousarray(x)
     else:
-        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), parts[0].dtype)
-        c0 = 0
-        for part in parts:
-            xp[:, pad : pad + h, pad : pad + w, c0 : c0 + part.shape[-1]] = part
-            c0 += part.shape[-1]
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), x.dtype)
+        xp[:, pad : pad + h, pad : pad + w] = x
     ho, wo = xp.shape[1] - k + 1, (xp.shape[2] - k + 1) // px
     if k == 1:
         yield slice(0, n * ho * wo), xp.reshape(-1, c)
@@ -371,28 +362,29 @@ def _im2col_blocks(x, k: int, pad: int, ones: bool = False, px: int = 1):
         yield slice(i * ho * wo, (i + m) * ho * wo), buf[: m * ho * wo]
 
 
-def _conv_forward(x, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False) -> np.ndarray:
+def _conv_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False
+) -> np.ndarray:
     """Convolution of (N,H,W,C) ``x`` zero-padded by ``pad``, one GEMM block
-    at a time: (N, H + 2 * pad - k + 1, W + 2 * pad - k + 1, F).
+    at a time (``_im2col_blocks``): (N, H + 2 * pad - k + 1,
+    W + 2 * pad - k + 1, F).
 
-    ``x`` may be a tuple of parts, convolved as their channel concatenation
-    (``_im2col_blocks``).  For k > 1 the bias is the last row of the weight
-    matrix, which meets the patch rows' column of ones, so each block is one
-    GEMM and, with ``relu``, one ReLU while it is still in cache.  A 1x1
-    kernel, which makes no patch copy, adds its bias after the GEMM.
+    For k > 1 the bias is the last row of the weight matrix, which meets
+    the patch rows' column of ones, so each block is one GEMM and, with
+    ``relu``, one ReLU while it is still in cache.  A 1x1 kernel, which
+    makes no patch copy, adds its bias after the GEMM.
     With fewer than 16 features and an even output width each patch row
     covers two adjacent output pixels (``_pixels_per_row``): the GEMM's
     (rows, 2F) output is then the (N, Ho, Wo, F) output in memory.
     """
     f, c, k, _ = w.shape
-    x0 = _parts(x)[0]
-    n, h, wd, _ = x0.shape
+    n, h, wd, _ = x.shape
     ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
     px = _pixels_per_row(k, wo, f)
     wm = _tap_matrix(w.transpose(2, 3, 1, 0), px, b if k > 1 else None)
-    y = np.empty((n, ho, wo, f), np.result_type(x0, w))
+    y = np.empty((n, ho, wo, f), np.result_type(x, w))
     y2 = y.reshape(-1, px * f)
-    for rows, cols in _im2col_blocks(x, k, pad, True, px):
+    for rows, cols in _im2col_blocks(x, k, pad, px, ones=True):
         yb = np.matmul(cols, wm, out=y2[rows])
         if k == 1:
             yb += b
@@ -412,7 +404,7 @@ def _fold_pixels(dwp: np.ndarray) -> np.ndarray:
     return dwt
 
 
-def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = True):
+def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool):
     """Gradients of ``_conv_forward(x, w, b, pad)``: (d_input, d_weight, d_bias).
 
     Only the output gradient is lowered to patches (with no column of
@@ -429,14 +421,17 @@ def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = Tr
     free reshape to 2C columns), whose product with the patch rows holds
     each pixel's taps in its own half, shifted by one window column; the
     halves are summed back once, after the last block.
-    For a tuple of parts, d_weight takes one such product per part, and
-    d_input is a tuple of one gradient per part, channel views of one array.
+    ``x`` may be a tuple of parts, the input as their channel
+    concatenation, as a decoder ``conv1``'s up path and skip are taped:
+    d_weight then takes one such product per part, so no concatenated
+    copy is built, and d_input is a tuple of one gradient per part,
+    channel views of one array.
     Without ``need_dx`` d_input is skipped (None).  d_bias is one GEMV, a
     vector of ones times the gradient's (N*H*W, F) rows, which BLAS sums
     faster and closer to the exact sum than a reduction over the rows.
     """
     f, c, k, _ = w.shape
-    parts = _parts(x)
+    parts = x if isinstance(x, tuple) else (x,)
     n, h, wd, _ = parts[0].shape
     px = _pixels_per_row(k, wd, c)
     x_rows = [part.reshape(-1, px * part.shape[-1]) for part in parts]
@@ -448,7 +443,7 @@ def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool = Tr
         dx2 = dx.reshape(-1, px * c)
     # rows (pixel of the row, c), columns (flipped du, window column, f)
     dwp = np.zeros((px, c, k * (k + px - 1) * f), dt)
-    for rows, cols in _im2col_blocks(g, k, k - 1 - pad, px=px):
+    for rows, cols in _im2col_blocks(g, k, k - 1 - pad, px):
         if need_dx:
             np.matmul(cols, wflip, out=dx2[rows])
         for xr, c0, c1 in zip(x_rows, bounds[:-1], bounds[1:]):
@@ -524,9 +519,11 @@ def _phase_view(y4: np.ndarray, s: int) -> np.ndarray:
 def _upconv_phases(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
 ) -> np.ndarray:
-    """The four output phases of ``_upconv_forward(x, w, b, relu)`` as one
-    (N, H+s, W+s, 4F) array: one valid convolution of ``x`` padded by
-    ceil(p / 2) with the phase kernel (``_tap_sum_map``)."""
+    """Nearest-neighbor 2x upsampling of (N,H,W,C) ``x``, then a same-padded
+    convolution with (F, C, k, k) ``w``, computed at low resolution: the
+    four output phases as one (N, H+s, W+s, 4F) array, s = (k // 2) % 2,
+    from one valid convolution of ``x`` padded by ceil(p / 2) with the
+    phase kernel (``_tap_sum_map``).  ``_phase_view`` reads the output."""
     p = w.shape[-1] // 2
     return _conv_forward(x, _phase_weight(w), np.tile(b, 4), (p + 1) // 2, relu)
 
@@ -541,21 +538,10 @@ def _depth_to_space(y4: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _upconv_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
-) -> np.ndarray:
-    """Nearest-neighbor 2x upsampling of (N,H,W,C) ``x``, then a same-padded
-    convolution, computed at low resolution (sub-pixel layout): the four
-    output phases (``_upconv_phases``), interleaved by a depth-to-space copy.
-    """
-    n, h, wd, _ = x.shape
-    y4 = _upconv_phases(x, w, b, relu)
-    return _depth_to_space(y4, np.empty((n, 2 * h, 2 * wd, w.shape[0]), y4.dtype))
-
-
-def _upconv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool = True):
-    """Gradients of ``_upconv_forward`` before its ReLU: (d_input, d_weight,
-    d_bias), with d_input at the low resolution of ``x``.
+def _upconv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool):
+    """Gradients of the interleaved ``_upconv_phases(x, w, b)`` before its
+    ReLU: (d_input, d_weight, d_bias), with d_input at the low resolution
+    of ``x``.
 
     The output gradient goes space-to-depth into the phase layout, zero at
     the positions no phase reads, and through the convolution backward with
@@ -587,11 +573,6 @@ def _pool_views(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The four strided views of (N,H,W,C) ``x`` that each hold one pixel of
     every 2x2 window, in row-major window order."""
     return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
-
-
-def _pool_windows(x: np.ndarray) -> np.ndarray:
-    """The 2x2 pooling windows of (N,H,W,C) ``x`` as (N, H/2, W/2, C, 4)."""
-    return np.stack(_pool_views(x), axis=-1)
 
 
 def _pool_forward(x: np.ndarray) -> np.ndarray:
@@ -702,9 +683,10 @@ def _forward(
     cache holds the tape: one ``(kind, name, inputs, output, extra)`` entry
     per layer in execution order, where a ``conv`` or ``upconv`` names its
     parameters and carries its ReLU flag; a ``pool`` keeps only its input
-    and output.  A decoder ``conv1`` has two inputs, the up path and the
-    skip, read side by side rather than concatenated.  The entries hold
-    references, not copies.  Either way the outputs are the same bytes.
+    and output.  A decoder ``conv1``, which runs on ``_join``'s padded
+    buffer, is taped with two inputs, the up path and the skip: its
+    backward takes them as two parts.  The entries hold references, not
+    copies.  Either way the outputs are the same bytes.
 
     ``heads`` names the heads to run (all when None, see ``_live_heads``);
     a head left out runs no layer, is not taped, and reads as zeros in its
@@ -732,10 +714,10 @@ def _forward(
             tape.append((kind, name, inputs, out, extra))
         return out
 
-    def conv(name: str, *parts: np.ndarray, relu: bool = True) -> np.ndarray:
+    def conv(name: str, x: np.ndarray, relu: bool = True) -> np.ndarray:
         w = arrays[f"{name}.w"]  # same-padded
-        y = _conv_forward(parts, w, arrays[f"{name}.b"], w.shape[-1] // 2, relu)
-        return layer("conv", name, parts, y, relu)
+        y = _conv_forward(x, w, arrays[f"{name}.b"], w.shape[-1] // 2, relu)
+        return layer("conv", name, (x,), y, relu)
 
     plane = x.shape[:3] + (1,)  # of one head's output
     skips: list[np.ndarray] = []  # every level's output; the last is the bottleneck
@@ -795,10 +777,7 @@ def _forward(
 
 
 def _backward(
-    params: UNetParams,
-    cache: dict,
-    g_out: np.ndarray,
-    trainable: set[str] | None = None,
+    params: UNetParams, cache: dict, g_out: np.ndarray, trainable: set[str] | None
 ) -> dict[str, np.ndarray]:
     """Backpropagate d(loss)/d(output) by replaying the cached tape in reverse.
 
@@ -990,9 +969,11 @@ def _margins(params: UNetParams, cache: dict) -> list[float]:
     """How far a taped batch sits from every ReLU kink and pooling tie.
 
     In tape order: for each ReLU convolution or up-convolution the smallest
-    |pre-activation|, recomputed from its taped inputs by the same blocked
-    forward without the ReLU; for each pooling the smallest gap between a
-    window's top two values.
+    |pre-activation|, recomputed from its taped inputs by the functions the
+    forward runs, without the ReLU: a convolution on its inputs'
+    concatenation (a decoder ``conv1``'s up path and skip), an up-conv's
+    phases read through ``_phase_view``.  For each pooling the smallest
+    gap between a window's top two values.
     """
     arrays = params.arrays
     margins: list[float] = []
@@ -1000,12 +981,13 @@ def _margins(params: UNetParams, cache: dict) -> list[float]:
         if kind in ("conv", "upconv") and extra:
             w, b = arrays[f"{name}.w"], arrays[f"{name}.b"]
             if kind == "conv":
-                pre = _conv_forward(inputs, w, b, w.shape[-1] // 2)
+                pre = _conv_forward(np.concatenate(inputs, axis=-1), w, b, w.shape[-1] // 2)
             else:
-                pre = _upconv_forward(inputs[0], w, b)
+                y4 = _upconv_phases(inputs[0], w, b)
+                pre = _phase_view(y4, y4.shape[1] - inputs[0].shape[1])
             margins.append(float(np.abs(pre).min()))
         elif kind == "pool":
-            top2 = np.sort(_pool_windows(inputs[0]), axis=-1)[..., -2:]
+            top2 = np.sort(np.stack(_pool_views(inputs[0]), axis=-1), axis=-1)[..., -2:]
             gap = top2[..., 1] - top2[..., 0]
             # Ties among dead units (runner-up exactly 0) cannot flip
             # under a small perturbation; only contested windows matter.
@@ -1110,29 +1092,33 @@ def save_params(params: UNetParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> UNetParams:
     """Read a UNPK checkpoint, validating its arrays against its spec and
     refusing non-finite values and any head whose plane count is not 1.
-    Returns writable float32 copies."""
-    meta, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                  _CHECKPOINT_SCHEMA)
-    for name, planes in meta["spec"]["heads"]:
-        if planes != 1:
-            raise IntegrityError(f"{path}: head {name!r} has {planes} output planes; "
-                                 "every head has one")
-    spec = UNetSpec(**{**meta["spec"], "heads": tuple(h for h, _ in meta["spec"]["heads"])})
-    # the array count is checked before any name is built, so a header that
-    # asks for a huge depth costs no more work than the file's size: each
-    # encoder level has 2 convs, each decoder level 3, each head one more,
-    # and every conv is a weight and a bias
-    try:
-        validate_spec(spec)
-        need = 4 * (spec.depth + 1) + len(spec.heads) * (6 * spec.depth + 2)
-        if len(arrays) != need:
-            kind = "missing" if len(arrays) < need else "extra"
-            raise IntegrityError(f"{path}: {kind} arrays: the spec needs {need}, "
-                                 f"the file holds {len(arrays)}")
-        shapes = expected_shapes(spec)
-    except SpecError as err:  # a corrupt file, not a bad request
-        raise IntegrityError(f"{path}: invalid spec block: {err}") from None
-    params = UNetParams(spec, {name: arr.astype(np.float32) for name, arr in arrays.items()})
+    The header is checked before any array is read.  Returns writable
+    float32 copies."""
+    with open_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                        _CHECKPOINT_SCHEMA) as src:
+        heads = src.meta["spec"]["heads"]
+        for name, planes in heads:
+            if planes != 1:
+                raise IntegrityError(f"{path}: head {name!r} has {planes} output planes; "
+                                     "every head has one")
+        spec = UNetSpec(**{**src.meta["spec"], "heads": tuple(h for h, _ in heads)})
+        # the array count is checked before any array is read or any name
+        # is built, so a header that asks for a huge depth costs no more
+        # work than the header's size: each encoder level has 2 convs, each
+        # decoder level 3, each head one more, and every conv is a weight
+        # and a bias
+        try:
+            validate_spec(spec)
+            need = 4 * (spec.depth + 1) + len(spec.heads) * (6 * spec.depth + 2)
+            if len(src.arrays) != need:
+                kind = "missing" if len(src.arrays) < need else "extra"
+                raise IntegrityError(f"{path}: {kind} arrays: the spec needs {need}, "
+                                     f"the file holds {len(src.arrays)}")
+            shapes = expected_shapes(spec)
+        except SpecError as err:  # a corrupt file, not a bad request
+            raise IntegrityError(f"{path}: invalid spec block: {err}") from None
+        params = UNetParams(spec, {name: src.read(name).astype(np.float32)
+                                   for name in src.arrays})
     try:
         validate_params(params)
     except IntegrityError as err:

@@ -276,7 +276,7 @@ def test_tiler_bijection():
         centers = {(int(r), int(c)) for r, c in ds.centers_padded - pad}
         ok &= len(ds) == len(land_centers) == int(world.mask.sum())
         ok &= centers == land_centers
-        ok &= len(AugmentedTiles(ds)) == 6 * len(ds)
+        ok &= len(AugmentedTiles(ds, np.arange(len(ds)))) == 6 * len(ds)
         detail.append(f"{size}x{size}: {len(ds)} tiles")
     _flag("tiler-bijection", ok,
           "one tile per land pixel, centers exhaustive, 6x augmented: "

@@ -154,7 +154,8 @@ class TestAugmentSet:
         mask = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
         mask[2, 2] = 1
         inputs = [rng.normal(size=(5, 5)) for _ in range(2)]
-        return AugmentedTiles(make_dataset(mask, inputs, rng.normal(size=(5, 5)))[1])
+        _, base = make_dataset(mask, inputs, rng.normal(size=(5, 5)))
+        return AugmentedTiles(base, np.arange(len(base)))
 
     def test_six_tiles_first_is_original(self):
         aug = self.make_aug(0)
@@ -167,7 +168,7 @@ class TestAugmentSet:
         marker = np.zeros((3, 3))
         marker[0, 0], marker[0, 1] = 1.0, 2.0  # breaks every symmetry
         _, base = make_dataset(np.ones((3, 3)), [marker], marker + 5.0, pad=1, size=3)
-        aug = AugmentedTiles(base)
+        aug = AugmentedTiles(base, np.arange(len(base)))
         x, _, _ = variants(aug, 4)  # the center tile covers the whole world
         assert len({v.tobytes() for v in x}) == 6
 
@@ -185,7 +186,8 @@ class TestAugmentSet:
         # float32-representable inputs, so the float32 input tiles hold them
         # exactly and the relation can be recomputed in float64
         plane = rng.normal(size=(5, 5)).astype(np.float32).astype(np.float64)
-        aug = AugmentedTiles(make_dataset(mask, [plane], 2.0 * plane + 1.0)[1])
+        _, base = make_dataset(mask, [plane], 2.0 * plane + 1.0)
+        aug = AugmentedTiles(base, np.arange(len(base)))
         x, y, m = aug.batch(np.arange(len(aug)))
         np.testing.assert_array_equal(
             y[..., 0], (2.0 * x[..., 0].astype(np.float64) + 1.0) * m)
@@ -212,24 +214,24 @@ class TestAugmentedTiles:
 
     def test_expansion_factor_is_six(self):
         _, base = self.make_dataset()
-        assert len(AugmentedTiles(base)) == 6 * len(base)
+        assert len(AugmentedTiles(base, np.arange(len(base)))) == 6 * len(base)
 
     def test_each_pair_appears_exactly_once(self):
         padded, base = self.make_dataset()
-        aug = AugmentedTiles(base)
+        aug = AugmentedTiles(base, np.arange(len(base)))
         seen = self.pairs(padded, aug, range(len(aug)))
         assert len(set(seen)) == len(aug)
         assert {t for _, t in seen} == set(TRANSFORMS)
 
     def test_consecutive_samples_change_transform(self):
         padded, base = self.make_dataset()
-        aug = AugmentedTiles(base)
+        aug = AugmentedTiles(base, np.arange(len(base)))
         transforms = [t for _, t in self.pairs(padded, aug, range(min(6, len(aug))))]
         assert len(set(transforms)) > 1
 
     def test_batch_matches_items(self):
         padded, base = self.make_dataset()
-        aug = AugmentedTiles(base)
+        aug = AugmentedTiles(base, np.arange(len(base)))
         n = len(base)
         idx = np.array([0, 1, len(aug) - 1, len(aug) // 2])
         x, y, m = aug.batch(idx)
@@ -240,6 +242,24 @@ class TestAugmentedTiles:
             np.testing.assert_array_equal(x[b], want_x)
             np.testing.assert_array_equal(y[b], want_y)
             np.testing.assert_array_equal(m[b], want_m)
+
+    def test_subset_sample_is_its_kept_tile_under_its_pass(self):
+        # sample j of K kept tiles is tile keep[j % K] under
+        # TRANSFORMS[(keep[j % K] + j // K) % 6]: each kept tile meets every
+        # transform once, and no other tile appears
+        padded, base = self.make_dataset()
+        keep = np.array([len(base) - 1, 0, len(base) // 2])
+        aug = AugmentedTiles(base, keep)
+        assert len(aug) == 6 * len(keep)
+        x, y, m = aug.batch(np.arange(len(aug)))
+        seen = set()
+        for j in range(len(aug)):
+            i = int(keep[j % len(keep)])
+            t = TRANSFORMS[(i + j // len(keep)) % 6]
+            for got, want in zip((x[j], y[j], m[j]), oracle(padded, base, i, t)):
+                np.testing.assert_array_equal(got, want)
+            seen.add((i, t))
+        assert seen == {(int(i), t) for i in keep for t in TRANSFORMS}
 
 
 class TestGatherGeometry:
@@ -255,7 +275,7 @@ class TestGatherGeometry:
         padded, base = make_dataset(mask, inputs, rng.normal(size=(5, 9)), pad=size,
                                     size=size)
         assert padded.height != padded.width
-        return padded, AugmentedTiles(base)
+        return padded, AugmentedTiles(base, np.arange(len(base)))
 
     def expected(self, padded, stream, ks):
         """Oracle batch for ``ks``: plain tiles, or augmented samples."""

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from urbanet.cli import main
 from urbanet.errors import FormatError, IntegrityError
 from urbanet.evaluate import EvalReport, MetricsRow, export_scatter, save_report
-from urbanet.files import atomic_write, read_container, write_container
+from urbanet.files import atomic_write, open_container, write_container
 from urbanet.grid import WorldGrid, load_grid, save_grid
 from urbanet.synth import INPUT_CHANNELS, TARGET_CHANNELS, SynthConfig, gen_world
 from urbanet.trainer import EpochStats, TrainConfig, TrainHistory, save_config, save_history
@@ -119,16 +119,19 @@ def test_container_round_trip(tmp_path):
     path = tmp_path / "c.bin"
     write_container(path, b"TEST", 7, meta, arrays)
     assert path.stat().st_size % 64 == 0
-    back_meta, back = read_container(path, b"TEST", 7, dict)
-    assert back_meta == meta and list(back) == list(arrays)
-    for name, arr in arrays.items():
-        assert back[name].dtype == arr.dtype and back[name].shape == arr.shape
-        np.testing.assert_array_equal(back[name], arr)
-        assert not back[name].flags.writeable
+    with open_container(path, b"TEST", 7, dict) as src:
+        assert src.meta == meta and list(src.arrays) == list(arrays)
+        for name, arr in arrays.items():
+            back = src.read(name)
+            assert back.dtype == arr.dtype and back.shape == arr.shape
+            np.testing.assert_array_equal(back, arr)
+            assert not back.flags.writeable
     with pytest.raises(FormatError, match="unsupported version 7, expected 8"):
-        read_container(path, b"TEST", 8, dict)
+        with open_container(path, b"TEST", 8, dict):
+            pass
     with pytest.raises(FormatError, match="header.meta must be an object with keys"):
-        read_container(path, b"TEST", 7, {"name": str})
+        with open_container(path, b"TEST", 7, {"name": str}):
+            pass
 
 
 def test_loading_holds_one_copy_of_the_file(tmp_path):

@@ -540,9 +540,9 @@ def test_public_defs_have_users():
 
 def parameter_uses(package: dict[str, str], users: dict[str, str]) -> dict[str, tuple[int, int]]:
     """``file:Qualified.name(parameter)`` of each parameter with a default of
-    a public function or method of ``package``, mapped to the number of
-    calls in ``package`` or ``users`` that call its def, and the number of
-    those that pass it.
+    a module-level function, private ones included, or a public method of
+    ``package``, mapped to the number of calls in ``package`` or ``users``
+    that call its def, and the number of those that pass it.
 
     Calls match defs by name: ``name(...)`` and ``x.name(...)`` call every
     def called ``name``, and ``Class(...)`` calls ``Class.__init__``.  A
@@ -576,7 +576,7 @@ def parameter_uses(package: dict[str, str], users: dict[str, str]) -> dict[str, 
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path, source in package.items():
         for node in ast.parse(source).body:
-            if isinstance(node, functions) and not node.name.startswith("_"):
+            if isinstance(node, functions):
                 count(path, node.name, node.name, node, 0)
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for method in node.body:
@@ -610,6 +610,7 @@ PARAMETER_SAMPLE = ({
             "def g(a=1, b=2): pass\n"
             "def h(a=1): pass\n"
             "def _private(a=1): pass\n"
+            "def _overridden(a=1): pass\n"
             "class C:\n"
             "    def __init__(self, n=0, m=0): pass\n"
             "    def run(self, k=1): pass\n"
@@ -622,6 +623,7 @@ PARAMETER_SAMPLE = ({
             "C(1)\n"
             "C().run()\n"
             "C.make(2)\n"
+            "_overridden(2)\n"
             "def unchecked(a=1): pass\n"})
 
 
@@ -639,7 +641,7 @@ def test_keyword_parameters_have_callers():
     # a default that no caller outside the tests overrides is a setting
     # nobody uses: it goes, or the tests reach their case another way
     assert unpassed_parameters(*PARAMETER_SAMPLE) == [
-        "a.py:C.__init__(m)", "a.py:C.run(k)", "a.py:f(w)", "a.py:h(a)"]
+        "a.py:C.__init__(m)", "a.py:C.run(k)", "a.py:_private(a)", "a.py:f(w)", "a.py:h(a)"]
     assert unpassed_parameters(*package_and_users()) == []
 
 
@@ -648,7 +650,7 @@ def test_defaults_are_relied_on():
     # only the tests use, and so is any branch behind it: the parameter
     # loses its default, and the branch goes
     assert overridden_defaults(*PARAMETER_SAMPLE) == [
-        "a.py:C.make(k)", "a.py:f(z)", "a.py:g(a)", "a.py:g(b)"]
+        "a.py:C.make(k)", "a.py:_overridden(a)", "a.py:f(z)", "a.py:g(a)", "a.py:g(b)"]
     assert overridden_defaults(*package_and_users()) == []
 
 

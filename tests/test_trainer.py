@@ -200,7 +200,7 @@ class TestStreams:
                            split_filter="train")
         keep = np.flatnonzero(~np.isin(base.regions, sorted(val_regions)))
         ks = (np.arange(6)[:, None] * len(base) + keep[None, :]).ravel()
-        reference = Subset(AugmentedTiles(base), ks)
+        reference = Subset(AugmentedTiles(base, np.arange(len(base))), ks)
         idx = np.random.default_rng(0).permutation(len(ks))
         for got, want in zip(train_stream.batch(idx), reference.batch(idx)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from urbanet import trainer, unet
+from urbanet import files, trainer, unet
 from urbanet.errors import (
     DataError,
     FormatError,
@@ -32,7 +32,6 @@ from urbanet.unet import (
     _masked_loss_grad,
     _pool_backward,
     _pool_forward,
-    _pool_windows,
     UNetParams,
     UNetSpec,
     expected_shapes,
@@ -95,6 +94,20 @@ def upsample(x):
     return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
 
 
+def pool_windows(x):
+    """The 2x2 pooling windows of (N,H,W,C) ``x`` as (N, H/2, W/2, C, 4),
+    in row-major window order."""
+    return np.stack([x[:, a::2, b::2] for a in (0, 1) for b in (0, 1)], axis=-1)
+
+
+def upconv(x, w, b, relu=False):
+    """The (N, 2H, 2W, F) up-conv output of (N,H,W,C) ``x``: its phases
+    (``_upconv_phases``) interleaved by ``_depth_to_space``."""
+    n, h, wd, _ = x.shape
+    y4 = unet._upconv_phases(x, w, b, relu)
+    return unet._depth_to_space(y4, np.empty((n, 2 * h, 2 * wd, w.shape[0]), y4.dtype))
+
+
 def reference_forward(params, x):
     """The unfused forward: whole-array bias, ReLU and margins, pooling by
     argmax, each up-conv run on the upsampled array and each decoder conv1
@@ -118,7 +131,7 @@ def reference_forward(params, x):
         a = conv_relu(f"enc{lvl}.conv2", conv_relu(f"enc{lvl}.conv1", a))
         skips.append(a)
         if lvl < spec.depth:
-            windows = _pool_windows(a)
+            windows = pool_windows(a)
             top2 = np.sort(windows, axis=-1)[..., -2:]
             risky = top2[..., 0] > 0
             gap = top2[..., 1] - top2[..., 0]
@@ -347,11 +360,11 @@ class TestForward:
         rng = np.random.default_rng(7)
         x = np.maximum(rng.integers(-2, 3, size=(3, 8, 10, 5)), 0).astype(dtype)
         x[:, :4, :4] = 0.0
-        windows = _pool_windows(x)
+        windows = pool_windows(x)
         y = _pool_forward(x)
         assert y.tobytes() == windows.max(axis=-1).tobytes()
         g = rng.uniform(1.0, 2.0, size=y.shape).astype(dtype)
-        routed = _pool_windows(_pool_backward(g, x, y))
+        routed = pool_windows(_pool_backward(g, x, y))
         np.testing.assert_array_equal((routed != 0).argmax(axis=-1), windows.argmax(axis=-1))
         assert (routed != 0).sum(axis=-1).max() == 1
         assert routed.sum(axis=-1).tobytes() == g.tobytes()
@@ -542,10 +555,31 @@ def whole_conv(x, w, b, g):
             dw.reshape(k, k, c, f).transpose(3, 2, 0, 1))
 
 
-def image_bytes(x, k):
-    """Bytes of one image's patch rows."""
+def image_bytes(x, k, px=1):
+    """Bytes of one image's patch rows of a same-padded lowering with ``px``
+    pixels per row."""
     _, h, w, c = x.shape
-    return h * w * k * k * c * x.itemsize
+    return h * w // px * k * (k + px - 1) * c * x.itemsize
+
+
+def zero_border(x, r):
+    """(N,H,W,C) ``x`` zero-padded by ``r`` on every side."""
+    return np.pad(x, ((0, 0), (r, r), (r, r), (0, 0)))
+
+
+def spy_blocks(monkeypatch):
+    """Record, per ``_im2col_blocks`` call, the number of blocks it yields."""
+    counts = []
+    honest = unet._im2col_blocks
+
+    def spy(*args, **kwargs):
+        counts.append(0)
+        for block in honest(*args, **kwargs):
+            counts[-1] += 1
+            yield block
+
+    monkeypatch.setattr(unet, "_im2col_blocks", spy)
+    return counts
 
 
 class TestIm2col:
@@ -559,7 +593,7 @@ class TestIm2col:
         for block_bytes in (1, 2 * per, 1 << 40):
             monkeypatch.setattr(unet, "_BLOCK_BYTES", block_bytes)
             parts, end = [], 0
-            for rows, cols in _im2col_blocks(x, k, k // 2):
+            for rows, cols in _im2col_blocks(x, k, k // 2, 1):
                 assert rows.start == end and cols.shape[0] == rows.stop - rows.start
                 assert cols.dtype == x.dtype
                 if k > 1:
@@ -586,49 +620,58 @@ class TestBlockedConv:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_matches_whole_matrix_reference(self, monkeypatch, k, dtype, rtol):
-        # 2-image blocks over 5 images: three blocks, the last one uneven.
-        # Row blocks, the per-block d_weight sum and the d_bias GEMV change
-        # rounding only, so the tolerance is relative to each array's
-        # largest magnitude.
+        # 2-image blocks over 5 images in the forward and in the backward:
+        # three blocks each, the last one uneven.  At width 8, F = 4 and
+        # C = 6 pair pixels in both lowerings (k > 1), so each block size is
+        # that of the lowering it sizes.  Row blocks, the per-block d_weight
+        # sum and the d_bias GEMV change rounding only, so the tolerance is
+        # relative to each array's largest magnitude.
         rng = np.random.default_rng(k)
         x = rng.normal(size=(5, 9, 8, 6)).astype(dtype)
         w = rng.normal(size=(4, 6, k, k)).astype(dtype)
         b = rng.normal(size=4).astype(dtype)
         g = rng.normal(size=(5, 9, 8, 4)).astype(dtype)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * max(image_bytes(x, k), image_bytes(g, k)))
-        assert len(list(_im2col_blocks(x, k, k // 2))) == (1 if k == 1 else 3)
+        px = 1 if k == 1 else 2
+        blocks = spy_blocks(monkeypatch)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, k, px))
         y = unet._conv_forward(x, w, b, k // 2)
-        dx, dw, db = _conv_backward(x, w, g, k // 2)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(g, k, px))
+        dx, dw, db = _conv_backward(x, w, g, k // 2, True)
+        assert blocks == [1 if k == 1 else 3] * 2
         ry, rdx, rdw = whole_conv(x, w, b, g)
         for got, ref in ((y, ry), (dx, rdx), (dw, rdw), (db, g.reshape(-1, 4).sum(axis=0))):
             assert got.dtype == dtype and got.shape == ref.shape
             np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
 
-    @pytest.mark.parametrize("two_parts", [False, True], ids=["plain", "two-part"])
+    @pytest.mark.parametrize("valid", [False, True], ids=["plain", "valid"])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    def test_bias_folded_into_the_gemm(self, monkeypatch, k, two_parts, dtype, rtol):
+    def test_bias_folded_into_the_gemm(self, monkeypatch, k, valid, dtype, rtol):
         # for k > 1 the bias is the weight matrix's last row, against a
         # column of ones that the block copies never overwrite: 2-image
-        # blocks over 5 images, the last one partial, all keep the column
+        # blocks over 5 images, the last one partial, all keep the column,
+        # in the one-pixel lowering and in the paired one that the forward
+        # runs (F = 4 at width 8).  "valid" lowers the zero-bordered input
+        # with no padding, as a decoder conv1 runs on _join's buffer.
         rng = np.random.default_rng(k)
-        a = rng.normal(size=(5, 9, 8, 2)).astype(dtype)
-        s = rng.normal(size=(5, 9, 8, 4)).astype(dtype)
-        xc = np.concatenate([a, s], axis=-1)
-        x = (a, s) if two_parts else xc
+        x = rng.normal(size=(5, 9, 8, 6)).astype(dtype)
         w = rng.normal(size=(4, 6, k, k)).astype(dtype)
         b = (10 * rng.normal(size=4)).astype(dtype)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(xc, k))
-        want = whole_im2col(xc, k)
+        xin, pad = (zero_border(x, k // 2), 0) if valid else (x, k // 2)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, k))
+        want = whole_im2col(x, k)
         blocks = 0
-        for rows, cols in _im2col_blocks(x, k, k // 2, ones=True):
+        for rows, cols in _im2col_blocks(xin, k, pad, 1, ones=True):
             if k > 1:
                 assert cols.shape[1] == want.shape[1] + 1 and (cols[:, -1] == 1).all()
                 cols = cols[:, :-1]
             assert cols.tobytes() == want[rows].tobytes()
             blocks += 1
         assert blocks == (1 if k == 1 else 3)
-        y = unet._conv_forward(x, w, b, k // 2)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, k, 1 if k == 1 else 2))
+        counts = spy_blocks(monkeypatch)
+        y = unet._conv_forward(xin, w, b, pad)
+        assert counts == [blocks]
         ref = want @ w.transpose(2, 3, 1, 0).reshape(-1, 4) + b
         assert y.dtype == dtype
         np.testing.assert_allclose(y.reshape(-1, 4), ref, rtol=rtol, atol=rtol * np.abs(ref).max())
@@ -667,7 +710,7 @@ class TestBlockedConv:
             unet._conv_forward(x, w, b, 1)
             _, fwd_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            _conv_backward(x, w, g, 1)
+            _conv_backward(x, w, g, 1, True)
             _, bwd_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -682,7 +725,8 @@ class TestSubpixelUpconv:
         # the oracle upsamples by np.repeat and runs the plain convolution;
         # its input gradient sums each 2x2 block back.  8 input channels and
         # 4 * 2 phase channels: 2-image blocks over 5 images, the last
-        # uneven, at the phase conv's (H+s) x (W+s) positions, s = (k // 2) % 2
+        # uneven, at the phase conv's (H+s) x (W+s) positions, s = (k // 2) % 2,
+        # with the pixels per row of its lowering (two where W+s is even)
         rng = np.random.default_rng(k)
         x = rng.normal(size=(5, 4, 3, 8)).astype(dtype)
         w = rng.normal(size=(2, 8, k, k)).astype(dtype)
@@ -692,18 +736,19 @@ class TestSubpixelUpconv:
         p = k // 2
         s = p % 2
         positions = np.zeros((1, 4 + s, 3 + s, 8), dtype)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(positions, kl))
-        if kl > 1:
-            assert len(list(_im2col_blocks(x, kl, (p + 1) // 2))) == 3
-        y = unet._upconv_forward(x, w, b)
-        dx, dw, db = unet._upconv_backward(x, w, g)
+        px = unet._pixels_per_row(kl, 3 + s, 8)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(positions, kl, px))
+        blocks = spy_blocks(monkeypatch)
+        y = upconv(x, w, b)
+        assert blocks == [3 if kl > 1 else 1]
+        dx, dw, db = unet._upconv_backward(x, w, g, True)
         ry = unet._conv_forward(upsample(x), w, b, p)
-        rdx, rdw, rdb = _conv_backward(upsample(x), w, g, p)
+        rdx, rdw, rdb = _conv_backward(upsample(x), w, g, p, True)
         rdx = rdx.reshape(5, 4, 2, 3, 2, 8).sum(axis=(2, 4))
         for got, ref in ((y, ry), (dx, rdx), (dw, rdw), (db, rdb)):
             assert got.dtype == dtype and got.shape == ref.shape
             np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
-        relu = unet._upconv_forward(x, w, b, relu=True)
+        relu = upconv(x, w, b, relu=True)
         assert relu.tobytes() == np.maximum(y, 0.0).tobytes()
         none, dw2, _ = unet._upconv_backward(x, w, g, need_dx=False)
         assert none is None and dw2.tobytes() == dw.tobytes()
@@ -713,8 +758,9 @@ class TestTwoPartConv:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_byte_equal_to_concatenation(self, monkeypatch, k, dtype):
-        # parts of 3 and 5 channels written side by side into the padded
-        # input are the concatenation's patch matrix: one GEMM, same bytes
+        # the backward of an input taped in parts of 3 and 5 channels: one
+        # d_weight product per part and d_input in per-part views, the bytes
+        # of the concatenation's backward
         rng = np.random.default_rng(k)
         a = rng.normal(size=(5, 6, 7, 3)).astype(dtype)
         s = rng.normal(size=(5, 6, 7, 5)).astype(dtype)
@@ -722,15 +768,46 @@ class TestTwoPartConv:
         b = rng.normal(size=4).astype(dtype)
         g = rng.normal(size=(5, 6, 7, 4)).astype(dtype)
         xc = np.concatenate([a, s], axis=-1)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(xc, k))
-        y = unet._conv_forward((a, s), w, b, k // 2, relu=True)
-        assert y.tobytes() == unet._conv_forward(xc, w, b, k // 2, relu=True).tobytes()
-        (da, ds), dw, db = _conv_backward((a, s), w, g, k // 2)
-        rdx, rdw, rdb = _conv_backward(xc, w, g, k // 2)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(g, k))
+        (da, ds), dw, db = _conv_backward((a, s), w, g, k // 2, True)
+        rdx, rdw, rdb = _conv_backward(xc, w, g, k // 2, True)
         assert da.shape == a.shape and ds.shape == s.shape
         assert da.tobytes() == rdx[..., :3].tobytes()
         assert ds.tobytes() == rdx[..., 3:].tobytes()
         assert dw.tobytes() == rdw.tobytes() and db.tobytes() == rdb.tobytes()
+
+
+class TestJoin:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("f, wl", [(4, 4), (4, 3), (16, 3)],
+                             ids=["paired", "paired-odd-phases", "unpaired"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_valid_conv_is_the_concatenations_same_conv(self, monkeypatch, k, f, wl, dtype):
+        # a decoder conv1's input: the up path interleaved from the up-conv
+        # phases and the skip, written into one zero-bordered buffer.  A
+        # valid conv of it gives the bytes of the same-padded conv of the
+        # two parts' concatenation, both over 2-image blocks of 5 images,
+        # the last partial.  The joined width 2 * wl is even, so with 4
+        # features and k > 1 both lowerings pair pixels; with 16 they do not.
+        rng = np.random.default_rng(k + f + wl)
+        x = rng.normal(size=(5, 3, wl, 6)).astype(dtype)  # the up-conv's input
+        wu = rng.normal(size=(f, 6, k, k)).astype(dtype)
+        y4 = unet._upconv_phases(x, wu, rng.normal(size=f).astype(dtype), True)
+        skip = rng.normal(size=(5, 6, 2 * wl, f)).astype(dtype)
+        w1 = rng.normal(size=(f, 2 * f, k, k)).astype(dtype)
+        b1 = rng.normal(size=f).astype(dtype)
+        up = unet._depth_to_space(y4, np.empty(skip.shape, dtype))
+        xc = np.concatenate([up, skip], axis=-1)
+        px = 2 if k > 1 and f < 16 else 1
+        assert unet._pixels_per_row(k, 2 * wl, f) == px
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(xc, k, px))
+        xp, yu = unet._join(y4, skip, k // 2)
+        assert yu.tobytes() == up.tobytes() and np.shares_memory(yu, xp)
+        blocks = spy_blocks(monkeypatch)
+        y = unet._conv_forward(xp, w1, b1, 0, relu=True)
+        ref = unet._conv_forward(xc, w1, b1, k // 2, relu=True)
+        assert blocks == [1 if k == 1 else 3] * 2
+        assert y.dtype == dtype and y.tobytes() == ref.tobytes()
 
 
 class TestOnePatchMatrix:
@@ -791,22 +868,20 @@ class TestPixelPairs:
     """A convolution whose GEMM would be narrower than 16 columns lowers two
     adjacent pixels per patch row when the width is even."""
 
-    @pytest.mark.parametrize("two_parts", [False, True], ids=["plain", "two-part"])
+    @pytest.mark.parametrize("valid", [False, True], ids=["plain", "valid"])
     @pytest.mark.parametrize("k", [3, 5, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_sliding_window_pair_layout(self, monkeypatch, k, two_parts, dtype):
+    def test_matches_sliding_window_pair_layout(self, monkeypatch, k, valid, dtype):
         # 2-image blocks over 5 images, the last one partial; every block
-        # keeps its column of ones after the window rows
-        rng = np.random.default_rng(k)
-        a = rng.normal(size=(5, 6, 8, 3)).astype(dtype)
-        s = rng.normal(size=(5, 6, 8, 4)).astype(dtype)
-        xc = np.concatenate([a, s], axis=-1)
-        want = pair_im2col(xc, k)
-        per = 6 * 4 * k * (k + 1) * 7 * xc.itemsize  # one image's paired rows
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * per)
+        # keeps its column of ones after the window rows.  "valid" lowers
+        # the zero-bordered input with no padding, as a decoder conv1 runs
+        # on _join's buffer.
+        x = np.random.default_rng(k).normal(size=(5, 6, 8, 7)).astype(dtype)
+        want = pair_im2col(x, k)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, k, 2))
+        xin, pad = (zero_border(x, k // 2), 0) if valid else (x, k // 2)
         blocks, end = [], 0
-        for rows, cols in _im2col_blocks((a, s) if two_parts else xc, k, k // 2,
-                                         ones=True, px=2):
+        for rows, cols in _im2col_blocks(xin, k, pad, 2, ones=True):
             assert rows.start == end and cols.shape == (rows.stop - end, want.shape[1] + 1)
             assert (cols[:, -1] == 1).all()
             assert cols[:, :-1].tobytes() == want[rows].tobytes()
@@ -830,7 +905,9 @@ class TestPixelPairs:
                                             need_dx, pxs):
         # float64 at 1e-12 of each array's largest value against single
         # whole-batch GEMMs; pxs is the pixels per row of the forward's
-        # lowering (of x, F columns) and the backward's (of g, C columns)
+        # lowering (of x, F columns) and the backward's (of g, C columns).
+        # With a split the backward takes x in two parts, as a decoder
+        # conv1's are taped.
         rng = np.random.default_rng(k + c)
         x = rng.normal(size=shape + (c,))
         w = rng.normal(size=(f, c, k, k))
@@ -840,12 +917,12 @@ class TestPixelPairs:
         seen = []
         honest = unet._im2col_blocks
 
-        def spy(x, k, pad, ones=False, px=1):
+        def spy(x, k, pad, px, ones=False):
             seen.append(px)
-            return honest(x, k, pad, ones, px)
+            return honest(x, k, pad, px, ones)
 
         monkeypatch.setattr(unet, "_im2col_blocks", spy)
-        y = unet._conv_forward(xin, w, b, k // 2)
+        y = unet._conv_forward(x, w, b, k // 2)
         dx, dw, db = _conv_backward(xin, w, g, k // 2, need_dx)
         assert tuple(seen) == pxs
         ry, rdx, rdw = whole_conv(x, w, b, g)
@@ -909,7 +986,7 @@ class TestPixelPairs:
         params = init_params(UNetSpec.desk(), 0)
         with pytest.MonkeyPatch.context() as mp:
             pixels = self.by_layer(mp, params, "_conv_backward", (unet, "_im2col_blocks"),
-                                   lambda args, kwargs: kwargs["px"])
+                                   lambda args, kwargs: args[3])
             loss_and_grads(params, *random_batch(np.random.default_rng(0), s=28, cin=9))
         assert {n for n, px in pixels.items() if px == {2}} == {
             "enc0.conv1", "enc0.conv2", "dec.urban.0.conv2", "enc1.conv1"}
@@ -947,8 +1024,9 @@ class TestRandomShapes:
     @settings(max_examples=60, deadline=None)
     def test_blocked_matches_whole_matrix(self, nhw, c, split, f, k, block_bytes, seed):
         # float64 at 1e-12 of each array's largest value, for random block
-        # sizes; an input split in two parts where 0 < split < c.  The
-        # up-conv of the same input matches upsample-then-conv.
+        # sizes; the backward takes the input split in two parts where
+        # 0 < split < c.  The up-conv of the same input matches
+        # upsample-then-conv.
         n, h, w = nhw
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, h, w, c))
@@ -959,10 +1037,10 @@ class TestRandomShapes:
         xin = (x[..., :split].copy(), x[..., split:].copy()) if 0 < split < c else x
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(unet, "_BLOCK_BYTES", block_bytes)
-            y = unet._conv_forward(xin, wt, b, k // 2)
-            dx, dw, db = _conv_backward(xin, wt, g, k // 2)
-            yu = unet._upconv_forward(x, wt, b)
-            dxu, dwu, dbu = unet._upconv_backward(x, wt, gu)
+            y = unet._conv_forward(x, wt, b, k // 2)
+            dx, dw, db = _conv_backward(xin, wt, g, k // 2, True)
+            yu = upconv(x, wt, b)
+            dxu, dwu, dbu = unet._upconv_backward(x, wt, gu, True)
         if isinstance(dx, tuple):
             dx = np.concatenate(dx, axis=-1)
         ry, rdx, rdw = whole_conv(x, wt, b, g)
@@ -1109,7 +1187,7 @@ class TestBackward:
         x = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         g = rng.normal(size=(2, 6, 6, 4)).astype(np.float32)
-        dx, dw, db = _conv_backward(x, w, g, 1)
+        dx, dw, db = _conv_backward(x, w, g, 1, True)
         none, dw2, db2 = _conv_backward(x, w, g, 1, need_dx=False)
         assert dx is not None and none is None
         assert dw2.tobytes() == dw.tobytes() and db2.tobytes() == db.tobytes()
@@ -1129,7 +1207,7 @@ class TestBackward:
         got = _backward(params, cache, g, trainable)
 
         def always_dx(x, w, g, pad, need_dx=True):
-            return _conv_backward(x, w, g, pad)
+            return _conv_backward(x, w, g, pad, True)
 
         monkeypatch.setattr(unet, "_conv_backward", always_dx)
         _, cache = _forward(params, x, keep_cache=True)
@@ -1154,7 +1232,7 @@ class TestBackward:
         g = rng.normal(size=(3, size, size, len(spec.heads))).astype(np.float32)
         g.setflags(write=False)
         _, cache = _forward(params, x, keep_cache=True)
-        got = _backward(params, cache, g)
+        got = _backward(params, cache, g, None)
         _, cache = _forward(params, x, keep_cache=True)
         want = out_of_place_backward(params, cache, g)
         assert sorted(got) == sorted(want) == sorted(params.arrays)
@@ -1202,9 +1280,9 @@ def out_of_place_backward(params, cache, g_out):
                 g = g * (out > 0)
             w = params.arrays[f"{name}.w"]
             if kind == "conv":
-                g_in, dw, db = _conv_backward(inputs, w, g, w.shape[-1] // 2)
+                g_in, dw, db = _conv_backward(inputs, w, g, w.shape[-1] // 2, True)
             else:
-                dx, dw, db = unet._upconv_backward(inputs[0], w, g)
+                dx, dw, db = unet._upconv_backward(inputs[0], w, g, True)
                 g_in = (dx,)
             grads[f"{name}.w"], grads[f"{name}.b"] = dw, db
         for a, ga in zip(inputs, g_in):
@@ -1245,7 +1323,7 @@ class TestPoolBackward:
                                         min_size=n * h * w * c, max_size=n * h * w * c)),
                      dtype).reshape(n, h, w, c)
         y = _pool_forward(x)
-        np.testing.assert_array_equal(y, _pool_windows(x).max(axis=-1))
+        np.testing.assert_array_equal(y, pool_windows(x).max(axis=-1))
         got = _pool_backward(g, x, y)
         assert got.dtype == dtype and got.shape == x.shape
         assert got.tobytes() == first_max_routing(g, x).tobytes()
@@ -1541,6 +1619,28 @@ class TestCheckpoints:
         with pytest.raises(IntegrityError, match="missing arrays: the spec needs") as exc:
             load_params(path)
         assert str(path) in str(exc.value)
+
+    def test_extra_array_refused_before_any_read(self, tmp_path, reseal, monkeypatch):
+        # the header's array count is checked before any array is read
+        path = tmp_path / "model.unpk"
+        save_params(init_params(TINY, 18), path)
+
+        def add_one(header, arrays):
+            header["arrays"].append(["extra.w", "<f4", [3], 0])
+            arrays.append(np.zeros(3, "<f4"))
+
+        reseal(path, add_one)
+        reads = []
+        honest = files.Container.read
+
+        def spy(self, name):
+            reads.append(name)
+            return honest(self, name)
+
+        monkeypatch.setattr(files.Container, "read", spy)
+        with pytest.raises(IntegrityError, match="extra arrays: the spec needs"):
+            load_params(path)
+        assert reads == []
 
     def test_flipped_value_byte_fails_checksum(self, tmp_path):
         path = tmp_path / "model.unpk"
