@@ -367,14 +367,16 @@ def _cmd_eval(args) -> int:
 def _cmd_report(args) -> int:
     from .evaluate import EvalReport, export_report, export_scatter, load_report
 
+    if args.scatter and not (args.pred and args.grid):
+        raise _UsageError("--scatter needs --pred and --grid")
+    if (args.pred or args.grid) and not args.scatter:
+        raise _UsageError("--pred and --grid are read only with --scatter")
     merged = EvalReport()
     for path in args.inputs:
         for row in load_report(path).rows:
             merged.add(row)
 
     if args.scatter:  # every scatter input is checked before anything is written
-        if not (args.pred and args.grid):
-            raise _UsageError("--scatter needs --pred and --grid")
         from .errors import DataError
         from .grid import open_grid
 

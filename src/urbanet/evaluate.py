@@ -125,10 +125,9 @@ def predict_world(
     call.  That count includes the gathered input tiles, which the forward
     frees after its first convolution, so it is conservative.  Beside the
     forward, the median pool holds S(S+1)/2 * (W + 1) * S values per head
-    for a W-column interior.  BLAS picks its kernel by matrix size, so the
-    planes depend on the partition at float32 epsilon, within the
-    convolution bound of README's numeric policy; a fixed partition gives
-    fixed bytes.
+    for a W-column interior.  For the standard specs a tile's forward
+    bytes do not depend on its batch, so neither do the planes' bytes on
+    the partition (README's numeric policy has the measured limits).
     """
     input_names = tuple(input_names)
     spec = params.spec

@@ -41,19 +41,19 @@ loss and the residual scaling that seeds backpropagation are always computed
 in float64.  ``grad_check`` builds float64 parameters so the whole pipeline,
 forward and backward, runs in 64-bit when checked against finite differences.
 
-Activations use channel-last (N, H, W, C) layout.  Every convolution is an
-im2col GEMM, built and multiplied one block of a few images at a time
-(``_im2col_blocks``), so the patch matrix never exists whole and each block
-is still in cache when its GEMM reads it.  The patch rows end in a column
-of ones and the weight matrix in the bias, so the GEMM adds the bias, and
-the ReLU runs on each output block right after it (a 1x1 kernel, which
-copies no patches, adds its bias after the GEMM).  A GEMM narrower than
-16 columns runs far below BLAS's wider speed, so such a convolution
-(desk's 8-feature layers) lowers two horizontally adjacent output pixels
-per patch row when the width is even (``_pixels_per_row``): the row is a
-k x (k+1) window and the weight matrix has each pixel's taps in its own
-column half, zero at the other window column, so the GEMM is 2F wide and
-its output is the activation in memory.  The backward builds one
+Activations use channel-last (N, H, W, C) layout.  Every convolution, the
+1x1 head included, is an im2col GEMM, built and multiplied one block of a
+few images at a time (``_im2col_blocks``), so the patch matrix never exists
+whole and each block is still in cache when its GEMM reads it.  The patch
+rows end in a column of ones and the weight matrix in the bias, so the
+GEMM adds the bias, and the ReLU runs on each output block right after
+it.  A GEMM narrower than 16 columns runs far below BLAS's wider speed,
+so such a convolution (desk's 8-feature layers, and the one-plane head)
+lowers two horizontally adjacent output pixels per patch row when the
+width is even (``_pixels_per_row``): the row is a k x (k+1) window and
+the weight matrix has each pixel's taps in its own column half, zero at
+the other window column, so the GEMM is 2F wide and its output is the
+activation in memory.  The backward builds one
 patch matrix, of the zero-padded output gradient: times the flipped kernel
 it is the input gradient (the transposed-kernel identity, no scatter-add),
 and the input's rows times it give the weight gradient, block by block.
@@ -61,7 +61,10 @@ It pairs pixels by the same rule, on the input gradient's C columns.
 The bias gradient is one GEMV of ones with the gradient's rows.  Row
 blocks and pixel pairs change float32 rounding against a single
 whole-batch GEMM (BLAS picks its kernel by matrix size), by about
-float32 epsilon; a fixed thread count stays bit-reproducible.  Beside
+float32 epsilon; a fixed thread count stays bit-reproducible.  A tile's
+forward bytes do not depend on its batch for the two standard specs at
+S = 16, 22 and 28 (a test pins it), but BLAS may round a block of a few
+rows otherwise (README); the gradients, summed block by block, do.  Beside
 the GEMMs the backward makes no whole-array pass it can avoid: the ReLU
 gate multiplies in place a gradient the backward itself allocated (the
 caller's output gradient reaches only un-gated layers), and a pool's
@@ -277,19 +280,19 @@ _BLOCK_BYTES = 256 << 10
 _PREDICT_BYTES = 17 << 19  # 8.5 MiB
 
 
-def _pixels_per_row(k: int, width: int, cols: int) -> int:
-    """Output pixels per patch row of a k x k convolution's lowering whose
+def _pixels_per_row(width: int, cols: int) -> int:
+    """Output pixels per patch row of a convolution's lowering whose
     output rows are ``width`` pixels wide and whose GEMM has ``cols``
     columns: two horizontally adjacent pixels when that GEMM would be
     narrower than 16 columns (and the width is even), else one.
 
     A narrow GEMM runs far below BLAS's speed at 16 columns and up, and
-    its patch rows copy in runs of only k*C values.  Two pixels per row
-    give the GEMM 2 * cols columns and the copy runs of (k+1)*C values
-    for half as many rows; a quarter of the paired weight matrix is zero
-    (``_tap_matrix``).  A 1x1 kernel copies no patches and never pairs.
+    a k x k kernel's patch rows copy in runs of only k*C values.  Two
+    pixels per row give the GEMM 2 * cols columns and the copy runs of
+    (k+1)*C values for half as many rows; 1 / (k+1) of the paired weight
+    matrix is zero (``_tap_matrix``).
     """
-    return 2 if k > 1 and cols < 16 and width % 2 == 0 else 1
+    return 2 if cols < 16 and width % 2 == 0 else 1
 
 
 def _tap_matrix(taps: np.ndarray, px: int, bias: np.ndarray | None = None) -> np.ndarray:
@@ -330,13 +333,12 @@ def _im2col_blocks(x: np.ndarray, k: int, pad: int, px: int, ones: bool = False)
     a block before asking for the next.  Channel-last, window row du of
     patch row (n, i, j) is the (k+px-1)*C contiguous values
     xp[n, i + du, px*j : px*j + k + px - 1], so the copy moves runs of
-    (k+px-1)*C values rather than C.  A 1x1 kernel needs no copy: its
-    padded input is yielded as one block.
+    (k+px-1)*C values rather than C.
 
-    With ``ones`` and k > 1 the buffer has one more column, of ones, written
-    when it is allocated and never touched by the copies: each block is then
+    With ``ones`` the buffer has one more column, of ones, written when it
+    is allocated and never touched by the copies: each block is then
     (rows, k*(k+px-1)*C + 1), and a weight matrix whose last row is the bias
-    adds the bias inside the GEMM.  A 1x1 kernel never gets the column.
+    adds the bias inside the GEMM.
     """
     n, h, w, c = x.shape
     if pad == 0:
@@ -345,9 +347,6 @@ def _im2col_blocks(x: np.ndarray, k: int, pad: int, px: int, ones: bool = False)
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), x.dtype)
         xp[:, pad : pad + h, pad : pad + w] = x
     ho, wo = xp.shape[1] - k + 1, (xp.shape[2] - k + 1) // px
-    if k == 1:
-        yield slice(0, n * ho * wo), xp.reshape(-1, c)
-        return
     run = (k + px - 1) * c  # values per window row
     sn, sh, sw, sc = xp.strides
     win = as_strided(xp, (n, ho, wo, k, run), (sn, sh, px * sw, sh, sc), writeable=False)
@@ -369,10 +368,9 @@ def _conv_forward(
     at a time (``_im2col_blocks``): (N, H + 2 * pad - k + 1,
     W + 2 * pad - k + 1, F).
 
-    For k > 1 the bias is the last row of the weight matrix, which meets
-    the patch rows' column of ones, so each block is one GEMM and, with
-    ``relu``, one ReLU while it is still in cache.  A 1x1 kernel, which
-    makes no patch copy, adds its bias after the GEMM.
+    The bias is the last row of the weight matrix, which meets the patch
+    rows' column of ones, so each block is one GEMM and, with ``relu``,
+    one ReLU while it is still in cache.
     With fewer than 16 features and an even output width each patch row
     covers two adjacent output pixels (``_pixels_per_row``): the GEMM's
     (rows, 2F) output is then the (N, Ho, Wo, F) output in memory.
@@ -380,14 +378,12 @@ def _conv_forward(
     f, c, k, _ = w.shape
     n, h, wd, _ = x.shape
     ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
-    px = _pixels_per_row(k, wo, f)
-    wm = _tap_matrix(w.transpose(2, 3, 1, 0), px, b if k > 1 else None)
+    px = _pixels_per_row(wo, f)
+    wm = _tap_matrix(w.transpose(2, 3, 1, 0), px, b)
     y = np.empty((n, ho, wo, f), np.result_type(x, w))
     y2 = y.reshape(-1, px * f)
     for rows, cols in _im2col_blocks(x, k, pad, px, ones=True):
         yb = np.matmul(cols, wm, out=y2[rows])
-        if k == 1:
-            yb += b
         if relu:
             np.maximum(yb, 0.0, out=yb)
     return y
@@ -433,7 +429,7 @@ def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool):
     f, c, k, _ = w.shape
     parts = x if isinstance(x, tuple) else (x,)
     n, h, wd, _ = parts[0].shape
-    px = _pixels_per_row(k, wd, c)
+    px = _pixels_per_row(wd, c)
     x_rows = [part.reshape(-1, px * part.shape[-1]) for part in parts]
     bounds = np.cumsum([0] + [part.shape[-1] for part in parts])
     dt = np.result_type(g, w)

@@ -553,6 +553,20 @@ class TestEvalReport:
         assert "unrecognized arguments: --scatter-csv x" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, says", [
+        (["--pred", "nothere.wgrd"], "--pred and --grid are read only with --scatter"),
+        (["--grid", "alsonot.wgrd"], "--pred and --grid are read only with --scatter"),
+        (["--pred", "nothere.wgrd", "--grid", "alsonot.wgrd"],
+         "--pred and --grid are read only with --scatter"),
+        (["--scatter", "s.svg", "--pred", "nothere.wgrd"], "--scatter needs --pred and --grid"),
+    ], ids=["pred", "grid", "both", "scatter-alone"])
+    def test_report_scatter_inputs_need_scatter(self, tmp_path, capsys, flags, says):
+        # the flags that only the scatter reads are refused without it, and
+        # it without them, before any report is read or written
+        assert main(["report", "rows.csv", "--out", str(tmp_path / "f.csv")] + flags) == 1
+        assert f"error: {says}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_duplicate_rows_exit_2(self, world_file, run_dir, tmp_path):
         rows = tmp_path / "rows.csv"
         main(["eval", "--grid", str(world_file), "--window", "16",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanet import evaluate
+from urbanet import evaluate, unet
 from urbanet.errors import DataError, NumericError, ShapeError
 from urbanet.evaluate import (
     STRATUM_ALL,
@@ -35,23 +35,19 @@ from urbanet.unet import UNetSpec, _forward, _predict_tiles, init_params
 
 def brute_force_predict(params, grid, window, *, pad, split=None, split_filter="all"):
     """Materialize every per-pixel prediction list and take medians by
-    sorting.  The tiles run in predict_world's default micro-batches: the
-    float32 predictions depend on the partition."""
+    sorting.  Every tile runs in one forward."""
     ds = TileDataset(grid, window, pad=pad, input_names=INPUT_CHANNELS,
                      target_names=(), split=split, split_filter=split_filter)
-    batch_size = _predict_tiles(params.spec, window.size, params.dtype.itemsize)
     s = window.size
     off_r, off_c = window.center_offset
     buckets: dict[tuple[int, int], list[float]] = {}
-    for start in range(0, len(ds), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(ds)))
-        x, _, _ = ds.batch(idx)
-        y, _ = _forward(params, x)
-        for b, i in enumerate(idx):
-            tr, tc = ds.centers_padded[i] - (off_r, off_c)
-            for a in range(s):
-                for c in range(s):
-                    buckets.setdefault((tr + a, tc + c), []).append(float(y[b, a, c, 0]))
+    x, _, _ = ds.batch(np.arange(len(ds)))
+    y, _ = _forward(params, x)
+    for b, (r, c0) in enumerate(ds.centers_padded):
+        tr, tc = r - off_r, c0 - off_c
+        for a in range(s):
+            for c in range(s):
+                buckets.setdefault((tr + a, tc + c), []).append(float(y[b, a, c, 0]))
     plane = np.zeros((grid.height, grid.width))
     count = np.zeros((grid.height, grid.width), np.int64)
     for (r, c), vals in buckets.items():
@@ -311,27 +307,36 @@ class TestPredictWorld:
             predict_world(params, padded, WindowSpec(4), pad=4,
                           input_names=INPUT_CHANNELS, **on_all_land(padded))
 
-    def test_byte_rule_within_float32_bound_of_single_tiles(self, monkeypatch):
-        # micro-batches change the GEMM shapes, so BLAS may round otherwise:
-        # the planes stay within README's convolution bound, 6e-7 of the
-        # largest magnitude, of one-tile forwards, and a median moves no
-        # further than the values it is taken from (measured: 1.6e-7)
+    @pytest.mark.parametrize("size", [22, 28])
+    def test_planes_do_not_depend_on_the_partition(self, monkeypatch, size):
+        # a tile's forward bytes do not depend on its batch, so the planes
+        # and counts of the default micro-batches are the bytes of 1-tile
+        # and 7-tile ones, and of those of half and twice the byte budget
         world = gen_world(SynthConfig(seed=4, height=32, width=32, land_fraction=0.8,
                                       n_regions=4))
-        win = WindowSpec(16)
+        win = WindowSpec(size)
         pad = win.center_offset[0]
         padded = pad_grid(world, pad)
         params = init_params(UNetSpec.desk(), seed=0)
-        batch = _predict_tiles(params.spec, win.size, 4)
-        got = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
-                            **on_all_land(padded))
-        assert 1 < batch < got.tiles  # several micro-batches, none of one tile
-        fix_micro_batch(monkeypatch, 1)
-        want = predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
-                             **on_all_land(padded))
-        assert np.array_equal(got.count, want.count)
-        scale = np.abs(want.planes["urban"]).max()
-        assert np.abs(got.planes["urban"] - want.planes["urban"]).max() <= 6e-7 * scale
+
+        def predict():
+            return predict_world(params, padded, win, pad=pad, input_names=INPUT_CHANNELS,
+                                 **on_all_land(padded))
+
+        want = predict()
+        assert 1 < _predict_tiles(params.spec, size, 4) < want.tiles  # several micro-batches
+        for budget in (unet._PREDICT_BYTES // 2, unet._PREDICT_BYTES * 2):
+            with monkeypatch.context() as mp:
+                mp.setattr(unet, "_PREDICT_BYTES", budget)
+                got = predict()
+            assert got.count.tobytes() == want.count.tobytes(), budget
+            assert got.planes["urban"].tobytes() == want.planes["urban"].tobytes(), budget
+        for tiles in (1, 7):
+            with monkeypatch.context() as mp:
+                fix_micro_batch(mp, tiles)
+                got = predict()
+            assert got.count.tobytes() == want.count.tobytes(), tiles
+            assert got.planes["urban"].tobytes() == want.planes["urban"].tobytes(), tiles
 
     def test_non_finite_prediction_raises(self):
         world = gen_world(SynthConfig(seed=2, height=12, width=12, land_fraction=0.8,
@@ -395,7 +400,7 @@ class TestPredictWorld:
     def test_world_prediction_memory(self):
         # desk at S = 28 on a 128^2 world: one 60-tile forward, which peaks
         # at the level-0 decoder join, beside the median pool of 129
-        # columns.  Measured 14.2 MB, and the pin leaves 5 % over that; 18.3
+        # columns.  Measured 14.3 MB, and the pin leaves 5 % over that; 18.3
         # MB while the forward held every skip and two copies of the up path,
         # and the pool S - 2 more columns
         win = WindowSpec(28)

@@ -369,6 +369,24 @@ class TestForward:
         assert (routed != 0).sum(axis=-1).max() == 1
         assert routed.sum(axis=-1).tobytes() == g.tobytes()
 
+    @pytest.mark.parametrize("size", [16, 22, 28])
+    @pytest.mark.parametrize("spec", [UNetSpec.desk(), UNetSpec.full_scale()],
+                             ids=["desk", "full_scale"])
+    def test_tile_bytes_do_not_depend_on_its_batch(self, spec, size):
+        # at the standard specs no layer, the 1x1 head included, rounds a
+        # tile's rows by the batch size: its output bytes in a batch of 1,
+        # 7 or 60 are those it gets in a batch of 64
+        params = init_params(spec, size)
+        rng = np.random.default_rng(size)
+        for name, arr in params.arrays.items():
+            if name.endswith(".b"):
+                params.arrays[name] = rng.normal(0.0, 0.2, size=arr.shape).astype(arr.dtype)
+        x = rng.normal(size=(64, size, size, 9)).astype(np.float32)
+        whole, _ = _forward(params, x)
+        for start, n in ((5, 1), (2, 7), (4, 60)):
+            part, _ = _forward(params, x[start : start + n])
+            assert part.tobytes() == whole[start : start + n].tobytes(), (start, n)
+
     def test_inference_memory_is_bounded(self):
         # desk spec, batch 256, S = 28: a forward that built the backprop
         # cache peaked at 106 MB and returned 98 MB of it; the cache-free
@@ -596,8 +614,7 @@ class TestIm2col:
             for rows, cols in _im2col_blocks(x, k, k // 2, 1):
                 assert rows.start == end and cols.shape[0] == rows.stop - rows.start
                 assert cols.dtype == x.dtype
-                if k > 1:
-                    assert cols.nbytes <= max(block_bytes, per)
+                assert cols.nbytes <= max(block_bytes, per)
                 parts.append(cols.copy())  # the buffer is reused
                 end = rows.stop
             assert end == x.shape[0] * x.shape[1] * x.shape[2]
@@ -622,7 +639,7 @@ class TestBlockedConv:
     def test_matches_whole_matrix_reference(self, monkeypatch, k, dtype, rtol):
         # 2-image blocks over 5 images in the forward and in the backward:
         # three blocks each, the last one uneven.  At width 8, F = 4 and
-        # C = 6 pair pixels in both lowerings (k > 1), so each block size is
+        # C = 6 pair pixels in both lowerings, so each block size is
         # that of the lowering it sizes.  Row blocks, the per-block d_weight
         # sum and the d_bias GEMV change rounding only, so the tolerance is
         # relative to each array's largest magnitude.
@@ -631,13 +648,12 @@ class TestBlockedConv:
         w = rng.normal(size=(4, 6, k, k)).astype(dtype)
         b = rng.normal(size=4).astype(dtype)
         g = rng.normal(size=(5, 9, 8, 4)).astype(dtype)
-        px = 1 if k == 1 else 2
         blocks = spy_blocks(monkeypatch)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, k, px))
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, k, 2))
         y = unet._conv_forward(x, w, b, k // 2)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(g, k, px))
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(g, k, 2))
         dx, dw, db = _conv_backward(x, w, g, k // 2, True)
-        assert blocks == [1 if k == 1 else 3] * 2
+        assert blocks == [3] * 2
         ry, rdx, rdw = whole_conv(x, w, b, g)
         for got, ref in ((y, ry), (dx, rdx), (dw, rdw), (db, g.reshape(-1, 4).sum(axis=0))):
             assert got.dtype == dtype and got.shape == ref.shape
@@ -647,7 +663,7 @@ class TestBlockedConv:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_bias_folded_into_the_gemm(self, monkeypatch, k, valid, dtype, rtol):
-        # for k > 1 the bias is the weight matrix's last row, against a
+        # the bias is the weight matrix's last row, against a
         # column of ones that the block copies never overwrite: 2-image
         # blocks over 5 images, the last one partial, all keep the column,
         # in the one-pixel lowering and in the paired one that the forward
@@ -662,13 +678,11 @@ class TestBlockedConv:
         want = whole_im2col(x, k)
         blocks = 0
         for rows, cols in _im2col_blocks(xin, k, pad, 1, ones=True):
-            if k > 1:
-                assert cols.shape[1] == want.shape[1] + 1 and (cols[:, -1] == 1).all()
-                cols = cols[:, :-1]
-            assert cols.tobytes() == want[rows].tobytes()
+            assert cols.shape[1] == want.shape[1] + 1 and (cols[:, -1] == 1).all()
+            assert cols[:, :-1].tobytes() == want[rows].tobytes()
             blocks += 1
-        assert blocks == (1 if k == 1 else 3)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, k, 1 if k == 1 else 2))
+        assert blocks == 3
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(x, k, 2))
         counts = spy_blocks(monkeypatch)
         y = unet._conv_forward(xin, w, b, pad)
         assert counts == [blocks]
@@ -736,11 +750,11 @@ class TestSubpixelUpconv:
         p = k // 2
         s = p % 2
         positions = np.zeros((1, 4 + s, 3 + s, 8), dtype)
-        px = unet._pixels_per_row(kl, 3 + s, 8)
+        px = unet._pixels_per_row(3 + s, 8)
         monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(positions, kl, px))
         blocks = spy_blocks(monkeypatch)
         y = upconv(x, w, b)
-        assert blocks == [3 if kl > 1 else 1]
+        assert blocks == [3]
         dx, dw, db = unet._upconv_backward(x, w, g, True)
         ry = unet._conv_forward(upsample(x), w, b, p)
         rdx, rdw, rdb = _conv_backward(upsample(x), w, g, p, True)
@@ -788,7 +802,7 @@ class TestJoin:
         # valid conv of it gives the bytes of the same-padded conv of the
         # two parts' concatenation, both over 2-image blocks of 5 images,
         # the last partial.  The joined width 2 * wl is even, so with 4
-        # features and k > 1 both lowerings pair pixels; with 16 they do not.
+        # features both lowerings pair pixels; with 16 they do not.
         rng = np.random.default_rng(k + f + wl)
         x = rng.normal(size=(5, 3, wl, 6)).astype(dtype)  # the up-conv's input
         wu = rng.normal(size=(f, 6, k, k)).astype(dtype)
@@ -798,15 +812,15 @@ class TestJoin:
         b1 = rng.normal(size=f).astype(dtype)
         up = unet._depth_to_space(y4, np.empty(skip.shape, dtype))
         xc = np.concatenate([up, skip], axis=-1)
-        px = 2 if k > 1 and f < 16 else 1
-        assert unet._pixels_per_row(k, 2 * wl, f) == px
+        px = 2 if f < 16 else 1
+        assert unet._pixels_per_row(2 * wl, f) == px
         monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(xc, k, px))
         xp, yu = unet._join(y4, skip, k // 2)
         assert yu.tobytes() == up.tobytes() and np.shares_memory(yu, xp)
         blocks = spy_blocks(monkeypatch)
         y = unet._conv_forward(xp, w1, b1, 0, relu=True)
         ref = unet._conv_forward(xc, w1, b1, k // 2, relu=True)
-        assert blocks == [1 if k == 1 else 3] * 2
+        assert blocks == [3] * 2
         assert y.dtype == dtype and y.tobytes() == ref.tobytes()
 
 
@@ -963,10 +977,12 @@ class TestPixelPairs:
 
     def test_desk_level0_runs_16_wide_and_full_scale_keeps_its_gemms(self):
         # the columns of every forward GEMM: 2F at desk's four 8-feature
-        # convolutions, F elsewhere; no up-conv's 4F phase GEMM pairs
+        # convolutions and at the one-plane head of both specs, F
+        # elsewhere; no up-conv's 4F phase GEMM pairs
         x = np.random.default_rng(0).normal(size=(2, 28, 28, 9)).astype(np.float32)
+        head = {"head.urban"}
         level0 = {"enc0.conv1", "enc0.conv2", "dec.urban.0.conv1", "dec.urban.0.conv2"}
-        for spec, paired in ((UNetSpec.desk(), level0), (UNetSpec.full_scale(), set())):
+        for spec, paired in ((UNetSpec.desk(), level0 | head), (UNetSpec.full_scale(), head)):
             params = init_params(spec, 0)
             shapes = expected_shapes(spec)
             with pytest.MonkeyPatch.context() as mp:
@@ -982,14 +998,14 @@ class TestPixelPairs:
     def test_desk_backward_pairs_the_narrow_inputs(self):
         # the output gradient's lowering pairs where the input gradient's
         # GEMM has fewer than 16 columns: level 0 but dec0.conv1, whose
-        # input is 16 wide, and enc1.conv1
+        # input is 16 wide, enc1.conv1 and the head
         params = init_params(UNetSpec.desk(), 0)
         with pytest.MonkeyPatch.context() as mp:
             pixels = self.by_layer(mp, params, "_conv_backward", (unet, "_im2col_blocks"),
                                    lambda args, kwargs: args[3])
             loss_and_grads(params, *random_batch(np.random.default_rng(0), s=28, cin=9))
         assert {n for n, px in pixels.items() if px == {2}} == {
-            "enc0.conv1", "enc0.conv2", "dec.urban.0.conv2", "enc1.conv1"}
+            "enc0.conv1", "enc0.conv2", "dec.urban.0.conv2", "enc1.conv1", "head.urban"}
         assert set().union(*pixels.values()) == {1, 2}
 
 
