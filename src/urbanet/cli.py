@@ -57,10 +57,9 @@ def _log(msg: str) -> None:
 
 
 def _split(grid, test_regions: str | None):
-    """Region split of ``grid``, a WorldGrid or an open GridFile (only the
-    mask, the regions and the region table are read).  Without
-    --test-regions the defaults apply, and the grid must name one of them;
-    a named unknown region only warns."""
+    """Region split of the WorldGrid ``grid``, from its mask, regions and
+    region table alone.  Without --test-regions the defaults apply, and the
+    grid must name one of them; a named unknown region only warns."""
     from .grid import assign_split
 
     known = sorted(grid.region_table.values())
@@ -89,18 +88,18 @@ def _require_channels(path, channels, names) -> None:
                             f"(channels: {', '.join(channels)})")
 
 
-def _load_split_normalize(src, test_regions: str | None, pad: int, targets):
-    """The grid of the open :class:`~urbanet.grid.GridFile` ``src``, padded,
-    with train-fitted normalized inputs, and its split.  The channel list
-    is checked first, from the header alone, for the inputs and
-    ``targets``.  Then every plane is read and checked once, the inputs as
-    their statistics are fitted, and none is kept: the returned grid reads,
-    pads and scales its planes again from the open file, one at each
-    lookup."""
+def _load_split_normalize(path, src, test_regions: str | None, pad: int, targets):
+    """The grid ``src``, opened by :func:`~urbanet.grid.open_grid` from
+    ``path``, padded, with train-fitted normalized inputs, and its split.
+    The channel list is checked first, before any plane is read, for the
+    inputs and ``targets``.  Then every plane is read and checked once, the
+    inputs as their statistics are fitted, and none is kept: the returned
+    grid reads, pads and scales its planes again from the open file, one at
+    each lookup."""
     from .grid import normalize_channels, pad_grid
     from .synth import INPUT_CHANNELS
 
-    _require_channels(src.path, src.channels, INPUT_CHANNELS + tuple(targets))
+    _require_channels(path, src.channels, INPUT_CHANNELS + tuple(targets))
     padded = pad_grid(src, pad)
     split = _split(padded, test_regions)
     norm, _ = normalize_channels(padded, fit_mask=split.train_mask, channels=INPUT_CHANNELS)
@@ -183,10 +182,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    from .grid import open_grid
+    from .grid import open_grid, read_planes
 
     with open_grid(args.grid) as src:
-        src.planes(())  # every plane is checked; the split needs none
+        read_planes(src, ())  # every plane is checked; the split needs none
         split = _split(src, args.test_regions)
     land, train, test = (int(split.select(scope).sum()) for scope in ("all", "train", "test"))
     print(f"land={land} train={train} test={test}")
@@ -201,7 +200,8 @@ def _streams(args, targets, seed):
     from .trainer import build_streams
 
     with open_grid(args.grid) as src:
-        padded, split = _load_split_normalize(src, args.test_regions, args.pad, targets)
+        padded, split = _load_split_normalize(args.grid, src, args.test_regions, args.pad,
+                                              targets)
         tr, va, val_regions = build_streams(
             padded, WindowSpec(args.window), pad=args.pad, input_names=INPUT_CHANNELS,
             target_names=targets, split=split, seed=seed,
@@ -309,7 +309,7 @@ def _cmd_eval(args) -> int:
     with open_grid(args.grid) as src:
         # the built-up stratum reads delta_urban whatever the model's heads
         padded, split = _load_split_normalize(
-            src, args.test_regions, args.pad,
+            args.grid, src, args.test_regions, args.pad,
             (TARGET_URBAN, *(target for target, _ in targets.values())))
         pad = args.pad
         scope_mask = split.select(args.split)[pad : padded.height - pad,
@@ -378,7 +378,7 @@ def _cmd_report(args) -> int:
 
     if args.scatter:  # every scatter input is checked before anything is written
         from .errors import DataError
-        from .grid import open_grid
+        from .grid import open_grid, read_planes
 
         name = f"pred_{_HEAD_FOR_TARGET[args.target]}"
         with open_grid(args.pred) as pred_src, open_grid(args.grid) as world_src:
@@ -387,9 +387,9 @@ def _cmd_report(args) -> int:
             if pred_src.mask.shape != world_src.mask.shape:
                 raise DataError(f"{args.pred}: planes of shape {pred_src.mask.shape} do not "
                                 f"match the {world_src.mask.shape} grid {args.grid}")
-            predicted = pred_src.planes((name, "coverage"))
+            predicted = read_planes(pred_src, (name, "coverage"))
             covered = (world_src.mask == 1) & (predicted["coverage"] > 0)
-            observed = world_src.planes((args.target,))[args.target]
+            observed = read_planes(world_src, (args.target,))[args.target]
 
     export_report(merged, args.out)
     _log(f"wrote {args.out} ({len(merged.rows)} model rows + baseline)")

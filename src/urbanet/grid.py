@@ -8,9 +8,10 @@ is enforced on load and save so downstream code never has to re-check it.
 On disk a grid is a :mod:`urbanet.files` container, magic ``WGRD``,
 version 2: meta ``{"regions": [[code, ISO text], ...], "channels": [name, ...]}``
 and (H, W) arrays ``mask`` ``<u1``, ``regions`` ``<u2``, then ``channel.<i>``
-``<f8`` for the i-th name.  :func:`load_grid` reads all of it;
-:func:`open_grid` reads one plane at each lookup, so a reader holds only
-the planes it keeps.
+``<f8`` for the i-th name.  Both readers give a :class:`WorldGrid`:
+:func:`load_grid` reads all of it; :func:`open_grid` reads the mask and
+regions when the file opens and a plane at each lookup, so a reader holds
+only the planes it keeps.
 
 A grid goes to tiles through :func:`pad_grid`, :func:`assign_split` and
 :func:`normalize_channels`, whether it was generated, loaded or opened.
@@ -29,7 +30,6 @@ import warnings
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Iterable
 
@@ -41,7 +41,7 @@ from .errors import (
     FormatError,
     IntegrityError,
 )
-from .files import Container, open_container, write_container
+from .files import open_container, write_container
 
 MAGIC = b"WGRD"
 VERSION = 2
@@ -197,67 +197,6 @@ def save_grid(grid: WorldGrid, path: str | Path) -> None:
         raise OSError(f"cannot write grid to {path}: {exc}") from exc
 
 
-class GridFile:
-    """An open WGRD file; see :func:`open_grid`.  ``channels`` maps each
-    channel name, in file order from the header, to its plane, which is
-    read and checked at every lookup; ``mask`` and ``regions`` are read and
-    checked when first used."""
-
-    def __init__(self, src: Container):
-        path, meta = src.path, src.meta
-        codes, names = [code for code, _ in meta["regions"]], meta["channels"]
-        for what, keys in (("region code", codes), ("channel name", names)):
-            if len(set(keys)) != len(keys):
-                dup = next(key for i, key in enumerate(keys) if key in keys[:i])
-                raise IntegrityError(f"{path}: duplicate {what} {dup!r}")
-        expected = ["mask", "regions", *(f"channel.{i}" for i in range(len(names)))]
-        if list(src.arrays) != expected:
-            raise IntegrityError(f"{path}: arrays {list(src.arrays)}, expected {expected}")
-        if not names:
-            raise FormatError(f"{path}: a WorldGrid needs at least one channel")
-        self.path = path
-        self.channels = _Planes(names, self._read)
-        self.region_table = dict(meta["regions"])
-        self._src = src
-
-    @cached_property
-    def _sides(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mask, regions = self._src.read("mask"), self._src.read("regions")
-        try:
-            return mask, regions, _check_sides(mask, regions, self.region_table)
-        except (FormatError, IntegrityError) as err:
-            raise type(err)(f"{self.path}: {err}") from None
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._sides[0]
-
-    @property
-    def regions(self) -> np.ndarray:
-        return self._sides[1]
-
-    def _read(self, name: str) -> np.ndarray:
-        """Channel ``name`` as the file holds it, read-only, its checksum
-        and invariants checked."""
-        plane = self._src.read(f"channel.{list(self.channels).index(name)}")
-        try:
-            _check_channel(name, plane, self._sides[2])
-        except (FormatError, IntegrityError) as err:
-            raise type(err)(f"{self.path}: {err}") from None
-        return plane
-
-    def planes(self, keep: Iterable[str]) -> dict[str, np.ndarray]:
-        """Read and check every plane once, in file order, and return those
-        named in ``keep``; the others are dropped as they are checked."""
-        keep, kept = frozenset(keep), {}
-        for name in self.channels:
-            if name in keep:
-                kept[name] = self.channels[name]
-            else:
-                self.channels[name]  # checked, then dropped
-        return kept
-
-
 class _Planes(Mapping):
     """Named planes, each made by ``make(name)`` when it is looked up."""
 
@@ -280,21 +219,62 @@ class _Planes(Mapping):
         return len(self._names)
 
 
+def _named(path, check, *args):
+    """``check(*args)``, its FormatError or IntegrityError naming ``path``."""
+    try:
+        return check(*args)
+    except (FormatError, IntegrityError) as err:
+        raise type(err)(f"{path}: {err}") from None
+
+
 @contextmanager
 def open_grid(path: str | Path):
-    """Open a WGRD file as a :class:`GridFile` for the ``with`` block.  The
-    header is checked here; each array is checked when it is read, and a
-    file replaced meanwhile by an atomic write is still read as it was."""
+    """Open a WGRD file as a :class:`WorldGrid` for the ``with`` block.
+    The header, the mask and the regions are read and checked here;
+    ``channels`` maps each channel name, in file order, to its plane, which
+    is read and checked at every lookup.  A file replaced meanwhile by an
+    atomic write is still read as it was."""
     with open_container(path, MAGIC, VERSION, _SCHEMA) as src:
-        yield GridFile(src)
+        codes, names = [code for code, _ in src.meta["regions"]], src.meta["channels"]
+        for what, keys in (("region code", codes), ("channel name", names)):
+            if len(set(keys)) != len(keys):
+                dup = next(key for i, key in enumerate(keys) if key in keys[:i])
+                raise IntegrityError(f"{path}: duplicate {what} {dup!r}")
+        expected = ["mask", "regions", *(f"channel.{i}" for i in range(len(names)))]
+        if list(src.arrays) != expected:
+            raise IntegrityError(f"{path}: arrays {list(src.arrays)}, expected {expected}")
+        if not names:
+            raise FormatError(f"{path}: a WorldGrid needs at least one channel")
+        region_table = dict(src.meta["regions"])
+        mask, regions = src.read("mask"), src.read("regions")
+        water = _named(path, _check_sides, mask, regions, region_table)
+
+        def read(name: str) -> np.ndarray:
+            plane = src.read(f"channel.{names.index(name)}")
+            _named(path, _check_channel, name, plane, water)
+            return plane
+
+        yield WorldGrid(mask, regions, _Planes(names, read), region_table)
+
+
+def read_planes(grid: WorldGrid, keep: Iterable[str]) -> dict[str, np.ndarray]:
+    """Look up every plane of ``grid`` once, in order, and return those
+    named in ``keep``; the others are dropped as they are read, so an
+    opened file has every plane checked while one at a time is held."""
+    keep, kept = frozenset(keep), {}
+    for name in grid.channels:
+        if name in keep:
+            kept[name] = grid.channels[name]
+        else:
+            grid.channels[name]  # read, then dropped
+    return kept
 
 
 def load_grid(path: str | Path) -> WorldGrid:
     """Read a WGRD file; validates every type invariant before returning.
     Its planes are read-only views of the file's bytes."""
-    with open_grid(path) as src:
-        return WorldGrid(mask=src.mask, regions=src.regions,
-                         channels=src.planes(src.channels), region_table=src.region_table)
+    with open_grid(path) as grid:
+        return dataclasses.replace(grid, channels=read_planes(grid, grid.channels))
 
 
 def box_sum(mask: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -311,11 +291,10 @@ def box_sum(mask: np.ndarray, before: int, after: int) -> np.ndarray:
     return sat[np.ix_(r1, c1)] - sat[np.ix_(r0, c1)] - sat[np.ix_(r1, c0)] + sat[np.ix_(r0, c0)]
 
 
-def pad_grid(grid: WorldGrid | GridFile, pad: int) -> WorldGrid:
-    """Surround ``grid``, a WorldGrid or an open :class:`GridFile`, with a
-    ``pad``-wide ring of water (mask 0, values 0).  The mask and regions
-    are padded here; each channel plane is padded at every lookup, so the
-    result holds none of them."""
+def pad_grid(grid: WorldGrid, pad: int) -> WorldGrid:
+    """Surround ``grid`` with a ``pad``-wide ring of water (mask 0, values
+    0).  The mask and regions are padded here; each channel plane is
+    padded at every lookup, so the result holds none of them."""
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
     planes = grid.channels

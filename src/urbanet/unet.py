@@ -2,11 +2,11 @@
 
 Architecture (fixed by this artifact, not tunable per call):
 
-* Every level applies two same-padded ``k x k`` convolutions, each followed
+* Every level applies two same-padded 3x3 convolutions, each followed
   by ``max(0, .)``.  Feature widths double per level from ``base_features``.
 * ``depth`` 2x2 max-poolings contract the encoder; the deepest (bottleneck)
   level counts as part of the encoder so multi-task models share it.
-* Each head owns a full decoder: nearest-neighbor 2x upsampling, a ``k x k``
+* Each head owns a full decoder: nearest-neighbor 2x upsampling, a 3x3
   convolution (+ReLU), concatenation with the same-level encoder output
   (up-path channels first, skip channels second), then the two-convolution
   block.  The head itself is a single 1x1 convolution to one output plane
@@ -100,7 +100,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +119,8 @@ CHECKPOINT_MAGIC = b"UNPK"
 CHECKPOINT_VERSION = 2
 _CHECKPOINT_SCHEMA = {"spec": {"input_channels": int, "base_features": int, "depth": int,
                                "kernel_size": int, "heads": [[str, int]]}}
+# Every convolution but the 1x1 head is 3x3; checkpoints still store it.
+_KERNEL = 3
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ _CHECKPOINT_SCHEMA = {"spec": {"input_channels": int, "base_features": int, "dep
 
 @dataclass(frozen=True)
 class UNetSpec:
-    """Network shape: channel widths, depth, kernel, and named output heads.
+    """Network shape: channel widths, depth, and named output heads.
 
     Each head predicts one output plane (one target variable), so
     ``heads`` is a tuple of names and the network emits ``len(heads)``
@@ -137,7 +139,6 @@ class UNetSpec:
     input_channels: int
     base_features: int
     depth: int
-    kernel_size: int = 3
     heads: tuple[str, ...] = ("urban",)
 
     @classmethod
@@ -155,11 +156,9 @@ class UNetSpec:
 
 def validate_spec(spec: UNetSpec) -> None:
     # sizes and counts are bounded to 1..65535, far beyond any trainable network
-    for field in ("input_channels", "base_features", "depth", "kernel_size"):
+    for field in ("input_channels", "base_features", "depth"):
         if not 1 <= getattr(spec, field) <= 0xFFFF:
             raise SpecError(f"{field} must be in 1..65535, got {getattr(spec, field)}")
-    if spec.kernel_size % 2 == 0:
-        raise SpecError(f"kernel_size must be odd, got {spec.kernel_size}")
     if not 1 <= len(spec.heads) <= 0xFFFF:
         raise SpecError(f"a spec needs 1..65535 heads, got {len(spec.heads)}")
     if len(set(spec.heads)) != len(spec.heads):
@@ -177,9 +176,8 @@ def expected_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
     """
     validate_spec(spec)
     shapes: dict[str, tuple[int, ...]] = {}
-    k = spec.kernel_size
 
-    def conv(name: str, cin: int, cout: int, kk: int = k) -> None:
+    def conv(name: str, cin: int, cout: int, kk: int = _KERNEL) -> None:
         shapes[f"{name}.w"] = (cout, cin, kk, kk)
         shapes[f"{name}.b"] = (cout,)
 
@@ -645,8 +643,8 @@ def _predict_tiles(spec: UNetSpec, size: int, itemsize: int) -> int:
     heads' planes are held too.  16 KiB more covers the small arrays.
     """
     p = size + sum(_pad_amounts(size, 1 << spec.depth))
-    r = spec.kernel_size // 2
-    f, c, kk = spec.base_features, spec.input_channels, spec.kernel_size ** 2
+    r = _KERNEL // 2
+    f, c, kk = spec.base_features, spec.input_channels, _KERNEL ** 2
     top, low = f << spec.depth, p >> spec.depth  # the bottleneck's width and side
     finer = sum((p >> lvl) ** 2 * (f << lvl) for lvl in range(spec.depth))  # skips
     planes = p * p * (len(spec.heads) - 1)
@@ -1075,35 +1073,41 @@ def grad_check(spec: UNetSpec, seed: int, *, tile_size: int) -> GradCheckReport:
 def save_params(params: UNetParams, path: str | Path) -> None:
     """Write a UNPK checkpoint: a :mod:`urbanet.files` container, magic
     ``UNPK``, version 2, whose meta is ``{"spec": {...}}`` (the spec's
-    fields, heads as [name, 1] pairs: version 2 stores each head's plane
-    count, which is always 1) and whose arrays are the parameters as
-    ``<f4`` in ``expected_shapes`` order."""
+    fields, with ``kernel_size`` 3 after ``depth`` and heads as [name, 1]
+    pairs: version 2 stores the kernel and each head's plane count, which
+    are always 3 and 1) and whose arrays are the parameters as ``<f4`` in
+    ``expected_shapes`` order."""
     validate_params(params)
     arrays = {name: np.asarray(params.arrays[name], np.float32)
               for name in expected_shapes(params.spec)}
-    spec = {**asdict(params.spec), "heads": [[name, 1] for name in params.spec.heads]}
+    s = params.spec
+    spec = {"input_channels": s.input_channels, "base_features": s.base_features,
+            "depth": s.depth, "kernel_size": _KERNEL, "heads": [[name, 1] for name in s.heads]}
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, {"spec": spec}, arrays)
 
 
 def load_params(path: str | Path) -> UNetParams:
     """Read a UNPK checkpoint, validating its arrays against its spec and
-    refusing non-finite values and any head whose plane count is not 1.
-    The header is checked before any array is read.  Returns writable
-    float32 copies."""
+    refusing non-finite values, a kernel size other than 3 and any head
+    whose plane count is not 1.  The header is checked before any array is
+    read.  Returns writable float32 copies."""
     with open_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                         _CHECKPOINT_SCHEMA) as src:
-        heads = src.meta["spec"]["heads"]
+        fields = dict(src.meta["spec"])
+        kernel, heads = fields.pop("kernel_size"), fields.pop("heads")
         for name, planes in heads:
             if planes != 1:
                 raise IntegrityError(f"{path}: head {name!r} has {planes} output planes; "
                                      "every head has one")
-        spec = UNetSpec(**{**src.meta["spec"], "heads": tuple(h for h, _ in heads)})
+        spec = UNetSpec(**fields, heads=tuple(h for h, _ in heads))
         # the array count is checked before any array is read or any name
         # is built, so a header that asks for a huge depth costs no more
         # work than the header's size: each encoder level has 2 convs, each
         # decoder level 3, each head one more, and every conv is a weight
         # and a bias
         try:
+            if kernel != _KERNEL:
+                raise SpecError(f"kernel_size must be {_KERNEL}, got {kernel}")
             validate_spec(spec)
             need = 4 * (spec.depth + 1) + len(spec.heads) * (6 * spec.depth + 2)
             if len(src.arrays) != need:

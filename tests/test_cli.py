@@ -718,34 +718,44 @@ class TestLoaderMemory:
 class TestOnePath:
     """``train``, ``multitask`` and ``eval`` go from the file to the tiles
     through ``pad_grid``, ``assign_split`` and ``normalize_channels``, the
-    path of README's library sketch, and read each section of the world a
-    fixed number of times."""
+    path of README's library sketch, and every command that opens a world
+    reads each of its sections a fixed number of times."""
 
     class Built(Exception):
         pass
 
     def commands(self, world_file, run_dir, tmp_path, monkeypatch):
         """Each command's arguments; ``train`` and ``multitask`` stop once
-        their streams are built."""
+        their streams are built.  ``report`` draws the scatter of a
+        prediction file ``pred.wgrd`` against the world."""
         def stop(*args, **kwargs):
             raise self.Built
 
         monkeypatch.setattr(trainer, "train", stop)
         monkeypatch.setattr(trainer, "train_multitask", stop)
+        world = load_grid(world_file)
+        ones = world.mask.astype(np.float64)  # water planes must hold 0
+        pred = planes_file(tmp_path / "pred.wgrd", world, pred_urban=ones, coverage=ones)
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(evaluate.REPORT_COLUMNS) + "\n")
         data = ["--grid", str(world_file), "--window", "16", "--pad", "8",
                 "--test-regions", "R03"]
         checkpoint = ["--checkpoint", str(run_dir / "unet_urban_sz16.unpk")]
         return {"train": ["train", *data, "--depth", "1", "--base-features", "4",
                           "--out-dir", str(tmp_path)],
                 "multitask": ["multitask", *data, *checkpoint, "--out-dir", str(tmp_path)],
-                "eval": ["eval", *data, *checkpoint, "--report", str(tmp_path / "r.csv")]}
+                "eval": ["eval", *data, *checkpoint, "--report", str(tmp_path / "r.csv")],
+                "split": ["split", "--grid", str(world_file), "--test-regions", "R03"],
+                "report": ["report", str(rows), "--out", str(tmp_path / "final.csv"),
+                           "--scatter", str(tmp_path / "s.svg"), "--pred", str(pred),
+                           "--grid", str(world_file)]}
 
     def run(self, argv):
-        if argv[0] == "eval":
-            assert main(argv) == 0
-        else:
+        if argv[0] in ("train", "multitask"):
             with pytest.raises(self.Built):
                 main(argv)
+        else:
+            assert main(argv) == 0
 
     @pytest.mark.parametrize("command", ["train", "multitask", "eval"])
     def test_pads_and_normalizes_once(self, world_file, run_dir, tmp_path, monkeypatch,
@@ -760,29 +770,41 @@ class TestOnePath:
         self.run(self.commands(world_file, run_dir, tmp_path, monkeypatch)[command])
         assert calls == {"pad_grid": 1, "normalize_channels": 1}
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "eval", "split", "report"])
     def test_reads_each_section_as_often_as_before(self, world_file, run_dir, tmp_path,
                                                    monkeypatch, command):
         # each input is read to fit its statistics and again into the pixel
         # table; eval reads urban_2000 and delta_urban again for its strata
-        # and delta_urban for the metrics; every plane is read and checked
-        names, reads = list(load_grid(world_file).channels), {}
+        # and delta_urban for the metrics; every plane is read and checked.
+        # split, and report for both of its files, read each section once.
+        argv = self.commands(world_file, run_dir, tmp_path, monkeypatch)[command]
+        pred = tmp_path / "pred.wgrd"
+        names = {str(world_file): list(load_grid(world_file).channels),
+                 str(pred): list(load_grid(pred).channels)}
+        reads = {}
         real = files.Container.read
 
         def counted(src, name):
-            if src.path == str(world_file):
-                reads[name] = reads.get(name, 0) + 1
+            if src.path in names:
+                key = (names[src.path][int(name[8:])] if name.startswith("channel.")
+                       else name)
+                key = key if src.path == str(world_file) else f"pred:{key}"
+                reads[key] = reads.get(key, 0) + 1
             return real(src, name)
 
         monkeypatch.setattr(files.Container, "read", counted)
-        self.run(self.commands(world_file, run_dir, tmp_path, monkeypatch)[command])
-        got = {names[int(key[8:])] if key.startswith("channel.") else key: n
-               for key, n in reads.items()}
-        want = {"mask": 1, "regions": 1, **{name: 2 for name in INPUT_CHANNELS},
-                synth.TARGET_URBAN: 2, synth.TARGET_POP: 1}
-        if command == "eval":
-            want.update({"urban_2000": 3, synth.TARGET_URBAN: 3})
-        assert got == want
+        self.run(argv)
+        every = {"mask": 1, "regions": 1, **{name: 1 for name in names[str(world_file)]}}
+        want = {
+            "train": {**every, **{name: 2 for name in INPUT_CHANNELS},
+                      synth.TARGET_URBAN: 2},
+            "eval": {**every, **{name: 2 for name in INPUT_CHANNELS},
+                     "urban_2000": 3, synth.TARGET_URBAN: 3},
+            "split": every,
+            "report": {**every, "pred:mask": 1, "pred:regions": 1,
+                       "pred:pred_urban": 1, "pred:coverage": 1},
+        }[command]
+        assert reads == want
 
 
 class TestMultitask:

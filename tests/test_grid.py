@@ -193,6 +193,36 @@ class TestFormatErrors:
             with pytest.raises(IntegrityError, match="'channel.0' fails its checksum"):
                 src.channels["ch0"]
 
+    @pytest.mark.parametrize("case, want", [
+        ("mask-checksum", "'mask' fails its checksum"),
+        ("regions-checksum", "'regions' fails its checksum"),
+        ("mask-value", r"mask value at \(0, 0\) is 2"),
+        ("water-region", r"water pixel \(0, 1\) has region code 7"),
+    ], ids=["mask-checksum", "regions-checksum", "mask-value", "water-region"])
+    def test_open_refuses_corrupt_mask_or_regions(self, tmp_path, reseal, case, want):
+        # the mask and the regions are read and checked as the file opens,
+        # before any plane is looked up
+        path = tmp_path / "g.wgrd"
+        save_grid(make_grid([[1, 0], [1, 1]]), path)
+        if case.endswith("checksum"):
+            raw = bytearray(path.read_bytes())
+            (length,) = struct.unpack_from("<I", raw, 6)
+            start = -(-(14 + length) // 64) * 64  # the mask; the regions 64 bytes on
+            raw[start + (64 if case == "regions-checksum" else 0)] ^= 0x01
+            path.write_bytes(bytes(raw))
+        else:
+            def poke(header, arrays):
+                if case == "mask-value":
+                    arrays[0][0, 0] = 2
+                else:
+                    arrays[1][0, 1] = 7
+
+            reseal(path, poke)
+        with pytest.raises(IntegrityError, match=want) as exc:
+            with open_grid(path):
+                pass
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "g.wgrd"
         save_grid(make_grid([[1]]), path)
@@ -428,6 +458,20 @@ class TestNormalize:
             for side in ("mask", "regions"):
                 plane, want = getattr(got, side), np.pad(getattr(grid, side), pad)
                 assert plane.dtype == want.dtype and plane.tobytes() == want.tobytes()
+
+    def test_normalizes_an_opened_file(self, tmp_path):
+        # an opened file is a WorldGrid, so normalize_channels takes it
+        # directly and gives the bytes and statistics of the loaded grid
+        path = tmp_path / "g.wgrd"
+        save_grid(make_grid([[1, 0, 1], [1, 1, 1]], n_channels=3, seed=4), path)
+        want, want_stats = normalize_on_land(load_grid(path), channels=["ch2", "ch0"])
+        with open_grid(path) as src:
+            assert isinstance(src, WorldGrid)
+            got, stats = normalize_on_land(src, channels=["ch2", "ch0"])
+            assert stats == want_stats
+            assert list(got.channels) == list(want.channels)
+            for name, plane in want.channels.items():
+                assert got.channels[name].tobytes() == plane.tobytes(), name
 
     def test_unknown_channel_rejected(self):
         grid = make_grid([[1, 1]])
