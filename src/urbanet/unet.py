@@ -40,6 +40,8 @@ Precision policy: parameters and activations run in float32 by default; the
 loss and the residual scaling that seeds backpropagation are always computed
 in float64.  ``grad_check`` builds float64 parameters so the whole pipeline,
 forward and backward, runs in 64-bit when checked against finite differences.
+It reads from a probe's tape which ReLU units are open and where each
+pooling window routes (``_pattern``), to prove a difference exact.
 
 Activations use channel-last (N, H, W, C) layout.  Every convolution, the
 1x1 head included, is an im2col GEMM, built and multiplied one block of a
@@ -74,18 +76,16 @@ evaluation pass channel-last batches straight from the tile streams to
 
 The wiring is written once, in ``_forward``.  For backprop it records a
 tape, one entry per ``conv``, ``upconv``, ``pool`` and ``cat`` layer, which
-``_backward`` replays in reverse without knowing the network's shape and
-``_margins`` reads, through the functions the forward runs, to place the
-gradient checker's probe points.  A decoder ``conv1`` is taped with two
-inputs, the up path and the skip, and its backward takes them as two
-parts, so training builds no concatenated copy.  Inference records no
-tape and frees each activation once it is dead: the bottleneck goes once
-the last live decoder's first up-conv has read it, and a skip once that
-decoder has copied it into its ``conv1`` input.  So its memory is a few
-layers' worth rather than the whole network's, and world prediction
-sizes its micro-batches so that this stays within ``_PREDICT_BYTES``.  A
-taped forward keeps a contiguous copy of each up-conv output, which
-``_backward`` reads.
+``_backward`` replays in reverse without knowing the network's shape.  A
+decoder ``conv1`` is taped with two inputs, the up path and the skip, and
+its backward takes them as two parts, so training builds no concatenated
+copy.  Inference records no tape and frees each activation once it is dead:
+the bottleneck goes once the last live decoder's first up-conv has read it,
+and a skip once that decoder has copied it into its ``conv1`` input.  So
+its memory is a few layers' worth rather than the whole network's, and
+world prediction sizes its micro-batches so that this stays within
+``_PREDICT_BYTES``.  A taped forward keeps a contiguous copy of each
+up-conv output, which ``_backward`` reads.
 
 The forward mirrors the backward's liveness rule.  A loss evaluation runs a
 head only when its plane has nonzero loss weight or a trainable
@@ -360,7 +360,7 @@ def _im2col_blocks(x: np.ndarray, k: int, pad: int, px: int, ones: bool = False)
 
 
 def _conv_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, relu: bool = False
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, relu: bool
 ) -> np.ndarray:
     """Convolution of (N,H,W,C) ``x`` zero-padded by ``pad``, one GEMM block
     at a time (``_im2col_blocks``): (N, H + 2 * pad - k + 1,
@@ -511,7 +511,7 @@ def _phase_view(y4: np.ndarray, s: int) -> np.ndarray:
 
 
 def _upconv_phases(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool
 ) -> np.ndarray:
     """Nearest-neighbor 2x upsampling of (N,H,W,C) ``x``, then a same-padded
     convolution with (F, C, k, k) ``w``, computed at low resolution: the
@@ -939,18 +939,14 @@ def loss_and_grads(
 @dataclass(frozen=True)
 class GradCheckReport:
     """The largest relative error, the array it was found in, and the
-    number of coordinates checked.  The caller judges it against its own
-    tolerance."""
+    number of coordinates compared, less those whose probes straddle a
+    ReLU kink or a pooling tie (``grad_check``).  The caller judges it
+    against its own tolerance."""
 
     max_rel_err: float
     worst_param: str
     n_checked: int
 
-# A probe batch is accepted only when every pre-activation and every
-# contested pooling gap clears this margin, so no epsilon-perturbation can
-# cross a ReLU kink or flip an argmax during finite differencing.
-_KINK_MARGIN = 5e-4
-_PROBE_ATTEMPTS = 500
 _PROBE_BATCH = 2
 _EPSILON = 1e-5
 # Models up to this many parameters are checked at every coordinate; larger
@@ -959,55 +955,19 @@ _FULL_CHECK_COORDS = 4000
 _SAMPLED_COORDS = 500
 
 
-def _margins(params: UNetParams, cache: dict) -> list[float]:
-    """How far a taped batch sits from every ReLU kink and pooling tie.
-
-    In tape order: for each ReLU convolution or up-convolution the smallest
-    |pre-activation|, recomputed from its taped inputs by the functions the
-    forward runs, without the ReLU: a convolution on its inputs'
-    concatenation (a decoder ``conv1``'s up path and skip), an up-conv's
-    phases read through ``_phase_view``.  For each pooling the smallest
-    gap between a window's top two values.
-    """
-    arrays = params.arrays
-    margins: list[float] = []
-    for kind, name, inputs, _, extra in cache["tape"]:
+def _pattern(cache: dict) -> list[np.ndarray]:
+    """The piece of the piecewise-linear network a taped forward ran on, in
+    tape order: for each ReLU convolution or up-convolution which units
+    are open (``out > 0``), and for each pooling the window slot its
+    backward routes to, the first that equals the output."""
+    pattern = []
+    for kind, _, inputs, out, extra in cache["tape"]:
         if kind in ("conv", "upconv") and extra:
-            w, b = arrays[f"{name}.w"], arrays[f"{name}.b"]
-            if kind == "conv":
-                pre = _conv_forward(np.concatenate(inputs, axis=-1), w, b, w.shape[-1] // 2)
-            else:
-                y4 = _upconv_phases(inputs[0], w, b)
-                pre = _phase_view(y4, y4.shape[1] - inputs[0].shape[1])
-            margins.append(float(np.abs(pre).min()))
+            pattern.append(out > 0)
         elif kind == "pool":
-            top2 = np.sort(np.stack(_pool_views(inputs[0]), axis=-1), axis=-1)[..., -2:]
-            gap = top2[..., 1] - top2[..., 0]
-            # Ties among dead units (runner-up exactly 0) cannot flip
-            # under a small perturbation; only contested windows matter.
-            risky = top2[..., 0] > 0
-            margins.append(float(gap[risky].min()) if risky.any() else np.inf)
-    return margins
-
-
-def _well_conditioned_batch(
-    params: UNetParams, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    spec, n = params.spec, _PROBE_BATCH
-    for _ in range(_PROBE_ATTEMPTS):
-        m = (rng.random((n, size, size)) < 0.8).astype(np.float64)
-        for k in range(n):  # the loss needs at least one land pixel per sample
-            if not m[k].any():
-                m[k, size // 2, size // 2] = 1.0
-        x = rng.normal(size=(n, size, size, spec.input_channels))
-        y = rng.normal(size=(n, size, size, len(spec.heads)))
-        _, cache = _forward(params, x, keep_cache=True)
-        if min(_margins(params, cache)) > _KINK_MARGIN:
-            return x, y, m
-    raise NumericError(
-        f"could not find a finite-difference probe batch clear of ReLU kinks "
-        f"in {_PROBE_ATTEMPTS} attempts"
-    )
+            hits = np.stack([view == out for view in _pool_views(inputs[0])])
+            pattern.append(hits.argmax(axis=0))
+    return pattern
 
 
 def grad_check(spec: UNetSpec, seed: int, *, tile_size: int) -> GradCheckReport:
@@ -1018,9 +978,16 @@ def grad_check(spec: UNetSpec, seed: int, *, tile_size: int) -> GradCheckReport:
     Runs entirely in float64 on a batch of two ``tile_size`` tiles.  Every
     coordinate is checked when the model has at most 4000 parameters;
     otherwise a stratified sample of 500 coordinates (at least one per
-    parameter array) is drawn.  The probe batch is re-sampled until it sits
-    away from every ReLU kink and pooling tie, which keeps the quadratic
-    finite-difference error model valid at a step of 1e-5.
+    parameter array) is drawn.  With every other parameter fixed, the loss
+    is a piecewise quadratic of one coordinate.  When the forwards at its
+    probes, +-1e-5, open the same ReLU units and route every pooling
+    window to the same slot (``_pattern``), every pre-activation is affine
+    in the coordinate between them: the loss is one quadratic there, and
+    the central difference is exact up to rounding.  A coordinate whose
+    error would raise the maximum counts only once its probes are so
+    proven; one whose probes differ is refused and left out of
+    ``n_checked``.  Raises ``NumericError`` when every coordinate is
+    refused.
     """
     params = init_params(spec, seed, dtype=np.float64)
     rng = np.random.default_rng([seed, 0x5EED])
@@ -1029,7 +996,13 @@ def grad_check(spec: UNetSpec, seed: int, *, tile_size: int) -> GradCheckReport:
         # exactly on the ReLU kink; probe at a generic point instead.
         if name.endswith(".b"):
             params.arrays[name] = rng.normal(0.0, 0.2, size=arr.shape)
-    x, y, m = _well_conditioned_batch(params, rng, tile_size)
+    n, size = _PROBE_BATCH, tile_size
+    m = (rng.random((n, size, size)) < 0.8).astype(np.float64)
+    for k in range(n):  # the loss needs at least one land pixel per sample
+        if not m[k].any():
+            m[k, size // 2, size // 2] = 1.0
+    x = rng.normal(size=(n, size, size, spec.input_channels))
+    y = rng.normal(size=(n, size, size, len(spec.heads)))
 
     _, analytic = loss_and_grads(params, x, y, m)
 
@@ -1038,8 +1011,12 @@ def grad_check(spec: UNetSpec, seed: int, *, tile_size: int) -> GradCheckReport:
         loss, _ = _masked_loss_grad(pred, y, m, None)
         return loss
 
+    def pattern_at(arr: np.ndarray, flat: int, value: float) -> list[np.ndarray]:
+        arr.flat[flat] = value
+        return _pattern(_forward(params, x, keep_cache=True)[1])
+
     names = list(expected_shapes(spec))
-    sizes = {n: params.arrays[n].size for n in names}
+    sizes = {name: params.arrays[name].size for name in names}
     total = sum(sizes.values())
     if total <= _FULL_CHECK_COORDS:
         coords = [(name, i) for name in names for i in range(sizes[name])]
@@ -1049,7 +1026,7 @@ def grad_check(spec: UNetSpec, seed: int, *, tile_size: int) -> GradCheckReport:
             name = names[int(rng.integers(len(names)))]
             coords.append((name, int(rng.integers(sizes[name]))))
 
-    max_rel, worst = 0.0, names[0]
+    max_rel, worst, refused = 0.0, None, 0
     for name, flat in coords:
         arr = params.arrays[name]
         orig = arr.flat[flat]
@@ -1057,13 +1034,24 @@ def grad_check(spec: UNetSpec, seed: int, *, tile_size: int) -> GradCheckReport:
         lp = loss_only()
         arr.flat[flat] = orig - _EPSILON
         lm = loss_only()
-        arr.flat[flat] = orig
         fd = (lp - lm) / (2.0 * _EPSILON)
         an = float(analytic[name].flat[flat])
         rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-        if rel > max_rel:
-            max_rel, worst = rel, name
-    return GradCheckReport(max_rel_err=max_rel, worst_param=worst, n_checked=len(coords))
+        if worst is None or rel > max_rel:  # prove it before it counts
+            below = pattern_at(arr, flat, orig - _EPSILON)
+            above = pattern_at(arr, flat, orig + _EPSILON)
+            if all(np.array_equal(a, b) for a, b in zip(below, above)):
+                max_rel, worst = rel, name
+            else:
+                refused += 1
+        arr.flat[flat] = orig
+    if worst is None:
+        raise NumericError(
+            f"every one of {len(coords)} finite-difference probes straddles a "
+            f"ReLU kink or a pooling tie"
+        )
+    return GradCheckReport(max_rel_err=max_rel, worst_param=worst,
+                           n_checked=len(coords) - refused)
 
 
 # ---------------------------------------------------------------------------

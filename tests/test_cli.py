@@ -1,6 +1,7 @@
 """End-to-end command-line workflow: exit codes, files, reports."""
 
 import hashlib
+import itertools
 import os
 import re
 import shutil
@@ -952,6 +953,19 @@ class TestGradcheck:
         assert main(["gradcheck", "--seeds", "1", "--tolerance", "1e-30"]) == 3
         err = capsys.readouterr().err
         assert "gradient check failed" in err and "gradients ok" not in err
+
+    def test_checks_the_desk_network_at_12_pixels(self, capsys):
+        argv = ["gradcheck", "--channels", "9", "--base-features", "8", "--depth", "2",
+                "--tile-size", "12", "--seeds", "1"]
+        assert main(argv) == 0
+        assert "(500 coords" in capsys.readouterr().err
+
+    def test_no_proven_probe_exits_3(self, monkeypatch, capsys):
+        flips = itertools.count()
+        monkeypatch.setattr(unet, "_pattern", lambda cache: [np.array(next(flips))])
+        assert main(["gradcheck", "--seeds", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "straddles" in err and "gradients ok" not in err
 
     @pytest.mark.parametrize("flags, message", [
         (["--seeds", "0"], "--seeds"),
