@@ -7,7 +7,7 @@ integrity error, 3 numeric divergence.
 Training options have one parser.  Each ``TrainConfig`` field is both a
 config-file key and a ``--flag`` of ``train``, and either value is a
 string parsed by ``trainer.config_from_pairs``.  ``train``, ``multitask``
-and ``eval`` check their configs and network depth before reading the grid.
+and ``eval`` check their configs and network shape before reading the grid.
 """
 
 from __future__ import annotations
@@ -119,6 +119,21 @@ def _check_spec(spec, size: int, flag: str, depth_from: str = "--depth") -> None
     if 2 ** spec.depth > size:
         raise _UsageError(f"{depth_from} {spec.depth} needs tiles of at least "
                           f"2**{spec.depth} = {2 ** spec.depth} pixels, but {flag} is {size}")
+
+
+def _load_checkpoint(args):
+    """The model at ``--checkpoint``, refused before any grid is read when
+    its depth does not fit ``--window`` or it reads other inputs."""
+    from .errors import ShapeError
+    from .synth import INPUT_CHANNELS
+    from .unet import load_params
+
+    params = load_params(args.checkpoint)
+    _check_spec(params.spec, args.window, "--window", f"{args.checkpoint}: depth")
+    if params.spec.input_channels != len(INPUT_CHANNELS):
+        raise ShapeError(f"{args.checkpoint}: model expects {params.spec.input_channels} "
+                         f"input channels, the grid gives {len(INPUT_CHANNELS)}")
+    return params
 
 
 def _with_epoch_default(cfg, train_stream):
@@ -260,14 +275,12 @@ def _cmd_train(args) -> int:
 def _cmd_multitask(args) -> int:
     from .synth import TARGET_POP, TARGET_URBAN
     from .trainer import MultiTaskSchedule, build_multitask, train_multitask
-    from .unet import load_params
 
     default = MultiTaskSchedule()
     phase1 = _train_config(args.phase1_config, args, default.phase1)
     phase2 = _train_config(args.phase2_config, args, default.phase2)
     MultiTaskSchedule(phase1, phase2)  # the rate rule, checked before any work
-    pre = load_params(args.checkpoint)
-    _check_spec(pre.spec, args.window, "--window", f"{args.checkpoint}: depth")
+    pre = _load_checkpoint(args)
     # the new head and the validation regions draw from phase 1's seed,
     # which --seed overrides
     multi = build_multitask(pre, head="pop", seed=phase1.seed)
@@ -290,10 +303,8 @@ def _cmd_eval(args) -> int:
     from .grid import WorldGrid, open_grid, save_grid
     from .synth import INPUT_CHANNELS, TARGET_URBAN
     from .tiler import WindowSpec
-    from .unet import load_params
 
-    params = load_params(args.checkpoint)
-    _check_spec(params.spec, args.window, "--window", f"{args.checkpoint}: depth")
+    params = _load_checkpoint(args)
     # rows for a target other than delta_urban name it, as multitask rows do
     multi = len(params.spec.heads) > 1
     label = multitask_label(args.window) if multi else unet_label(args.window)
@@ -338,6 +349,16 @@ def _cmd_eval(args) -> int:
              f"min {cover.min()}, median {np.median(cover):g}; "
              f"{np.count_nonzero(cover == 0)} {args.split}-split land pixels never covered")
 
+        if args.pred_out:  # repeatable, unlike adding report rows
+            planes = {f"pred_{h}": p for h, p in pred.planes.items()}
+            planes["coverage"] = pred.count.astype(np.float64)
+            save_grid(
+                WorldGrid(mask=src.mask, regions=src.regions, channels=planes,
+                          region_table=src.region_table),
+                args.pred_out,
+            )
+            _log(f"wrote {args.pred_out}")
+
         for head, (target, model_label) in targets.items():
             truth = src.channels[target]
             for stratum_name, stratum_mask in strata.items():
@@ -351,16 +372,6 @@ def _cmd_eval(args) -> int:
                      f"mean|e|={row.mean_abs} r2={row.r2}")
         save_report(report, args.report)
         _log(f"wrote {args.report}")
-
-        if args.pred_out:
-            planes = {f"pred_{h}": p for h, p in pred.planes.items()}
-            planes["coverage"] = pred.count.astype(np.float64)
-            save_grid(
-                WorldGrid(mask=src.mask, regions=src.regions, channels=planes,
-                          region_table=src.region_table),
-                args.pred_out,
-            )
-            _log(f"wrote {args.pred_out}")
     return 0
 
 

@@ -40,6 +40,7 @@ from .errors import (
     DegenerateChannelError,
     FormatError,
     IntegrityError,
+    ShapeError,
 )
 from .files import open_container, write_container
 
@@ -296,7 +297,7 @@ def pad_grid(grid: WorldGrid, pad: int) -> WorldGrid:
     0).  The mask and regions are padded here; each channel plane is
     padded at every lookup, so the result holds none of them."""
     if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
+        raise ShapeError(f"pad must be >= 0, got {pad}")
     planes = grid.channels
     return WorldGrid(
         mask=np.pad(grid.mask, pad),

@@ -15,16 +15,16 @@ Architecture (fixed by this artifact, not tunable per call):
   channel i is head i.
 * No batch normalization, no dropout: gradients stay exactly checkable.
 
-The forward builds neither the upsampled nor the concatenated tensor.  A conv
-after nearest 2x upsampling equals one conv on the low-resolution input
-with four output phases, whose taps are sums of the stored taps (the
+The forward builds neither the upsampled nor the concatenated tensor.  A
+3x3 conv after nearest 2x upsampling equals one conv on the low-resolution
+input with four output phases, whose taps are sums of the stored taps (the
 resize-convolution identity, in the sub-pixel layout): the up-conv runs
 at low resolution and interleaves the phases.  Each phase reads only a
-(k//2 + 1)^2 window of the low-resolution input, 2x2 at k = 3, so the
-phase kernel is that size and holds no structurally zero tap; for an odd
-k//2 the phases' windows are offset by one pixel, and the phase conv runs
-on one extra row and column that each phase reads shifted
-(``_tap_sum_map``).  Its float32 result differs from upsample-then-conv
+2x2 window of the low-resolution input, so the phase kernel is 2x2 and
+holds no structurally zero tap (``_TAP_SUMS``).  The two phases of each
+axis read windows one pixel apart: the phase conv runs on the input
+padded by one, at one extra row and column, and phase 1 reads its output
+one pixel further on.  Its float32 result differs from upsample-then-conv
 by about 1e-6 of the largest value, as the taps are summed before the
 products.  Each decoder level allocates its ``conv1``'s zero-bordered
 input, writes the skip into its second half and interleaves the
@@ -98,7 +98,6 @@ leave every loss and gradient byte-for-byte as a full pass gives them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -453,73 +452,53 @@ def _conv_backward(x, w: np.ndarray, g: np.ndarray, pad: int, need_dx: bool):
     return dx, dw, db
 
 
-@functools.cache
-def _tap_sum_map(k: int) -> np.ndarray:
-    """The 0/1 map from a k x k kernel run after nearest-neighbor 2x
-    upsampling to the four (p+1) x (p+1) kernels, p = k // 2, one per output
-    phase, that give the same output from the low-resolution input.  Every
-    phase tap sums at least one stored tap.  Computed once per k; read-only.
-
-    Shape (2, 2, p+1, p+1, k, k).  Output row 2i + a reads upsampled row
-    2i + a + du - p, which is low-resolution row i + (a + du - p) // 2.  The
-    phase kernel runs on the input padded by q = ceil(p / 2), and phase a
-    reads it at row i + a * s, s = p % 2, whose tap t is low-resolution row
-    i + a * s + t - q.  Columns likewise.
-    """
-    p = k // 2
-    q, s = (p + 1) // 2, p % 2
-    du = np.arange(k)
-    taps = np.zeros((2, p + 1, k))
-    for a in (0, 1):
-        taps[a, (a + du - p) // 2 + q - a * s, du] = 1.0
-    m = np.einsum("aud,bve->abuvde", taps, taps)
-    m.setflags(write=False)
-    return m
+# Output row 2i + a of a 3x3 conv after nearest 2x upsampling reads
+# low-resolution rows i - 1 + a and i + a: phase a's two taps sum stored
+# rows {0} and {1, 2} (a = 0), or {0, 1} and {2} (a = 1).  Columns likewise:
+# _TAP_SUMS[a, b, u, v, du, dv] is 1 where phase (a, b)'s 2x2 tap (u, v)
+# sums stored tap (du, dv).  Read-only.
+_PHASE_ROWS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], np.float64)
+_TAP_SUMS = np.einsum("aud,bve->abuvde", _PHASE_ROWS, _PHASE_ROWS)
+_TAP_SUMS.setflags(write=False)
 
 
 def _phase_weight(w: np.ndarray) -> np.ndarray:
-    """The (4F, C, p+1, p+1) sub-pixel kernel of stored (F, C, k, k) up-conv
-    weights: its output channel (2a + b) * F + f is feature f at the output
-    pixels (2i + a, 2j + b)."""
-    f, c, k, _ = w.shape
-    m = _tap_sum_map(k)
-    kl = m.shape[2]
-    wp = w.reshape(f * c, k * k) @ m.reshape(-1, k * k).T.astype(w.dtype)
-    return wp.reshape(f, c, 2, 2, kl, kl).transpose(2, 3, 0, 1, 4, 5).reshape(4 * f, c, kl, kl)
+    """The (4F, C, 2, 2) sub-pixel kernel of stored (F, C, 3, 3) up-conv
+    weights (``_TAP_SUMS``): its output channel (2a + b) * F + f is
+    feature f at the output pixels (2i + a, 2j + b)."""
+    f, c = w.shape[:2]
+    wp = w.reshape(f * c, 9) @ _TAP_SUMS.reshape(16, 9).T.astype(w.dtype)
+    return wp.reshape(f, c, 2, 2, 2, 2).transpose(2, 3, 0, 1, 4, 5).reshape(4 * f, c, 2, 2)
 
 
-def _phase_weight_grad(dwp: np.ndarray, k: int) -> np.ndarray:
-    """The adjoint of ``_phase_weight``: d_weight (F, C, k, k) from the
-    sub-pixel kernel's gradient."""
-    f4, c, kl, _ = dwp.shape
-    f = f4 // 4
-    d = dwp.reshape(2, 2, f, c, kl, kl).transpose(2, 3, 0, 1, 4, 5).reshape(f * c, -1)
-    return (d @ _tap_sum_map(k).reshape(-1, k * k).astype(dwp.dtype)).reshape(f, c, k, k)
+def _phase_weight_grad(dwp: np.ndarray) -> np.ndarray:
+    """The adjoint of ``_phase_weight``: d_weight (F, C, 3, 3) from the
+    (4F, C, 2, 2) sub-pixel kernel's gradient."""
+    f, c = len(dwp) // 4, dwp.shape[1]
+    d = dwp.reshape(2, 2, f, c, 2, 2).transpose(2, 3, 0, 1, 4, 5).reshape(f * c, 16)
+    return (d @ _TAP_SUMS.reshape(16, 9).astype(dwp.dtype)).reshape(f, c, 3, 3)
 
 
-def _phase_view(y4: np.ndarray, s: int) -> np.ndarray:
-    """The (N, H, 2, W, 2, F) view of a (N, H+s, W+s, 4F) phase array whose
+def _phase_view(y4: np.ndarray) -> np.ndarray:
+    """The (N, H, 2, W, 2, F) view of a (N, H+1, W+1, 4F) phase array whose
     element (n, i, a, j, b, f) is phase (a, b)'s feature f at output pixel
-    (2i + a, 2j + b): channel (2a + b) * F + f at position (i + a*s, j + b*s).
+    (2i + a, 2j + b): channel (2a + b) * F + f at position (i + a, j + b).
     Reshaped, it is the (N, 2H, 2W, F) output.  The phases' elements are
     disjoint, so the view can be written through."""
-    n, hs, ws, f4 = y4.shape
+    n, h1, w1, f4 = y4.shape
     f = f4 // 4
     sn, sh, sw, sc = y4.strides
-    return as_strided(y4, (n, hs - s, 2, ws - s, 2, f),
-                      (sn, sh, s * sh + 2 * f * sc, sw, s * sw + f * sc, sc))
+    return as_strided(y4, (n, h1 - 1, 2, w1 - 1, 2, f),
+                      (sn, sh, sh + 2 * f * sc, sw, sw + f * sc, sc))
 
 
-def _upconv_phases(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool
-) -> np.ndarray:
+def _upconv_phases(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
     """Nearest-neighbor 2x upsampling of (N,H,W,C) ``x``, then a same-padded
-    convolution with (F, C, k, k) ``w``, computed at low resolution: the
-    four output phases as one (N, H+s, W+s, 4F) array, s = (k // 2) % 2,
-    from one valid convolution of ``x`` padded by ceil(p / 2) with the
-    phase kernel (``_tap_sum_map``).  ``_phase_view`` reads the output."""
-    p = w.shape[-1] // 2
-    return _conv_forward(x, _phase_weight(w), np.tile(b, 4), (p + 1) // 2, relu)
+    convolution with (F, C, 3, 3) ``w``, computed at low resolution: the
+    four output phases as one (N, H+1, W+1, 4F) array, from one 2x2
+    convolution of ``x`` zero-padded by one with the phase kernel
+    (``_phase_weight``).  ``_phase_view`` reads the output."""
+    return _conv_forward(x, _phase_weight(w), np.tile(b, 4), 1, relu)
 
 
 def _depth_to_space(y4: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -528,37 +507,33 @@ def _depth_to_space(y4: np.ndarray, out: np.ndarray) -> np.ndarray:
     n, h2, w2, f = out.shape
     sn, sh, sw, sc = out.strides
     dst = as_strided(out, (n, h2 // 2, 2, w2 // 2, 2, f), (sn, 2 * sh, sh, 2 * sw, sw, sc))
-    np.copyto(dst, _phase_view(y4, y4.shape[1] - h2 // 2))
+    np.copyto(dst, _phase_view(y4))
     return out
 
 
 def _upconv_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_dx: bool):
     """Gradients of the interleaved ``_upconv_phases(x, w, b)`` before its
     ReLU: (d_input, d_weight, d_bias), with d_input at the low resolution
-    of ``x``.
-
-    The output gradient goes space-to-depth into the phase layout, zero at
-    the positions no phase reads, and through the convolution backward with
-    the phase kernel.
-    """
+    of ``x``.  The output gradient goes space-to-depth into the (N, H+1,
+    W+1, 4F) phase layout, zero where no phase reads (phase 0's last row
+    and column, phase 1's first), and through the phase conv's backward."""
     n, h, wd, _ = x.shape
-    f, _, k, _ = w.shape
-    p = k // 2
-    g4 = np.zeros((n, h + p % 2, wd + p % 2, 4 * f), g.dtype)
-    np.copyto(_phase_view(g4, p % 2), g.reshape(n, h, 2, wd, 2, f))
-    dx, dwp, dbp = _conv_backward(x, _phase_weight(w), g4, (p + 1) // 2, need_dx)
-    return dx, _phase_weight_grad(dwp, k), dbp.reshape(4, f).sum(axis=0)
+    f = len(w)
+    g4 = np.zeros((n, h + 1, wd + 1, 4 * f), g.dtype)
+    np.copyto(_phase_view(g4), g.reshape(n, h, 2, wd, 2, f))
+    dx, dwp, dbp = _conv_backward(x, _phase_weight(w), g4, 1, need_dx)
+    return dx, _phase_weight_grad(dwp), dbp.reshape(4, f).sum(axis=0)
 
 
-def _join(y4: np.ndarray, skip: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """A decoder ``conv1``'s input, zero-padded by ``pad``: the up path,
+def _join(y4: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A decoder ``conv1``'s input, zero-padded by one: the up path,
     interleaved from the up-conv phases ``y4``, in its first half and
     ``skip`` in its second.  Returns it and the view of its up path.  A
-    valid convolution of it has the patch rows of the same-padded
+    valid 3x3 convolution of it has the patch rows of the same-padded
     convolution of the two parts (``_im2col_blocks``)."""
     n, h, w, f = skip.shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, 2 * f), skip.dtype)
-    inner = xp[:, pad : pad + h, pad : pad + w]
+    xp = np.zeros((n, h + 2, w + 2, 2 * f), skip.dtype)
+    inner = xp[:, 1 : h + 1, 1 : w + 1]
     inner[..., f:] = skip
     return xp, _depth_to_space(y4, inner[..., :f])
 
@@ -625,40 +600,39 @@ def _predict_tiles(spec: UNetSpec, size: int, itemsize: int) -> int:
     within the budget.  Per tile, at the padded size P, each holds the
     input tile and:
 
-    * at level 0, the decoder join (``_join``): the up-conv's phases,
-      ``conv1``'s padded input and the level-0 skip; or, on a wide input
-      and narrow features, the first encoder conv: the padded tile, its
-      padded input and its output.  Beside them one patch block
-      (``_im2col_blocks``) and the weight matrix are held, whatever the
-      tile count.  The term is that of one pixel per patch row, an upper
-      bound when the layer pairs pixels (``_pixels_per_row``): desk's
-      ``dec0.conv1`` block at S = 28 is 303 KB paired, of the 455 KB
-      reserved, and its weight matrix 12 KB, of 5 KB (315 of 459 KB);
-    * at the deepest up-conv: the finer skips, the bottleneck, its padded
-      copy and the phases.  Beside them its phase kernel is held twice,
-      as built and as its weight matrix, with one patch block.  At
-      ``full_scale`` this is the larger moment.
+    * at level 0, the decoder join (``_join``): the up-conv's phases at
+      (P/2 + 1)^2 positions, ``conv1``'s padded input and the level-0
+      skip; or, on a wide input and narrow features, the first encoder
+      conv: the padded tile, its padded input and its output.  Beside them
+      one patch block (``_im2col_blocks``) of 3x3 patches and the weight
+      matrix are held, whatever the tile count.  The term is that of one
+      pixel per patch row, an upper bound when the layer pairs pixels
+      (``_pixels_per_row``): desk's ``dec0.conv1`` block at S = 28 is
+      303 KB paired, of the 455 KB reserved, and its weight matrix 12 KB,
+      of 5 KB (315 of 459 KB);
+    * at the deepest up-conv: the finer skips, the bottleneck, its copy
+      padded by one and the phases.  Beside them its (2T, T, 2, 2) phase
+      kernel (T the bottleneck's width) is held twice, as built and as its
+      weight matrix, with one patch block.  At ``full_scale`` this is the
+      larger moment.
 
     With more than one head, the skips a later head reads and the other
     heads' planes are held too.  16 KiB more covers the small arrays.
     """
     p = size + sum(_pad_amounts(size, 1 << spec.depth))
-    r = _KERNEL // 2
-    f, c, kk = spec.base_features, spec.input_channels, _KERNEL ** 2
+    f, c = spec.base_features, spec.input_channels
     top, low = f << spec.depth, p >> spec.depth  # the bottleneck's width and side
     finer = sum((p >> lvl) ** 2 * (f << lvl) for lvl in range(spec.depth))  # skips
     planes = p * p * (len(spec.heads) - 1)
     later = 0 if len(spec.heads) == 1 else planes + finer - p * p * f + low * low * top
-    pp = (p + 2 * r) ** 2  # pixels of a padded level-0 conv input
-    join = (p // 2 + r % 2) ** 2 * 4 * f + pp * 2 * f + p * p * f + later
+    pp = (p + 2) ** 2  # pixels of a padded level-0 conv input
+    join = (p // 2 + 1) ** 2 * 4 * f + pp * 2 * f + p * p * f + later
     encoder = p * p * c + pp * c + p * p * f
-    rows = kk * max(2 * f, c) + 1  # of the widest level-0 patch matrix
+    rows = 9 * max(2 * f, c) + 1  # of the widest level-0 patch matrix
     level0 = (max(join, encoder),
               max(_BLOCK_BYTES, p * p * rows * itemsize) + rows * f * itemsize)
-    q = (r + 1) // 2  # the phase conv's padding
-    deepest = (finer + planes + (low * low + (low + 2 * q) ** 2) * top
-               + (low + r % 2) ** 2 * 2 * top,
-               _BLOCK_BYTES + itemsize * 2 * (2 * top * top * (r + 1) ** 2 + 2 * top))
+    deepest = (finer + planes + (low * low + (low + 2) ** 2) * top + (low + 1) ** 2 * 2 * top,
+               _BLOCK_BYTES + itemsize * 2 * (8 * top * top + 2 * top))
     small = 16 << 10  # biases, tap maps and Python objects
     return max(1, min((_PREDICT_BYTES - small - fixed) // (itemsize * (size * size * c + tile))
                       for tile, fixed in (level0, deepest)))
@@ -742,15 +716,15 @@ def _forward(
             # reads it.  Allocated before conv1's input, it leaves a desk
             # training loop's peak RSS 2.6 MB lower than when allocated after.
             taped = np.empty(skips[lvl].shape, y4.dtype) if keep_cache else None
-            w1 = arrays[f"{name}.conv1.w"]
-            xp, yu = _join(y4, skips[lvl], w1.shape[-1] // 2)
+            xp, yu = _join(y4, skips[lvl])
             del y4
             if head == last:  # no later head reads this skip
                 skips[lvl] = None
             if keep_cache:
                 np.copyto(taped, yu)
                 yu = layer("upconv", f"{name}.up", up_in, taped, True)
-            y1 = _conv_forward(xp, w1, arrays[f"{name}.conv1.b"], 0, relu=True)
+            y1 = _conv_forward(xp, arrays[f"{name}.conv1.w"], arrays[f"{name}.conv1.b"], 0,
+                               relu=True)
             del xp
             layer("conv", f"{name}.conv1", (yu, skips[lvl]), y1, True)
             del yu

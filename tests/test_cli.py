@@ -355,6 +355,18 @@ class TestEvalReport:
         assert report.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
+    def test_unwritable_prediction_adds_no_rows(self, world_file, run_dir, tmp_path):
+        # the prediction file is written before the report rows are added,
+        # so a failed write leaves nothing that would refuse a rerun
+        report = tmp_path / "r.csv"
+        args = ["eval", "--grid", str(world_file), "--window", "16", "--pad", "8",
+                "--test-regions", "R03", "--report", str(report),
+                "--checkpoint", str(run_dir / "unet_urban_sz16.unpk"), "--pred-out"]
+        assert main(args + [str(tmp_path / "nodir" / "p.wgrd")]) == 2
+        assert not report.exists()
+        assert main(args + [str(tmp_path / "p.wgrd")]) == 0
+        assert len(report.read_text().splitlines()) == 3
+
     def test_eval_logs_coverage_summary(self, world_file, run_dir, tmp_path, capsys):
         rc = main(["eval", "--grid", str(world_file), "--window", "16",
                    "--pad", "8", "--test-regions", "R03", "--split", "all",
@@ -922,25 +934,43 @@ class TestMultitask:
 
 
 class TestCheckpointDepth:
-    @pytest.mark.parametrize("command", ["eval", "multitask"])
-    def test_too_deep_checkpoint_fails_before_work(self, world_file, tmp_path, monkeypatch,
-                                                   capsys, command):
-        # a depth-5 network pads every 16-pixel tile to 32 pixels
+    @staticmethod
+    def refuse(world_file, tmp_path, monkeypatch, command, spec):
+        """Run ``command`` on a checkpoint of ``spec`` with the grid reader
+        stubbed out; return the exit code and the checkpoint's path."""
         def no_work(*args, **kwargs):
-            raise AssertionError("read the grid for a too-deep checkpoint")
+            raise AssertionError("read the grid for a checkpoint it cannot run")
 
         monkeypatch.setattr(grid, "open_grid", no_work)
-        path = tmp_path / "deep.unpk"
-        save_params(init_params(UNetSpec(len(INPUT_CHANNELS), 2, 5), 0), path)
+        path = tmp_path / "model.unpk"
+        save_params(init_params(spec, 0), path)
         out = tmp_path / "out"
         argv = [command, "--grid", str(world_file), "--window", "16", "--pad", "8",
                 "--test-regions", "R03", "--checkpoint", str(path)]
         argv += (["--report", str(out / "r.csv")] if command == "eval"
                  else ["--out-dir", str(out)])
-        assert main(argv) == 1
+        rc = main(argv)
+        assert not out.exists()
+        return rc, path
+
+    @pytest.mark.parametrize("command", ["eval", "multitask"])
+    def test_too_deep_checkpoint_fails_before_work(self, world_file, tmp_path, monkeypatch,
+                                                   capsys, command):
+        # a depth-5 network pads every 16-pixel tile to 32 pixels
+        spec = UNetSpec(len(INPUT_CHANNELS), 2, 5)
+        rc, path = self.refuse(world_file, tmp_path, monkeypatch, command, spec)
+        assert rc == 1
         assert (f"error: {path}: depth 5 needs tiles of at least 2**5 = 32 pixels, "
                 "but --window is 16") in capsys.readouterr().err
-        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "multitask"])
+    def test_checkpoint_for_other_inputs_fails_before_work(self, world_file, tmp_path,
+                                                           monkeypatch, capsys, command):
+        # the pipeline feeds the nine standard input channels
+        rc, path = self.refuse(world_file, tmp_path, monkeypatch, command, UNetSpec(3, 4, 1))
+        assert rc == 2
+        assert (f"error: {path}: model expects 3 input channels, the grid gives 9"
+                in capsys.readouterr().err)
 
 
 class TestGradcheck:

@@ -15,6 +15,7 @@ from urbanet.errors import (
     DegenerateChannelError,
     FormatError,
     IntegrityError,
+    ShapeError,
 )
 from urbanet.grid import (
     TEST,
@@ -341,6 +342,11 @@ class TestPad:
             np.testing.assert_array_equal(
                 padded.channels[name][20:120, 20:120], grid.channels[name]
             )
+
+    def test_negative_pad_is_a_shape_error(self):
+        # the package's own error, which the command line maps to exit 2
+        with pytest.raises(ShapeError, match="pad must be >= 0, got -1"):
+            pad_grid(make_grid([[1, 0], [1, 1]]), -1)
 
     @settings(max_examples=25, deadline=None)
     @given(pad=st.integers(0, 8), seed=st.integers(0, 2**16))

@@ -10,12 +10,14 @@ README names every other flag, every command of
 README's CLI walkthrough parses and reads only config files and
 prediction grids that an earlier line wrote, the micro-batch tile counts
 README quotes are the ones world prediction runs, nothing in the package
-or its commands loads scipy, and ``eval`` loads no OpenSSL."""
+or its commands loads scipy, ``eval`` loads no OpenSSL, and the package
+raises no built-in exception but ``KeyError`` and ``OSError``."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import dataclasses
 import importlib
 import os
@@ -74,6 +76,44 @@ def test_no_unused_imports():
               for path in sorted(SRC.glob("*.py"))
               for line, name in unused_imports(path.read_text())]
     assert unused == []
+
+
+def builtin_raises(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``raise`` in ``source`` of a built-in exception
+    other than ``KeyError`` and ``OSError``, raised by name or called.  A
+    bare ``raise``, ``raise type(err)(...)``, a variable and any class that
+    is not a built-in pass."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+            if (isinstance(cls, type) and issubclass(cls, BaseException)
+                    and cls not in (KeyError, OSError)):
+                found.append((node.lineno, exc.id))
+    return found
+
+
+def test_package_raises_its_own_errors():
+    # the command line maps UrbanetError to exit codes 1-3, and OSError to
+    # exit 2; KeyError is what grid._Planes.__getitem__ owes the Mapping
+    # protocol.  Any other built-in would escape as a traceback.
+    sample = (
+        "class ShapeError(Exception): pass\n"
+        "def f(err, key):\n"
+        "    if key is None: raise ValueError('no key')\n"
+        "    if err: raise type(err)(f'{key}: {err}') from None\n"
+        "    raise KeyError(key)\n"
+        "def g():\n"
+        "    try: f(None, None)\n"
+        "    except ValueError: raise\n"
+        "    raise ShapeError\n"
+    )
+    assert builtin_raises(sample) == [(3, "ValueError")]
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in builtin_raises(path.read_text())]
+    assert found == []
 
 
 def uncalled_private_defs(sources: dict[str, str]) -> list[str]:

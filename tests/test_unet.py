@@ -743,31 +743,28 @@ class TestBlockedConv:
 
 
 class TestSubpixelUpconv:
-    @pytest.mark.parametrize("k, kl", [(1, 1), (3, 2), (5, 3), (7, 4)])
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    def test_matches_upsample_then_conv(self, monkeypatch, k, kl, dtype, rtol):
+    def test_matches_upsample_then_conv(self, monkeypatch, dtype, rtol):
         # the oracle upsamples by np.repeat and runs the plain convolution;
         # its input gradient sums each 2x2 block back.  8 input channels and
         # 4 * 2 phase channels: 2-image blocks over 5 images, the last
-        # uneven, at the phase conv's (H+s) x (W+s) positions, s = (k // 2) % 2,
-        # with the pixels per row of its lowering (two where W+s is even)
-        rng = np.random.default_rng(k)
+        # uneven, at the phase conv's (H+1) x (W+1) positions, with the
+        # pixels per row of its lowering (two, as W+1 is even)
+        rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 4, 3, 8)).astype(dtype)
-        w = rng.normal(size=(2, 8, k, k)).astype(dtype)
+        w = rng.normal(size=(2, 8, 3, 3)).astype(dtype)
         b = rng.normal(size=2).astype(dtype)
         g = rng.normal(size=(5, 8, 6, 2)).astype(dtype)
-        assert unet._phase_weight(w).shape == (8, 8, kl, kl)
-        p = k // 2
-        s = p % 2
-        positions = np.zeros((1, 4 + s, 3 + s, 8), dtype)
-        px = unet._pixels_per_row(3 + s, 8)
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(positions, kl, px))
+        assert unet._phase_weight(w).shape == (8, 8, 2, 2)
+        positions = np.zeros((1, 5, 4, 8), dtype)
+        px = unet._pixels_per_row(4, 8)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(positions, 2, px))
         blocks = spy_blocks(monkeypatch)
         y = upconv(x, w, b)
         assert blocks == [3]
         dx, dw, db = unet._upconv_backward(x, w, g, True)
-        ry = unet._conv_forward(upsample(x), w, b, p, relu=False)
-        rdx, rdw, rdb = _conv_backward(upsample(x), w, g, p, True)
+        ry = unet._conv_forward(upsample(x), w, b, 1, relu=False)
+        rdx, rdw, rdb = _conv_backward(upsample(x), w, g, 1, True)
         rdx = rdx.reshape(5, 4, 2, 3, 2, 8).sum(axis=(2, 4))
         for got, ref in ((y, ry), (dx, rdx), (dw, rdw), (db, rdb)):
             assert got.dtype == dtype and got.shape == ref.shape
@@ -776,6 +773,17 @@ class TestSubpixelUpconv:
         assert relu.tobytes() == np.maximum(y, 0.0).tobytes()
         none, dw2, _ = unet._upconv_backward(x, w, g, need_dx=False)
         assert none is None and dw2.tobytes() == dw.tobytes()
+
+    @pytest.mark.parametrize("du, dv", [(du, dv) for du in range(3) for dv in range(3)])
+    def test_unit_kernels_shift_the_upsampled_input(self, du, dv):
+        # built without the tap map: a kernel with one unit tap per feature
+        # copies its channel of the upsampled input, zero-padded by one,
+        # shifted by (du - 1, dv - 1)
+        x = np.random.default_rng(3 * du + dv).normal(size=(2, 3, 4, 2))
+        w = np.zeros((2, 2, 3, 3))
+        w[[0, 1], [0, 1], du, dv] = 1.0
+        up = np.pad(upsample(x), ((0, 0), (1, 1), (1, 1), (0, 0)))
+        np.testing.assert_array_equal(upconv(x, w, np.zeros(2)), up[:, du : du + 6, dv : dv + 8])
 
 
 class TestTwoPartConv:
@@ -802,34 +810,33 @@ class TestTwoPartConv:
 
 
 class TestJoin:
-    @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("f, wl", [(4, 4), (4, 3), (16, 3)],
                              ids=["paired", "paired-odd-phases", "unpaired"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_valid_conv_is_the_concatenations_same_conv(self, monkeypatch, k, f, wl, dtype):
+    def test_valid_conv_is_the_concatenations_same_conv(self, monkeypatch, f, wl, dtype):
         # a decoder conv1's input: the up path interleaved from the up-conv
         # phases and the skip, written into one zero-bordered buffer.  A
         # valid conv of it gives the bytes of the same-padded conv of the
         # two parts' concatenation, both over 2-image blocks of 5 images,
         # the last partial.  The joined width 2 * wl is even, so with 4
         # features both lowerings pair pixels; with 16 they do not.
-        rng = np.random.default_rng(k + f + wl)
+        rng = np.random.default_rng(3 + f + wl)
         x = rng.normal(size=(5, 3, wl, 6)).astype(dtype)  # the up-conv's input
-        wu = rng.normal(size=(f, 6, k, k)).astype(dtype)
+        wu = rng.normal(size=(f, 6, 3, 3)).astype(dtype)
         y4 = unet._upconv_phases(x, wu, rng.normal(size=f).astype(dtype), True)
         skip = rng.normal(size=(5, 6, 2 * wl, f)).astype(dtype)
-        w1 = rng.normal(size=(f, 2 * f, k, k)).astype(dtype)
+        w1 = rng.normal(size=(f, 2 * f, 3, 3)).astype(dtype)
         b1 = rng.normal(size=f).astype(dtype)
         up = unet._depth_to_space(y4, np.empty(skip.shape, dtype))
         xc = np.concatenate([up, skip], axis=-1)
         px = 2 if f < 16 else 1
         assert unet._pixels_per_row(2 * wl, f) == px
-        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(xc, k, px))
-        xp, yu = unet._join(y4, skip, k // 2)
+        monkeypatch.setattr(unet, "_BLOCK_BYTES", 2 * image_bytes(xc, 3, px))
+        xp, yu = unet._join(y4, skip)
         assert yu.tobytes() == up.tobytes() and np.shares_memory(yu, xp)
         blocks = spy_blocks(monkeypatch)
         y = unet._conv_forward(xp, w1, b1, 0, relu=True)
-        ref = unet._conv_forward(xc, w1, b1, k // 2, relu=True)
+        ref = unet._conv_forward(xc, w1, b1, 1, relu=True)
         assert blocks == [3] * 2
         assert y.dtype == dtype and y.tobytes() == ref.tobytes()
 
@@ -864,17 +871,15 @@ class TestOnePatchMatrix:
         assert len(lowered) == 1 and lowered[0] is g
 
     @pytest.mark.parametrize("need_dx", [True, False])
-    @pytest.mark.parametrize("k", [1, 3, 5, 7])
-    def test_upconv_backward_lowers_the_phase_gradient_once(self, monkeypatch, k, need_dx):
-        # the phase layout of the gradient, at the (H+s) x (W+s) positions
-        rng = np.random.default_rng(k)
+    def test_upconv_backward_lowers_the_phase_gradient_once(self, monkeypatch, need_dx):
+        # the phase layout of the gradient, at the (H+1) x (W+1) positions
+        rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 4, 3, 6))
-        w = rng.normal(size=(3, 6, k, k))
+        w = rng.normal(size=(3, 6, 3, 3))
         g = rng.normal(size=(2, 8, 6, 3))
         lowered = self.spy_lowerings(monkeypatch)
         unet._upconv_backward(x, w, g, need_dx)
-        s = (k // 2) % 2
-        assert len(lowered) == 1 and lowered[0].shape == (2, 4 + s, 3 + s, 12)
+        assert len(lowered) == 1 and lowered[0].shape == (2, 5, 4, 12)
 
 
 def pair_im2col(x, k):
@@ -1019,22 +1024,18 @@ class TestPixelPairs:
         assert set().union(*pixels.values()) == {1, 2}
 
 
-class TestTapSumMap:
-    @pytest.mark.parametrize("k", [1, 3, 5, 7])
-    def test_no_phase_tap_is_a_structural_zero(self, k):
-        p = k // 2
-        m = unet._tap_sum_map(k)
-        assert m.shape == (2, 2, p + 1, p + 1, k, k)
+class TestTapSums:
+    def test_no_phase_tap_is_a_structural_zero(self):
+        m = unet._TAP_SUMS
+        assert m.shape == (2, 2, 2, 2, 3, 3) and m.dtype == np.float64
         # every stored tap lands on exactly one tap of each phase
-        np.testing.assert_array_equal(m.sum(axis=(2, 3)), np.ones((2, 2, k, k)))
+        np.testing.assert_array_equal(m.sum(axis=(2, 3)), np.ones((2, 2, 3, 3)))
         # and every phase tap sums at least one stored tap
-        assert m.reshape(4 * (p + 1) ** 2, k * k).any(axis=1).all()
+        assert m.reshape(16, 9).any(axis=1).all()
 
-    def test_computed_once_and_read_only(self):
-        m = unet._tap_sum_map(3)
-        assert unet._tap_sum_map(3) is m
+    def test_read_only(self):
         with pytest.raises(ValueError):
-            m[0, 0, 0, 0, 0, 0] = 2.0
+            unet._TAP_SUMS[0, 0, 0, 0, 0, 0] = 2.0
 
 
 class TestRandomShapes:
@@ -1051,12 +1052,13 @@ class TestRandomShapes:
     def test_blocked_matches_whole_matrix(self, nhw, c, split, f, k, block_bytes, seed):
         # float64 at 1e-12 of each array's largest value, for random block
         # sizes; the backward takes the input split in two parts where
-        # 0 < split < c.  The up-conv of the same input matches
+        # 0 < split < c.  The 3x3 up-conv of the same input matches
         # upsample-then-conv.
         n, h, w = nhw
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, h, w, c))
         wt = rng.normal(size=(f, c, k, k))
+        wu = rng.normal(size=(f, c, 3, 3))
         b = rng.normal(size=f)
         g = rng.normal(size=(n, h, w, f))
         gu = rng.normal(size=(n, 2 * h, 2 * w, f))
@@ -1065,12 +1067,12 @@ class TestRandomShapes:
             mp.setattr(unet, "_BLOCK_BYTES", block_bytes)
             y = unet._conv_forward(x, wt, b, k // 2, relu=False)
             dx, dw, db = _conv_backward(xin, wt, g, k // 2, True)
-            yu = upconv(x, wt, b)
-            dxu, dwu, dbu = unet._upconv_backward(x, wt, gu, True)
+            yu = upconv(x, wu, b)
+            dxu, dwu, dbu = unet._upconv_backward(x, wu, gu, True)
         if isinstance(dx, tuple):
             dx = np.concatenate(dx, axis=-1)
         ry, rdx, rdw = whole_conv(x, wt, b, g)
-        ryu, rdxu, rdwu = whole_conv(upsample(x), wt, b, gu)
+        ryu, rdxu, rdwu = whole_conv(upsample(x), wu, b, gu)
         rdxu = rdxu.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))
         for got, ref in ((y, ry), (dx, rdx), (dw, rdw), (db, g.sum(axis=(0, 1, 2))),
                          (yu, ryu), (dxu, rdxu), (dwu, rdwu), (dbu, gu.sum(axis=(0, 1, 2)))):
